@@ -156,7 +156,9 @@ func (rt *Router) buildMux() {
 // Handler returns the router's HTTP surface wrapped in the tracing
 // middleware: the router adopts or mints a trace context and forwards it
 // on the hop to the replica, so one trace follows a batch through both
-// processes.
+// processes. Every response carries exactly one traceparent, the
+// router's own span context, whether the router answered it or a member
+// did.
 func (rt *Router) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var tc telemetry.TraceContext
@@ -166,16 +168,47 @@ func (rt *Router) Handler() http.Handler {
 			tc = telemetry.TraceContext{Trace: telemetry.NewTraceID(), Span: telemetry.NewSpanID()}
 		}
 		ctx := telemetry.WithTraceContext(r.Context(), tc)
-		w.Header().Set("traceparent", tc.TraceParent())
+		tw := &traceWriter{ResponseWriter: w, traceparent: tc.TraceParent()}
+		tw.pin()
 		route := r.URL.Path
 		if _, pattern := rt.mux.Handler(r); pattern != "" {
 			route = pattern
 		}
 		start := time.Now()
-		rt.mux.ServeHTTP(w, r.WithContext(ctx))
+		rt.mux.ServeHTTP(tw, r.WithContext(ctx))
 		mRouterHTTPSeconds.With(route).ObserveTraced(time.Since(start).Seconds(), tc.Trace.String())
 	})
 }
+
+// traceWriter keeps the router's traceparent the response's only one. A
+// forwarded member writes its replica's response headers into the same
+// map first — httputil.ReverseProxy adds them beside the router's — so
+// the router's value is pinned again whenever a status is written.
+type traceWriter struct {
+	http.ResponseWriter
+	traceparent string
+	wrote       bool // a final status has been written
+}
+
+func (w *traceWriter) pin() { w.Header()["Traceparent"] = []string{w.traceparent} }
+
+func (w *traceWriter) WriteHeader(code int) {
+	w.pin()
+	if code >= 200 {
+		w.wrote = true
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *traceWriter) Write(b []byte) (int, error) {
+	if !w.wrote {
+		w.WriteHeader(http.StatusOK)
+	}
+	return w.ResponseWriter.Write(b)
+}
+
+// Unwrap lets http.ResponseController reach the underlying writer.
+func (w *traceWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -1,13 +1,19 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"reflect"
 	"testing"
 
 	"repro/internal/serve"
+	"repro/internal/telemetry"
 )
 
 // newTestFleet boots n serve replicas r0..r(n-1) behind a fresh router
@@ -272,5 +278,76 @@ func TestRouterHealth(t *testing.T) {
 	// The router stays ready while r0 lives.
 	if err := drv.Ready(); err != nil {
 		t.Errorf("router readyz with one healthy member: %v", err)
+	}
+}
+
+// TestRouterSingleTraceparent drives the router in front of a real
+// httputil.ReverseProxy member, the shape leaps-router runs: every
+// response, forwarded or answered by the router itself, carries exactly
+// one traceparent — the router's child of the caller's span.
+func TestRouterSingleTraceparent(t *testing.T) {
+	_, logs := fixtures(t)
+	replica := httptest.NewServer(newServeReplica(t, "r0").Handler())
+	defer replica.Close()
+	target, err := url.Parse(replica.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRouter(RouterConfig{
+		Members: []Member{{ID: "r0", Handler: httputil.NewSingleHostReverseProxy(target)}},
+		Seed:    1106, Logger: discardLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	caller := telemetry.TraceContext{Trace: telemetry.NewTraceID(), Span: telemetry.NewSpanID()}
+	spec := serve.SessionSpecOf(logs.Malicious, "")
+	spec.ID = "traced"
+	batch := serve.EventBatch{Events: serve.EventSpecsOf(logs.Malicious.Events[:50])}
+	for _, c := range []struct {
+		method, path string
+		body         any
+		status       int
+	}{
+		{"POST", "/v1/sessions", spec, http.StatusCreated},
+		{"POST", "/v1/sessions/traced/events", batch, http.StatusOK},
+		{"GET", "/v1/sessions/traced", nil, http.StatusOK},
+		{"GET", "/v1/sessions/absent", nil, http.StatusNotFound},
+		{"DELETE", "/v1/sessions/traced", nil, http.StatusNoContent},
+		{"GET", "/v1/fleet", nil, http.StatusOK},
+		{"GET", "/healthz", nil, http.StatusOK},
+		{"GET", "/no/such/route", nil, http.StatusNotFound},
+	} {
+		var body []byte
+		if c.body != nil {
+			if body, err = json.Marshal(c.body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		req, err := http.NewRequest(c.method, front.URL+c.path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("traceparent", caller.TraceParent())
+		resp, err := front.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.status {
+			t.Errorf("%s %s: status %d, want %d", c.method, c.path, resp.StatusCode, c.status)
+		}
+		got := resp.Header.Values("traceparent")
+		if len(got) != 1 {
+			t.Errorf("%s %s: %d traceparent values %q, want exactly one", c.method, c.path, len(got), got)
+			continue
+		}
+		tc, ok := telemetry.ParseTraceParent(got[0])
+		if !ok || tc.Trace != caller.Trace || tc.Span == caller.Span {
+			t.Errorf("%s %s: traceparent %q is not a child of the caller's %q", c.method, c.path, got[0], caller.TraceParent())
+		}
 	}
 }

@@ -148,16 +148,48 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			mRejected.With("body_too_large").Inc()
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", tooLarge.Limit)
-			return false
+		if !rejectOversize(w, err) {
+			writeError(w, http.StatusBadRequest, "decoding request body: %v", err)
 		}
-		writeError(w, http.StatusBadRequest, "decoding request body: %v", err)
 		return false
 	}
+	return true
+}
+
+// readEvents reads an event-batch body once, under the configured size
+// cap, and decodes it against the session's module map through the
+// session's stack cache. On failure it has answered 413 or 400 and
+// reports false.
+func (s *Server) readEvents(w http.ResponseWriter, r *http.Request, sess *session) ([]trace.Event, bool) {
+	d := decoders.Get().(*batchDecoder)
+	defer d.release()
+	d.body.Reset()
+	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
+		d.body.Grow(int(n) + bytes.MinRead) // room for the final EOF read too
+	}
+	if _, err := d.body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
+		if !rejectOversize(w, err) {
+			writeError(w, http.StatusBadRequest, "reading request body: %v", err)
+		}
+		return nil, false
+	}
+	events, err := d.decode(d.body.Bytes(), sess.mm, &sess.stacks)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "decoding request body: %v", err)
+		return nil, false
+	}
+	return events, true
+}
+
+// rejectOversize answers 413 when err reports a body past the size cap.
+func rejectOversize(w http.ResponseWriter, err error) bool {
+	var tooLarge *http.MaxBytesError
+	if !errors.As(err, &tooLarge) {
+		return false
+	}
+	mRejected.With("body_too_large").Inc()
+	writeError(w, http.StatusRequestEntityTooLarge,
+		"request body exceeds %d bytes", tooLarge.Limit)
 	return true
 }
 
@@ -343,18 +375,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	var batch EventBatch
-	if !s.decodeBody(w, r, &batch) {
+	events, ok := s.readEvents(w, r, sess)
+	if !ok {
 		return
-	}
-	events := make([]trace.Event, len(batch.Events))
-	for i := range batch.Events {
-		ev, err := batch.Events[i].Event(sess.mm)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "event %d: %v", i, err)
-			return
-		}
-		events[i] = ev
 	}
 	if len(events) == 0 {
 		writeJSON(w, http.StatusOK, IngestResult{Verdicts: []Verdict{}})

@@ -416,6 +416,17 @@ func TestServeRequestValidation(t *testing.T) {
 	if resp := httpJSON(t, ts.Client(), "POST", url, batch, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad event type: status %d, want 400", resp.StatusCode)
 	}
+	// A batch setting an event field twice, and a truncated batch.
+	for _, body := range []string{`{"events":[{"type":"FileRead","pid":1,"PID":2}]}`, `{"events":[`} {
+		resp, err := ts.Client().Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("batch %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
 	// Oversized body.
 	big := EventBatch{Events: EventSpecsOf(mal.Events)}
 	s.cfg.MaxBodyBytes = 64

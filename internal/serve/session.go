@@ -63,6 +63,9 @@ type session struct {
 	// created or last imported (0 outside a fleet) — the breadcrumb that
 	// makes handoff races debuggable. Immutable after construction.
 	ringGen int64
+	// stacks memoises the session's resolved stack walks for ingest
+	// decoding: derived state, never checkpointed, spooled or handed off.
+	stacks stackCache
 
 	mu        sync.Mutex
 	queue     []*ingestBatch
