@@ -20,13 +20,16 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz runs of the raw-log parser, seeded with fault-injected
-# corpora, and of the event-batch JSON decoder, cross-checked against
-# encoding/json — the CI smoke budget, not a deep campaign.
+# corpora and held to a faithful WriteLogs round trip, of the event-batch
+# JSON decoder, cross-checked against encoding/json, and of the
+# traceparent parser, held to a faithful round trip — the CI smoke
+# budget, not a deep campaign.
 fuzz-smoke:
 	$(GO) test ./internal/etl -run='^$$' -fuzz=FuzzParseStrict -fuzztime=10s
 	$(GO) test ./internal/etl -run='^$$' -fuzz=FuzzParseLenient -fuzztime=10s
-	$(GO) test ./internal/etl -run='^$$' -fuzz=FuzzParseBytesCrossCheck -fuzztime=10s
+	$(GO) test ./internal/etl -run='^$$' -fuzz=FuzzParseRoundTrip -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeEventBatch -fuzztime=10s
+	$(GO) test ./internal/telemetry -run='^$$' -fuzz=FuzzParseTraceParent -fuzztime=10s
 
 # Measures the pipeline hot paths (parse, featurize, artifacts,
 # select-train, train, gridsearch, detect) and writes

@@ -148,16 +148,13 @@ func runPerfSuite() (*perfBaseline, error) {
 		Dataset:     fmt.Sprintf("%s (%d/%d/%d events)", name, spec.BenignEvents, spec.MixedEvents, spec.MaliciousEvents),
 	}
 
-	// parse is the zero-copy hot path with a reused frame slab; the
-	// streaming io.Reader path stays measured as parse-stream so the two
-	// never drift apart unnoticed.
+	// parse times the parser on the in-memory log; parse-stream times the
+	// io.Reader entry, which is one copy of the input plus the same parse.
 	base.Results = append(base.Results, toPerfResult("parse", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(rawBenign)))
-		var slab etl.Slab
 		for i := 0; i < b.N; i++ {
-			slab.Reset()
-			if _, err := etl.ParseBytesSlab(rawBenign, etl.ParseOpts{}, &slab); err != nil {
+			if _, err := etl.ParseBytes(rawBenign, etl.ParseOpts{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -103,17 +103,9 @@ func inferFromFile(path, app string) (*trace.Log, *cfg.Inference, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	var log *trace.Log
-	if app == "" {
-		pids := raw.PIDs()
-		if len(pids) != 1 {
-			return nil, nil, fmt.Errorf("%s holds %d processes; use -app", path, len(pids))
-		}
-		if log, err = raw.Slice(pids[0]); err != nil {
-			return nil, nil, err
-		}
-	} else if log, err = raw.SliceApp(app); err != nil {
-		return nil, nil, err
+	log, err := raw.SliceApp(app)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	part, err := partition.Split(log)
 	if err != nil {

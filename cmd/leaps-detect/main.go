@@ -181,18 +181,9 @@ func readLog(path, app string, lenient bool) (*trace.Log, *etl.RawFile, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	var log *trace.Log
-	if app == "" {
-		pids := raw.PIDs()
-		if len(pids) != 1 {
-			return nil, nil, fmt.Errorf("%s holds %d processes; use -app", path, len(pids))
-		}
-		log, err = raw.Slice(pids[0])
-	} else {
-		log, err = raw.SliceApp(app)
-	}
+	log, err := raw.SliceApp(app)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return log, raw, nil
 }

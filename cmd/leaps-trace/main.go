@@ -184,7 +184,7 @@ func writeServeJSON(base string, log *trace.Log) error {
 // of the application's log survives the corruption. Per-cause skip counts
 // land in the etl_skipped_records_total metric family.
 func reportRecovery(path string, data []byte, app string, total int) {
-	raw, err := etl.ParseWith(bytes.NewReader(data), etl.ParseOpts{Lenient: true})
+	raw, err := etl.ParseBytes(data, etl.ParseOpts{Lenient: true})
 	if err != nil {
 		slogx.Warn("lenient reparse failed", "path", path, "err", err.Error())
 		return

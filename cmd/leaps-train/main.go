@@ -272,12 +272,9 @@ func readLog(path, app string, lenient bool) (*trace.Log, error) {
 		slogx.Warn("log damage skipped", "path", path,
 			"corrupt_records", len(raw.ErrorLog), "dropped_stacks", raw.Dropped)
 	}
-	if app == "" {
-		pids := raw.PIDs()
-		if len(pids) != 1 {
-			return nil, fmt.Errorf("%s holds %d processes; use -app", path, len(pids))
-		}
-		return raw.Slice(pids[0])
+	log, err := raw.SliceApp(app)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return raw.SliceApp(app)
+	return log, nil
 }

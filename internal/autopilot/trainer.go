@@ -92,12 +92,9 @@ func (t LogTrainer) readLog(path string) (*trace.Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if t.App != "" {
-		return raw.SliceApp(t.App)
+	log, err := raw.SliceApp(t.App)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	pids := raw.PIDs()
-	if len(pids) != 1 {
-		return nil, fmt.Errorf("%s holds %d processes; set App", path, len(pids))
-	}
-	return raw.Slice(pids[0])
+	return log, nil
 }

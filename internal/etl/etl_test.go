@@ -49,6 +49,9 @@ func TestRoundTripSingleProcess(t *testing.T) {
 	if _, err := f.SliceApp("vim.exe"); err != nil {
 		t.Errorf("SliceApp(vim.exe): %v", err)
 	}
+	if only, err := f.SliceApp(""); err != nil || only != got {
+		t.Errorf("SliceApp(\"\") = %p, %v; want the only process %p", only, err, got)
+	}
 	if _, err := f.SliceApp("chrome.exe"); err == nil {
 		t.Error("SliceApp(chrome.exe) found a log in a vim-only file")
 	}
@@ -76,6 +79,9 @@ func TestRoundTripMultiProcessInterleaved(t *testing.T) {
 	gotB, _ := f.Slice(11)
 	assertLogsEqual(t, a, gotA)
 	assertLogsEqual(t, b, gotB)
+	if _, err := f.SliceApp(""); err == nil || !strings.Contains(err.Error(), "2 processes") {
+		t.Errorf("SliceApp(\"\") on a two-process file: err %v, want one naming the process count", err)
+	}
 }
 
 func assertLogsEqual(t *testing.T, want, got *trace.Log) {

@@ -44,10 +44,12 @@ const (
 
 	flagHasStack = 0x01
 
-	// maxString and maxFrames bound allocations while parsing untrusted
-	// input.
-	maxString = 4096
-	maxFrames = 512
+	// maxString, maxFrames, maxModules and maxSymbols bound allocations
+	// while parsing untrusted input.
+	maxString  = 4096
+	maxFrames  = 512
+	maxModules = 4096
+	maxSymbols = 1 << 20
 )
 
 // ErrCorrupt is wrapped by every parse error caused by malformed input.
@@ -81,102 +83,68 @@ func writeString(w io.Writer, s string) error {
 	return err
 }
 
-// recordSource abstracts the byte source a parse consumes so the record
-// loop, lenient recovery and resynchronization logic are written once
-// and run unchanged over the buffered streaming reader and the
-// in-memory zero-copy reader. All implementations share the streaming
-// reader's error and offset semantics: primitives fail with a
-// corrupt-wrapped io.EOF (nothing available) or io.ErrUnexpectedEOF
-// (partial record), consuming whatever was available so the offset
-// lands on the truncation point.
-type recordSource interface {
-	// offset is the number of bytes consumed so far.
-	offset() int64
-	full(b []byte) error
-	// discard skips n bytes (used by resynchronization scans),
-	// returning an error when fewer than n were available.
-	discard(n int) error
-	u8() (uint8, error)
-	u16() (uint16, error)
-	u32() (uint32, error)
-	u64() (uint64, error)
-	i64() (int64, error)
-	str() (string, error)
-	// peek returns up to n upcoming bytes without consuming them; an
-	// empty slice means end of input.
-	peek(n int) []byte
-}
-
-// reader decodes little-endian primitives while tracking the byte
-// offset in the stream, so lenient parsing can report where a record
-// failed and resynchronize from there.
+// reader decodes little-endian primitives straight out of an in-memory
+// stream, tracking the byte offset so lenient parsing can report where a
+// record failed and resynchronize from there. A primitive that runs past
+// the end of input consumes what was left and fails with a
+// corrupt-wrapped io.EOF (nothing was left) or io.ErrUnexpectedEOF (a
+// record was cut), so the offset lands on the truncation point.
 type reader struct {
-	r   *bufio.Reader
-	off int64
-	buf [8]byte
+	data []byte
+	pos  int
 }
 
-func (rd *reader) offset() int64 { return rd.off }
-
+// peek returns up to n upcoming bytes without consuming them; an empty
+// slice means end of input.
 func (rd *reader) peek(n int) []byte {
-	b, _ := rd.r.Peek(n)
-	return b
+	return rd.data[rd.pos:min(rd.pos+n, len(rd.data))]
 }
 
-// full reads exactly len(b) bytes, accounting for partial reads in the
-// offset so error positions stay accurate.
-func (rd *reader) full(b []byte) error {
-	n, err := io.ReadFull(rd.r, b)
-	rd.off += int64(n)
-	if err != nil {
-		return corrupt(err)
+// take consumes the next n bytes and returns them without copying.
+func (rd *reader) take(n int) ([]byte, error) {
+	if len(rd.data)-rd.pos < n {
+		atEOF := rd.pos == len(rd.data)
+		rd.pos = len(rd.data)
+		if atEOF {
+			return nil, corrupt(io.EOF)
+		}
+		return nil, corrupt(io.ErrUnexpectedEOF)
 	}
-	return nil
-}
-
-// discard skips n bytes (used by resynchronization scans).
-func (rd *reader) discard(n int) error {
-	m, err := rd.r.Discard(n)
-	rd.off += int64(m)
-	return err
-}
-
-func (rd *reader) u8() (uint8, error) {
-	b, err := rd.r.ReadByte()
-	if err != nil {
-		return 0, corrupt(err)
-	}
-	rd.off++
+	b := rd.data[rd.pos : rd.pos+n : rd.pos+n]
+	rd.pos += n
 	return b, nil
 }
 
-func (rd *reader) u16() (uint16, error) {
-	if err := rd.full(rd.buf[:2]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(rd.buf[:2]), nil
-}
-
-func (rd *reader) u32() (uint32, error) {
-	if err := rd.full(rd.buf[:4]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(rd.buf[:4]), nil
-}
-
-func (rd *reader) u64() (uint64, error) {
-	if err := rd.full(rd.buf[:8]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(rd.buf[:8]), nil
-}
-
-func (rd *reader) i64() (int64, error) {
-	u, err := rd.u64()
+func (rd *reader) u8() (uint8, error) {
+	b, err := rd.take(1)
 	if err != nil {
 		return 0, err
 	}
-	return int64(u), nil
+	return b[0], nil
+}
+
+func (rd *reader) u16() (uint16, error) {
+	b, err := rd.take(2)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint16(b), nil
+}
+
+func (rd *reader) u32() (uint32, error) {
+	b, err := rd.take(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(b), nil
+}
+
+func (rd *reader) u64() (uint64, error) {
+	b, err := rd.take(8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(b), nil
 }
 
 func (rd *reader) str() (string, error) {
@@ -187,8 +155,8 @@ func (rd *reader) str() (string, error) {
 	if int(n) > maxString {
 		return "", corrupt(fmt.Errorf("string length %d exceeds limit", n))
 	}
-	b := make([]byte, n)
-	if err := rd.full(b); err != nil {
+	b, err := rd.take(int(n))
+	if err != nil {
 		return "", err
 	}
 	return string(b), nil

@@ -4,11 +4,13 @@ package etl_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/appsim"
 	"repro/internal/etl"
 	"repro/internal/faultinject"
+	"repro/internal/trace"
 )
 
 // fuzzStream serialises a small but representative log: process record,
@@ -49,9 +51,8 @@ func seedCorpus(f *testing.F) {
 }
 
 // sameRawFile fails t unless the two parses recovered identical content:
-// same processes, events, resolved stacks (element-wise, so slab-backed
-// and individually allocated walks compare equal), drop accounting and
-// error logs (offsets, tags, cause text and resync distances).
+// same drop accounting, error logs (offsets, tags, cause text and resync
+// distances) and processes (see sameProcesses).
 func sameRawFile(t *testing.T, want, got *etl.RawFile) {
 	t.Helper()
 	if (want == nil) != (got == nil) {
@@ -72,57 +73,80 @@ func sameRawFile(t *testing.T, want, got *etl.RawFile) {
 			t.Fatalf("error log [%d]: want %+v (%v), got %+v (%v)", i, w, w.Cause, g, g.Cause)
 		}
 	}
+	sameProcesses(t, want, got)
+}
+
+// sameProcesses fails t unless the two files hold the same processes:
+// pids, apps, module maps and events with their resolved stacks
+// (compared frame by frame, so an empty walk equals a missing one).
+func sameProcesses(t *testing.T, want, got *etl.RawFile) {
+	t.Helper()
 	wPIDs, gPIDs := want.PIDs(), got.PIDs()
-	if len(wPIDs) != len(gPIDs) {
+	if !reflect.DeepEqual(wPIDs, gPIDs) {
 		t.Fatalf("pids: want %v, got %v", wPIDs, gPIDs)
 	}
-	for i := range wPIDs {
-		if wPIDs[i] != gPIDs[i] {
-			t.Fatalf("pids: want %v, got %v", wPIDs, gPIDs)
-		}
-		wl, _ := want.Slice(wPIDs[i])
-		gl, _ := got.Slice(wPIDs[i])
+	for _, pid := range wPIDs {
+		wl, _ := want.Slice(pid)
+		gl, _ := got.Slice(pid)
 		if wl.App != gl.App || wl.PID != gl.PID || len(wl.Events) != len(gl.Events) {
 			t.Fatalf("pid %d: want (%q, %d events), got (%q, %d events)",
-				wPIDs[i], wl.App, len(wl.Events), gl.App, len(gl.Events))
+				pid, wl.App, len(wl.Events), gl.App, len(gl.Events))
+		}
+		if !reflect.DeepEqual(wl.Modules, gl.Modules) {
+			t.Fatalf("pid %d module map: want %v, got %v", pid, wl.Modules.Modules(), gl.Modules.Modules())
 		}
 		for j := range wl.Events {
 			we, ge := &wl.Events[j], &gl.Events[j]
 			if we.Seq != ge.Seq || we.Type != ge.Type || !we.Time.Equal(ge.Time) ||
 				we.PID != ge.PID || we.TID != ge.TID || len(we.Stack) != len(ge.Stack) {
-				t.Fatalf("pid %d event %d: want %+v, got %+v", wPIDs[i], j, we, ge)
+				t.Fatalf("pid %d event %d: want %+v, got %+v", pid, j, we, ge)
 			}
 			for k := range we.Stack {
 				if we.Stack[k] != ge.Stack[k] {
 					t.Fatalf("pid %d event %d frame %d: want %+v, got %+v",
-						wPIDs[i], j, k, we.Stack[k], ge.Stack[k])
+						pid, j, k, we.Stack[k], ge.Stack[k])
 				}
 			}
 		}
 	}
 }
 
-// FuzzParseBytesCrossCheck holds the zero-copy parser to the streaming
-// parser's contract on arbitrary input, in both strictness modes:
-// identical recovered records, identical drop accounting and identical
-// resynchronization behaviour (error offsets, causes, resync bytes).
-func FuzzParseBytesCrossCheck(f *testing.F) {
+// FuzzParseRoundTrip holds the parser to the format on arbitrary input.
+// It must not panic. A lenient parse's ErrorLog offsets strictly
+// increase and stay within the input. A strict-accepted input is either
+// rejected with an error or survives WriteLogs and a re-parse unchanged:
+// every process keeps its app, pid, module map and events with resolved
+// stacks.
+func FuzzParseRoundTrip(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, in []byte) {
-		for _, opts := range []etl.ParseOpts{{}, {Lenient: true}} {
-			ref, refErr := etl.ParseWith(bytes.NewReader(in), opts)
-			zc, zcErr := etl.ParseBytes(in, opts)
-			if (refErr == nil) != (zcErr == nil) {
-				t.Fatalf("lenient=%v: streaming err=%v, zero-copy err=%v", opts.Lenient, refErr, zcErr)
-			}
-			if refErr != nil {
-				if refErr.Error() != zcErr.Error() {
-					t.Fatalf("lenient=%v: error text diverged:\n  streaming: %v\n  zero-copy: %v", opts.Lenient, refErr, zcErr)
+		if soft, err := etl.ParseBytes(in, etl.ParseOpts{Lenient: true}); err == nil {
+			prev := int64(-1)
+			for i, e := range soft.ErrorLog {
+				if e.Offset <= prev || e.Offset > int64(len(in)) {
+					t.Fatalf("ErrorLog[%d] offset %d after %d in a %d-byte input", i, e.Offset, prev, len(in))
 				}
-				continue
+				prev = e.Offset
 			}
-			sameRawFile(t, ref, zc)
 		}
+		strict, err := etl.ParseBytes(in, etl.ParseOpts{})
+		if err != nil || len(strict.PIDs()) == 0 {
+			return
+		}
+		var logs []*trace.Log
+		for _, pid := range strict.PIDs() {
+			l, _ := strict.Slice(pid)
+			logs = append(logs, l)
+		}
+		var buf bytes.Buffer
+		if err := etl.WriteLogs(&buf, logs...); err != nil {
+			t.Fatalf("rewriting a strict-accepted file: %v", err)
+		}
+		again, err := etl.ParseBytes(buf.Bytes(), etl.ParseOpts{})
+		if err != nil {
+			t.Fatalf("re-parsing the rewritten file: %v", err)
+		}
+		sameProcesses(t, strict, again)
 	})
 }
 

@@ -1,7 +1,7 @@
 package etl
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -115,7 +115,17 @@ func (f *RawFile) Slice(pid int) (*trace.Log, error) {
 }
 
 // SliceApp returns the log of the process running the named application.
+// An empty name selects the file's only process; it is an error when the
+// file holds any other number of processes.
 func (f *RawFile) SliceApp(app string) (*trace.Log, error) {
+	if app == "" {
+		if len(f.byPID) != 1 {
+			return nil, fmt.Errorf("etl: file holds %d processes; name the application", len(f.byPID))
+		}
+		for _, l := range f.byPID {
+			return l, nil
+		}
+	}
 	for _, l := range f.byPID {
 		if l.App == app {
 			return l, nil
@@ -133,6 +143,50 @@ func Parse(r io.Reader) (*RawFile, error) {
 	return ParseWith(r, ParseOpts{})
 }
 
+// ParseWith is Parse with explicit fault-tolerance options. In lenient
+// mode a malformed record is logged in RawFile.ErrorLog and the parser
+// resynchronizes on the next plausible record boundary; truncated
+// streams yield whatever was recovered up to the cut. r is read to its
+// end once and the bytes are parsed by ParseBytes; an error reading r
+// fails the parse in either mode.
+func ParseWith(r io.Reader, opts ParseOpts) (*RawFile, error) {
+	// io.Copy goes through WriterTo, so a *bytes.Reader or *bytes.Buffer
+	// source fills the buffer at its exact final size in one copy.
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, r); err != nil {
+		return nil, fmt.Errorf("etl: reading log: %w", err)
+	}
+	return ParseBytes(buf.Bytes(), opts)
+}
+
+// ParseBytes is ParseWith over an in-memory stream, parsed without
+// copying it: primitives are sliced straight out of data and stack walks
+// are carved from a per-parse frame arena. Identical raw stacks of one
+// process share one resolved walk, so the returned file is read-only.
+// It does not retain data.
+func ParseBytes(data []byte, opts ParseOpts) (*RawFile, error) {
+	_, sp := telemetry.StartSpan(context.Background(), "etl/parse")
+	defer sp.End()
+	if opts.MaxErrors == 0 {
+		opts.MaxErrors = DefaultMaxErrors
+	}
+	p := &parser{
+		rd:   reader{data: data},
+		opts: opts,
+		f:    &RawFile{byPID: make(map[int]*trace.Log)},
+	}
+	f, err := p.parse()
+	mParseBytes.Add(uint64(p.rd.pos))
+	mParseRecords.Add(p.records)
+	if err != nil {
+		mParseFailures.Inc()
+		return nil, err
+	}
+	mParseEvents.Add(uint64(f.TotalEvents()))
+	mParseDropped.Add(uint64(f.Dropped))
+	return f, nil
+}
+
 // semanticError marks a record whose bytes decoded cleanly but whose
 // content could not be used (undeclared pid, duplicate process). The
 // stream position is at the next record boundary, so lenient recovery
@@ -145,26 +199,24 @@ func (e *semanticError) Unwrap() error { return e.err }
 func semantic(err error) error { return &semanticError{err: err} }
 
 type parser struct {
-	rd   recordSource
+	rd   reader
 	opts ParseOpts
 	f    *RawFile
 	// pending holds, per pid<<32|tid, the index of the event awaiting
 	// its stack record.
 	pending pendingSet
-	// records counts decoded records locally; the parse wrappers flush
-	// it to mParseRecords once instead of bumping the shared atomic on
-	// every record.
+	// records counts decoded records locally; ParseBytes flushes it to
+	// mParseRecords once instead of bumping the shared atomic on every
+	// record.
 	records uint64
-	// slab, when non-nil, backs stack walks with arena-carved frame
-	// slices instead of one allocation per stack record (the zero-copy
-	// ParseBytes path).
-	slab *Slab
-	// stackCache memoises resolved stack walks by (pid, raw frame bytes)
-	// on the zero-copy path, where the raw bytes can be peeked without
-	// copying. Live traces repeat call sites constantly, so most stack
-	// records skip symbol resolution entirely. Cached walks are shared
-	// between the events that produced identical raw stacks — parse
-	// output is read-only by contract.
+	// frames is the arena stack walks are carved from (see carve), so a
+	// parse allocates a few chunks instead of one slice per stack record.
+	frames []trace.Frame
+	// stackCache memoises resolved stack walks by (pid, raw frame bytes).
+	// Live traces repeat call sites constantly, so most stack records
+	// skip symbol resolution entirely. Cached walks are shared between
+	// the events that produced identical raw stacks — parse output is
+	// read-only by contract.
 	stackCache map[string]trace.StackWalk
 	keyBuf     []byte
 }
@@ -271,43 +323,15 @@ func skipCause(err error) string {
 	}
 }
 
-// ParseWith is Parse with explicit fault-tolerance options. In lenient
-// mode a malformed record is logged in RawFile.ErrorLog and the parser
-// resynchronizes on the next plausible record boundary; truncated
-// streams yield whatever was recovered up to the cut.
-func ParseWith(r io.Reader, opts ParseOpts) (*RawFile, error) {
-	_, sp := telemetry.StartSpan(context.Background(), "etl/parse")
-	defer sp.End()
-	if opts.MaxErrors == 0 {
-		opts.MaxErrors = DefaultMaxErrors
-	}
-	p := &parser{
-		rd:   &reader{r: bufio.NewReader(r)},
-		opts: opts,
-		f:    &RawFile{byPID: make(map[int]*trace.Log)},
-	}
-	f, err := p.parse()
-	mParseBytes.Add(uint64(p.rd.offset()))
-	mParseRecords.Add(p.records)
-	if err != nil {
-		mParseFailures.Inc()
-		return nil, err
-	}
-	mParseEvents.Add(uint64(f.TotalEvents()))
-	mParseDropped.Add(uint64(f.Dropped))
-	return f, nil
-}
-
-// parse runs the record loop; the ParseWith wrapper layers telemetry on
-// top of it.
+// parse runs the record loop; ParseBytes layers telemetry on top of it.
 func (p *parser) parse() (*RawFile, error) {
 	opts := p.opts
 
 	// The header is the anchor of the whole stream: without a valid
 	// magic and version there is nothing to resynchronize against, so
 	// it is strict even in lenient mode.
-	head := make([]byte, len(magic))
-	if err := p.rd.full(head); err != nil {
+	head, err := p.rd.take(len(magic))
+	if err != nil {
 		return nil, err
 	}
 	if string(head) != magic {
@@ -322,7 +346,7 @@ func (p *parser) parse() (*RawFile, error) {
 	}
 
 	for {
-		tagOff := p.rd.offset()
+		tagOff := int64(p.rd.pos)
 		tag, err := p.rd.u8()
 		if err != nil {
 			if !opts.Lenient {
@@ -345,10 +369,7 @@ func (p *parser) parse() (*RawFile, error) {
 					if nerr := p.note(tagOff, tag, corrupt(errEarlyEnd)); nerr != nil {
 						return nil, nerr
 					}
-					before := p.rd.offset()
 					p.resync()
-					p.f.ErrorLog[len(p.f.ErrorLog)-1].ResyncBytes = p.rd.offset() - before
-					mResyncBytes.Add(uint64(p.rd.offset() - before))
 					continue
 				}
 			}
@@ -368,10 +389,7 @@ func (p *parser) parse() (*RawFile, error) {
 				return nil, nerr
 			}
 			if !isSem {
-				before := p.rd.offset()
 				p.resync()
-				p.f.ErrorLog[len(p.f.ErrorLog)-1].ResyncBytes = p.rd.offset() - before
-				mResyncBytes.Add(uint64(p.rd.offset() - before))
 			}
 			continue
 		}
@@ -398,7 +416,7 @@ func (p *parser) note(off int64, tag byte, cause error) error {
 func (p *parser) record(tag byte) error {
 	switch tag {
 	case recProcess:
-		pid, app, mm, err := parseProcess(p.rd)
+		pid, app, mm, err := parseProcess(&p.rd)
 		if err != nil {
 			return err
 		}
@@ -420,13 +438,12 @@ func (p *parser) record(tag byte) error {
 }
 
 func (p *parser) event() error {
-	// Fast path: the 19-byte fixed body decoded from one bounds check on
-	// the in-memory stream. A short remainder falls through to the
-	// field-by-field loop so truncation errors keep the reference
-	// offsets.
-	if br, ok := p.rd.(*byteReader); ok && br.pos+19 <= len(br.data) {
-		b := br.data[br.pos : br.pos+19 : br.pos+19]
-		br.pos += 19
+	// Fast path: the 19-byte fixed body decoded from one bounds check. A
+	// short remainder falls through to the field-by-field decode, which
+	// defines the truncation offset and cause.
+	rd := &p.rd
+	if b := rd.peek(19); len(b) == 19 {
+		rd.pos += 19
 		return p.eventDecoded(
 			binary.LittleEndian.Uint16(b),
 			int64(binary.LittleEndian.Uint64(b[2:])),
@@ -434,12 +451,11 @@ func (p *parser) event() error {
 			binary.LittleEndian.Uint32(b[14:]),
 			b[18])
 	}
-	rd := p.rd
 	typ, err := rd.u16()
 	if err != nil {
 		return err
 	}
-	ns, err := rd.i64()
+	ns, err := rd.u64()
 	if err != nil {
 		return err
 	}
@@ -455,7 +471,7 @@ func (p *parser) event() error {
 	if err != nil {
 		return err
 	}
-	return p.eventDecoded(typ, ns, pid, tid, flags)
+	return p.eventDecoded(typ, int64(ns), pid, tid, flags)
 }
 
 // eventDecoded applies one decoded event record to the parse state.
@@ -481,12 +497,11 @@ func (p *parser) eventDecoded(typ uint16, ns int64, pid, tid uint32, flags uint8
 }
 
 func (p *parser) stack() error {
-	rd := p.rd
+	rd := &p.rd
 	var pid, tid uint32
 	var n uint16
-	if br, ok := rd.(*byteReader); ok && br.pos+10 <= len(br.data) {
-		b := br.data[br.pos : br.pos+10 : br.pos+10]
-		br.pos += 10
+	if b := rd.peek(10); len(b) == 10 {
+		rd.pos += 10
 		pid = binary.LittleEndian.Uint32(b)
 		tid = binary.LittleEndian.Uint32(b[4:])
 		n = binary.LittleEndian.Uint16(b[8:])
@@ -505,27 +520,21 @@ func (p *parser) stack() error {
 	if int(n) > maxFrames {
 		return corrupt(fmt.Errorf("stack of %d frames exceeds limit", n))
 	}
-	// Zero-copy fast path: when the whole frame array is available to
-	// peek, look the raw bytes up in the per-parse cache and reuse the
-	// already-resolved walk. Short peeks (truncation) and the streaming
-	// reader fall through to the byte-by-byte loop, whose error
-	// positions and semantics stay the reference behaviour.
-	var cacheable bool
-	if p.slab != nil {
-		raw := rd.peek(8 * int(n))
-		if len(raw) == 8*int(n) {
-			cacheable = true
-			p.keyBuf = append(p.keyBuf[:0], byte(pid), byte(pid>>8), byte(pid>>16), byte(pid>>24))
-			p.keyBuf = append(p.keyBuf, raw...)
-			if cached, ok := p.stackCache[string(p.keyBuf)]; ok {
-				if err := rd.discard(8 * int(n)); err != nil {
-					return err
-				}
-				return p.correlateStack(int(pid), int(tid), cached, true, false)
-			}
+	// When the whole frame array is present, look its raw bytes up in
+	// the per-parse cache and reuse the already-resolved walk. A cut
+	// walk falls through to the frame-by-frame decode, which defines the
+	// truncation offset and cause.
+	raw := rd.peek(8 * int(n))
+	cacheable := len(raw) == 8*int(n)
+	if cacheable {
+		p.keyBuf = append(p.keyBuf[:0], byte(pid), byte(pid>>8), byte(pid>>16), byte(pid>>24))
+		p.keyBuf = append(p.keyBuf, raw...)
+		if cached, ok := p.stackCache[string(p.keyBuf)]; ok {
+			rd.pos += len(raw)
+			return p.correlateStack(int(pid), int(tid), cached, true, false)
 		}
 	}
-	stack := p.allocStack(int(n))
+	stack := p.carve(int(n))
 	for i := range stack {
 		addr, err := rd.u64()
 		if err != nil {
@@ -567,33 +576,39 @@ func (p *parser) correlateStack(pid, tid int, stack trace.StackWalk, resolved, r
 	return nil
 }
 
-// allocStack returns a stack-walk buffer of n frames: carved from the
-// parse's frame slab when one is attached, otherwise allocated. Every
-// frame is fully overwritten before use (Addr here, Module/Function by
-// ResolveStack), so slab reuse needs no zeroing.
-func (p *parser) allocStack(n int) trace.StackWalk {
-	if p.slab == nil {
-		return make(trace.StackWalk, n)
+// arenaChunk is the minimum capacity, in frames, the frame arena grows
+// by: large enough that a typical parse settles into one or two chunks,
+// small enough not to waste memory on tiny logs.
+const arenaChunk = 4096
+
+// carve cuts an n-frame stack walk from the parse's frame arena, growing
+// it by a fresh chunk when exhausted. Earlier walks keep aliasing the old
+// chunk, so growth never invalidates them.
+func (p *parser) carve(n int) trace.StackWalk {
+	if cap(p.frames)-len(p.frames) < n {
+		p.frames = make([]trace.Frame, 0, max(2*cap(p.frames), arenaChunk, n))
 	}
-	return p.slab.alloc(n)
+	i := len(p.frames)
+	p.frames = p.frames[:i+n]
+	return trace.StackWalk(p.frames[i : i+n : i+n])
 }
 
 // resync advances the stream to the next plausible record boundary
-// after a structural failure, byte by byte. It stops at end of input;
-// the main loop then records the truncation.
+// after a structural failure, byte by byte, and records the distance in
+// the newest ErrorLog entry. It stops at end of input; the main loop
+// then records the truncation.
 func (p *parser) resync() {
+	before := p.rd.pos
 	for {
 		b := p.rd.peek(resyncPeek)
-		if len(b) == 0 {
-			return
+		if len(b) == 0 || p.plausibleBoundary(b) {
+			break
 		}
-		if p.plausibleBoundary(b) {
-			return
-		}
-		if p.rd.discard(1) != nil {
-			return
-		}
+		p.rd.pos++
 	}
+	skipped := int64(p.rd.pos - before)
+	p.f.ErrorLog[len(p.f.ErrorLog)-1].ResyncBytes = skipped
+	mResyncBytes.Add(uint64(skipped))
 }
 
 // resyncPeek is the lookahead window of the resynchronization scan:
@@ -672,7 +687,7 @@ func (p *parser) plausibleBoundary(b []byte) bool {
 const plausibleMaxEventType = 1024
 
 // parseProcess reads the body of a recProcess record.
-func parseProcess(rd recordSource) (int, string, *trace.ModuleMap, error) {
+func parseProcess(rd *reader) (int, string, *trace.ModuleMap, error) {
 	pid, err := rd.u32()
 	if err != nil {
 		return 0, "", nil, err
@@ -685,7 +700,6 @@ func parseProcess(rd recordSource) (int, string, *trace.ModuleMap, error) {
 	if err != nil {
 		return 0, "", nil, err
 	}
-	const maxModules = 4096
 	if nMods > maxModules {
 		return 0, "", nil, corrupt(fmt.Errorf("module count %d exceeds limit", nMods))
 	}
@@ -711,7 +725,6 @@ func parseProcess(rd recordSource) (int, string, *trace.ModuleMap, error) {
 		if err != nil {
 			return 0, "", nil, err
 		}
-		const maxSymbols = 1 << 20
 		if nSyms > maxSymbols {
 			return 0, "", nil, corrupt(fmt.Errorf("symbol count %d exceeds limit", nSyms))
 		}

@@ -125,7 +125,7 @@ func recordLen(b []byte) (int, error) {
 		}
 		nMods := binary.LittleEndian.Uint32(b[pos : pos+4])
 		pos += 4
-		if nMods > 4096 {
+		if nMods > maxModules {
 			return 0, corrupt(fmt.Errorf("module count %d exceeds limit", nMods))
 		}
 		for i := uint32(0); i < nMods; i++ {
@@ -140,7 +140,7 @@ func recordLen(b []byte) (int, error) {
 			}
 			nSyms := binary.LittleEndian.Uint32(b[pos+17 : pos+21])
 			pos += 21
-			if nSyms > 1<<20 {
+			if nSyms > maxSymbols {
 				return 0, corrupt(fmt.Errorf("symbol count %d exceeds limit", nSyms))
 			}
 			for j := uint32(0); j < nSyms; j++ {

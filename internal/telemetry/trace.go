@@ -85,22 +85,28 @@ func (tc TraceContext) Child() TraceContext {
 	return TraceContext{Trace: tc.Trace, Span: NewSpanID()}
 }
 
-// ParseTraceParent parses a traceparent-style header. It accepts any
-// version byte (per the W3C forward-compatibility rule) but rejects
-// malformed fields and the all-zero trace or span ID.
+// ParseTraceParent parses a W3C traceparent header. Every field is
+// lowercase hex and version ff is invalid. A version-00 header is
+// exactly 55 characters; a later version may append dash-separated
+// fields (the W3C forward-compatibility rule). The all-zero trace or
+// span ID is rejected.
 func ParseTraceParent(s string) (TraceContext, bool) {
 	// version(2) - trace(32) - span(16) - flags(2), dash-separated.
 	if len(s) < 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' {
 		return TraceContext{}, false
 	}
-	if len(s) > 55 && s[55] != '-' {
+	version := s[0:2]
+	if version == "ff" || !lowerHex(version) {
+		return TraceContext{}, false
+	}
+	if len(s) > 55 && (version == "00" || s[55] != '-') {
+		return TraceContext{}, false
+	}
+	if !lowerHex(s[3:35]) || !lowerHex(s[36:52]) || !lowerHex(s[53:55]) {
 		return TraceContext{}, false
 	}
 	var tc TraceContext
 	if !hexDecode(tc.Trace[:], s[3:35]) || !hexDecode(tc.Span[:], s[36:52]) {
-		return TraceContext{}, false
-	}
-	if !hexValid(s[0:2]) || !hexValid(s[53:55]) {
 		return TraceContext{}, false
 	}
 	if !tc.Valid() {
@@ -115,14 +121,15 @@ func hexDecode(dst []byte, s string) bool {
 	return err == nil && n == len(dst)
 }
 
-// hexValid reports whether s is entirely hex digits.
-func hexValid(s string) bool {
-	var b [4]byte
-	if len(s) > len(b)*2 || len(s)%2 != 0 {
-		return false
+// lowerHex reports whether s is entirely lowercase hex digits, the only
+// digits W3C Trace Context allows.
+func lowerHex(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
 	}
-	_, err := hex.Decode(b[:], []byte(s))
-	return err == nil
+	return true
 }
 
 // traceCtxKey keys the TraceContext carried in a context.Context.

@@ -50,6 +50,13 @@ func TestParseTraceParentRejects(t *testing.T) {
 		"zero trace":     "00-00000000000000000000000000000000-00f067aa0ba902b7-01",
 		"zero span":      "00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",
 		"long no dash":   valid + "x",
+		// W3C allows lowercase hex only, forbids version ff and fixes
+		// version 00 at 55 characters.
+		"uppercase trace":   "00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",
+		"uppercase span":    "00-4bf92f3577b34da6a3ce929d0e0e4736-00F067AA0BA902B7-01",
+		"uppercase version": "CC" + valid[2:],
+		"version ff":        "ff" + valid[2:],
+		"version 00 suffix": valid + "-extra",
 	}
 	for name, in := range cases {
 		if _, ok := ParseTraceParent(in); ok {
@@ -58,12 +65,42 @@ func TestParseTraceParentRejects(t *testing.T) {
 	}
 	// The W3C forward-compatibility rule: later versions may append
 	// dash-separated fields.
-	if _, ok := ParseTraceParent(valid + "-extra"); !ok {
+	if _, ok := ParseTraceParent("cc" + valid[2:] + "-extra"); !ok {
 		t.Error("future-version suffix rejected")
 	}
 	if _, ok := ParseTraceParent("cc" + valid[2:]); !ok {
 		t.Error("unknown version byte rejected")
 	}
+}
+
+// FuzzParseTraceParent holds the parser to a faithful round trip: an
+// accepted header's ID fields are the parsed IDs' own renderings, and
+// the context's header parses back to the same context.
+func FuzzParseTraceParent(f *testing.F) {
+	const valid = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+	for _, s := range []string{
+		valid,
+		"cc" + valid[2:] + "-extra",
+		valid + "-extra",
+		"ff" + valid[2:],
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, ok := ParseTraceParent(s)
+		if !ok {
+			return
+		}
+		if s[3:35] != tc.Trace.String() || s[36:52] != tc.Span.String() {
+			t.Fatalf("ParseTraceParent(%q) = %s/%s", s, tc.Trace, tc.Span)
+		}
+		if back, ok := ParseTraceParent(tc.TraceParent()); !ok || back != tc {
+			t.Fatalf("%q re-parsed as %+v, %v; want %+v", tc.TraceParent(), back, ok, tc)
+		}
+	})
 }
 
 func TestTraceContextPlumbing(t *testing.T) {

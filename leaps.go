@@ -403,13 +403,6 @@ func ParseRawLog(r io.Reader, app string) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("leaps: %w", err)
 	}
-	if app == "" {
-		pids := f.PIDs()
-		if len(pids) != 1 {
-			return nil, fmt.Errorf("leaps: raw log holds %d processes; name the application", len(pids))
-		}
-		return f.Slice(pids[0])
-	}
 	log, err := f.SliceApp(app)
 	if err != nil {
 		return nil, fmt.Errorf("leaps: %w", err)
