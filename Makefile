@@ -21,15 +21,18 @@ race:
 
 # Short fuzz runs of the raw-log parser, seeded with fault-injected
 # corpora and held to a faithful WriteLogs round trip, of the event-batch
-# JSON decoder, cross-checked against encoding/json, and of the
-# traceparent parser, held to a faithful round trip — the CI smoke
-# budget, not a deep campaign.
+# JSON decoder, cross-checked against encoding/json, of the traceparent
+# parser, held to a faithful round trip, and of streaming checkpoint
+# restore (the handoff import's decoder), held to a faithful Checkpoint
+# round trip and windows over fed events only — the CI smoke budget, not
+# a deep campaign.
 fuzz-smoke:
 	$(GO) test ./internal/etl -run='^$$' -fuzz=FuzzParseStrict -fuzztime=10s
 	$(GO) test ./internal/etl -run='^$$' -fuzz=FuzzParseLenient -fuzztime=10s
 	$(GO) test ./internal/etl -run='^$$' -fuzz=FuzzParseRoundTrip -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeEventBatch -fuzztime=10s
 	$(GO) test ./internal/telemetry -run='^$$' -fuzz=FuzzParseTraceParent -fuzztime=10s
+	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzRestoreStream -fuzztime=10s
 
 # Measures the pipeline hot paths (parse, featurize, artifacts,
 # select-train, train, gridsearch, detect) and writes
@@ -63,9 +66,11 @@ bench-compare:
 # identical results for any worker count, under the race detector —
 # including the shared kernel-row cache and the pooled/batch hot paths,
 # which must match their allocating reference implementations bit for
-# bit.
+# bit — and concurrent DetectLog calls through the pooled stack-walk
+# memo, beside Feed racing Checkpoint on one detector, match the
+# un-memoised reference.
 determinism:
-	$(GO) test -race -run 'TestEvaluateRunsParallelDeterminism|TestEvaluateRunsBuildsArtifactsOnce|TestGridSearchParallel|TestSharedCrossValidateMatchesUncached|TestGridSearchMatchesUncachedSweep|TestRowCacheConcurrent' ./internal/core ./internal/svm
+	$(GO) test -race -run 'TestEvaluateRunsParallelDeterminism|TestEvaluateRunsBuildsArtifactsOnce|TestGridSearchParallel|TestSharedCrossValidateMatchesUncached|TestGridSearchMatchesUncachedSweep|TestRowCacheConcurrent|TestFeaturizeConcurrent' ./internal/core ./internal/svm
 
 # End-to-end smoke test of the -debug-addr introspection endpoints:
 # generates data, trains, then scrapes /metrics, /spans and pprof from a

@@ -32,6 +32,7 @@ import (
 	"repro/internal/preprocess"
 	"repro/internal/serve"
 	"repro/internal/svm"
+	"repro/internal/trace"
 )
 
 // benchConfig is the fast evaluation configuration shared by the
@@ -415,6 +416,34 @@ func BenchmarkDetect(b *testing.B) {
 	}
 }
 
+// BenchmarkDetectDistinctStacks is BenchmarkDetect with no repeated
+// stack walk, the per-stack memo's worst case: every stack gets a unique
+// unresolved frame on top, so each lookup misses while the tuples stay
+// those of BenchmarkDetect.
+func BenchmarkDetectDistinctStacks(b *testing.B) {
+	logs := logsFor(b, "vim_reverse_tcp")
+	td, err := core.BuildTrainingData(logs.Benign, logs.Mixed, benchConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	clf, err := td.Train()
+	if err != nil {
+		b.Fatal(err)
+	}
+	log := logs.Malicious.Clone()
+	for i := range log.Events {
+		e := &log.Events[i]
+		e.Stack = append(trace.StackWalk{{Addr: 0x10 + uint64(i)}}, e.Stack...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := clf.DetectLog(log); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSMOWorkingSetSelection compares the classic maximal-violating
 // pair (WSS1) against second-order selection (WSS2) on the same training
 // problem, reporting solver iterations.
@@ -470,10 +499,13 @@ func BenchmarkServeIngest(b *testing.B) {
 // The bound holds only because every per-event stage runs on recycled
 // memory: the batch decoder reads the body into a pooled buffer and
 // emits events with no per-event allocation, repeated stacks resolve
-// through the session's cache, and the detector side of the turn
-// (partition, encode, window flatten, scale, score) runs on per-session
-// scratch. Decoding through encoding/json and EventSpec.Event alone
-// costs about 7 allocations per event and fails it.
+// through the session's cache, and the detector side of the turn runs
+// on per-session scratch — a repeated stack walk takes its tuple from
+// the detector's stack-walk memo, whose entry and frame slabs are
+// recycled, and only a new walk is partitioned and encoded; window
+// flatten, scale and score reuse their buffers. Decoding through
+// encoding/json and EventSpec.Event alone costs about 7 allocations per
+// event and fails it.
 func TestServeIngestAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement under -short")

@@ -397,16 +397,15 @@ func (c *Classifier) DetectLog(log *trace.Log) ([]Detection, error) {
 	return c.DetectLogContext(context.Background(), log)
 }
 
-// detectScratch is the pooled working memory of one DetectLog pass:
-// partition arenas, encoder scratch, the tuple and window buffers and
-// the scaled-vector buffer. Everything it backs is consumed before
-// DetectLogContext returns — only the fresh Detection slice escapes —
-// so recycling through a pool keeps concurrent detections (serve
-// workers, shadow canary) safe while making the steady state nearly
-// allocation-free.
+// detectScratch is the pooled working memory of one DetectLog pass: the
+// featurizer (partition and encoder scratch plus its stack-walk memo),
+// the tuple and window buffers and the scaled-vector buffer. Everything
+// it backs is consumed before DetectLogContext returns — only the fresh
+// Detection slice escapes — so recycling through a pool keeps concurrent
+// detections (serve workers, shadow canary) safe while making the steady
+// state nearly allocation-free.
 type detectScratch struct {
-	part   partition.Scratch
-	enc    preprocess.Scratch
+	feat   featurizer
 	tuples []preprocess.Tuple
 	wins   preprocess.WindowBuf
 	vec    []float64
@@ -418,18 +417,24 @@ var detectScratchPool = sync.Pool{New: func() any { return new(detectScratch) }}
 func (c *Classifier) DetectLogContext(ctx context.Context, log *trace.Log) ([]Detection, error) {
 	ctx, sp := telemetry.StartSpan(ctx, "detect")
 	defer sp.End()
+	if log == nil {
+		return nil, errors.New("core: nil log")
+	}
+	if log.Modules == nil {
+		return nil, errors.New("core: log has no module map")
+	}
 	ds := detectScratchPool.Get().(*detectScratch)
 	defer detectScratchPool.Put(ds)
-	_, spPart := telemetry.StartSpan(ctx, "partition")
-	part, err := partition.SplitInto(log, &ds.part)
-	spPart.End()
-	if err != nil {
-		return nil, err
+	_, spFeat := telemetry.StartSpan(ctx, "featurize")
+	// The memo holds only for this log's module map and this
+	// classifier's encoder, so every call starts it empty.
+	ds.feat.reset(log.App, log.PID, log.Modules)
+	var err error
+	ds.tuples, err = ds.feat.appendTuples(ds.tuples[:0], c.enc, log.Events)
+	if err == nil {
+		err = preprocess.CoalesceInto(&ds.wins, ds.tuples, c.window)
 	}
-	_, spEnc := telemetry.StartSpan(ctx, "encode")
-	ds.tuples = c.enc.EncodeInto(ds.tuples[:0], part, &ds.enc)
-	err = preprocess.CoalesceInto(&ds.wins, ds.tuples, c.window)
-	spEnc.End()
+	spFeat.End()
 	if err != nil {
 		return nil, err
 	}

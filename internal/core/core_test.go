@@ -17,7 +17,7 @@ func fastConfig(seed int64) Config {
 	}
 }
 
-func genLogs(t *testing.T, name string, seed int64) *dataset.Logs {
+func genLogs(t testing.TB, name string, seed int64) *dataset.Logs {
 	t.Helper()
 	spec, err := dataset.ByName(name)
 	if err != nil {

@@ -1,0 +1,394 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro/internal/partition"
+	"repro/internal/preprocess"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
+)
+
+// referenceTuples featurizes every event on the un-memoised reference
+// path: SplitInto on a one-event log, then EncodeOne, with fresh scratch
+// per event.
+func referenceTuples(t *testing.T, enc *preprocess.Encoder, log *trace.Log) []preprocess.Tuple {
+	t.Helper()
+	out := make([]preprocess.Tuple, len(log.Events))
+	for i := range log.Events {
+		one := trace.Log{App: log.App, PID: log.PID, Modules: log.Modules, Events: log.Events[i : i+1]}
+		part, err := partition.SplitInto(&one, &partition.Scratch{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = enc.EncodeOne(&preprocess.Scratch{}, &part.Events[0])
+	}
+	return out
+}
+
+// referenceDetect is DetectLog on the reference path: reference tuples,
+// coalesced and scored window by window.
+func referenceDetect(t *testing.T, c *Classifier, log *trace.Log) []Detection {
+	t.Helper()
+	vecs, starts, err := preprocess.Coalesce(referenceTuples(t, c.enc, log), c.window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]Detection, len(vecs))
+	for i, v := range vecs {
+		score := c.model.Decision(c.scaler.ApplyAll([][]float64{v})[0])
+		pMal := 0.5
+		if c.platt != nil {
+			pMal = 1 - c.platt.Probability(score)
+		}
+		out[i] = Detection{
+			FirstEvent:  starts[i],
+			LastEvent:   starts[i] + c.window - 1,
+			Score:       score,
+			Probability: pMal,
+			Malicious:   score < 0,
+		}
+	}
+	return out
+}
+
+// memoInputs derives logs that stress the stack memo from an appsim log,
+// keyed by what they stress.
+func memoInputs(log *trace.Log) map[string]*trace.Log {
+	renamed := log.Clone()
+	for i := range renamed.Events {
+		st := renamed.Events[i].Stack
+		if i%3 != 0 || len(st) == 0 {
+			continue
+		}
+		// Same addresses, different names: the memo must not serve the
+		// tuple of the walk as the module map names it.
+		st[len(st)-1].Function = fmt.Sprintf("renamed%d", i%5)
+		if i%2 == 0 {
+			st[0].Module = "renamed.dll"
+		}
+	}
+
+	stackless := log.Clone()
+	for i := range stackless.Events {
+		if i%4 == 0 {
+			stackless.Events[i].Stack = nil
+		}
+	}
+
+	// More frames than stackMemoFrames: a unique unresolved frame on top
+	// of each stack, recurring every 1500 events. The first two events
+	// carry one walk deeper than the whole frame bound. The short
+	// variant keeps only the last frame under the unique one, so its
+	// 1500 distinct walks overflow stackMemoEntries instead.
+	distinct, short := log.Clone(), log.Clone()
+	for i := range distinct.Events {
+		top := trace.Frame{Addr: 0x10 + uint64(i%1500)}
+		e := &distinct.Events[i]
+		e.Stack = append(trace.StackWalk{top}, e.Stack...)
+		e = &short.Events[i]
+		e.Stack = append(trace.StackWalk{top}, e.Stack[max(0, len(e.Stack)-1):]...)
+	}
+	var deep trace.StackWalk
+	for len(deep) <= stackMemoFrames {
+		deep = append(deep, log.Events[len(deep)%len(log.Events)].Stack...)
+	}
+	distinct.Events[0].Stack = deep
+	distinct.Events[1].Stack = slices.Clone(deep)
+
+	return map[string]*trace.Log{
+		"appsim":    log,
+		"renamed":   renamed,
+		"stackless": stackless,
+		"distinct":  distinct,
+		"short":     short,
+	}
+}
+
+// TestFeaturizeMatchesReference holds memoised tuples to the reference
+// path on every memo input, and checks the memo stays within its bounds
+// while reaching them.
+func TestFeaturizeMatchesReference(t *testing.T) {
+	clf, mal := trainStream(t, 31)
+	var f featurizer
+	for name, log := range memoInputs(mal) {
+		want := referenceTuples(t, clf.enc, log)
+		f.reset(log.App, log.PID, log.Modules)
+		var maxEntries, maxFrames int
+		for i := range log.Events {
+			got, err := f.tuple(clf.enc, &log.Events[i])
+			if err != nil {
+				t.Fatalf("%s: event %d: %v", name, i, err)
+			}
+			if got != want[i] {
+				t.Fatalf("%s: event %d: memoised %+v, reference %+v", name, i, got, want[i])
+			}
+			if len(f.memo.entries) > stackMemoEntries || len(f.memo.frames) > stackMemoFrames {
+				t.Fatalf("%s: memo holds %d walks and %d frames, bounds %d and %d",
+					name, len(f.memo.entries), len(f.memo.frames), stackMemoEntries, stackMemoFrames)
+			}
+			maxEntries = max(maxEntries, len(f.memo.entries))
+			maxFrames = max(maxFrames, len(f.memo.frames))
+		}
+		f.flush()
+		if name == "short" && maxEntries != stackMemoEntries {
+			t.Errorf("short: memo peaked at %d walks, never reaching its bound of %d", maxEntries, stackMemoEntries)
+		}
+		if name == "distinct" && maxFrames < stackMemoFrames-64 {
+			t.Errorf("distinct: memo peaked at %d frames, never nearing its bound of %d", maxFrames, stackMemoFrames)
+		}
+	}
+}
+
+// TestDetectLogMatchesReference runs consecutive DetectLog calls through
+// the shared scratch pool on logs with different module maps and
+// classifiers, and every memo input; each must equal the reference.
+func TestDetectLogMatchesReference(t *testing.T) {
+	clfA, malA := trainStream(t, 32)
+	logsB := genLogs(t, "winscp_reverse_https", 33)
+	tdB, err := BuildTrainingData(logsB.Benign, logsB.Mixed, fastConfig(33))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clfB, err := tdB.Train()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := []struct {
+		name string
+		clf  *Classifier
+		log  *trace.Log
+	}{
+		{"A on A", clfA, malA},
+		{"B on B", clfB, logsB.Malicious},
+		{"A on B", clfA, logsB.Malicious},
+		{"B on A", clfB, malA},
+		{"A on A again", clfA, malA},
+	}
+	for name, log := range memoInputs(malA) {
+		runs = append(runs, struct {
+			name string
+			clf  *Classifier
+			log  *trace.Log
+		}{"A on " + name, clfA, log})
+	}
+	for _, r := range runs {
+		got, err := r.clf.DetectLog(r.log)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if want := referenceDetect(t, r.clf, r.log); !slices.Equal(got, want) {
+			t.Errorf("%s: DetectLog differs from the reference (%d vs %d detections)", r.name, len(got), len(want))
+		}
+	}
+}
+
+// TestFeedMatchesReference feeds every memo input through one detector
+// each, and once more through a single stack buffer the caller rewrites
+// in place before every Feed call.
+func TestFeedMatchesReference(t *testing.T) {
+	clf, mal := trainStream(t, 34)
+	inputs := memoInputs(mal)
+	inputs["reused buffer"] = mal
+	for name, log := range inputs {
+		s, err := clf.Stream(log.Modules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf trace.StackWalk
+		var got []Detection
+		for _, e := range log.Events {
+			if name == "reused buffer" {
+				buf = append(buf[:0], e.Stack...)
+				e.Stack = buf
+			}
+			det, err := s.Feed(e)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if det != nil {
+				got = append(got, *det)
+			}
+		}
+		if want := referenceDetect(t, clf, log); !slices.Equal(got, want) {
+			t.Errorf("%s: Feed differs from the reference (%d vs %d detections)", name, len(got), len(want))
+		}
+	}
+}
+
+// featurizeCounters are the telemetry counters featurization must keep
+// exact, memo hit or miss.
+var featurizeCounters = []string{
+	"partition_events_total",
+	"partition_stackless_events_total",
+	"partition_app_frames_total",
+	"partition_sys_frames_total",
+	"preprocess_encoded_events_total",
+}
+
+func counterValues() []uint64 {
+	out := make([]uint64, len(featurizeCounters))
+	for i, name := range featurizeCounters {
+		out[i] = telemetry.Default().Counter(name, "").Value()
+	}
+	return out
+}
+
+// counterDelta runs fn and returns how far it moved each counter.
+func counterDelta(fn func()) []uint64 {
+	before := counterValues()
+	fn()
+	after := counterValues()
+	for i := range after {
+		after[i] -= before[i]
+	}
+	return after
+}
+
+// TestFeaturizeCounters checks that DetectLog and Feed move the partition
+// and encode counters exactly as SplitInto plus EncodeBatch over the same
+// events do, though most events hit the memo.
+func TestFeaturizeCounters(t *testing.T) {
+	if !telemetry.Enabled() {
+		t.Skip("telemetry disabled")
+	}
+	clf, mal := trainStream(t, 35)
+	log := memoInputs(mal)["stackless"]
+	want := counterDelta(func() {
+		part, err := partition.SplitInto(log, &partition.Scratch{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clf.enc.EncodeBatch(nil, part.Events, nil)
+	})
+	for i, name := range featurizeCounters {
+		if want[i] == 0 {
+			t.Fatalf("reference moved %s by 0; the check would be vacuous", name)
+		}
+	}
+	got := counterDelta(func() {
+		if _, err := clf.DetectLog(log); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !slices.Equal(got, want) {
+		t.Errorf("DetectLog moved %v by %v, reference %v", featurizeCounters, got, want)
+	}
+	s, err := clf.Stream(log.Modules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = counterDelta(func() { feedAll(t, s, log.Events) })
+	if !slices.Equal(got, want) {
+		t.Errorf("Feed moved %v by %v, reference %v", featurizeCounters, got, want)
+	}
+}
+
+// TestFeaturizeConcurrent runs DetectLog from several goroutines on
+// different logs and classifiers, sharing the scratch pool, while one
+// detector is fed with a checkpoint taken and restored concurrently.
+// Every result must equal the reference; run it under -race.
+func TestFeaturizeConcurrent(t *testing.T) {
+	clfA, malA := trainStream(t, 36)
+	clfB, malB := trainStream(t, 37)
+	type job struct {
+		clf *Classifier
+		log *trace.Log
+	}
+	jobs := []job{{clfA, malA}, {clfB, malB}, {clfA, malB}, {clfB, malA}}
+	want := make([][]Detection, len(jobs))
+	for i, j := range jobs {
+		want[i] = referenceDetect(t, j.clf, j.log)
+	}
+	wantFeed := want[0]
+
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 3 {
+				got, err := j.clf.DetectLog(j.log)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(got, want[i]) {
+					t.Errorf("job %d: DetectLog differs from the reference", i)
+					return
+				}
+			}
+		}()
+	}
+	s, err := clfA.Stream(malA.Modules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var gotFeed []Detection
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for _, e := range malA.Events {
+			det, err := s.Feed(e)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if det != nil {
+				gotFeed = append(gotFeed, *det)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			var buf bytes.Buffer
+			if err := s.Checkpoint(&buf); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := clfA.RestoreStream(malA.Modules, &buf); err != nil {
+				t.Errorf("mid-feed checkpoint not restorable: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if !slices.Equal(gotFeed, wantFeed) {
+		t.Errorf("Feed under concurrent checkpoints differs from the reference (%d vs %d detections)",
+			len(gotFeed), len(wantFeed))
+	}
+}
+
+// TestDetectLogAllocs pins a warm DetectLog's allocation count: once the
+// pooled scratch has grown, a call allocates only its spans and the
+// returned Detection slice.
+func TestDetectLogAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under -race")
+	}
+	const detectLogAllocBudget = 12 // allocs per call
+	clf, mal := trainStream(t, 38)
+	if _, err := clf.DetectLog(mal); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := clf.DetectLog(mal); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > detectLogAllocBudget {
+		t.Errorf("warm DetectLog allocated %.0f times per call, budget %d", allocs, detectLogAllocBudget)
+	}
+}

@@ -151,10 +151,7 @@ func (m *Monitor) Stream(modules *trace.ModuleMap) (*StreamDetector, error) {
 	if m.clf != nil {
 		return m.clf.Stream(modules)
 	}
-	if modules == nil {
-		return nil, fmt.Errorf("core: nil module map")
-	}
-	return &StreamDetector{cg: m.cg, window: m.window, modules: modules}, nil
+	return newStream(nil, m.cg, m.window, modules)
 }
 
 // RestoreStream starts a streaming session and resumes it from a

@@ -25,11 +25,6 @@ var (
 	mCheckpointSecs  = telemetry.NewHistogram("core_checkpoint_seconds", "streaming checkpoint write latency", telemetry.DurationBuckets())
 )
 
-// splitOne partitions a single-event log into the caller's scratch
-// arena; a variable so tests can inject partition failures into the
-// streaming path.
-var splitOne = partition.SplitInto
-
 // EventError reports one event the streaming detector had to skip: its
 // stack walk could not be partitioned or encoded. The detector stays
 // usable — the event is counted as consumed and excluded from windows.
@@ -65,11 +60,10 @@ func (e *EventError) Unwrap() error { return e.Cause }
 // order — so callers that need deterministic verdicts must serialise their
 // own event stream (one logical feeder per session).
 type StreamDetector struct {
-	mu      sync.Mutex
-	clf     *Classifier      // nil in degraded mode
-	cg      *callgraph.Model // scores windows when clf is nil
-	window  int
-	modules *trace.ModuleMap
+	mu     sync.Mutex
+	clf    *Classifier      // nil in degraded mode
+	cg     *callgraph.Model // scores windows when clf is nil
+	window int
 	// buf holds the encoded tuples of the open window (WSVM mode);
 	// evbuf holds its partitioned events (degraded mode).
 	buf   []preprocess.Tuple
@@ -80,25 +74,31 @@ type StreamDetector struct {
 	consumed int
 	skipped  int
 	winStart int
-	// Ingest scratch, recycled every Feed call: the one-event log handed
-	// to the splitter, its partition arena, the encoder scratch and the
+	// Ingest scratch, recycled every Feed call: the featurizer (its
+	// partition and encoder scratch and its stack-walk memo) and the
 	// flattened/scaled window vectors. Anything retained across calls
-	// (evbuf, checkpoints) must be deep-copied out of these buffers.
-	oneEv  [1]trace.Event
-	oneLog trace.Log
-	ps     partition.Scratch
-	es     preprocess.Scratch
+	// (evbuf, checkpoints) must be deep-copied out of these buffers; the
+	// memo is derived state and never leaves the detector.
+	feat   featurizer
 	winVec []float64
 	svec   []float64
+}
+
+// newStream builds a detector for one process; clf is nil in degraded
+// mode.
+func newStream(clf *Classifier, cg *callgraph.Model, window int, modules *trace.ModuleMap) (*StreamDetector, error) {
+	if modules == nil {
+		return nil, errors.New("core: nil module map")
+	}
+	s := &StreamDetector{clf: clf, cg: cg, window: window}
+	s.feat.reset(modules.AppName(), 0, modules)
+	return s, nil
 }
 
 // Stream starts a streaming session for one process, identified by its
 // module map (needed to partition stack walks).
 func (c *Classifier) Stream(modules *trace.ModuleMap) (*StreamDetector, error) {
-	if modules == nil {
-		return nil, errors.New("core: nil module map")
-	}
-	return &StreamDetector{clf: c, cg: c.cg, window: c.window, modules: modules}, nil
+	return newStream(c, c.cg, c.window, modules)
 }
 
 // RestoreStream starts a streaming session and resumes it from a
@@ -123,30 +123,27 @@ func (s *StreamDetector) Feed(e trace.Event) (*Detection, error) {
 	ord := s.consumed
 	s.consumed++
 	mStreamEvents.Inc()
-	// Partition this single event: reuse the batch splitter on a
-	// one-event log to keep the classification path identical. The log
-	// header and event slot live on the detector so steady-state ingest
-	// allocates nothing.
-	s.oneEv[0] = e
-	s.oneLog = trace.Log{App: s.modules.AppName(), Modules: s.modules, Events: s.oneEv[:]}
-	part, err := splitOne(&s.oneLog, &s.ps)
+	if s.clf == nil {
+		// Call-graph scoring needs the split traces, so degraded mode
+		// always partitions.
+		pe, err := s.feat.split(&e)
+		if err != nil {
+			return nil, s.skip(ord, err)
+		}
+		if len(s.evbuf) == 0 {
+			s.winStart = ord
+		}
+		return s.feedDegraded(pe, ord)
+	}
+	t, err := s.feat.tuple(s.clf.enc, &e)
+	s.feat.flush()
 	if err != nil {
-		s.skipped++
-		mStreamSkipped.Inc()
-		return nil, &EventError{Ordinal: ord, Cause: err}
+		return nil, s.skip(ord, err)
 	}
-	if len(part.Events) == 0 {
-		s.skipped++
-		mStreamSkipped.Inc()
-		return nil, &EventError{Ordinal: ord, Cause: errors.New("partition produced no events")}
-	}
-	if s.pending() == 0 {
+	if len(s.buf) == 0 {
 		s.winStart = ord
 	}
-	if s.clf == nil {
-		return s.feedDegraded(&part.Events[0], ord)
-	}
-	s.buf = append(s.buf, s.clf.enc.EncodeOne(&s.es, &part.Events[0]))
+	s.buf = append(s.buf, t)
 	if len(s.buf) < s.window {
 		return nil, nil
 	}
@@ -170,6 +167,13 @@ func (s *StreamDetector) Feed(e trace.Event) (*Detection, error) {
 		Probability: pMal,
 		Malicious:   score < 0,
 	}, nil
+}
+
+// skip counts event ord as consumed but excluded from windows.
+func (s *StreamDetector) skip(ord int, cause error) error {
+	s.skipped++
+	mStreamSkipped.Inc()
+	return &EventError{Ordinal: ord, Cause: cause}
 }
 
 // feedDegraded buffers the partitioned event and scores completed windows
@@ -319,6 +323,23 @@ func (s *StreamDetector) restore(r io.Reader) error {
 	if len(f.Tuples) >= f.Window || len(f.Events) >= f.Window {
 		return fmt.Errorf("core: checkpoint buffers a full window (%d/%d tuples, %d events)",
 			len(f.Tuples), f.Window, len(f.Events))
+	}
+	// Only the detector's own mode buffers: tuples in statistical mode,
+	// partitioned events in degraded mode.
+	if (f.Degraded && len(f.Tuples) > 0) || (!f.Degraded && len(f.Events) > 0) {
+		return fmt.Errorf("core: checkpoint (degraded=%v) buffers %d tuples and %d events of the other mode",
+			f.Degraded, len(f.Tuples), len(f.Events))
+	}
+	// The open window holds events that were fed and not skipped, and
+	// it starts at one of them.
+	buffered := len(f.Tuples) + len(f.Events)
+	if buffered > f.Consumed-f.Skipped {
+		return fmt.Errorf("core: checkpoint buffers %d events but consumed %d and skipped %d",
+			buffered, f.Consumed, f.Skipped)
+	}
+	if buffered > 0 && (f.WinStart < 0 || f.WinStart > f.Consumed-buffered) {
+		return fmt.Errorf("core: checkpoint window start %d outside [0, %d] for %d buffered of %d consumed",
+			f.WinStart, f.Consumed-buffered, buffered, f.Consumed)
 	}
 	s.consumed = f.Consumed
 	s.skipped = f.Skipped

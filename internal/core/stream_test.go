@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/partition"
+	"repro/internal/preprocess"
 	"repro/internal/trace"
 )
 
@@ -52,7 +55,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 }
 
 // trainStream builds a classifier for streaming tests.
-func trainStream(t *testing.T, seed int64) (*Classifier, *trace.Log) {
+func trainStream(t testing.TB, seed int64) (*Classifier, *trace.Log) {
 	t.Helper()
 	logs := genLogs(t, "vim_reverse_tcp", seed)
 	td, err := BuildTrainingData(logs.Benign, logs.Mixed, fastConfig(seed))
@@ -66,6 +69,26 @@ func trainStream(t *testing.T, seed int64) (*Classifier, *trace.Log) {
 	return clf, logs.Malicious
 }
 
+// failEvent returns a copy of events in which the splitter fails
+// events[i], matched by Seq, until the test ends. A memo hit skips the
+// splitter, so the copy gives events[i] a stack walk no other event has:
+// its own under one extra unresolved frame. The event is skipped, so the
+// extra frame reaches no window.
+func failEvent(t *testing.T, events []trace.Event, i int, err error) []trace.Event {
+	t.Helper()
+	out := slices.Clone(events)
+	out[i].Stack = append(trace.StackWalk{{Addr: 1}}, events[i].Stack...)
+	seq := out[i].Seq
+	splitOne = func(log *trace.Log, s *partition.Scratch) (*partition.Log, error) {
+		if log.Events[0].Seq == seq {
+			return nil, err
+		}
+		return partition.SplitInto(log, s)
+	}
+	t.Cleanup(func() { splitOne = partition.SplitInto })
+	return out
+}
+
 func TestStreamFeedRecoversFromEventError(t *testing.T) {
 	clf, mal := trainStream(t, 23)
 	stream, err := clf.Stream(mal.Modules)
@@ -73,21 +96,15 @@ func TestStreamFeedRecoversFromEventError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fail partitioning for exactly one event mid-stream.
+	// Fail partitioning for exactly one event mid-stream, keyed by the
+	// event's Seq: memo hits skip the splitter, so call counts do not
+	// line up with events.
 	failAt := 3
-	calls := 0
 	injected := errors.New("boom")
-	splitOne = func(log *trace.Log, s *partition.Scratch) (*partition.Log, error) {
-		calls++
-		if calls == failAt+1 {
-			return nil, injected
-		}
-		return partition.SplitInto(log, s)
-	}
-	defer func() { splitOne = partition.SplitInto }()
+	events := failEvent(t, mal.Events[:3*clf.window], failAt, injected)
 
 	var dets int
-	for i, e := range mal.Events[:3*clf.window] {
+	for i, e := range events {
 		det, err := stream.Feed(e)
 		if i == failAt {
 			var evErr *EventError
@@ -126,18 +143,10 @@ func TestStreamWindowAlignmentWithSkips(t *testing.T) {
 
 	// The 4th event fed is skipped: the first window then spans
 	// window+1 stream ordinals.
-	calls := 0
-	splitOne = func(log *trace.Log, s *partition.Scratch) (*partition.Log, error) {
-		calls++
-		if calls == 4 {
-			return nil, errors.New("skip me")
-		}
-		return partition.SplitInto(log, s)
-	}
-	defer func() { splitOne = partition.SplitInto }()
+	events := failEvent(t, mal.Events[:clf.window+1], 3, errors.New("skip me"))
 
 	var det *Detection
-	for _, e := range mal.Events[:clf.window+1] {
+	for _, e := range events {
 		d, err := stream.Feed(e)
 		var evErr *EventError
 		if err != nil && !errors.As(err, &evErr) {
@@ -237,7 +246,7 @@ func TestStreamRestoreRejectsBadCheckpoints(t *testing.T) {
 
 	// A checkpoint from a degraded detector must not restore into a
 	// statistical one.
-	deg := &StreamDetector{cg: clf.CallGraph(), window: clf.window, modules: mal.Modules}
+	deg := &StreamDetector{cg: clf.CallGraph(), window: clf.window}
 	var ckpt bytes.Buffer
 	if err := deg.Checkpoint(&ckpt); err != nil {
 		t.Fatal(err)
@@ -247,7 +256,7 @@ func TestStreamRestoreRejectsBadCheckpoints(t *testing.T) {
 	}
 
 	// Window mismatch.
-	other := &StreamDetector{clf: clf, window: clf.window + 1, modules: mal.Modules}
+	other := &StreamDetector{clf: clf, window: clf.window + 1}
 	ckpt.Reset()
 	if err := other.Checkpoint(&ckpt); err != nil {
 		t.Fatal(err)
@@ -255,6 +264,156 @@ func TestStreamRestoreRejectsBadCheckpoints(t *testing.T) {
 	if _, err := clf.RestoreStream(mal.Modules, &ckpt); err == nil {
 		t.Error("window-mismatched checkpoint accepted")
 	}
+}
+
+// encodeCheckpoint gob-encodes a checkpoint as Checkpoint would.
+func encodeCheckpoint(t testing.TB, f checkpointFile) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// restoreCases are hand-built checkpoints for a window-10 detector:
+// consistent states and the inconsistent ones restore must reject.
+var restoreCases = []struct {
+	name   string
+	f      checkpointFile
+	accept bool
+}{
+	{"empty", checkpointFile{}, true},
+	{"open window", checkpointFile{Consumed: 7, Skipped: 1, WinStart: 2, Tuples: make([]preprocess.Tuple, 4)}, true},
+	{"closed window ignores its start", checkpointFile{Consumed: 5, WinStart: 1000}, true},
+	{"degraded open window", checkpointFile{Degraded: true, Consumed: 3, WinStart: 1, Events: make([]partition.Event, 2)}, true},
+	{"buffer past consumed", checkpointFile{Consumed: 0, WinStart: -7, Tuples: make([]preprocess.Tuple, 5)}, false},
+	{"buffer past unskipped", checkpointFile{Consumed: 6, Skipped: 3, Tuples: make([]preprocess.Tuple, 4)}, false},
+	{"negative window start", checkpointFile{Consumed: 7, WinStart: -1, Tuples: make([]preprocess.Tuple, 3)}, false},
+	{"window start past consumed", checkpointFile{Consumed: 5, WinStart: 1000, Tuples: make([]preprocess.Tuple, 3)}, false},
+	{"window start after its events", checkpointFile{Consumed: 7, WinStart: 4, Tuples: make([]preprocess.Tuple, 4)}, false},
+	{"degraded events in statistical mode", checkpointFile{Consumed: 5, WinStart: 3, Events: make([]partition.Event, 2)}, false},
+	{"tuples in degraded mode", checkpointFile{Degraded: true, Consumed: 5, WinStart: 3, Tuples: make([]preprocess.Tuple, 2)}, false},
+}
+
+// TestStreamRestoreValidatesState restores each restoreCases checkpoint
+// into a detector of its mode. Accepted ones must finish their open
+// window on the events fed next, spanning only fed ordinals.
+func TestStreamRestoreValidatesState(t *testing.T) {
+	clf, mal := trainStream(t, 27)
+	if clf.window != 10 {
+		t.Fatalf("window %d; restoreCases assume 10", clf.window)
+	}
+	degraded := &Monitor{cg: clf.cg, window: clf.window}
+	for _, c := range restoreCases {
+		t.Run(c.name, func(t *testing.T) {
+			f := c.f
+			f.Magic, f.Version, f.Window = checkpointMagic, checkpointVersion, clf.window
+			mon := NewMonitor(clf)
+			if f.Degraded {
+				mon = degraded
+			}
+			s, err := mon.RestoreStream(mal.Modules, bytes.NewReader(encodeCheckpoint(t, f)))
+			if (err == nil) != c.accept {
+				t.Fatalf("restore err = %v, want accept %v", err, c.accept)
+			}
+			if err != nil {
+				return
+			}
+			checkNextWindow(t, s, mal.Events)
+		})
+	}
+}
+
+// checkNextWindow feeds s until its open window completes and checks the
+// detection spans fed ordinals only: it ends at the last event fed and
+// starts at least a window before.
+func checkNextWindow(t *testing.T, s *StreamDetector, events []trace.Event) {
+	t.Helper()
+	need := s.window - s.Pending()
+	var det *Detection
+	for _, e := range events[:need] {
+		d, err := s.Feed(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		det = d
+	}
+	if det == nil {
+		t.Fatalf("no detection after feeding the %d events the open window lacked", need)
+	}
+	last := s.Consumed() - 1
+	if det.LastEvent != last || det.FirstEvent < 0 || det.FirstEvent > last-s.window+1 {
+		t.Fatalf("detection spans events %d..%d, want a start in [0, %d] and end %d",
+			det.FirstEvent, det.LastEvent, last-s.window+1, last)
+	}
+}
+
+// FuzzRestoreStream feeds arbitrary bytes to RestoreStream, as a handoff
+// import does with an HTTP body. No input may panic; an accepted one must
+// give a detector whose Checkpoint decodes to the same checkpointFile
+// and whose open window completes over fed ordinals only.
+func FuzzRestoreStream(f *testing.F) {
+	clf, mal := trainStream(f, 28)
+	mons := []*Monitor{NewMonitor(clf), {cg: clf.cg, window: clf.window}}
+	for _, mon := range mons {
+		for _, n := range []int{0, 3, 13} {
+			s, err := mon.Stream(mal.Modules)
+			if err != nil {
+				f.Fatal(err)
+			}
+			for _, e := range mal.Events[:n] {
+				if _, err := s.Feed(e); err != nil {
+					f.Fatal(err)
+				}
+			}
+			var buf bytes.Buffer
+			if err := s.Checkpoint(&buf); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+		}
+	}
+	for _, c := range restoreCases {
+		cf := c.f
+		cf.Magic, cf.Version, cf.Window = checkpointMagic, checkpointVersion, clf.window
+		f.Add(encodeCheckpoint(f, cf))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, mon := range mons {
+			s, err := mon.RestoreStream(mal.Modules, bytes.NewReader(data))
+			if err != nil {
+				continue
+			}
+			var in, out checkpointFile
+			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&in); err != nil {
+				t.Fatalf("restore accepted an undecodable checkpoint: %v", err)
+			}
+			var buf bytes.Buffer
+			if err := s.Checkpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+			if !sameCheckpoint(in, out) {
+				t.Fatalf("restored checkpoint re-encodes differently:\n in  %+v\n out %+v", in, out)
+			}
+			checkNextWindow(t, s, mal.Events)
+		}
+	})
+}
+
+// sameCheckpoint compares checkpoints by value, not telling a nil
+// buffer from an empty one: gob does not either.
+func sameCheckpoint(a, b checkpointFile) bool {
+	return a.Magic == b.Magic && a.Version == b.Version && a.Window == b.Window &&
+		a.Degraded == b.Degraded && a.Consumed == b.Consumed && a.Skipped == b.Skipped &&
+		a.WinStart == b.WinStart && slices.Equal(a.Tuples, b.Tuples) &&
+		slices.EqualFunc(a.Events, b.Events, func(x, y partition.Event) bool {
+			return x.Seq == y.Seq && x.Type == y.Type && x.TID == y.TID &&
+				slices.Equal(x.AppTrace, y.AppTrace) && slices.Equal(x.SysTrace, y.SysTrace)
+		})
 }
 
 func TestStreamValidation(t *testing.T) {

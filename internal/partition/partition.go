@@ -118,12 +118,20 @@ func SplitInto(log *trace.Log, s *Scratch) (*Log, error) {
 		sysFrames += len(pe.SysTrace)
 		s.events = append(s.events, pe)
 	}
-	mSplitEvents.Add(uint64(log.Len()))
+	CreditSplit(log.Len(), stackless, appFrames, sysFrames)
+	s.log = Log{App: log.App, PID: log.PID, Events: s.events}
+	return &s.log, nil
+}
+
+// CreditSplit adds a split's volume to the partition counters without
+// splitting, for callers that memoise SplitInto's result per stack walk
+// and must still count every event they partition: events, those
+// without a stack walk, and the frames routed to each trace side.
+func CreditSplit(events, stackless, appFrames, sysFrames int) {
+	mSplitEvents.Add(uint64(events))
 	mSplitStackless.Add(uint64(stackless))
 	mSplitAppFrames.Add(uint64(appFrames))
 	mSplitSysFrames.Add(uint64(sysFrames))
-	s.log = Log{App: log.App, PID: log.PID, Events: s.events}
-	return &s.log, nil
 }
 
 // isSystemFrame reports whether a frame belongs to the system stack trace:

@@ -175,7 +175,7 @@ func appendDistinct(names []string, name string) []string {
 // EncodeOne discretises one event on the scratch path: the sorted
 // library and function sets are built in scratch buffers and matched
 // against the fitted clusters without allocating. Tuples are identical
-// to Encode's.
+// to Encode's. It does not count the event; see CreditEncoded.
 func (enc *Encoder) EncodeOne(s *Scratch, e *partition.Event) Tuple {
 	t := Tuple{EventType: int(e.Type)}
 	s.names = s.names[:0]
@@ -208,9 +208,14 @@ func (enc *Encoder) EncodeBatch(dst []Tuple, events []partition.Event, s *Scratc
 	for i := range events {
 		dst = append(dst, enc.EncodeOne(s, &events[i]))
 	}
-	mEncodedEvents.Add(uint64(len(events)))
+	CreditEncoded(len(events))
 	return dst
 }
+
+// CreditEncoded adds n events to the encoded-events counter. EncodeBatch
+// credits its own events; EncodeOne does not, so callers that encode one
+// event at a time, or memoise tuples, credit every event here.
+func CreditEncoded(n int) { mEncodedEvents.Add(uint64(n)) }
 
 // EncodeInto is EncodeBatch over a partitioned log.
 func (enc *Encoder) EncodeInto(dst []Tuple, log *partition.Log, s *Scratch) []Tuple {
