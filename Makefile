@@ -66,11 +66,13 @@ bench-compare:
 # identical results for any worker count, under the race detector —
 # including the shared kernel-row cache and the pooled/batch hot paths,
 # which must match their allocating reference implementations bit for
-# bit — and concurrent DetectLog calls through the pooled stack-walk
-# memo, beside Feed racing Checkpoint on one detector, match the
-# un-memoised reference.
+# bit — and concurrent DetectLog calls through pooled detectors, beside
+# Feed racing Checkpoint on one detector, match the un-memoised
+# reference. It also holds every trainer's saved model, batch detection
+# and the evaluation summaries to the committed golden of an earlier
+# commit, at Parallel 1 and at every processor.
 determinism:
-	$(GO) test -race -run 'TestEvaluateRunsParallelDeterminism|TestEvaluateRunsBuildsArtifactsOnce|TestGridSearchParallel|TestSharedCrossValidateMatchesUncached|TestGridSearchMatchesUncachedSweep|TestRowCacheConcurrent|TestFeaturizeConcurrent' ./internal/core ./internal/svm
+	$(GO) test -race -run 'TestEvaluateRunsParallelDeterminism|TestEvaluateRunsBuildsArtifactsOnce|TestGridSearchParallel|TestSharedCrossValidateMatchesUncached|TestGridSearchMatchesUncachedSweep|TestRowCacheConcurrent|TestFeaturizeConcurrent|TestTrainedModelsGolden' ./internal/core ./internal/svm
 
 # End-to-end smoke test of the -debug-addr introspection endpoints:
 # generates data, trains, then scrapes /metrics, /spans and pprof from a

@@ -73,30 +73,11 @@ func BuildArtifacts(ctx context.Context, benign, mixed *trace.Log, config Config
 	a := &Artifacts{cfg: config}
 	par := resolveParallel(config.Parallel)
 
-	// The benign and mixed partitions are independent.
-	err := inParallel(par,
-		func() error {
-			_, sp := telemetry.StartSpan(ctx, "partition")
-			defer sp.End()
-			var err error
-			if a.BenignPart, err = partition.Split(benign); err != nil {
-				return fmt.Errorf("core: partitioning benign log: %w", err)
-			}
-			return nil
-		},
-		func() error {
-			_, sp := telemetry.StartSpan(ctx, "partition")
-			defer sp.End()
-			var err error
-			if a.MixedPart, err = partition.Split(mixed); err != nil {
-				return fmt.Errorf("core: partitioning mixed log: %w", err)
-			}
-			return nil
-		},
-	)
+	parts, err := partitionLogs(ctx, par, []string{"benign", "mixed"}, benign, mixed)
 	if err != nil {
 		return nil, err
 	}
+	a.BenignPart, a.MixedPart = parts[0], parts[1]
 
 	// Feature encoder fitted on all training events so cluster ids are
 	// consistent across the benign and mixed sets — the one barrier
@@ -219,15 +200,7 @@ type Selection struct {
 func (a *Artifacts) Select(seed int64) *Selection {
 	rng := rand.New(rand.NewSource(seed))
 	sel := &Selection{art: a, seed: seed, mixedWeight: a.mixedWeight}
-	perm := rng.Perm(len(a.benignWins))
-	nTrain := int(float64(len(a.benignWins)) * a.cfg.TrainFraction)
-	for i, p := range perm {
-		if i < nTrain {
-			sel.benignTrain = append(sel.benignTrain, a.benignWins[p])
-		} else {
-			sel.benignTest = append(sel.benignTest, a.benignWins[p])
-		}
-	}
+	sel.benignTrain, sel.benignTest = splitBenign(rng, a.benignWins, a.cfg.TrainFraction)
 	if a.cfg.ShuffleWeights {
 		sel.mixedWeight = append([]float64(nil), a.mixedWeight...)
 		rng.Shuffle(len(sel.mixedWeight), func(i, j int) {
@@ -235,6 +208,45 @@ func (a *Artifacts) Select(seed int64) *Selection {
 		})
 	}
 	return sel
+}
+
+// splitBenign is the benign train/test split: a permutation drawn from
+// rng, its first fraction of windows for training and the rest for
+// testing.
+func splitBenign(rng *rand.Rand, wins []window, fraction float64) (train, test []window) {
+	perm := rng.Perm(len(wins))
+	nTrain := int(float64(len(wins)) * fraction)
+	for i, p := range perm {
+		if i < nTrain {
+			train = append(train, wins[p])
+		} else {
+			test = append(test, wins[p])
+		}
+	}
+	return train, test
+}
+
+// partitionLogs splits logs on up to par workers, one "partition" span
+// each, and names a failing log by its entry in names. Every training
+// and evaluation entry point partitions its logs here.
+func partitionLogs(ctx context.Context, par int, names []string, logs ...*trace.Log) ([]*partition.Log, error) {
+	parts := make([]*partition.Log, len(logs))
+	tasks := make([]func() error, len(logs))
+	for i, log := range logs {
+		tasks[i] = func() error {
+			_, sp := telemetry.StartSpan(ctx, "partition")
+			defer sp.End()
+			var err error
+			if parts[i], err = partition.Split(log); err != nil {
+				return fmt.Errorf("core: partitioning %s log: %w", names[i], err)
+			}
+			return nil
+		}
+	}
+	if err := inParallel(par, tasks...); err != nil {
+		return nil, err
+	}
+	return parts, nil
 }
 
 // Seed returns the data-selection seed this tier was derived from.

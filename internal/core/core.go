@@ -17,7 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
+	"slices"
 
 	"repro/internal/callgraph"
 	"repro/internal/metrics"
@@ -212,43 +212,79 @@ func sampleWindows(rng *rand.Rand, wins []window, fraction float64) ([]window, e
 	return out, nil
 }
 
-// trainProblem assembles the (possibly weighted) SVM problem from sampled
-// training windows. Scaling is fitted here. The mixed windows and their
-// weights are sampled jointly by index, through the same sampleIndices
-// rules as the benign windows. It reports the actual sampled set sizes.
-func (s *Selection) trainProblem(rng *rand.Rand, weighted bool) (svm.Problem, *svm.Scaler, int, int, error) {
+// draw appends this selection's training sample to prob, with X holding
+// the raw window vectors: the benign draw first (label +1), then the
+// mixed draw (label −1, weighted by its CFG-derived cost when weighted),
+// both under the sampleIndices rules. It reports the sampled set sizes.
+// Every WSVM trainer samples through draw, per application in order, so
+// the RNG stream is the same whichever trainer consumes it.
+func (s *Selection) draw(rng *rand.Rand, weighted bool, prob *svm.Problem) (nBenign, nMixed int, err error) {
 	fraction := s.art.cfg.SampleFraction
-	benign, err := sampleWindows(rng, s.benignTrain, fraction)
+	benign, err := sampleIndices(rng, len(s.benignTrain), fraction)
 	if err != nil {
-		return svm.Problem{}, nil, 0, 0, fmt.Errorf("sampling benign training windows: %w", err)
+		return 0, 0, fmt.Errorf("sampling benign training windows: %w", err)
 	}
-	mixedIdx, err := sampleIndices(rng, len(s.art.mixed), fraction)
+	mixed, err := sampleIndices(rng, len(s.art.mixed), fraction)
 	if err != nil {
-		return svm.Problem{}, nil, 0, 0, fmt.Errorf("sampling mixed training windows: %w", err)
+		return 0, 0, fmt.Errorf("sampling mixed training windows: %w", err)
 	}
-
-	var prob svm.Problem
-	raw := make([][]float64, 0, len(benign)+len(mixedIdx))
-	for _, w := range benign {
-		raw = append(raw, w.vec)
+	prob.X = slices.Grow(prob.X, len(benign)+len(mixed))
+	for _, p := range benign {
+		prob.X = append(prob.X, s.benignTrain[p].vec)
 		prob.Y = append(prob.Y, 1)
 		if weighted {
 			prob.Weight = append(prob.Weight, 1)
 		}
 	}
-	for _, p := range mixedIdx {
-		raw = append(raw, s.art.mixed[p].vec)
+	for _, p := range mixed {
+		prob.X = append(prob.X, s.art.mixed[p].vec)
 		prob.Y = append(prob.Y, -1)
 		if weighted {
 			prob.Weight = append(prob.Weight, s.mixedWeight[p])
 		}
 	}
-	scaler, err := svm.FitScaler(raw)
+	return len(benign), len(mixed), nil
+}
+
+// fit is the one fit path of the WSVM trainers. Given a drawn problem
+// whose X holds raw window vectors, it fits the scaler and scales X,
+// fixes (λ, σ²) or grid-searches them with folds seeded by seed, runs SMO
+// and calibrates Platt scaling. Spans nest under ctx.
+func fit(ctx context.Context, prob svm.Problem, enc *preprocess.Encoder, cfg Config, seed int64) (*Classifier, error) {
+	scaler, err := svm.FitScaler(prob.X)
 	if err != nil {
-		return svm.Problem{}, nil, 0, 0, err
+		return nil, err
 	}
-	prob.X = scaler.ApplyAll(raw)
-	return prob, scaler, len(benign), len(mixedIdx), nil
+	prob.X = scaler.ApplyAll(prob.X)
+	if err := prob.Validate(); err != nil {
+		return nil, err
+	}
+	var params svm.Params
+	if cfg.FixedParams != nil {
+		params = *cfg.FixedParams
+	} else {
+		grid := cfg.Grid
+		grid.Seed = seed
+		if grid.Parallel == 0 {
+			grid.Parallel = cfg.Parallel
+		}
+		_, spGrid := telemetry.StartSpan(ctx, "gridsearch")
+		params, _, err = svm.GridSearch(prob, grid)
+		spGrid.End()
+		if err != nil {
+			return nil, err
+		}
+	}
+	_, spSMO := telemetry.StartSpan(ctx, "smo")
+	model, err := svm.Train(prob, params)
+	spSMO.End()
+	if err != nil {
+		return nil, err
+	}
+	_, spPlatt := telemetry.StartSpan(ctx, "platt")
+	platt := fitPlatt(model, prob)
+	spPlatt.End()
+	return &Classifier{enc: enc, scaler: scaler, model: model, platt: platt, window: cfg.Window, params: params}, nil
 }
 
 // Classifier is a trained LEAPS model (the WSVM path) ready for the
@@ -307,61 +343,27 @@ func (s *Selection) TrainUnweighted(ctx context.Context) (*Classifier, error) {
 	return s.train(ctx, false)
 }
 
+// train fits a classifier on this selection's draw from an RNG seeded
+// seed+1 and adds the call-graph baseline trained on the same logs.
 func (s *Selection) train(ctx context.Context, weighted bool) (*Classifier, error) {
 	ctx, sp := telemetry.StartSpan(ctx, "train")
 	defer sp.End()
-	cfg := s.art.cfg
-	rng := rand.New(rand.NewSource(s.seed + 1))
-	prob, scaler, nBenign, nMixed, err := s.trainProblem(rng, weighted)
+	var prob svm.Problem
+	nBenign, nMixed, err := s.draw(rand.New(rand.NewSource(s.seed+1)), weighted, &prob)
 	if err != nil {
 		return nil, err
 	}
-	if err := prob.Validate(); err != nil {
-		return nil, err
-	}
-	var params svm.Params
-	if cfg.FixedParams != nil {
-		params = *cfg.FixedParams
-	} else {
-		grid := cfg.Grid
-		grid.Seed = s.seed
-		if grid.Parallel == 0 {
-			grid.Parallel = cfg.Parallel
-		}
-		_, spGrid := telemetry.StartSpan(ctx, "gridsearch")
-		best, _, err := svm.GridSearch(prob, grid)
-		spGrid.End()
-		if err != nil {
-			return nil, err
-		}
-		params = best
-	}
-	_, spSMO := telemetry.StartSpan(ctx, "smo")
-	model, err := svm.Train(prob, params)
-	spSMO.End()
+	clf, err := fit(ctx, prob, s.art.Encoder, s.art.cfg, s.seed)
 	if err != nil {
 		return nil, err
 	}
+	clf.trainBenign, clf.trainMixed = nBenign, nMixed
 	_, spCG := telemetry.StartSpan(ctx, "callgraph")
-	cg, err := callgraph.Train(s.art.BenignPart, s.art.MixedPart)
-	spCG.End()
-	if err != nil {
+	defer spCG.End()
+	if clf.cg, err = callgraph.Train(s.art.BenignPart, s.art.MixedPart); err != nil {
 		return nil, err
 	}
-	_, spPlatt := telemetry.StartSpan(ctx, "platt")
-	platt := fitPlatt(model, prob)
-	spPlatt.End()
-	return &Classifier{
-		enc:         s.art.Encoder,
-		scaler:      scaler,
-		model:       model,
-		platt:       platt,
-		window:      cfg.Window,
-		params:      params,
-		cg:          cg,
-		trainBenign: nBenign,
-		trainMixed:  nMixed,
-	}, nil
+	return clf, nil
 }
 
 // fitPlatt calibrates a probability sigmoid on the training decisions;
@@ -397,83 +399,36 @@ func (c *Classifier) DetectLog(log *trace.Log) ([]Detection, error) {
 	return c.DetectLogContext(context.Background(), log)
 }
 
-// detectScratch is the pooled working memory of one DetectLog pass: the
-// featurizer (partition and encoder scratch plus its stack-walk memo),
-// the tuple and window buffers and the scaled-vector buffer. Everything
-// it backs is consumed before DetectLogContext returns — only the fresh
-// Detection slice escapes — so recycling through a pool keeps concurrent
-// detections (serve workers, shadow canary) safe while making the steady
-// state nearly allocation-free.
-type detectScratch struct {
-	feat   featurizer
-	tuples []preprocess.Tuple
-	wins   preprocess.WindowBuf
-	vec    []float64
-}
-
-var detectScratchPool = sync.Pool{New: func() any { return new(detectScratch) }}
-
-// DetectLogContext is DetectLog with telemetry spans nested under ctx.
+// DetectLogContext is DetectLog with its telemetry span nested under ctx.
 func (c *Classifier) DetectLogContext(ctx context.Context, log *trace.Log) ([]Detection, error) {
-	ctx, sp := telemetry.StartSpan(ctx, "detect")
-	defer sp.End()
-	if log == nil {
-		return nil, errors.New("core: nil log")
-	}
-	if log.Modules == nil {
-		return nil, errors.New("core: log has no module map")
-	}
-	ds := detectScratchPool.Get().(*detectScratch)
-	defer detectScratchPool.Put(ds)
-	_, spFeat := telemetry.StartSpan(ctx, "featurize")
-	// The memo holds only for this log's module map and this
-	// classifier's encoder, so every call starts it empty.
-	ds.feat.reset(log.App, log.PID, log.Modules)
-	var err error
-	ds.tuples, err = ds.feat.appendTuples(ds.tuples[:0], c.enc, log.Events)
-	if err == nil {
-		err = preprocess.CoalesceInto(&ds.wins, ds.tuples, c.window)
-	}
-	spFeat.End()
-	if err != nil {
-		return nil, err
-	}
-	_, spScore := telemetry.StartSpan(ctx, "score")
-	defer spScore.End()
-	out := make([]Detection, len(ds.wins.Vecs))
-	var malicious uint64
-	for i, v := range ds.wins.Vecs {
-		ds.vec = c.scaler.ApplyInto(ds.vec[:0], v)
-		score := c.model.Decision(ds.vec)
-		pMal := 0.5
-		if c.platt != nil {
-			pMal = 1 - c.platt.Probability(score)
-		}
-		out[i] = Detection{
-			FirstEvent:  ds.wins.Starts[i],
-			LastEvent:   ds.wins.Starts[i] + c.window - 1,
-			Score:       score,
-			Probability: pMal,
-			Malicious:   score < 0,
-		}
-		if out[i].Malicious {
-			malicious++
-		}
-	}
-	mDetectWindows.Add(uint64(len(out)))
-	mDetectMalicious.Add(malicious)
-	return out, nil
+	return NewMonitor(c).detectLog(ctx, log)
 }
 
-// classifyWindows runs the model over pre-built windows and fills the
-// confusion matrix.
-func (c *Classifier) classifyWindows(wins []window, actualBenign bool, conf *metrics.Confusion) {
+// test scores the held-out test windows, benign first, into a confusion
+// matrix and sweeps the decision values for the area under the ROC curve
+// (NaN when undefined).
+func (c *Classifier) test(testBenign, testMal []window) (metrics.Confusion, float64) {
+	var conf metrics.Confusion
+	scores := make([]float64, 0, len(testBenign)+len(testMal))
+	labels := make([]bool, 0, len(testBenign)+len(testMal))
 	var buf []float64
-	for _, w := range wins {
-		buf = c.scaler.ApplyInto(buf[:0], w.vec)
-		pred := c.model.Decision(buf) >= 0
-		conf.Add(actualBenign, pred)
+	for _, set := range []struct {
+		wins   []window
+		benign bool
+	}{{testBenign, true}, {testMal, false}} {
+		for _, w := range set.wins {
+			buf = c.scaler.ApplyInto(buf[:0], w.vec)
+			score := c.model.Decision(buf)
+			conf.Add(set.benign, score >= 0)
+			scores = append(scores, score)
+			labels = append(labels, set.benign)
+		}
 	}
+	_, auc, err := metrics.ROC(scores, labels)
+	if err != nil {
+		auc = math.NaN()
+	}
+	return conf, auc
 }
 
 // cgraphClassify runs the call-graph baseline over windows, resolving each

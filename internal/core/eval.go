@@ -60,15 +60,15 @@ func buildEvalData(ctx context.Context, benign, mixed, malicious *trace.Log, con
 	if err != nil {
 		return nil, err
 	}
-	malPart, err := partition.Split(malicious)
-	if err != nil {
-		return nil, fmt.Errorf("core: partitioning malicious log: %w", err)
-	}
-	malWins, err := coalesce(art.Encoder, malPart, art.cfg.Window)
+	malParts, err := partitionLogs(ctx, 1, []string{"malicious"}, malicious)
 	if err != nil {
 		return nil, err
 	}
-	return &evalData{art: art, malPart: malPart, malWins: malWins}, nil
+	malWins, err := coalesce(art.Encoder, malParts[0], art.cfg.Window)
+	if err != nil {
+		return nil, err
+	}
+	return &evalData{art: art, malPart: malParts[0], malWins: malWins}, nil
 }
 
 // run executes one seed's selection, training and testing on the shared
@@ -112,15 +112,10 @@ func (ed *evalData) run(ctx context.Context, seed int64, includeHMM bool) (*Eval
 	}
 	res.TrainBenign, res.TrainMixed = wsvm.TrainSizes()
 
-	var wsvmConf, svmConf metrics.Confusion
-	wsvm.classifyWindows(testBenign, true, &wsvmConf)
-	wsvm.classifyWindows(testMal, false, &wsvmConf)
-	plain.classifyWindows(testBenign, true, &svmConf)
-	plain.classifyWindows(testMal, false, &svmConf)
-	res.WSVM = wsvmConf.Summary()
-	res.SVM = svmConf.Summary()
-	res.WSVMAUC = testAUC(wsvm, testBenign, testMal)
-	res.SVMAUC = testAUC(plain, testBenign, testMal)
+	wsvmConf, wsvmAUC := wsvm.test(testBenign, testMal)
+	svmConf, svmAUC := plain.test(testBenign, testMal)
+	res.WSVM, res.WSVMAUC = wsvmConf.Summary(), wsvmAUC
+	res.SVM, res.SVMAUC = svmConf.Summary(), svmAUC
 
 	// Call-graph baseline: BCG from the benign training windows' events,
 	// MCG from the whole mixed log.
@@ -268,27 +263,4 @@ func meanSkipNaN(xs []float64) float64 {
 		return math.NaN()
 	}
 	return sum / float64(n)
-}
-
-// testAUC sweeps the classifier's decision values over the test windows
-// and returns the area under the ROC curve (NaN when undefined).
-func testAUC(c *Classifier, testBenign, testMal []window) float64 {
-	scores := make([]float64, 0, len(testBenign)+len(testMal))
-	labels := make([]bool, 0, len(testBenign)+len(testMal))
-	var buf []float64
-	for _, w := range testBenign {
-		buf = c.scaler.ApplyInto(buf[:0], w.vec)
-		scores = append(scores, c.model.Decision(buf))
-		labels = append(labels, true)
-	}
-	for _, w := range testMal {
-		buf = c.scaler.ApplyInto(buf[:0], w.vec)
-		scores = append(scores, c.model.Decision(buf))
-		labels = append(labels, false)
-	}
-	_, auc, err := metrics.ROC(scores, labels)
-	if err != nil {
-		return math.NaN()
-	}
-	return auc
 }

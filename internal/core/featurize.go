@@ -133,15 +133,15 @@ func (m *stackMemo) place(h uint64, v int32) {
 	m.slots[i] = v
 }
 
-// featurizer is the testing phase's per-event front end, shared by
-// DetectLog and StreamDetector.Feed: it partitions an event's stack walk
+// featurizer is the testing phase's per-event front end, the first half
+// of StreamDetector's window step: it partitions an event's stack walk
 // and encodes the event into its tuple. The stack-dependent half of the
 // result is memoised by walk, so a repeated walk skips both partition
 // and encoder; a miss runs the reference path (splitOne on a one-event
 // log, then EncodeOne) and records its result.
 //
-// A featurizer belongs to one goroutine at a time: DetectLog draws one
-// from its scratch pool, a StreamDetector uses its own under its mutex.
+// A featurizer belongs to its StreamDetector: Feed uses it under the
+// detector's mutex, DetectLog through a pooled detector it owns alone.
 type featurizer struct {
 	one  trace.Log // one-event log handed to splitOne: the process header plus ev
 	ev   [1]trace.Event
@@ -201,20 +201,6 @@ func (f *featurizer) tuple(enc *preprocess.Encoder, e *trace.Event) (preprocess.
 		lib: t.Lib, fn: t.Func,
 	})
 	return t, nil
-}
-
-// appendTuples featurizes events in order onto dst, stopping at the
-// first error, and flushes the telemetry they owe.
-func (f *featurizer) appendTuples(dst []preprocess.Tuple, enc *preprocess.Encoder, events []trace.Event) ([]preprocess.Tuple, error) {
-	defer f.flush()
-	for i := range events {
-		t, err := f.tuple(enc, &events[i])
-		if err != nil {
-			return dst, err
-		}
-		dst = append(dst, t)
-	}
-	return dst, nil
 }
 
 // flush credits the telemetry owed since the last flush, so the

@@ -145,8 +145,9 @@ func TestFeaturizeMatchesReference(t *testing.T) {
 }
 
 // TestDetectLogMatchesReference runs consecutive DetectLog calls through
-// the shared scratch pool on logs with different module maps and
-// classifiers, and every memo input; each must equal the reference.
+// the shared detector pool on logs with different module maps and
+// classifiers, every memo input and a log shorter than one window; each
+// must equal the reference, as a non-nil slice.
 func TestDetectLogMatchesReference(t *testing.T) {
 	clfA, malA := trainStream(t, 32)
 	logsB := genLogs(t, "winscp_reverse_https", 33)
@@ -169,7 +170,11 @@ func TestDetectLogMatchesReference(t *testing.T) {
 		{"B on A", clfB, malA},
 		{"A on A again", clfA, malA},
 	}
-	for name, log := range memoInputs(malA) {
+	inputs := memoInputs(malA)
+	short := *malA
+	short.Events = malA.Events[:clfA.window-1]
+	inputs["short log"] = &short
+	for name, log := range inputs {
 		runs = append(runs, struct {
 			name string
 			clf  *Classifier
@@ -180,6 +185,9 @@ func TestDetectLogMatchesReference(t *testing.T) {
 		got, err := r.clf.DetectLog(r.log)
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
+		}
+		if got == nil {
+			t.Errorf("%s: DetectLog returned nil, want a non-nil slice even without windows", r.name)
 		}
 		if want := referenceDetect(t, r.clf, r.log); !slices.Equal(got, want) {
 			t.Errorf("%s: DetectLog differs from the reference (%d vs %d detections)", r.name, len(got), len(want))
@@ -230,19 +238,18 @@ var featurizeCounters = []string{
 	"preprocess_encoded_events_total",
 }
 
-func counterValues() []uint64 {
-	out := make([]uint64, len(featurizeCounters))
-	for i, name := range featurizeCounters {
-		out[i] = telemetry.Default().Counter(name, "").Value()
+// counterDelta runs fn and returns how far it moved each named counter.
+func counterDelta(names []string, fn func()) []uint64 {
+	read := func() []uint64 {
+		out := make([]uint64, len(names))
+		for i, name := range names {
+			out[i] = telemetry.Default().Counter(name, "").Value()
+		}
+		return out
 	}
-	return out
-}
-
-// counterDelta runs fn and returns how far it moved each counter.
-func counterDelta(fn func()) []uint64 {
-	before := counterValues()
+	before := read()
 	fn()
-	after := counterValues()
+	after := read()
 	for i := range after {
 		after[i] -= before[i]
 	}
@@ -258,7 +265,7 @@ func TestFeaturizeCounters(t *testing.T) {
 	}
 	clf, mal := trainStream(t, 35)
 	log := memoInputs(mal)["stackless"]
-	want := counterDelta(func() {
+	want := counterDelta(featurizeCounters, func() {
 		part, err := partition.SplitInto(log, &partition.Scratch{})
 		if err != nil {
 			t.Fatal(err)
@@ -270,7 +277,7 @@ func TestFeaturizeCounters(t *testing.T) {
 			t.Fatalf("reference moved %s by 0; the check would be vacuous", name)
 		}
 	}
-	got := counterDelta(func() {
+	got := counterDelta(featurizeCounters, func() {
 		if _, err := clf.DetectLog(log); err != nil {
 			t.Fatal(err)
 		}
@@ -282,14 +289,85 @@ func TestFeaturizeCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = counterDelta(func() { feedAll(t, s, log.Events) })
+	got = counterDelta(featurizeCounters, func() { feedAll(t, s, log.Events) })
 	if !slices.Equal(got, want) {
 		t.Errorf("Feed moved %v by %v, reference %v", featurizeCounters, got, want)
 	}
 }
 
+// windowCounters are the counters detection moves per event and window.
+var windowCounters = []string{
+	"preprocess_windows_total",
+	"preprocess_tail_events_total",
+	"core_detect_windows_total",
+	"core_detect_malicious_total",
+	"core_stream_events_total",
+	"core_stream_windows_total",
+	"core_stream_malicious_total",
+}
+
+// TestDetectionWindowCounters checks the window counters of DetectLog and
+// Feed in both modes on a log with a partial trailing window: batch
+// detection counts core_detect_* and never core_stream_*, Feed the
+// reverse, and only the WSVM coalesces windows. Batch detection also
+// counts the partial window it drops; a stream keeps it open.
+func TestDetectionWindowCounters(t *testing.T) {
+	if !telemetry.Enabled() {
+		t.Skip("telemetry disabled")
+	}
+	clf, mal := trainStream(t, 39)
+	log := *mal
+	log.Events = mal.Events[:len(mal.Events)/clf.window*clf.window-3]
+	events, wins, tail := uint64(len(log.Events)), uint64(len(log.Events)/clf.window), uint64(clf.window-3)
+	degraded := &Monitor{cg: clf.cg, window: clf.window}
+	flagged := func(dets []Detection) uint64 {
+		var n uint64
+		for _, d := range dets {
+			if d.Malicious {
+				n++
+			}
+		}
+		if n == 0 {
+			t.Fatal("reference flags no window; the malicious counters would be vacuous")
+		}
+		return n
+	}
+	wsvmMal := flagged(referenceDetect(t, clf, &log))
+	cgMal := flagged(referenceDegraded(t, clf.cg, clf.window, &log))
+	feed := func(m *Monitor) func() {
+		return func() {
+			s, err := m.Stream(log.Modules)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedAll(t, s, log.Events)
+		}
+	}
+	detect := func(m *Monitor) func() {
+		return func() {
+			if _, err := m.DetectLog(&log); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		run  func()
+		want []uint64
+	}{
+		{"DetectLog", detect(NewMonitor(clf)), []uint64{wins, tail, wins, wsvmMal, 0, 0, 0}},
+		{"degraded DetectLog", detect(degraded), []uint64{0, 0, wins, cgMal, 0, 0, 0}},
+		{"Feed", feed(NewMonitor(clf)), []uint64{wins, 0, 0, 0, events, wins, wsvmMal}},
+		{"degraded Feed", feed(degraded), []uint64{0, 0, 0, 0, events, wins, cgMal}},
+	} {
+		if got := counterDelta(windowCounters, c.run); !slices.Equal(got, c.want) {
+			t.Errorf("%s moved %v by %v, want %v", c.name, windowCounters, got, c.want)
+		}
+	}
+}
+
 // TestFeaturizeConcurrent runs DetectLog from several goroutines on
-// different logs and classifiers, sharing the scratch pool, while one
+// different logs and classifiers, sharing the detector pool, while one
 // detector is fed with a checkpoint taken and restored concurrently.
 // Every result must equal the reference; run it under -race.
 func TestFeaturizeConcurrent(t *testing.T) {
@@ -372,13 +450,13 @@ func TestFeaturizeConcurrent(t *testing.T) {
 }
 
 // TestDetectLogAllocs pins a warm DetectLog's allocation count: once the
-// pooled scratch has grown, a call allocates only its spans and the
+// pooled detector has grown, a call allocates only its span and the
 // returned Detection slice.
 func TestDetectLogAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled scratch at random under -race")
 	}
-	const detectLogAllocBudget = 12 // allocs per call
+	const detectLogAllocBudget = 3 // allocs per call
 	clf, mal := trainStream(t, 38)
 	if _, err := clf.DetectLog(mal); err != nil {
 		t.Fatal(err)

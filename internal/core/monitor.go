@@ -1,11 +1,12 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 
 	"repro/internal/callgraph"
-	"repro/internal/partition"
 	"repro/internal/trace"
 )
 
@@ -59,9 +60,17 @@ func LoadMonitor(r io.Reader) (*Monitor, error) {
 	if err != nil {
 		return nil, err
 	}
+	return f.monitor()
+}
+
+// monitor is the one acceptance rule of LoadMonitor and InspectBundle:
+// the classifier when its statistical sections decode, else the
+// call-graph fallback, else an error — the typed FallbackUnavailableError
+// when the file carries no call-graph section at all.
+func (f classifierFile) monitor() (*Monitor, error) {
 	clf, cerr := f.classifier()
 	if cerr == nil {
-		return &Monitor{clf: clf, cg: clf.cg, window: clf.window}, nil
+		return NewMonitor(clf), nil
 	}
 	cg, gerr := f.callGraph()
 	if gerr != nil {
@@ -97,17 +106,11 @@ func InspectBundle(r io.Reader) (BundleInfo, error) {
 	if err != nil {
 		return BundleInfo{}, err
 	}
-	info := BundleInfo{Version: f.Version, Window: f.Window}
-	if _, cerr := f.classifier(); cerr != nil {
-		if _, gerr := f.callGraph(); gerr != nil {
-			if len(f.CallGraph) == 0 {
-				return BundleInfo{}, &FallbackUnavailableError{Version: f.Version, Cause: cerr}
-			}
-			return BundleInfo{}, fmt.Errorf("core: no usable model: %w (call-graph fallback: %v)", cerr, gerr)
-		}
-		info.Degraded = true
+	m, err := f.monitor()
+	if err != nil {
+		return BundleInfo{}, err
 	}
-	return info, nil
+	return BundleInfo{Version: f.Version, Window: f.Window, Degraded: m.Degraded()}, nil
 }
 
 // Degraded reports whether the monitor fell back to the call-graph
@@ -128,30 +131,19 @@ func (m *Monitor) Classifier() *Classifier { return m.clf }
 // DetectLog classifies a full log, batch-style. In degraded mode each
 // window is scored by the call-graph vote margin (see degradedDetection).
 func (m *Monitor) DetectLog(log *trace.Log) ([]Detection, error) {
-	if m.clf != nil {
-		return m.clf.DetectLog(log)
-	}
-	part, err := partition.Split(log)
-	if err != nil {
-		return nil, err
-	}
-	n := part.Len() / m.window
-	out := make([]Detection, 0, n)
-	for w := 0; w < n; w++ {
-		first := w * m.window
-		evs := part.Events[first : first+m.window]
-		out = append(out, degradedDetection(m.cg, evs, first, first+m.window-1))
-	}
-	return out, nil
+	return m.detectLog(context.Background(), log)
 }
 
-// Stream starts a streaming session (degraded sessions score windows with
-// the call-graph baseline).
+// Stream starts a streaming session for one process, identified by its
+// module map (degraded sessions score windows with the call-graph
+// baseline).
 func (m *Monitor) Stream(modules *trace.ModuleMap) (*StreamDetector, error) {
-	if m.clf != nil {
-		return m.clf.Stream(modules)
+	if modules == nil {
+		return nil, errors.New("core: nil module map")
 	}
-	return newStream(nil, m.cg, m.window, modules)
+	s := new(StreamDetector)
+	s.reset(m.clf, m.cg, m.window, modules.AppName(), 0, modules)
+	return s, nil
 }
 
 // RestoreStream starts a streaming session and resumes it from a

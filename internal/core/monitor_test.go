@@ -4,9 +4,30 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/callgraph"
+	"repro/internal/partition"
+	"repro/internal/trace"
 )
+
+// referenceDegraded is degraded batch detection on the reference path:
+// the whole log partitioned at once, then every full window scored by
+// call-graph vote margin.
+func referenceDegraded(t *testing.T, cg *callgraph.Model, window int, log *trace.Log) []Detection {
+	t.Helper()
+	part, err := partition.Split(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]Detection, 0, part.Len()/window)
+	for first := 0; first+window <= part.Len(); first += window {
+		out = append(out, degradedDetection(cg, part.Events[first:first+window], first, first+window-1))
+	}
+	return out
+}
 
 // saveFile round-trips a classifier through Save and re-decodes the
 // envelope so tests can corrupt individual sections.
@@ -77,25 +98,21 @@ func TestLoadMonitorDegradesToCallGraph(t *testing.T) {
 		t.Fatal("degraded monitor still exposes a classifier")
 	}
 
-	// Degraded batch detection runs and flags the malicious log.
+	// Degraded batch detection matches the reference and flags the
+	// malicious log.
+	want := referenceDegraded(t, mon.cg, mon.Window(), mal)
 	dets, err := mon.DetectLog(mal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dets) == 0 {
-		t.Fatal("degraded DetectLog produced no windows")
+	if !slices.Equal(dets, want) {
+		t.Fatalf("degraded DetectLog differs from the reference (%d vs %d detections)", len(dets), len(want))
 	}
-	var malicious int
-	for _, d := range dets {
-		if d.Malicious {
-			malicious++
-		}
-	}
-	if malicious == 0 {
+	if !slices.ContainsFunc(dets, func(d Detection) bool { return d.Malicious }) {
 		t.Error("degraded call-graph matcher flagged nothing in the pure-malicious log")
 	}
 
-	// Degraded streaming matches degraded batch.
+	// Degraded streaming matches the reference too.
 	stream, err := mon.Stream(mal.Modules)
 	if err != nil {
 		t.Fatal(err)
@@ -103,23 +120,34 @@ func TestLoadMonitorDegradesToCallGraph(t *testing.T) {
 	if !stream.Degraded() {
 		t.Fatal("stream from degraded monitor is not degraded")
 	}
-	var streamed []Detection
-	for _, e := range mal.Events {
-		det, err := stream.Feed(e)
-		if err != nil {
+	if streamed := feedAll(t, stream, mal.Events); !slices.Equal(streamed, want) {
+		t.Fatalf("degraded Feed differs from the reference (%d vs %d detections)", len(streamed), len(want))
+	}
+}
+
+// TestDegradedDetectLogAllocs pins a warm degraded DetectLog's allocation
+// count. The call-graph matcher's per-edge strings are nearly all of it;
+// the detector copies each window's frames into a slab it reuses, so it
+// adds no allocation per event.
+func TestDegradedDetectLogAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled detectors at random under -race")
+	}
+	// Allocations per call on this log; the whole-log Split that batch
+	// detection ran before it shared Feed's loop made 26,875.
+	const degradedAllocBudget = 26822
+	clf, mal := trainStream(t, 28)
+	mon := &Monitor{cg: clf.cg, window: clf.window}
+	if _, err := mon.DetectLog(mal); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := mon.DetectLog(mal); err != nil {
 			t.Fatal(err)
 		}
-		if det != nil {
-			streamed = append(streamed, *det)
-		}
-	}
-	if len(streamed) != len(dets) {
-		t.Fatalf("degraded stream %d detections, batch %d", len(streamed), len(dets))
-	}
-	for i := range dets {
-		if streamed[i] != dets[i] {
-			t.Fatalf("degraded detection %d: stream %+v vs batch %+v", i, streamed[i], dets[i])
-		}
+	})
+	if allocs > degradedAllocBudget {
+		t.Errorf("warm degraded DetectLog allocated %.0f times per call, budget %d", allocs, degradedAllocBudget)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"repro/internal/metrics"
-	"repro/internal/partition"
 	"repro/internal/preprocess"
 	"repro/internal/svm"
 	"repro/internal/telemetry"
@@ -35,30 +34,11 @@ func EvaluateOneClass(ctx context.Context, benign, malicious *trace.Log, config 
 	}
 	ctx, sp := telemetry.StartSpan(ctx, "oneclass")
 	defer sp.End()
-	var bp, mp *partition.Log
-	err := inParallel(resolveParallel(config.Parallel),
-		func() error {
-			_, sp := telemetry.StartSpan(ctx, "partition")
-			defer sp.End()
-			var err error
-			if bp, err = partition.Split(benign); err != nil {
-				return fmt.Errorf("core: partitioning benign log: %w", err)
-			}
-			return nil
-		},
-		func() error {
-			_, sp := telemetry.StartSpan(ctx, "partition")
-			defer sp.End()
-			var err error
-			if mp, err = partition.Split(malicious); err != nil {
-				return fmt.Errorf("core: partitioning malicious log: %w", err)
-			}
-			return nil
-		},
-	)
+	parts, err := partitionLogs(ctx, resolveParallel(config.Parallel), []string{"benign", "malicious"}, benign, malicious)
 	if err != nil {
 		return metrics.Summary{}, err
 	}
+	bp, mp := parts[0], parts[1]
 	// The encoder sees only benign events: a deployment without any
 	// infected training material.
 	enc, err := preprocess.FitContext(ctx, bp.Events, config.Preprocess)
@@ -75,16 +55,7 @@ func EvaluateOneClass(ctx context.Context, benign, malicious *trace.Log, config 
 	}
 
 	rng := rand.New(rand.NewSource(config.Seed))
-	perm := rng.Perm(len(benignWins))
-	nTrain := int(float64(len(benignWins)) * config.TrainFraction)
-	var train, test []window
-	for i, p := range perm {
-		if i < nTrain {
-			train = append(train, benignWins[p])
-		} else {
-			test = append(test, benignWins[p])
-		}
-	}
+	train, test := splitBenign(rng, benignWins, config.TrainFraction)
 	trainSample, err := sampleWindows(rng, train, config.SampleFraction)
 	if err != nil {
 		return metrics.Summary{}, fmt.Errorf("sampling benign training windows: %w", err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -45,7 +46,8 @@ func (e *EventError) Unwrap() error { return e.Cause }
 // StreamDetector applies a trained model to a live event stream: feed
 // events as the logger produces them and receive a Detection whenever a
 // window completes. This is the production-monitoring shape of the testing
-// phase (DetectLog is the batch equivalent).
+// phase; DetectLog, its batch form, runs the same window loop over a whole
+// log.
 //
 // The detector is crash-safe: Checkpoint serialises the in-flight window
 // state and RestoreStream resumes it, producing the same window boundaries
@@ -65,53 +67,48 @@ type StreamDetector struct {
 	cg     *callgraph.Model // scores windows when clf is nil
 	window int
 	// buf holds the encoded tuples of the open window (WSVM mode);
-	// evbuf holds its partitioned events (degraded mode).
-	buf   []preprocess.Tuple
-	evbuf []partition.Event
+	// evbuf holds its partitioned events (degraded mode), whose stack
+	// traces live in frames until the window closes.
+	buf    []preprocess.Tuple
+	evbuf  []partition.Event
+	frames trace.StackWalk
 	// consumed counts every event ever fed, skipped counts the subset
 	// excluded by per-event errors; winStart is the ordinal of the first
 	// event in the open window.
 	consumed int
 	skipped  int
 	winStart int
-	// Ingest scratch, recycled every Feed call: the featurizer (its
-	// partition and encoder scratch and its stack-walk memo) and the
-	// flattened/scaled window vectors. Anything retained across calls
-	// (evbuf, checkpoints) must be deep-copied out of these buffers; the
-	// memo is derived state and never leaves the detector.
+	// Ingest scratch, recycled every event: the featurizer (its partition
+	// and encoder scratch and its stack-walk memo) and the flattened and
+	// scaled window vectors. Anything retained across events must be
+	// copied out of these buffers; the memo is derived state and never
+	// leaves the detector.
 	feat   featurizer
 	winVec []float64
 	svec   []float64
 }
 
-// newStream builds a detector for one process; clf is nil in degraded
-// mode.
-func newStream(clf *Classifier, cg *callgraph.Model, window int, modules *trace.ModuleMap) (*StreamDetector, error) {
-	if modules == nil {
-		return nil, errors.New("core: nil module map")
-	}
-	s := &StreamDetector{clf: clf, cg: cg, window: window}
-	s.feat.reset(modules.AppName(), 0, modules)
-	return s, nil
+// reset points the detector at a new stream of one process scored by
+// the given model. Buffers and counters start empty, and so does the
+// memo, which is only valid for one module map and one encoder; the
+// scratch memory is kept.
+func (s *StreamDetector) reset(clf *Classifier, cg *callgraph.Model, window int, app string, pid int, modules *trace.ModuleMap) {
+	s.clf, s.cg, s.window = clf, cg, window
+	s.buf, s.evbuf, s.frames = s.buf[:0], s.evbuf[:0], s.frames[:0]
+	s.consumed, s.skipped, s.winStart = 0, 0, 0
+	s.feat.reset(app, pid, modules)
 }
 
 // Stream starts a streaming session for one process, identified by its
 // module map (needed to partition stack walks).
 func (c *Classifier) Stream(modules *trace.ModuleMap) (*StreamDetector, error) {
-	return newStream(c, c.cg, c.window, modules)
+	return NewMonitor(c).Stream(modules)
 }
 
 // RestoreStream starts a streaming session and resumes it from a
 // checkpoint written by StreamDetector.Checkpoint.
 func (c *Classifier) RestoreStream(modules *trace.ModuleMap, r io.Reader) (*StreamDetector, error) {
-	s, err := c.Stream(modules)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.restore(r); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return NewMonitor(c).RestoreStream(modules, r)
 }
 
 // Feed consumes one event. It returns a non-nil Detection when the event
@@ -120,32 +117,63 @@ func (c *Classifier) RestoreStream(modules *trace.ModuleMap, r io.Reader) (*Stre
 func (s *StreamDetector) Feed(e trace.Event) (*Detection, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	mStreamEvents.Inc()
+	det, ok, err := s.feed(&e)
+	s.feat.flush()
+	if err != nil {
+		mStreamSkipped.Inc()
+		return nil, err
+	}
+	if !ok {
+		return nil, nil
+	}
+	mStreamWindows.Inc()
+	if det.Malicious {
+		mStreamMalicious.Inc()
+	}
+	// Escaping a copy allocates once per window; escaping det itself
+	// would allocate on every call.
+	out := det
+	return &out, nil
+}
+
+// feed is the testing phase's one window loop step, shared by Feed and
+// DetectLog: it featurizes one event into the open window and scores the
+// window once it is full, with the WSVM or, in degraded mode, the
+// call-graph baseline. It reports whether the event completed a window;
+// an *EventError means the event was skipped. Callers hold s.mu or own
+// the detector, and flush the featurizer's telemetry.
+func (s *StreamDetector) feed(e *trace.Event) (Detection, bool, error) {
 	ord := s.consumed
 	s.consumed++
-	mStreamEvents.Inc()
 	if s.clf == nil {
 		// Call-graph scoring needs the split traces, so degraded mode
 		// always partitions.
-		pe, err := s.feat.split(&e)
+		pe, err := s.feat.split(e)
 		if err != nil {
-			return nil, s.skip(ord, err)
+			return Detection{}, false, s.skip(ord, err)
 		}
 		if len(s.evbuf) == 0 {
 			s.winStart = ord
 		}
-		return s.feedDegraded(pe, ord)
+		s.evbuf = append(s.evbuf, s.own(pe))
+		if len(s.evbuf) < s.window {
+			return Detection{}, false, nil
+		}
+		det := degradedDetection(s.cg, s.evbuf, s.winStart, ord)
+		s.evbuf, s.frames = s.evbuf[:0], s.frames[:0]
+		return det, true, nil
 	}
-	t, err := s.feat.tuple(s.clf.enc, &e)
-	s.feat.flush()
+	t, err := s.feat.tuple(s.clf.enc, e)
 	if err != nil {
-		return nil, s.skip(ord, err)
+		return Detection{}, false, s.skip(ord, err)
 	}
 	if len(s.buf) == 0 {
 		s.winStart = ord
 	}
 	s.buf = append(s.buf, t)
 	if len(s.buf) < s.window {
-		return nil, nil
+		return Detection{}, false, nil
 	}
 	// The buffer holds exactly one window; flatten and scale it in place.
 	s.winVec = preprocess.FlattenWindow(s.winVec[:0], s.buf)
@@ -156,46 +184,84 @@ func (s *StreamDetector) Feed(e trace.Event) (*Detection, error) {
 	if s.clf.platt != nil {
 		pMal = 1 - s.clf.platt.Probability(score)
 	}
-	mStreamWindows.Inc()
-	if score < 0 {
-		mStreamMalicious.Inc()
-	}
-	return &Detection{
+	return Detection{
 		FirstEvent:  s.winStart,
 		LastEvent:   ord,
 		Score:       score,
 		Probability: pMal,
 		Malicious:   score < 0,
-	}, nil
+	}, true, nil
+}
+
+// detectorPool recycles the detectors batch detection runs. Everything a
+// detector holds is consumed before detectLog returns — only the fresh
+// Detection slice escapes — so pooling keeps concurrent detections (serve
+// workers, shadow canary) safe while the steady state stays nearly
+// allocation-free.
+var detectorPool = sync.Pool{New: func() any { return new(StreamDetector) }}
+
+// detectLog is batch detection: the log's events fed in order through a
+// pooled detector reset for this log, so windows start at multiples of
+// the window width. It stops at the first event the detector would skip.
+func (m *Monitor) detectLog(ctx context.Context, log *trace.Log) ([]Detection, error) {
+	_, sp := telemetry.StartSpan(ctx, "detect")
+	defer sp.End()
+	if log == nil {
+		return nil, errors.New("core: nil log")
+	}
+	if log.Modules == nil {
+		return nil, errors.New("core: log has no module map")
+	}
+	s := detectorPool.Get().(*StreamDetector)
+	defer detectorPool.Put(s)
+	s.reset(m.clf, m.cg, m.window, log.App, log.PID, log.Modules)
+	defer s.feat.flush()
+	out := make([]Detection, 0, len(log.Events)/m.window)
+	var malicious uint64
+	for i := range log.Events {
+		det, ok, err := s.feed(&log.Events[i])
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, det)
+			if det.Malicious {
+				malicious++
+			}
+		}
+	}
+	if m.clf != nil {
+		preprocess.CreditTail(s.pending())
+	}
+	mDetectWindows.Add(uint64(len(out)))
+	mDetectMalicious.Add(malicious)
+	return out, nil
 }
 
 // skip counts event ord as consumed but excluded from windows.
 func (s *StreamDetector) skip(ord int, cause error) error {
 	s.skipped++
-	mStreamSkipped.Inc()
 	return &EventError{Ordinal: ord, Cause: cause}
 }
 
-// feedDegraded buffers the partitioned event and scores completed windows
-// with the call-graph baseline.
-func (s *StreamDetector) feedDegraded(pe *partition.Event, ord int) (*Detection, error) {
-	// pe points into the Feed scratch arena, which the next Feed call
-	// recycles — but evbuf outlives this call (and is gob-encoded by
-	// Checkpoint), so the stack walks must be deep-copied out.
+// own copies a partitioned event out of the featurizer's scratch, which
+// the next event recycles, for the open degraded window: its stack traces
+// move into the frames slab, which is truncated when the window closes.
+// Slab growth leaves earlier events on the old backing, which append
+// never mutates.
+func (s *StreamDetector) own(pe *partition.Event) partition.Event {
 	pc := *pe
-	pc.AppTrace = pe.AppTrace.Clone()
-	pc.SysTrace = pe.SysTrace.Clone()
-	s.evbuf = append(s.evbuf, pc)
-	if len(s.evbuf) < s.window {
-		return nil, nil
+	pc.AppTrace, pc.SysTrace = s.ownFrames(pe.AppTrace), s.ownFrames(pe.SysTrace)
+	return pc
+}
+
+func (s *StreamDetector) ownFrames(w trace.StackWalk) trace.StackWalk {
+	if len(w) == 0 {
+		return nil
 	}
-	det := degradedDetection(s.cg, s.evbuf, s.winStart, ord)
-	s.evbuf = s.evbuf[:0]
-	mStreamWindows.Inc()
-	if det.Malicious {
-		mStreamMalicious.Inc()
-	}
-	return &det, nil
+	n := len(s.frames)
+	s.frames = append(s.frames, w...)
+	return s.frames[n:len(s.frames):len(s.frames)]
 }
 
 // degradedDetection scores one window by call-graph vote margin: the score

@@ -12,45 +12,28 @@ import (
 	"repro/internal/trace"
 )
 
+// TestStreamMatchesBatch feeds a log and runs DetectLog on it; since
+// DetectLog runs the stream's window loop, both are held to the
+// reference path rather than to each other.
 func TestStreamMatchesBatch(t *testing.T) {
-	logs := genLogs(t, "vim_reverse_tcp", 21)
-	td, err := BuildTrainingData(logs.Benign, logs.Mixed, fastConfig(21))
+	clf, mal := trainStream(t, 21)
+	want := referenceDetect(t, clf, mal)
+	batch, err := clf.DetectLog(mal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clf, err := td.Train()
+	if !slices.Equal(batch, want) {
+		t.Fatalf("DetectLog differs from the reference (%d vs %d detections)", len(batch), len(want))
+	}
+	stream, err := clf.Stream(mal.Modules)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := clf.DetectLog(logs.Malicious)
-	if err != nil {
-		t.Fatal(err)
+	if streamed := feedAll(t, stream, mal.Events); !slices.Equal(streamed, want) {
+		t.Fatalf("Feed differs from the reference (%d vs %d detections)", len(streamed), len(want))
 	}
-
-	stream, err := clf.Stream(logs.Malicious.Modules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed []Detection
-	for _, e := range logs.Malicious.Events {
-		det, err := stream.Feed(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if det != nil {
-			streamed = append(streamed, *det)
-		}
-	}
-	if len(streamed) != len(batch) {
-		t.Fatalf("streamed %d detections, batch %d", len(streamed), len(batch))
-	}
-	for i := range batch {
-		if streamed[i] != batch[i] {
-			t.Fatalf("detection %d: stream %+v vs batch %+v", i, streamed[i], batch[i])
-		}
-	}
-	if stream.Pending() >= 10 {
-		t.Errorf("Pending() = %d after full drain", stream.Pending())
+	if stream.Pending() != len(mal.Events)%clf.window {
+		t.Errorf("Pending() = %d after full drain, want %d", stream.Pending(), len(mal.Events)%clf.window)
 	}
 }
 

@@ -60,44 +60,25 @@ func BuildUniversalTrainingData(ctx context.Context, pairs []LogPair, config Con
 	par := resolveParallel(config.Parallel)
 
 	// Partition every pair's logs; independent across pairs and sides.
-	parts := make([][2]*partition.Log, len(pairs))
-	partTasks := make([]func() error, 0, 2*len(pairs))
+	names := make([]string, 0, 2*len(pairs))
+	logs := make([]*trace.Log, 0, 2*len(pairs))
 	for i, p := range pairs {
 		if p.Benign == nil || p.Mixed == nil {
 			return nil, fmt.Errorf("core: pair %d has a nil log", i)
 		}
-		i, p := i, p
-		partTasks = append(partTasks,
-			func() error {
-				_, sp := telemetry.StartSpan(ctx, "partition")
-				defer sp.End()
-				var err error
-				if parts[i][0], err = partition.Split(p.Benign); err != nil {
-					return fmt.Errorf("core: pair %d: %w", i, err)
-				}
-				return nil
-			},
-			func() error {
-				_, sp := telemetry.StartSpan(ctx, "partition")
-				defer sp.End()
-				var err error
-				if parts[i][1], err = partition.Split(p.Mixed); err != nil {
-					return fmt.Errorf("core: pair %d: %w", i, err)
-				}
-				return nil
-			},
-		)
+		names = append(names, fmt.Sprintf("pair %d benign", i), fmt.Sprintf("pair %d mixed", i))
+		logs = append(logs, p.Benign, p.Mixed)
 	}
-	if err := inParallel(par, partTasks...); err != nil {
+	parts, err := partitionLogs(ctx, par, names, logs...)
+	if err != nil {
 		return nil, err
 	}
 
 	// The shared encoder is the one barrier: it must see every
 	// application's events before any windows are encoded.
 	var fitEvents []partition.Event
-	for i := range parts {
-		fitEvents = append(fitEvents, parts[i][0].Events...)
-		fitEvents = append(fitEvents, parts[i][1].Events...)
+	for _, part := range parts {
+		fitEvents = append(fitEvents, part.Events...)
 	}
 	enc, err := preprocess.FitContext(ctx, fitEvents, config.Preprocess)
 	if err != nil {
@@ -109,7 +90,7 @@ func BuildUniversalTrainingData(ctx context.Context, pairs []LogPair, config Con
 	for i := range pairs {
 		i := i
 		appTasks[i] = func() error {
-			art, err := buildArtifactsFromParts(ctx, parts[i][0], parts[i][1], enc, config)
+			art, err := buildArtifactsFromParts(ctx, parts[2*i], parts[2*i+1], enc, config)
 			if err != nil {
 				return fmt.Errorf("core: pair %d: %w", i, err)
 			}
@@ -130,67 +111,12 @@ func (u *UniversalTrainingData) Train(ctx context.Context) (*Classifier, error) 
 	defer sp.End()
 	rng := rand.New(rand.NewSource(u.cfg.Seed + 1))
 	var prob svm.Problem
-	var raw [][]float64
 	for _, td := range u.PerApp {
-		sel := td.sel
-		benign, err := sampleWindows(rng, sel.benignTrain, u.cfg.SampleFraction)
-		if err != nil {
-			return nil, fmt.Errorf("sampling benign training windows: %w", err)
-		}
-		for _, w := range benign {
-			raw = append(raw, w.vec)
-			prob.Y = append(prob.Y, 1)
-			prob.Weight = append(prob.Weight, 1)
-		}
-		picks, err := sampleIndices(rng, len(td.mixed), u.cfg.SampleFraction)
-		if err != nil {
-			return nil, fmt.Errorf("sampling mixed training windows: %w", err)
-		}
-		for _, p := range picks {
-			raw = append(raw, td.mixed[p].vec)
-			prob.Y = append(prob.Y, -1)
-			prob.Weight = append(prob.Weight, sel.mixedWeight[p])
-		}
-	}
-	scaler, err := svm.FitScaler(raw)
-	if err != nil {
-		return nil, err
-	}
-	prob.X = scaler.ApplyAll(raw)
-	if err := prob.Validate(); err != nil {
-		return nil, err
-	}
-	var params svm.Params
-	if u.cfg.FixedParams != nil {
-		params = *u.cfg.FixedParams
-	} else {
-		grid := u.cfg.Grid
-		grid.Seed = u.cfg.Seed
-		if grid.Parallel == 0 {
-			grid.Parallel = u.cfg.Parallel
-		}
-		_, spG := telemetry.StartSpan(ctx, "gridsearch")
-		best, _, err := svm.GridSearch(prob, grid)
-		spG.End()
-		if err != nil {
+		if _, _, err := td.sel.draw(rng, true, &prob); err != nil {
 			return nil, err
 		}
-		params = best
 	}
-	_, spT := telemetry.StartSpan(ctx, "smo")
-	model, err := svm.Train(prob, params)
-	spT.End()
-	if err != nil {
-		return nil, err
-	}
-	return &Classifier{
-		enc:    u.Encoder,
-		scaler: scaler,
-		model:  model,
-		platt:  fitPlatt(model, prob),
-		window: u.cfg.Window,
-		params: params,
-	}, nil
+	return fit(ctx, prob, u.Encoder, u.cfg, u.cfg.Seed)
 }
 
 // EvaluateUniversal trains the universal classifier on all pairs and tests
@@ -212,14 +138,19 @@ func EvaluateUniversal(ctx context.Context, pairs []LogPair, malicious []*trace.
 	config = config.withDefaults()
 	rng := rand.New(rand.NewSource(config.Seed + 2))
 
+	names := make([]string, len(malicious))
+	for i := range names {
+		names[i] = fmt.Sprintf("pair %d malicious", i)
+	}
+	malParts, err := partitionLogs(ctx, resolveParallel(config.Parallel), names, malicious...)
+	if err != nil {
+		return nil, metrics.Summary{}, err
+	}
+
 	var pooled metrics.Confusion
 	perApp := make([]metrics.Summary, len(pairs))
 	for i, td := range u.PerApp {
-		malPart, err := partition.Split(malicious[i])
-		if err != nil {
-			return nil, metrics.Summary{}, err
-		}
-		malWins, err := coalesce(u.Encoder, malPart, config.Window)
+		malWins, err := coalesce(u.Encoder, malParts[i], config.Window)
 		if err != nil {
 			return nil, metrics.Summary{}, err
 		}
@@ -231,9 +162,7 @@ func EvaluateUniversal(ctx context.Context, pairs []LogPair, malicious []*trace.
 		if err != nil {
 			return nil, metrics.Summary{}, fmt.Errorf("sampling malicious test windows: %w", err)
 		}
-		var conf metrics.Confusion
-		clf.classifyWindows(testBenign, true, &conf)
-		clf.classifyWindows(testMal, false, &conf)
+		conf, _ := clf.test(testBenign, testMal)
 		perApp[i] = conf.Summary()
 		pooled.TP += conf.TP
 		pooled.TN += conf.TN

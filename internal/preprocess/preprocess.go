@@ -283,6 +283,11 @@ func CoalesceInto(wb *WindowBuf, tuples []Tuple, window int) error {
 	return nil
 }
 
+// CreditTail adds n events to the trailing-partial-window counter, for
+// callers that window tuples one FlattenWindow at a time instead of
+// through CoalesceInto and must still count the tail they drop.
+func CreditTail(n int) { mTailDropped.Add(uint64(n)) }
+
 // FlattenWindow flattens exactly one window of tuples into dst (pass
 // dst[:0] to reuse it) — the streaming detector's single-window
 // counterpart of Coalesce, counted as one coalesced window.

@@ -370,8 +370,25 @@ func TestServeEvictionAndLazyRestore(t *testing.T) {
 	res := ingest(t, ts, info.ID, EventSpecsOf(mal.Events[:cut]))
 	got := append([]Verdict{}, res.Verdicts...)
 
-	// Force the janitor's decision directly: everything is "idle" from
-	// one hour in the future.
+	// The worker replies before its next pop clears scheduled, so the
+	// session can still be mid-turn when ingest returns, and eviction
+	// rightly skips a session with a turn in flight. Wait for the turn to
+	// end, then force the janitor's decision once: everything is "idle"
+	// from one hour in the future.
+	s.sessMu.RLock()
+	sess := s.sessions[info.ID]
+	s.sessMu.RUnlock()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		sess.mu.Lock()
+		idle := !sess.scheduled && len(sess.queue) == 0
+		sess.mu.Unlock()
+		if idle {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("session turn still running 10s after its ingest returned")
+		}
+	}
 	s.evictIdle(time.Now().Add(time.Hour))
 	s.sessMu.RLock()
 	resident := len(s.sessions)

@@ -42,16 +42,7 @@ func FitScaler(x [][]float64) (*Scaler, error) {
 // clamped to the range's projection behaviour (they simply fall outside
 // [0,1], which is fine for kernels). Constant columns map to 0.
 func (s *Scaler) Apply(v []float64) []float64 {
-	out := make([]float64, len(v))
-	for d := range v {
-		span := s.max[d] - s.min[d]
-		if span == 0 {
-			out[d] = 0
-			continue
-		}
-		out[d] = (v[d] - s.min[d]) / span
-	}
-	return out
+	return s.ApplyInto(make([]float64, 0, len(v)), v)
 }
 
 // ApplyInto scales v into dst, reusing dst's capacity (pass dst[:0] to
