@@ -22,15 +22,20 @@ race:
 # Short fuzz runs of the raw-log parser, seeded with fault-injected
 # corpora and held to a faithful WriteLogs round trip, of the event-batch
 # JSON decoder, cross-checked against encoding/json, of the traceparent
-# parser, held to a faithful round trip, and of streaming checkpoint
-# restore (the handoff import's decoder), held to a faithful Checkpoint
-# round trip and windows over fed events only — the CI smoke budget, not
-# a deep campaign.
+# parser, held to a faithful round trip, of streaming checkpoint restore,
+# held to a faithful Checkpoint round trip and windows over fed events
+# only, and of the session envelope decoder behind both spool restore
+# and handoff import, held to a faithful re-cut of the revived session —
+# the CI smoke budget, not a deep campaign. Envelope inputs are kilobytes
+# of JSON, so that target minimizes each new input for at most 100 runs:
+# the default 60 s minimization would spend the whole budget on the
+# first one.
 fuzz-smoke:
 	$(GO) test ./internal/etl -run='^$$' -fuzz=FuzzParseStrict -fuzztime=10s
 	$(GO) test ./internal/etl -run='^$$' -fuzz=FuzzParseLenient -fuzztime=10s
 	$(GO) test ./internal/etl -run='^$$' -fuzz=FuzzParseRoundTrip -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeEventBatch -fuzztime=10s
+	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzReviveSession -fuzztime=10s -fuzzminimizetime=100x
 	$(GO) test ./internal/telemetry -run='^$$' -fuzz=FuzzParseTraceParent -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzRestoreStream -fuzztime=10s
 

@@ -121,9 +121,13 @@ func TestRunServesScoresAndCheckpoints(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("server did not shut down on SIGTERM")
 	}
-	ids, err := core.SpooledSessions(spool)
-	if err != nil || len(ids) != 1 || ids[0] != info.ID {
-		t.Fatalf("spool after SIGTERM: ids=%v err=%v, want [%s]", ids, err, info.ID)
+	spooled, err := filepath.Glob(filepath.Join(spool, "*.ckpt"))
+	if err != nil || len(spooled) != 1 || filepath.Base(spooled[0]) != info.ID+".ckpt" {
+		t.Fatalf("spool after SIGTERM: %v (err %v), want one %s.ckpt envelope", spooled, err, info.ID)
+	}
+	var ex serve.SessionExport
+	if blob, err := os.ReadFile(spooled[0]); err != nil || json.Unmarshal(blob, &ex) != nil || ex.ID != info.ID {
+		t.Fatalf("spooled envelope for %s unreadable or names %q (err %v)", info.ID, ex.ID, err)
 	}
 
 	// A restarted server restores the session and keeps scoring it.

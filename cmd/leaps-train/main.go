@@ -39,12 +39,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -224,28 +224,15 @@ type modelSaver interface {
 	Save(w io.Writer) error
 }
 
-// saveModel writes the bundle atomically: the model is serialised to a
-// temporary file in the destination directory, synced, and renamed into
-// place. A crash or write error part-way through never leaves a partial
-// model observable at path.
+// saveModel writes the bundle atomically through registry.WriteFileAtomic:
+// a crash or a failed Save never leaves a partial model observable at
+// path.
 func saveModel(path string, clf modelSaver) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := clf.Save(&buf); err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if err := clf.Save(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return registry.WriteFileAtomic(path, buf.Bytes())
 }
 
 // publishModel pushes a saved bundle into the registry store.

@@ -255,7 +255,11 @@ func fit(ctx context.Context, prob svm.Problem, enc *preprocess.Encoder, cfg Con
 	if err != nil {
 		return nil, err
 	}
-	prob.X = scaler.ApplyAll(prob.X)
+	for i, v := range prob.X {
+		// Replace the row, never scale through it: rows alias the
+		// artifacts' window vectors.
+		prob.X[i] = scaler.ApplyInto(make([]float64, 0, len(v)), v)
+	}
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}

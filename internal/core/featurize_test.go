@@ -40,7 +40,7 @@ func referenceDetect(t *testing.T, c *Classifier, log *trace.Log) []Detection {
 	}
 	out := make([]Detection, len(vecs))
 	for i, v := range vecs {
-		score := c.model.Decision(c.scaler.ApplyAll([][]float64{v})[0])
+		score := c.model.Decision(c.scaler.ApplyInto(nil, v))
 		pMal := 0.5
 		if c.platt != nil {
 			pMal = 1 - c.platt.Probability(score)

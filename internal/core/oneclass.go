@@ -80,7 +80,10 @@ func EvaluateOneClass(ctx context.Context, benign, malicious *trace.Log, config 
 	if err != nil {
 		return metrics.Summary{}, err
 	}
-	scaled := scaler.ApplyAll(raw)
+	scaled := make([][]float64, len(raw))
+	for i, v := range raw {
+		scaled[i] = scaler.ApplyInto(make([]float64, 0, len(v)), v)
+	}
 	_, spT := telemetry.StartSpan(ctx, "smo")
 	model, err := svm.TrainOneClass(scaled, svm.OneClassParams{
 		Nu:     oneClassNu,

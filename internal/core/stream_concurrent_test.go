@@ -38,8 +38,8 @@ func feedAll(t *testing.T, s *StreamDetector, events []trace.Event) []Detection 
 }
 
 // TestConcurrentSessionsCheckpointRestore runs N sessions over one shared
-// classifier from N goroutines, each checkpointing to a spool mid-stream,
-// restoring, and continuing — the serving subsystem's access pattern.
+// classifier from N goroutines, each checkpointing mid-stream, restoring,
+// and continuing — the serving subsystem's access pattern.
 // Every session's verdicts must be byte-identical to an uninterrupted
 // serial run. Run under -race this also proves session independence: the
 // sessions share the classifier and module map but never each other's
@@ -48,7 +48,6 @@ func TestConcurrentSessionsCheckpointRestore(t *testing.T) {
 	clf, mal := trainStream(t, 44)
 	const sessions = 8
 	n := 4 * clf.window
-	dir := t.TempDir()
 
 	// Uninterrupted references, computed serially. Each session gets its
 	// own offset slice of the stream so their window contents differ.
@@ -70,7 +69,6 @@ func TestConcurrentSessionsCheckpointRestore(t *testing.T) {
 			defer wg.Done()
 			events := mal.Events[i : i+n]
 			cut := clf.window + 2 + i // interleave the checkpoint points
-			id := fmt.Sprintf("sess-%d", i)
 
 			s1, err := clf.Stream(mal.Modules)
 			if err != nil {
@@ -88,17 +86,12 @@ func TestConcurrentSessionsCheckpointRestore(t *testing.T) {
 					dets = append(dets, *det)
 				}
 			}
-			if err := WriteSpoolCheckpoint(dir, id, s1); err != nil {
+			var ckpt bytes.Buffer
+			if err := s1.Checkpoint(&ckpt); err != nil {
 				errs[i] = err
 				return
 			}
-			r, err := OpenSpoolCheckpoint(dir, id)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			s2, err := clf.RestoreStream(mal.Modules, r)
-			r.Close()
+			s2, err := clf.RestoreStream(mal.Modules, &ckpt)
 			if err != nil {
 				errs[i] = err
 				return

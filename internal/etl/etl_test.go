@@ -171,6 +171,7 @@ func TestParseCorruptInputs(t *testing.T) {
 		{"unknown tag", append([]byte("LETL\x01\x00"), 0x77)},
 		{"truncated mid-file", valid[:len(valid)/2]},
 		{"missing end", valid[:len(valid)-1]},
+		{"bytes after end", append(append([]byte{}, valid...), '0')},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -361,17 +361,18 @@ func (p *parser) parse() (*RawFile, error) {
 			return p.f, nil
 		}
 		if tag == recEnd {
-			if opts.Lenient {
-				// An end record is only trustworthy at end of input: a
-				// corrupted byte that happens to read 0xFF mid-stream must
-				// not silently discard everything after it.
-				if len(p.rd.peek(1)) > 0 {
-					if nerr := p.note(tagOff, tag, corrupt(errEarlyEnd)); nerr != nil {
-						return nil, nerr
-					}
-					p.resync()
-					continue
+			// An end record is only trustworthy at end of input: a
+			// corrupted byte that happens to read 0xFF mid-stream must
+			// not silently discard everything after it.
+			if len(p.rd.peek(1)) > 0 {
+				if !opts.Lenient {
+					return nil, corrupt(errEarlyEnd)
 				}
+				if nerr := p.note(tagOff, tag, corrupt(errEarlyEnd)); nerr != nil {
+					return nil, nerr
+				}
+				p.resync()
+				continue
 			}
 			p.f.Dropped += p.pending.len()
 			return p.f, nil

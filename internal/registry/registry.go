@@ -9,8 +9,8 @@
 // manifest pointer — current.json, the symlink-equivalent — names the
 // champion; every repoint is appended to an append-only history log, so
 // any prior entry remains one rollback away. All writes are atomic
-// (temp file + rename, the internal/core spool discipline), so a crash
-// mid-publish never leaves a torn bundle or a dangling pointer.
+// (WriteFileAtomic), so a crash mid-publish never leaves a torn bundle or
+// a dangling pointer.
 //
 // A Canary runs shadow evaluation: the serving path scores traffic with
 // the champion (whose verdicts are the ones returned) and asynchronously
@@ -166,10 +166,11 @@ func (s *Store) entryDir(id string) string {
 	return filepath.Join(s.root, entriesDir, id)
 }
 
-// writeFileAtomic lands blob at path via temp file + fsync + rename, the
-// spool discipline: a crash leaves the previous file or none, never a
-// truncated one.
-func writeFileAtomic(path string, blob []byte) (err error) {
+// WriteFileAtomic lands blob at path via a temp file in the same
+// directory, fsync and rename: a crash leaves the previous file or none,
+// never a truncated one, and a failed write removes its temp file. It is
+// the repository's one atomic file writer.
+func WriteFileAtomic(path string, blob []byte) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -247,7 +248,7 @@ func (s *Store) Publish(r io.Reader, train TrainInfo) (Manifest, error) {
 	if err := faultinject.Step("registry/publish/bundle"); err != nil {
 		return Manifest{}, fmt.Errorf("registry: writing bundle: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(dir, bundleFile), blob); err != nil {
+	if err := WriteFileAtomic(filepath.Join(dir, bundleFile), blob); err != nil {
 		return Manifest{}, fmt.Errorf("registry: writing bundle: %w", err)
 	}
 	manBlob, err := json.MarshalIndent(man, "", "  ")
@@ -260,7 +261,7 @@ func (s *Store) Publish(r io.Reader, train TrainInfo) (Manifest, error) {
 	if err := faultinject.Step("registry/publish/manifest"); err != nil {
 		return Manifest{}, fmt.Errorf("registry: writing manifest: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(dir, manifestFile), manBlob); err != nil {
+	if err := WriteFileAtomic(filepath.Join(dir, manifestFile), manBlob); err != nil {
 		return Manifest{}, fmt.Errorf("registry: writing manifest: %w", err)
 	}
 	mPublishes.Inc()
@@ -380,7 +381,7 @@ func (s *Store) SetCurrent(id, reason string) (Transition, error) {
 	if err := faultinject.Step("registry/setcurrent"); err != nil {
 		return Transition{}, fmt.Errorf("registry: repointing current: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(s.root, currentFile), blob); err != nil {
+	if err := WriteFileAtomic(filepath.Join(s.root, currentFile), blob); err != nil {
 		return Transition{}, fmt.Errorf("registry: repointing current: %w", err)
 	}
 	line, err := json.Marshal(tr)
@@ -466,7 +467,7 @@ func (s *Store) ImportEntry(man Manifest, blob []byte) error {
 	if err := faultinject.Step("registry/import/bundle"); err != nil {
 		return fmt.Errorf("registry: import %s: writing bundle: %w", man.ID, err)
 	}
-	if err := writeFileAtomic(filepath.Join(dir, bundleFile), blob); err != nil {
+	if err := WriteFileAtomic(filepath.Join(dir, bundleFile), blob); err != nil {
 		return fmt.Errorf("registry: import %s: writing bundle: %w", man.ID, err)
 	}
 	manBlob, err := json.MarshalIndent(man, "", "  ")
@@ -476,7 +477,7 @@ func (s *Store) ImportEntry(man Manifest, blob []byte) error {
 	if err := faultinject.Step("registry/import/manifest"); err != nil {
 		return fmt.Errorf("registry: import %s: writing manifest: %w", man.ID, err)
 	}
-	if err := writeFileAtomic(filepath.Join(dir, manifestFile), manBlob); err != nil {
+	if err := WriteFileAtomic(filepath.Join(dir, manifestFile), manBlob); err != nil {
 		return fmt.Errorf("registry: import %s: writing manifest: %w", man.ID, err)
 	}
 	mImports.Inc()
@@ -515,7 +516,7 @@ func (s *Store) SetCurrentMirror(ptr Pointer) (Transition, error) {
 	if err := faultinject.Step("registry/setcurrent/mirror"); err != nil {
 		return Transition{}, fmt.Errorf("registry: mirroring pointer: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(s.root, currentFile), blob); err != nil {
+	if err := WriteFileAtomic(filepath.Join(s.root, currentFile), blob); err != nil {
 		return Transition{}, fmt.Errorf("registry: mirroring pointer: %w", err)
 	}
 	line, err := json.Marshal(tr)

@@ -7,13 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -232,10 +229,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		if s.sessionTaken(spec.ID) {
-			writeError(w, http.StatusConflict, "session %q already exists", spec.ID)
-			return
-		}
 	}
 	m, err := s.resolveModel(spec.Model)
 	if err != nil {
@@ -271,22 +264,12 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		sess.id = newSessionID()
 	}
 	s.sessMu.Lock()
-	if len(s.sessions) >= s.cfg.MaxSessions {
-		s.sessMu.Unlock()
-		mRejected.With("session_limit").Inc()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable,
-			"session limit %d reached", s.cfg.MaxSessions)
-		return
-	}
-	if _, dup := s.sessions[sess.id]; dup {
-		s.sessMu.Unlock()
-		writeError(w, http.StatusConflict, "session %q already exists", sess.id)
-		return
-	}
-	s.sessions[sess.id] = sess
+	err = s.admit(sess, false)
 	s.sessMu.Unlock()
-	mSessionsActive.Add(1)
+	if err != nil {
+		refuse(w, err)
+		return
+	}
 	mSessionsCreated.Inc()
 	s.cfg.Logger.Info("session created",
 		"session", sess.id, "model", sess.model, "app", spec.App, "degraded", sess.degraded)
@@ -295,7 +278,9 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 // getSession finds a resident session, lazily restoring an evicted one
-// from the spool.
+// from the spool. A restore the session cap refuses fails with
+// errSessionLimit and keeps its envelope; any other failure reads as no
+// session.
 func (s *Server) getSession(id string) (*session, error) {
 	s.sessMu.RLock()
 	sess, ok := s.sessions[id]
@@ -304,21 +289,21 @@ func (s *Server) getSession(id string) (*session, error) {
 		return sess, nil
 	}
 	if s.cfg.SpoolDir == "" || s.closing.Load() {
-		return nil, fmt.Errorf("no session %q", id)
+		return nil, fmt.Errorf("%w %q", errNoSession, id)
 	}
 	s.sessMu.Lock()
 	defer s.sessMu.Unlock()
 	if sess, ok := s.sessions[id]; ok { // raced with another restorer
 		return sess, nil
 	}
-	sess, err := s.restoreSession(id)
-	if err != nil {
-		return nil, fmt.Errorf("no session %q", id)
+	sess, err := s.restore(id)
+	if errors.Is(err, errSessionLimit) {
+		return nil, err
 	}
-	s.sessions[sess.id] = sess
-	mSessionsActive.Add(1)
-	mSessionsRestored.Inc()
-	s.cfg.Logger.Info("session restored from spool on access", "session", id)
+	if err != nil {
+		return nil, s.missing(id, err)
+	}
+	s.cfg.Logger.Info("session restored from spool on access", "session", id, "entry", sess.entry)
 	return sess, nil
 }
 
@@ -357,7 +342,7 @@ func (s *Server) sessionInfo(sess *session, checkpoint bool) SessionInfo {
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.getSession(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		refuse(w, err)
 		return
 	}
 	withCkpt := r.URL.Query().Get("checkpoint") != ""
@@ -372,7 +357,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sess, err := s.getSession(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		refuse(w, err)
 		return
 	}
 	events, ok := s.readEvents(w, r, sess)
@@ -408,7 +393,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "session %s is closed", id)
 		return
 	case err != nil:
-		writeError(w, http.StatusNotFound, "%v", err)
+		refuse(w, err)
 		return
 	}
 	if schedule {
@@ -453,32 +438,29 @@ func retryAfterHint(queued, depth int) string {
 	return strconv.Itoa(secs)
 }
 
+// handleDelete discards a session, resident or spooled. The map and the
+// spool change under one lock, so a delete cannot race a lazy restore of
+// the same session.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	var spooled bool
+	var err error
 	s.sessMu.Lock()
-	sess, ok := s.sessions[id]
-	if ok {
-		delete(s.sessions, id)
+	sess, resident := s.sessions[id]
+	delete(s.sessions, id)
+	if s.cfg.SpoolDir != "" {
+		spooled, err = s.removeSpool(id)
 	}
 	s.sessMu.Unlock()
-	if ok {
+	if resident {
 		sess.close()
 		mSessionsActive.Add(-1)
 	}
-	removedSpool := false
-	if s.cfg.SpoolDir != "" {
-		if err := core.RemoveSpoolCheckpoint(s.cfg.SpoolDir, id); err == nil {
-			removedSpool = true
-			// The sidecar is garbage once the checkpoint is gone, but a
-			// removal failure means the spool dir needs attention.
-			meta := filepath.Join(s.cfg.SpoolDir, id+".json")
-			if err := os.Remove(meta); err != nil && !os.IsNotExist(err) {
-				s.cfg.Logger.Warn("removing spool metadata sidecar",
-					"session", id, "path", meta, "error", err)
-			}
-		}
+	if err != nil && !errors.Is(err, errNoSession) {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
-	if !ok && !removedSpool {
+	if !resident && !spooled {
 		writeError(w, http.StatusNotFound, "no session %q", id)
 		return
 	}

@@ -151,7 +151,7 @@ func runCycleWithTraffic(t *testing.T, ts *httptest.Server, ctl *autopilot.Contr
 // between a crash/resume run and an uninterrupted one.
 type apOutcome struct {
 	Pre      []Verdict // pinned session, before the cycle
-	Post     []Verdict // pinned session, after promotion (pre-promote crashes only)
+	Post     []Verdict // pinned session, after promotion
 	Fresh    []Verdict // fresh post-promotion session
 	Promoted string
 	Current  string
@@ -160,15 +160,11 @@ type apOutcome struct {
 // runAutopilotScenario serves traffic, runs one retraining cycle —
 // optionally killed at crashPoint and resumed in a "new process" (new
 // server restored from the spool, new controller over the same journal)
-// — and returns the externally observable outcome.
-//
-// pinned reports whether the registry pointer had not yet moved at the
-// crash point, so the spooled compare session restores onto the original
-// champion and its verdict stream must continue byte-identically. Once
-// the pointer has moved (crashes at/after promotion), a restarted server
-// deliberately loads the new champion, so continuity of pre-restart
-// sessions is not part of the contract.
-func runAutopilotScenario(t *testing.T, crashPoint string, pinned bool) apOutcome {
+// — and returns the externally observable outcome. The spooled compare
+// session restores pinned to the original champion whether or not the
+// registry pointer moved before the crash, so its verdict stream
+// continues byte-identically either way.
+func runAutopilotScenario(t *testing.T, crashPoint string) apOutcome {
 	t.Helper()
 	t.Cleanup(faultinject.Reset)
 	mon, logs := newTestModel(t)
@@ -217,9 +213,7 @@ func runAutopilotScenario(t *testing.T, crashPoint string, pinned bool) apOutcom
 	}
 	out.Promoted = res.Entry
 
-	if pinned {
-		out.Post = ingest(t, ts, sess.ID, EventSpecsOf(mal.Events[cut:n])).Verdicts
-	}
+	out.Post = ingest(t, ts, sess.ID, EventSpecsOf(mal.Events[cut:n])).Verdicts
 	fresh := createSession(t, ts, mal)
 	out.Fresh = ingest(t, ts, fresh.ID, EventSpecsOf(mal.Events[:n])).Verdicts
 
@@ -241,7 +235,7 @@ func runAutopilotScenario(t *testing.T, crashPoint string, pinned bool) apOutcom
 // serving verdicts as a run that was never interrupted.
 func TestServeAutopilotCrashMatrixByteIdenticalVerdicts(t *testing.T) {
 	mon, logs := newTestModel(t)
-	base := runAutopilotScenario(t, "", true)
+	base := runAutopilotScenario(t, "")
 
 	// Anchor the baseline itself: the pinned session's full stream is the
 	// original champion's reference verdicts, the fresh session's is the
@@ -266,28 +260,20 @@ func TestServeAutopilotCrashMatrixByteIdenticalVerdicts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	points := []struct {
-		point  string
-		pinned bool
-	}{
-		{point: "registry/publish/manifest", pinned: true},
-		{point: "autopilot/journal/published", pinned: true},
-		{point: "autopilot/journal/shadow-started", pinned: true},
-		{point: "autopilot/journal/evaluated", pinned: true},
-		{point: "autopilot/mid-promotion", pinned: false},
-		{point: "autopilot/journal/cycle-done", pinned: false},
+	points := []string{
+		"registry/publish/manifest",
+		"autopilot/journal/published",
+		"autopilot/journal/shadow-started",
+		"autopilot/journal/evaluated",
+		"autopilot/mid-promotion",
+		"autopilot/journal/cycle-done",
 	}
-	for _, tc := range points {
-		t.Run(tc.point, func(t *testing.T) {
-			got := runAutopilotScenario(t, tc.point, tc.pinned)
+	for _, point := range points {
+		t.Run(point, func(t *testing.T) {
+			got := runAutopilotScenario(t, point)
 			if got.Promoted != base.Promoted || got.Current != base.Current {
 				t.Fatalf("converged to %s (current %s), baseline %s (current %s)",
 					got.Promoted, got.Current, base.Promoted, base.Current)
-			}
-			if !tc.pinned {
-				// Continuity of pre-crash sessions is out of contract once
-				// the pointer moved; compare the deterministic streams.
-				got.Post = base.Post
 			}
 			blob, err := json.Marshal(got)
 			if err != nil {
@@ -295,7 +281,7 @@ func TestServeAutopilotCrashMatrixByteIdenticalVerdicts(t *testing.T) {
 			}
 			if !bytes.Equal(blob, baseBlob) {
 				t.Errorf("crash at %s: outcome differs from uninterrupted run\n got: %s\nwant: %s",
-					tc.point, blob, baseBlob)
+					point, blob, baseBlob)
 			}
 		})
 	}

@@ -1,16 +1,11 @@
 package serve
 
 import (
-	"bytes"
-	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
@@ -20,10 +15,9 @@ import (
 // session, detaches it and returns a SessionExport envelope — and
 // replays that envelope into POST /v1/sessions/import on the gaining
 // replica, which restores the detector from the embedded checkpoint.
-// The envelope reuses the SIGTERM spool formats (the binary
-// core.StreamDetector checkpoint plus the spool sidecar's metadata
-// fields), so a handed-off session scores byte-identically to one that
-// never moved. POST /v1/drain marks a replica as leaving the ring:
+// The envelope is the one a SIGTERM spools (spool.go), so a handed-off
+// session scores byte-identically to one that never moved. POST
+// /v1/drain marks a replica as leaving the ring:
 // readiness fails and new sessions are refused while resident sessions
 // keep scoring until each is exported away.
 
@@ -32,12 +26,13 @@ import (
 // epoch that placed them.
 const RingGenHeader = "X-Leaps-Ring-Generation"
 
-// SessionExport is the checkpoint-handoff envelope returned by
-// POST /v1/sessions/{id}/export and accepted by POST /v1/sessions/import:
-// the spool sidecar's metadata plus the binary detector checkpoint.
+// SessionExport is the session envelope, the only form a session takes
+// outside memory: POST /v1/sessions/{id}/export returns it, POST
+// /v1/sessions/import accepts it, and eviction and shutdown spool it as
+// <spool>/<id>.ckpt.
 type SessionExport struct {
-	// ID, Model, Spec, Created, Verdicts and Malicious mirror the spool
-	// metadata sidecar.
+	// ID, Model, Spec, Created, Verdicts and Malicious rebuild the
+	// session's identity, binding and counters.
 	ID        string      `json:"id"`
 	Model     string      `json:"model"`
 	Spec      SessionSpec `json:"spec"`
@@ -45,53 +40,15 @@ type SessionExport struct {
 	Verdicts  int         `json:"verdicts"`
 	Malicious int         `json:"malicious"`
 	// Entry pins the registry entry the session's monitor was loaded
-	// from, so the importing replica rebinds the same model even if the
-	// fleet promoted a new champion since the session was created.
+	// from, so a revived session — imported elsewhere, or restored here
+	// after eviction or a restart — rebinds the same model even if a new
+	// champion was promoted since the session was created.
 	Entry string `json:"entry,omitempty"`
-	// Replica names the exporting replica, for the handoff audit trail.
+	// Replica names the replica that cut the envelope, for the handoff
+	// audit trail.
 	Replica string `json:"replica,omitempty"`
-	// Checkpoint is the binary detector checkpoint (base64 in JSON), the
-	// same bytes the SIGTERM spool writes.
+	// Checkpoint is the binary detector checkpoint (base64 in JSON).
 	Checkpoint []byte `json:"checkpoint"`
-}
-
-// validSessionID vets a client-requested session identifier: session ids
-// become spool file names, so they are restricted to filename-safe
-// characters and bounded length.
-func validSessionID(id string) error {
-	if id == "" {
-		return fmt.Errorf("serve: empty session id")
-	}
-	if len(id) > 64 {
-		return fmt.Errorf("serve: session id longer than 64 bytes")
-	}
-	for i, r := range id {
-		alnum := r >= '0' && r <= '9' || r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z'
-		if i == 0 && !alnum {
-			return fmt.Errorf("serve: session id %q must start with a letter or digit", id)
-		}
-		if !alnum && r != '.' && r != '_' && r != '-' {
-			return fmt.Errorf("serve: session id %q contains %q (allowed: letters, digits, '.', '_', '-')", id, r)
-		}
-	}
-	return nil
-}
-
-// sessionTaken reports whether a session id is already in use, resident
-// or spooled.
-func (s *Server) sessionTaken(id string) bool {
-	s.sessMu.RLock()
-	_, ok := s.sessions[id]
-	s.sessMu.RUnlock()
-	if ok {
-		return true
-	}
-	if s.cfg.SpoolDir != "" {
-		if _, err := os.Stat(filepath.Join(s.cfg.SpoolDir, id+".json")); err == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // ringGenFrom reads the router's ring-generation stamp off a forwarded
@@ -101,63 +58,50 @@ func ringGenFrom(r *http.Request) int64 {
 	return gen
 }
 
-// handleExport detaches a session and returns its checkpoint-handoff
-// envelope. The session is quiesced first — every queued batch scores
-// before the checkpoint is cut — then removed; after a successful export
-// the session no longer exists on this replica. A checkpoint failure
-// reinstates the session unharmed.
+// handleExport detaches a session and returns its envelope; after a
+// successful export the session no longer exists on this replica. A
+// resident session is quiesced first, so every queued batch scores
+// before the envelope is cut, and a checkpoint failure reinstates it
+// unharmed. An evicted session hands over its spooled envelope as is,
+// consumed without becoming resident, so the session cap never refuses a
+// handoff.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	// Force a spool restore if the session was evicted, then claim it by
-	// removing it from the map: the claim is what makes concurrent
-	// exports of the same session race-safe (exactly one wins).
-	if _, err := s.getSession(id); err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
+	// Claim the session under the map lock: the claim is what makes
+	// concurrent exports of the same session race-safe (exactly one wins).
+	var ex SessionExport
+	var err error
 	s.sessMu.Lock()
-	sess, ok := s.sessions[id]
-	if ok {
+	sess, resident := s.sessions[id]
+	switch {
+	case resident:
 		delete(s.sessions, id)
+	case s.cfg.SpoolDir == "":
+		err = errNoSession
+	default:
+		if ex, err = s.readSpool(id); err == nil {
+			_, err = s.removeSpool(id)
+		}
 	}
 	s.sessMu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "no session %q", id)
+	if resident {
+		mSessionsActive.Add(-1)
+		sess.quiesce()
+		if ex, err = s.envelope(sess); err != nil {
+			// Reinstate: the session never left.
+			sess.mu.Lock()
+			sess.closed = false
+			sess.mu.Unlock()
+			s.sessMu.Lock()
+			s.sessions[id] = sess
+			s.sessMu.Unlock()
+			mSessionsActive.Add(1)
+			writeError(w, http.StatusInternalServerError, "checkpointing session: %v", err)
+			return
+		}
+	} else if err != nil {
+		refuse(w, s.missing(id, err))
 		return
-	}
-	mSessionsActive.Add(-1)
-	sess.quiesce()
-
-	var buf bytes.Buffer
-	if err := sess.det.Checkpoint(&buf); err != nil {
-		// Reinstate: the session never left.
-		sess.mu.Lock()
-		sess.closed = false
-		sess.mu.Unlock()
-		s.sessMu.Lock()
-		s.sessions[id] = sess
-		s.sessMu.Unlock()
-		mSessionsActive.Add(1)
-		writeError(w, http.StatusInternalServerError, "checkpointing session: %v", err)
-		return
-	}
-	sess.mu.Lock()
-	ex := SessionExport{
-		ID:         sess.id,
-		Model:      sess.model,
-		Spec:       sess.spec,
-		Created:    sess.created,
-		Verdicts:   sess.verdicts,
-		Malicious:  sess.malicious,
-		Entry:      sess.entry,
-		Replica:    s.cfg.ReplicaID,
-		Checkpoint: buf.Bytes(),
-	}
-	sess.mu.Unlock()
-	// The spool copy (if any) is stale once the export leaves.
-	if s.cfg.SpoolDir != "" {
-		_ = core.RemoveSpoolCheckpoint(s.cfg.SpoolDir, id)
-		_ = os.Remove(filepath.Join(s.cfg.SpoolDir, id+".json"))
 	}
 	mSessionsExported.Inc()
 	telemetry.RecordFlight(telemetry.FlightEntry{
@@ -174,13 +118,9 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ex)
 }
 
-// handleImport restores a session from another replica's checkpoint
-// export. The detector resumes from the embedded checkpoint bound to the
-// same model — when the export pins a registry entry that is no longer
-// this replica's current champion, the pinned entry's bundle is loaded
-// from the registry, preserving the session's verdict continuity across
-// promotions. A draining replica refuses imports (it is leaving the
-// ring, not gaining members' sessions).
+// handleImport revives a session from another replica's envelope under
+// revive's binding rule and admits it. A draining replica refuses
+// imports (it is leaving the ring, not gaining members' sessions).
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	if s.closing.Load() {
 		writeError(w, http.StatusServiceUnavailable, "server shutting down")
@@ -194,88 +134,17 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &ex) {
 		return
 	}
-	if err := validSessionID(ex.ID); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if s.sessionTaken(ex.ID) {
-		writeError(w, http.StatusConflict, "session %q already exists", ex.ID)
-		return
-	}
-	m, err := s.resolveModel(ex.Model)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	mm, err := ex.Spec.ModuleMap()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	_, curEntry, mon := m.snapshot()
-	entry := curEntry
-	switch {
-	case ex.Entry == "" || ex.Entry == curEntry:
-		// The current monitor is the right binding.
-	case m.store == nil:
-		// No registry to pin against; the current monitor is the best
-		// available binding. Continuity is not guaranteed across a path
-		// reload, exactly as with spool restores.
-		s.cfg.Logger.Warn("import pins an entry but model has no registry; binding current monitor",
-			"session", ex.ID, "entry", ex.Entry)
-	default:
-		rc, err := m.store.OpenBundle(ex.Entry)
-		if err != nil {
-			writeError(w, http.StatusConflict,
-				"pinned entry %s not in this replica's registry (sync lag?): %v", ex.Entry, err)
-			return
-		}
-		pinned, err := core.LoadMonitor(rc)
-		rc.Close()
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "loading pinned entry %s: %v", ex.Entry, err)
-			return
-		}
-		mon, entry = pinned, ex.Entry
-	}
-	det, err := mon.RestoreStream(mm, bytes.NewReader(ex.Checkpoint))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "restoring checkpoint: %v", err)
-		return
-	}
-	now := time.Now()
-	sess := &session{
-		id:        ex.ID,
-		model:     m.name,
-		spec:      ex.Spec,
-		det:       det,
-		mm:        mm,
-		window:    mon.Window(),
-		degraded:  det.Degraded(),
-		entry:     entry,
-		ringGen:   ringGenFrom(r),
-		created:   ex.Created,
-		lastUsed:  now,
-		verdicts:  ex.Verdicts,
-		malicious: ex.Malicious,
-	}
-	s.sessMu.Lock()
-	if len(s.sessions) >= s.cfg.MaxSessions {
+	sess, err := s.revive(ex)
+	if err == nil {
+		sess.ringGen = ringGenFrom(r)
+		s.sessMu.Lock()
+		err = s.admit(sess, false)
 		s.sessMu.Unlock()
-		mRejected.With("session_limit").Inc()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable,
-			"session limit %d reached", s.cfg.MaxSessions)
+	}
+	if err != nil {
+		refuse(w, err)
 		return
 	}
-	if _, dup := s.sessions[sess.id]; dup {
-		s.sessMu.Unlock()
-		writeError(w, http.StatusConflict, "session %q already exists", sess.id)
-		return
-	}
-	s.sessions[sess.id] = sess
-	s.sessMu.Unlock()
-	mSessionsActive.Add(1)
 	mSessionsImported.Inc()
 	telemetry.RecordFlight(telemetry.FlightEntry{
 		Kind:  "handoff",
@@ -289,7 +158,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		},
 	})
 	s.cfg.Logger.Info("session imported",
-		"session", sess.id, "from", ex.Replica, "entry", entry, "verdicts", sess.verdicts)
+		"session", sess.id, "from", ex.Replica, "entry", sess.entry, "verdicts", sess.verdicts)
 	w.Header().Set("Location", "/v1/sessions/"+sess.id)
 	writeJSON(w, http.StatusCreated, s.sessionInfo(sess, false))
 }

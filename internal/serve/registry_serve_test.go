@@ -19,7 +19,7 @@ import (
 )
 
 // newTestBundle returns the shared fixture's raw bundle bytes.
-func newTestBundle(t *testing.T) []byte {
+func newTestBundle(t testing.TB) []byte {
 	t.Helper()
 	newTestModel(t)
 	return testBundleRaw
@@ -79,7 +79,7 @@ type bundleEnvelope struct {
 	CallGraph []byte
 }
 
-func mutateBundle(t *testing.T, raw []byte, mutate func(*bundleEnvelope)) []byte {
+func mutateBundle(t testing.TB, raw []byte, mutate func(*bundleEnvelope)) []byte {
 	t.Helper()
 	var env bundleEnvelope
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&env); err != nil {

@@ -13,23 +13,21 @@
 // hint rather than buffered without bound.
 //
 // Sessions survive restarts through the checkpoint spool: graceful
-// shutdown checkpoints every live session to the spool directory, and
-// startup restores them. Idle sessions are checkpointed and evicted from
+// shutdown writes every live session's envelope to the spool directory,
+// and startup restores them. Idle sessions are spooled and evicted from
 // memory, then transparently restored on next access. Restores consume
-// the spooled checkpoint, so a scored event is never re-scored.
+// the spooled envelope, so a scored event is never re-scored.
 package serve
 
 import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync"
@@ -37,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/registry"
 	"repro/internal/telemetry"
 )
@@ -71,7 +68,7 @@ type Config struct {
 	// (default 256). A full queue drops batches — shadow evaluation
 	// never blocks or backpressures the serving path.
 	ShadowQueue int
-	// SpoolDir is where shutdown and eviction checkpoint sessions.
+	// SpoolDir is where shutdown and eviction write session envelopes.
 	// Empty disables the spool: shutdown discards session state and
 	// idle sessions are never evicted.
 	SpoolDir string
@@ -529,138 +526,6 @@ func (s *Server) evictIdle(cutoff time.Time) {
 		mSessionsActive.Add(-1)
 		s.cfg.Logger.Info("idle session evicted to spool", "session", sess.id)
 	}
-}
-
-// spoolMeta is the JSON sidecar written next to a spooled checkpoint; it
-// carries what the binary checkpoint cannot: the session's identity,
-// model binding, module map and verdict tallies.
-type spoolMeta struct {
-	ID        string      `json:"id"`
-	Model     string      `json:"model"`
-	Spec      SessionSpec `json:"spec"`
-	Created   time.Time   `json:"created"`
-	Verdicts  int         `json:"verdicts"`
-	Malicious int         `json:"malicious"`
-}
-
-// spoolSession writes the session's checkpoint and metadata sidecar. The
-// caller must have quiesced the session (no queued work, no turns).
-func (s *Server) spoolSession(sess *session) error {
-	if err := faultinject.Step("serve/spool/checkpoint"); err != nil {
-		return err
-	}
-	if err := core.WriteSpoolCheckpoint(s.cfg.SpoolDir, sess.id, sess.det); err != nil {
-		return err
-	}
-	sess.mu.Lock()
-	meta := spoolMeta{
-		ID:        sess.id,
-		Model:     sess.model,
-		Spec:      sess.spec,
-		Created:   sess.created,
-		Verdicts:  sess.verdicts,
-		Malicious: sess.malicious,
-	}
-	sess.mu.Unlock()
-	blob, err := json.Marshal(meta)
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(s.cfg.SpoolDir, "."+sess.id+".meta-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(s.cfg.SpoolDir, sess.id+".json"))
-}
-
-// restoreSpooled eagerly revives every spooled session at startup.
-func (s *Server) restoreSpooled() error {
-	if s.cfg.SpoolDir == "" {
-		return nil
-	}
-	ids, err := core.SpooledSessions(s.cfg.SpoolDir)
-	if err != nil {
-		return fmt.Errorf("serve: scanning spool: %w", err)
-	}
-	for _, id := range ids {
-		if len(s.sessions) >= s.cfg.MaxSessions {
-			s.cfg.Logger.Warn("session limit reached; leaving remaining spool entries on disk",
-				"restored", len(s.sessions))
-			break
-		}
-		sess, err := s.restoreSession(id)
-		if err != nil {
-			s.cfg.Logger.Error("spooled session not restorable; leaving on disk",
-				"session", id, "error", err)
-			continue
-		}
-		s.sessions[sess.id] = sess
-		mSessionsActive.Add(1)
-		mSessionsRestored.Inc()
-		s.cfg.Logger.Info("session restored from spool", "session", id, "model", sess.model)
-	}
-	return nil
-}
-
-// restoreSession revives one spooled session and consumes its spool
-// entry. Callers hold whatever session-map locking they need.
-func (s *Server) restoreSession(id string) (*session, error) {
-	blob, err := os.ReadFile(filepath.Join(s.cfg.SpoolDir, id+".json"))
-	if err != nil {
-		return nil, fmt.Errorf("reading spool metadata: %w", err)
-	}
-	var meta spoolMeta
-	if err := json.Unmarshal(blob, &meta); err != nil {
-		return nil, fmt.Errorf("decoding spool metadata: %w", err)
-	}
-	m, ok := s.models[meta.Model]
-	if !ok {
-		return nil, fmt.Errorf("spooled session pinned to unknown model %q", meta.Model)
-	}
-	mm, err := meta.Spec.ModuleMap()
-	if err != nil {
-		return nil, fmt.Errorf("rebuilding module map: %w", err)
-	}
-	r, err := core.OpenSpoolCheckpoint(s.cfg.SpoolDir, id)
-	if err != nil {
-		return nil, err
-	}
-	mon := m.monitor()
-	det, err := mon.RestoreStream(mm, r)
-	r.Close()
-	if err != nil {
-		return nil, fmt.Errorf("restoring checkpoint: %w", err)
-	}
-	if err := core.RemoveSpoolCheckpoint(s.cfg.SpoolDir, id); err != nil {
-		return nil, err
-	}
-	_ = os.Remove(filepath.Join(s.cfg.SpoolDir, id+".json"))
-	now := time.Now()
-	return &session{
-		id:        id,
-		model:     meta.Model,
-		spec:      meta.Spec,
-		det:       det,
-		mm:        mm,
-		window:    mon.Window(),
-		degraded:  det.Degraded(),
-		created:   meta.Created,
-		lastUsed:  now,
-		verdicts:  meta.Verdicts,
-		malicious: meta.Malicious,
-	}, nil
 }
 
 // newSessionID returns a fresh random session identifier.

@@ -30,7 +30,7 @@ var (
 	testModelErr  error
 )
 
-func newTestModel(t *testing.T) (*core.Monitor, *dataset.Logs) {
+func newTestModel(t testing.TB) (*core.Monitor, *dataset.Logs) {
 	t.Helper()
 	testModelOnce.Do(func() {
 		spec, err := dataset.ByName("vim_reverse_tcp")
@@ -71,7 +71,7 @@ func newTestModel(t *testing.T) (*core.Monitor, *dataset.Logs) {
 	return testMonitor, testLogs
 }
 
-func newTestServer(t *testing.T, cfg Config) *Server {
+func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	mon, _ := newTestModel(t)
 	if cfg.Preloaded == nil {
@@ -328,8 +328,8 @@ func TestServeShutdownSpoolsAndRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancel()
-	if ids, err := core.SpooledSessions(spool); err != nil || len(ids) != 1 || ids[0] != info.ID {
-		t.Fatalf("spool after shutdown: ids=%v err=%v, want [%s]", ids, err, info.ID)
+	if ids := spooledEnvelopes(t, spool); len(ids) != 1 || ids[0] != info.ID {
+		t.Fatalf("spool after shutdown: %v, want [%s]", ids, info.ID)
 	}
 
 	// A second server over the same spool restores the session and the
@@ -350,7 +350,7 @@ func TestServeShutdownSpoolsAndRestores(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored verdict stream differs from uninterrupted run (%d vs %d)", len(got), len(want))
 	}
-	if ids, _ := core.SpooledSessions(spool); len(ids) != 0 {
+	if ids := spooledEnvelopes(t, spool); len(ids) != 0 {
 		t.Errorf("spool entries not consumed by restore: %v", ids)
 	}
 }
@@ -370,34 +370,11 @@ func TestServeEvictionAndLazyRestore(t *testing.T) {
 	res := ingest(t, ts, info.ID, EventSpecsOf(mal.Events[:cut]))
 	got := append([]Verdict{}, res.Verdicts...)
 
-	// The worker replies before its next pop clears scheduled, so the
-	// session can still be mid-turn when ingest returns, and eviction
-	// rightly skips a session with a turn in flight. Wait for the turn to
-	// end, then force the janitor's decision once: everything is "idle"
-	// from one hour in the future.
-	s.sessMu.RLock()
-	sess := s.sessions[info.ID]
-	s.sessMu.RUnlock()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		sess.mu.Lock()
-		idle := !sess.scheduled && len(sess.queue) == 0
-		sess.mu.Unlock()
-		if idle {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("session turn still running 10s after its ingest returned")
-		}
-	}
-	s.evictIdle(time.Now().Add(time.Hour))
-	s.sessMu.RLock()
-	resident := len(s.sessions)
-	s.sessMu.RUnlock()
-	if resident != 0 {
-		t.Fatalf("%d sessions resident after eviction, want 0", resident)
-	}
-	if ids, _ := core.SpooledSessions(spool); len(ids) != 1 {
-		t.Fatalf("spool after eviction: %v, want one entry", ids)
+	// Eviction rightly skips a session with a turn in flight, so evictNow
+	// waits for the turn to end before forcing the janitor's decision.
+	evictNow(t, s)
+	if ids := spooledEnvelopes(t, spool); len(ids) != 1 || ids[0] != info.ID {
+		t.Fatalf("spool after eviction: %v, want [%s]", ids, info.ID)
 	}
 
 	// Next touch lazily restores and the stream continues seamlessly.

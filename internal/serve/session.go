@@ -49,19 +49,20 @@ type ingestBatch struct {
 type session struct {
 	id       string
 	model    string
-	spec     SessionSpec // retained for spool metadata
+	spec     SessionSpec // retained for the session envelope
 	det      *core.StreamDetector
 	mm       *trace.ModuleMap
 	window   int
 	degraded bool
 	// entry is the registry entry id the session's monitor was loaded
-	// from ("" for path/preloaded models). Checkpoint handoff ships it so
-	// the gaining replica rebinds the same model even after a promotion
-	// moved the registry's current pointer.
+	// from ("" for path/preloaded models). The session envelope carries
+	// it, so a revive — import, or restore after eviction or a restart —
+	// rebinds the same model even after a promotion moved the registry's
+	// current pointer.
 	entry string
 	// ringGen is the fleet ring generation stamped when the session was
 	// created or last imported (0 outside a fleet) — the breadcrumb that
-	// makes handoff races debuggable. Immutable after construction.
+	// makes handoff races debuggable. Immutable once admitted.
 	ringGen int64
 	// stacks memoises the session's resolved stack walks for ingest
 	// decoding: derived state, never checkpointed, spooled or handed off.

@@ -133,13 +133,3 @@ func (m *OneClassModel) Decision(x []float64) float64 {
 func (m *OneClassModel) PredictInlier(x []float64) bool {
 	return m.Decision(x) >= 0
 }
-
-// DecisionBatch appends the decision value of every vector of xs to dst
-// (pass dst[:0] to recycle a buffer) — the one-class counterpart of
-// Model.DecisionBatch.
-func (m *OneClassModel) DecisionBatch(dst []float64, xs [][]float64) []float64 {
-	for _, x := range xs {
-		dst = append(dst, m.Decision(x))
-	}
-	return dst
-}

@@ -76,7 +76,7 @@ func TestScalerMarshalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := []float64{5, 10}
-	a, b := s.Apply(in), got.Apply(in)
+	a, b := s.ApplyInto(nil, in), got.ApplyInto(nil, in)
 	for d := range a {
 		if a[d] != b[d] {
 			t.Fatalf("round trip changed scaling: %v vs %v", a, b)

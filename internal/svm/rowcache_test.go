@@ -101,39 +101,9 @@ func TestRowCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestDecisionBatchMatchesDecision checks the buffered scorers against
-// their scalar counterparts, including buffer reuse.
-func TestDecisionBatchMatchesDecision(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	prob := noisyProblem(rng, 30)
-	model, err := Train(prob, Params{Lambda: 2, Kernel: RBFKernel{Sigma2: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := model.DecisionBatch(nil, prob.X)
-	dst2 := model.DecisionBatch(dst[:0], prob.X)
-	if &dst2[0] != &dst[0] {
-		t.Fatal("DecisionBatch reallocated despite sufficient capacity")
-	}
-	for i, x := range prob.X {
-		if want := model.Decision(x); dst2[i] != want {
-			t.Fatalf("decision %d: batch %v != scalar %v", i, dst2[i], want)
-		}
-	}
-
-	oc, err := TrainOneClass(prob.X, OneClassParams{Nu: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ocDst := oc.DecisionBatch(nil, prob.X)
-	for i, x := range prob.X {
-		if want := oc.Decision(x); ocDst[i] != want {
-			t.Fatalf("one-class decision %d: batch %v != scalar %v", i, ocDst[i], want)
-		}
-	}
-}
-
-// TestApplyIntoMatchesApply checks the scratch scaler against Apply.
+// TestApplyIntoMatchesApply checks the scratch scaler against a fresh
+// allocation: scaling into a recycled buffer gives the same vector as
+// scaling into a new slice, and reuses the buffer once it is large enough.
 func TestApplyIntoMatchesApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	prob := noisyProblem(rng, 25)
@@ -143,10 +113,14 @@ func TestApplyIntoMatchesApply(t *testing.T) {
 	}
 	var buf []float64
 	for i, v := range prob.X {
-		want := sc.Apply(v)
+		want := sc.ApplyInto(nil, v)
+		prev := buf
 		buf = sc.ApplyInto(buf[:0], v)
 		if len(buf) != len(want) {
 			t.Fatalf("vector %d: ApplyInto returned %d dims, want %d", i, len(buf), len(want))
+		}
+		if i > 0 && &buf[0] != &prev[0] {
+			t.Fatalf("vector %d: ApplyInto reallocated despite sufficient capacity", i)
 		}
 		for d := range want {
 			if buf[d] != want[d] {

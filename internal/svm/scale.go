@@ -38,16 +38,10 @@ func FitScaler(x [][]float64) (*Scaler, error) {
 	return s, nil
 }
 
-// Apply returns a scaled copy of v. Values outside the learned range are
-// clamped to the range's projection behaviour (they simply fall outside
+// ApplyInto appends the scaled v to dst, reusing dst's capacity (pass
+// dst[:0] to recycle a buffer), and returns the scaled vector. Values
+// outside the learned range are not clamped (they simply fall outside
 // [0,1], which is fine for kernels). Constant columns map to 0.
-func (s *Scaler) Apply(v []float64) []float64 {
-	return s.ApplyInto(make([]float64, 0, len(v)), v)
-}
-
-// ApplyInto scales v into dst, reusing dst's capacity (pass dst[:0] to
-// recycle a buffer); it returns the scaled vector. The hot-path
-// counterpart of Apply.
 func (s *Scaler) ApplyInto(dst, v []float64) []float64 {
 	for d := range v {
 		span := s.max[d] - s.min[d]
@@ -58,15 +52,6 @@ func (s *Scaler) ApplyInto(dst, v []float64) []float64 {
 		dst = append(dst, (v[d]-s.min[d])/span)
 	}
 	return dst
-}
-
-// ApplyAll scales every vector.
-func (s *Scaler) ApplyAll(x [][]float64) [][]float64 {
-	out := make([][]float64, len(x))
-	for i, v := range x {
-		out[i] = s.Apply(v)
-	}
-	return out
 }
 
 // Dim returns the dimensionality the scaler was fitted on.

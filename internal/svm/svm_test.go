@@ -324,19 +324,27 @@ func TestScaler(t *testing.T) {
 	if s.Dim() != 3 {
 		t.Errorf("Dim() = %d", s.Dim())
 	}
-	got := s.Apply([]float64{5, 15, 5})
+	got := s.ApplyInto(nil, []float64{5, 15, 5})
 	want := []float64{0.5, 0.5, 0} // constant column maps to 0
 	for d := range want {
 		if math.Abs(got[d]-want[d]) > 1e-12 {
-			t.Errorf("Apply[%d] = %v, want %v", d, got[d], want[d])
+			t.Errorf("ApplyInto[%d] = %v, want %v", d, got[d], want[d])
 		}
 	}
-	all := s.ApplyAll(x)
-	if all[0][0] != 0 || all[1][0] != 1 {
-		t.Errorf("ApplyAll corners = %v, %v", all[0][0], all[1][0])
+	// A recycled buffer is reused, not grown; the training corners map to
+	// 0 and 1.
+	buf := s.ApplyInto(got[:0], x[0])
+	if &buf[0] != &got[0] {
+		t.Error("ApplyInto reallocated despite sufficient capacity")
+	}
+	if buf[0] != 0 {
+		t.Errorf("low corner = %v, want 0", buf[0])
+	}
+	if hi := s.ApplyInto(buf[:0], x[1])[0]; hi != 1 {
+		t.Errorf("high corner = %v, want 1", hi)
 	}
 	// Out-of-range values extrapolate rather than clamp.
-	if v := s.Apply([]float64{20, 10, 5})[0]; v != 2 {
+	if v := s.ApplyInto(nil, []float64{20, 10, 5})[0]; v != 2 {
 		t.Errorf("extrapolated = %v, want 2", v)
 	}
 }

@@ -153,16 +153,6 @@ func (m *Model) Predict(x []float64) float64 {
 	return 1
 }
 
-// DecisionBatch appends the decision value of every vector of xs to dst
-// (pass dst[:0] to recycle a buffer), so batch scorers keep one
-// preallocated result buffer instead of boxing values per window.
-func (m *Model) DecisionBatch(dst []float64, xs [][]float64) []float64 {
-	for _, x := range xs {
-		dst = append(dst, m.Decision(x))
-	}
-	return dst
-}
-
 // Train solves the weighted SVM dual with SMO.
 func Train(prob Problem, params Params) (*Model, error) {
 	return trainShared(prob, params, nil, nil)

@@ -102,13 +102,14 @@ grep -q '"first_event"' "$workdir/test_a.json" || fail "batch A produced no verd
 grep -q '"malicious": true' "$workdir/test_a.json" || fail "malicious log raised no malicious verdict"
 say "batch A verdicts OK"
 
-say "SIGTERM test server; expecting a spooled checkpoint"
+say "SIGTERM test server; expecting a spooled session envelope"
 kill -TERM "$test_pid"
 wait "$test_pid" 2>/dev/null || fail "test server exited non-zero on SIGTERM"
 test_pid=""
-[ -f "$workdir/spool-test/$test_sid.ckpt" ] || fail "no checkpoint spooled for $test_sid"
-[ -f "$workdir/spool-test/$test_sid.json" ] || fail "no spool metadata for $test_sid"
-say "checkpoint spooled"
+[ -f "$workdir/spool-test/$test_sid.ckpt" ] || fail "no envelope spooled for $test_sid"
+grep -q '"id":"'"$test_sid"'"' "$workdir/spool-test/$test_sid.ckpt" ||
+	fail "$test_sid.ckpt is not $test_sid's session envelope"
+say "envelope spooled"
 
 say "restarting test server over the same spool"
 start_server "$workdir/test2.log" -model "$workdir/leaps.model" -addr 127.0.0.1:0 -spool "$workdir/spool-test"
