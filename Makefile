@@ -24,9 +24,10 @@ race:
 # JSON decoder, cross-checked against encoding/json, of the traceparent
 # parser, held to a faithful round trip, of streaming checkpoint restore,
 # held to a faithful Checkpoint round trip and windows over fed events
-# only, and of the session envelope decoder behind both spool restore
-# and handoff import, held to a faithful re-cut of the revived session —
-# the CI smoke budget, not a deep campaign. Envelope inputs are kilobytes
+# only, of the session envelope decoder behind both spool restore and
+# handoff import, held to a faithful re-cut of the revived session, and
+# of the walk-deduplicated stack split, held to a split of every event
+# on its own — the CI smoke budget, not a deep campaign. Envelope inputs are kilobytes
 # of JSON, so that target minimizes each new input for at most 100 runs:
 # the default 60 s minimization would spend the whole budget on the
 # first one.
@@ -38,6 +39,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzReviveSession -fuzztime=10s -fuzzminimizetime=100x
 	$(GO) test ./internal/telemetry -run='^$$' -fuzz=FuzzParseTraceParent -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzRestoreStream -fuzztime=10s
+	$(GO) test ./internal/partition -run='^$$' -fuzz=FuzzSplitWalks -fuzztime=10s
 
 # Measures the pipeline hot paths (parse, featurize, artifacts,
 # select-train, train, gridsearch, detect) and writes
@@ -73,11 +75,15 @@ bench-compare:
 # which must match their allocating reference implementations bit for
 # bit — and concurrent DetectLog calls through pooled detectors, beside
 # Feed racing Checkpoint on one detector, match the un-memoised
-# reference. It also holds every trainer's saved model, batch detection
+# reference. BuildArtifacts splits both training logs concurrently and
+# works once per distinct stack walk, so the walk-deduplicated split,
+# the fit over distinct walks and the artifacts built on them must
+# equal the per-event path, artifacts at Parallel 1 and at every
+# processor. It also holds every trainer's saved model, batch detection
 # and the evaluation summaries to the committed golden of an earlier
 # commit, at Parallel 1 and at every processor.
 determinism:
-	$(GO) test -race -run 'TestEvaluateRunsParallelDeterminism|TestEvaluateRunsBuildsArtifactsOnce|TestGridSearchParallel|TestSharedCrossValidateMatchesUncached|TestGridSearchMatchesUncachedSweep|TestRowCacheConcurrent|TestFeaturizeConcurrent|TestTrainedModelsGolden' ./internal/core ./internal/svm
+	$(GO) test -race -run 'TestEvaluateRunsParallelDeterminism|TestEvaluateRunsBuildsArtifactsOnce|TestGridSearchParallel|TestSharedCrossValidateMatchesUncached|TestGridSearchMatchesUncachedSweep|TestRowCacheConcurrent|TestFeaturizeConcurrent|TestTrainedModelsGolden|TestArtifactsMatchPerEventReference|TestSplitMatchesPerEventReference|TestFitOverWalksMatchesPerEvent' ./internal/core ./internal/svm ./internal/partition ./internal/preprocess
 
 # End-to-end smoke test of the -debug-addr introspection endpoints:
 # generates data, trains, then scrapes /metrics, /spans and pprof from a

@@ -97,9 +97,12 @@ func (m *Model) BCGSize() int { return len(m.bcg) }
 // MCGSize reports the mixed call graph's edge count.
 func (m *Model) MCGSize() int { return len(m.mcg) }
 
+// addAll adds the call relations of every event of the log to g. The
+// graph is a set and an event's relations depend on its stack walk
+// alone, so only the first event of each distinct walk is visited.
 func addAll(g map[edge]struct{}, log *partition.Log) {
-	for i := range log.Events {
-		for _, e := range eventEdges(&log.Events[i]) {
+	for w := 0; w < log.NumWalks(); w++ {
+		for _, e := range eventEdges(&log.Events[log.FirstOf(w)]) {
 			g[e] = struct{}{}
 		}
 	}

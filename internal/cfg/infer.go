@@ -82,10 +82,17 @@ func Infer(log *partition.Log) (*Inference, error) {
 		}
 	}
 
+	// An event's frame addresses depend on its stack walk alone: take
+	// them once per walk, at its first event, and share them after.
+	addrs := make([][]uint64, log.NumWalks())
 	var prev []uint64
 	for i := range log.Events {
 		e := &log.Events[i]
-		curr := e.AppTrace.Addrs()
+		w := log.WalkOf(i)
+		if log.FirstOf(w) == i {
+			addrs[w] = e.AppTrace.Addrs()
+		}
+		curr := addrs[w]
 		if len(curr) == 0 {
 			inf.SkippedEvents++
 			continue

@@ -36,7 +36,10 @@ type Artifacts struct {
 	// Config.AlignCFGs was enabled.
 	Alignment *cfg.Alignment
 
-	// BenignPart and MixedPart are the partitioned training logs.
+	// BenignPart and MixedPart are the partitioned training logs, one
+	// event per source event, indexed by stack walk. Events sharing a
+	// walk alias one split of it, so their traces are read-only shared
+	// storage: a caller that must change a trace clones it first.
 	BenignPart *partition.Log
 	MixedPart  *partition.Log
 
@@ -82,10 +85,7 @@ func BuildArtifacts(ctx context.Context, benign, mixed *trace.Log, config Config
 	// Feature encoder fitted on all training events so cluster ids are
 	// consistent across the benign and mixed sets — the one barrier
 	// between the two branches.
-	fitEvents := make([]partition.Event, 0, a.BenignPart.Len()+a.MixedPart.Len())
-	fitEvents = append(fitEvents, a.BenignPart.Events...)
-	fitEvents = append(fitEvents, a.MixedPart.Events...)
-	if a.Encoder, err = preprocess.FitContext(ctx, fitEvents, config.Preprocess); err != nil {
+	if a.Encoder, err = preprocess.FitContext(ctx, parts, config.Preprocess); err != nil {
 		return nil, err
 	}
 
@@ -228,7 +228,9 @@ func splitBenign(rng *rand.Rand, wins []window, fraction float64) (train, test [
 
 // partitionLogs splits logs on up to par workers, one "partition" span
 // each, and names a failing log by its entry in names. Every training
-// and evaluation entry point partitions its logs here.
+// and evaluation entry point partitions its logs here, so each log's
+// distinct stack walks are split once and the stages after it (fit,
+// encode, call graph, CFG) work per walk through the logs' walk index.
 func partitionLogs(ctx context.Context, par int, names []string, logs ...*trace.Log) ([]*partition.Log, error) {
 	parts := make([]*partition.Log, len(logs))
 	tasks := make([]func() error, len(logs))

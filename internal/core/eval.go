@@ -119,15 +119,11 @@ func (ed *evalData) run(ctx context.Context, seed int64, includeHMM bool) (*Eval
 
 	// Call-graph baseline: BCG from the benign training windows' events,
 	// MCG from the whole mixed log.
-	benignTrainLog := &partition.Log{App: ed.art.BenignPart.App, PID: ed.art.BenignPart.PID}
-	for _, w := range sel.benignTrain {
-		end := w.start + cfg.Window
-		if end > ed.art.BenignPart.Len() {
-			end = ed.art.BenignPart.Len()
-		}
-		benignTrainLog.Events = append(benignTrainLog.Events, ed.art.BenignPart.Events[w.start:end]...)
+	ranges := make([][2]int, len(sel.benignTrain))
+	for i, w := range sel.benignTrain {
+		ranges[i] = [2]int{w.start, min(w.start+cfg.Window, ed.art.BenignPart.Len())}
 	}
-	cg, err := callgraph.Train(benignTrainLog, ed.art.MixedPart)
+	cg, err := callgraph.Train(ed.art.BenignPart.Gather(ranges), ed.art.MixedPart)
 	if err != nil {
 		return nil, fmt.Errorf("core: training call-graph model: %w", err)
 	}

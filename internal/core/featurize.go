@@ -30,12 +30,12 @@ const (
 // one encoder: owners empty it when either changes, and it is never
 // checkpointed.
 //
-// The index is open-addressed over a hash of the frame addresses; a hit
-// is trusted only after the walk's frames (address, module and function)
-// compare equal to the private copy stored at the miss, so a reused
-// stack buffer or a frame named differently from the module map still
-// misses. Entries and frame copies live in recycled slabs, so a warm
-// memo allocates nothing.
+// The index is open-addressed over partition.HashWalk, the hash the
+// training split keys walks by; a hit is trusted only after the walk's
+// frames (address, module and function) compare equal to the private
+// copy stored at the miss, so a reused stack buffer or a frame named
+// differently from the module map still misses. Entries and frame
+// copies live in recycled slabs, so a warm memo allocates nothing.
 type stackMemo struct {
 	slots   []int32 // entry index + 1, 0 when empty; len is a power of two
 	entries []memoEntry
@@ -54,17 +54,6 @@ func (m *stackMemo) reset() {
 	clear(m.slots)
 	m.entries = m.entries[:0]
 	m.frames = m.frames[:0]
-}
-
-// hashWalk hashes a walk's frame addresses.
-func hashWalk(w trace.StackWalk) uint64 {
-	h := uint64(len(w))
-	for i := range w {
-		h = (h ^ w[i].Addr) * 0x9e3779b97f4a7c15
-	}
-	h ^= h >> 31
-	h *= 0x7fb5d329728ea185
-	return h ^ h>>27
 }
 
 // lookup returns the entry memoising w (hashed to h), or nil.
@@ -179,7 +168,7 @@ func (f *featurizer) split(e *trace.Event) (*partition.Event, error) {
 
 // tuple featurizes one event, memoised by its stack walk.
 func (f *featurizer) tuple(enc *preprocess.Encoder, e *trace.Event) (preprocess.Tuple, error) {
-	h := hashWalk(e.Stack)
+	h := partition.HashWalk(e.Stack)
 	if me := f.memo.lookup(h, e.Stack); me != nil {
 		f.hitEvents++
 		if me.n == 0 {

@@ -41,7 +41,7 @@ func EvaluateOneClass(ctx context.Context, benign, malicious *trace.Log, config 
 	bp, mp := parts[0], parts[1]
 	// The encoder sees only benign events: a deployment without any
 	// infected training material.
-	enc, err := preprocess.FitContext(ctx, bp.Events, config.Preprocess)
+	enc, err := preprocess.FitContext(ctx, parts[:1], config.Preprocess)
 	if err != nil {
 		return metrics.Summary{}, err
 	}

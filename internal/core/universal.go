@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"repro/internal/metrics"
-	"repro/internal/partition"
 	"repro/internal/preprocess"
 	"repro/internal/svm"
 	"repro/internal/telemetry"
@@ -76,11 +75,7 @@ func BuildUniversalTrainingData(ctx context.Context, pairs []LogPair, config Con
 
 	// The shared encoder is the one barrier: it must see every
 	// application's events before any windows are encoded.
-	var fitEvents []partition.Event
-	for _, part := range parts {
-		fitEvents = append(fitEvents, part.Events...)
-	}
-	enc, err := preprocess.FitContext(ctx, fitEvents, config.Preprocess)
+	enc, err := preprocess.FitContext(ctx, parts, config.Preprocess)
 	if err != nil {
 		return nil, err
 	}

@@ -47,7 +47,7 @@ func Figure2(seed int64) (string, error) {
 	if pick == nil {
 		pick = &part.Events[0]
 	}
-	tuple := enc.Encode(pick)
+	tuple := enc.EncodeOne(&preprocess.Scratch{}, pick)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Event @%d  type=%v\n", pick.Seq, pick.Type)

@@ -121,23 +121,6 @@ func TestSplitKeepsStacklessEvents(t *testing.T) {
 	}
 }
 
-func TestLibAndFuncSets(t *testing.T) {
-	e := Event{SysTrace: trace.StackWalk{
-		{Addr: 1, Module: "kernel32.dll", Function: "ReadFile"},
-		{Addr: 2, Module: "ntdll.dll", Function: "NtReadFile"},
-		{Addr: 3, Module: "ntdll.dll", Function: "NtReadFile"}, // duplicate
-		{Addr: 4}, // unresolved, skipped
-	}}
-	libs := e.LibSet()
-	if len(libs) != 2 || !libs["kernel32.dll"] || !libs["ntdll.dll"] {
-		t.Errorf("LibSet() = %v", libs)
-	}
-	funcs := e.FuncSet()
-	if len(funcs) != 2 || !funcs["kernel32.dll!ReadFile"] || !funcs["ntdll.dll!NtReadFile"] {
-		t.Errorf("FuncSet() = %v", funcs)
-	}
-}
-
 func testModuleMap(t *testing.T) *trace.ModuleMap {
 	t.Helper()
 	app, err := trace.NewModule("vim.exe", trace.ModuleApp, 0x400000, 0x10000, []trace.Symbol{

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"strings"
 )
 
 // encoderSnapshot is the serialisable state of a fitted Encoder.
@@ -45,7 +44,7 @@ func (cs clustersSnapshot) clusters() (*setClusters, error) {
 		keyToLabel:  make(map[string]int, len(cs.Uniq)),
 	}
 	for i, s := range sc.uniq {
-		sc.keyToLabel[strings.Join(s, "\x00")] = sc.labels[i]
+		sc.keyToLabel[setKey(s)] = sc.labels[i]
 	}
 	for _, m := range sc.medoids {
 		if m < 0 || m >= len(sc.uniq) {

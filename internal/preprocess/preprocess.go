@@ -8,10 +8,10 @@ package preprocess
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/hcluster"
@@ -81,23 +81,35 @@ type Encoder struct {
 // should cover both the benign and the mixed training logs so cluster ids
 // are consistent across them.
 func Fit(events []partition.Event, cfg Config) (*Encoder, error) {
-	return FitContext(context.Background(), events, cfg)
+	return FitContext(context.Background(), []*partition.Log{{Events: events}}, cfg)
 }
 
-// FitContext is Fit with a caller-supplied context, so the fit's telemetry
-// span nests under the caller's span tree instead of rooting a fresh one.
-func FitContext(ctx context.Context, events []partition.Event, cfg Config) (*Encoder, error) {
-	if len(events) == 0 {
+// FitContext is Fit over the events of several partitioned logs, in
+// order, with a caller-supplied context so the fit's telemetry span
+// nests under the caller's span tree. An event's library and function
+// sets depend on its stack walk alone, so the sets are built once per
+// distinct walk of each log, in first-occurrence order; the clustering
+// deduplicates sets in that order and ignores how often each occurs, so
+// the encoder equals one fitted on every event.
+func FitContext(ctx context.Context, logs []*partition.Log, cfg Config) (*Encoder, error) {
+	var events int
+	for _, l := range logs {
+		events += l.Len()
+	}
+	if events == 0 {
 		return nil, errors.New("preprocess: no events to fit on")
 	}
 	_, sp := telemetry.StartSpan(ctx, "preprocess")
 	defer sp.End()
 	cfg = cfg.withDefaults()
-	libSets := make([][]string, len(events))
-	fnSets := make([][]string, len(events))
-	for i := range events {
-		libSets[i] = sortedKeys(events[i].LibSet())
-		fnSets[i] = sortedKeys(events[i].FuncSet())
+	var s Scratch
+	var libSets, fnSets [][]string
+	for _, l := range logs {
+		for w := 0; w < l.NumWalks(); w++ {
+			e := &l.Events[l.FirstOf(w)]
+			libSets = append(libSets, slices.Clone(s.libNames(e)))
+			fnSets = append(fnSets, slices.Clone(s.funcNames(e)))
+		}
 	}
 	libs, err := clusterSets(libSets, cfg.Linkage, cfg.LibCut)
 	if err != nil {
@@ -107,7 +119,7 @@ func FitContext(ctx context.Context, events []partition.Event, cfg Config) (*Enc
 	if err != nil {
 		return nil, fmt.Errorf("preprocess: clustering function sets: %w", err)
 	}
-	mFitEvents.Add(uint64(len(events)))
+	mFitEvents.Add(uint64(events))
 	mLibClusters.Set(float64(libs.numClusters))
 	mFuncClusters.Set(float64(fns.numClusters))
 	return &Encoder{cfg: cfg, libs: libs, fns: fns}, nil
@@ -119,22 +131,8 @@ func (enc *Encoder) NumLibClusters() int { return enc.libs.numClusters }
 // NumFuncClusters returns how many function-set clusters were learned.
 func (enc *Encoder) NumFuncClusters() int { return enc.fns.numClusters }
 
-// Encode discretises one event. Unseen library/function sets are assigned
-// to the nearest learned cluster by Jaccard distance to cluster medoids.
-//
-// This is the allocating reference implementation (set maps, sorted key
-// slices); hot paths use EncodeOne/EncodeBatch, which are tested to
-// produce identical tuples without the per-event garbage.
-func (enc *Encoder) Encode(e *partition.Event) Tuple {
-	return Tuple{
-		EventType: int(e.Type),
-		Lib:       enc.libs.assign(sortedKeys(e.LibSet())),
-		Func:      enc.fns.assign(sortedKeys(e.FuncSet())),
-	}
-}
-
-// Scratch is the reusable working memory of the scratch encode path:
-// the distinct-name buffer, the set-key buffer and the interned
+// Scratch is the reusable working memory of the encode path: the
+// distinct-name buffer, the set-key buffer and the interned
 // module-qualified function names. The zero value is ready to use. A
 // Scratch belongs to one goroutine at a time; the Encoder itself stays
 // immutable and safe for concurrent use.
@@ -172,12 +170,10 @@ func appendDistinct(names []string, name string) []string {
 	return append(names, name)
 }
 
-// EncodeOne discretises one event on the scratch path: the sorted
-// library and function sets are built in scratch buffers and matched
-// against the fitted clusters without allocating. Tuples are identical
-// to Encode's. It does not count the event; see CreditEncoded.
-func (enc *Encoder) EncodeOne(s *Scratch, e *partition.Event) Tuple {
-	t := Tuple{EventType: int(e.Type)}
+// libNames loads the event's library set into the scratch and returns
+// it: the distinct module names of its system stack trace, sorted,
+// unresolved frames skipped. It is valid until the scratch's next use.
+func (s *Scratch) libNames(e *partition.Event) []string {
 	s.names = s.names[:0]
 	for _, fr := range e.SysTrace {
 		if fr.Module != "" {
@@ -185,7 +181,14 @@ func (enc *Encoder) EncodeOne(s *Scratch, e *partition.Event) Tuple {
 		}
 	}
 	slices.Sort(s.names)
-	t.Lib = enc.libs.assignScratch(s)
+	return s.names
+}
+
+// funcNames loads the event's function set into the scratch and returns
+// it: the distinct module-qualified ("module!function") function names
+// of its system stack trace, sorted, frames without a function skipped.
+// It is valid until the scratch's next use.
+func (s *Scratch) funcNames(e *partition.Event) []string {
 	s.names = s.names[:0]
 	for _, fr := range e.SysTrace {
 		if fr.Function != "" {
@@ -193,33 +196,56 @@ func (enc *Encoder) EncodeOne(s *Scratch, e *partition.Event) Tuple {
 		}
 	}
 	slices.Sort(s.names)
+	return s.names
+}
+
+// EncodeOne discretises one event: its sorted library and function sets
+// are built in scratch buffers and matched against the fitted clusters
+// without allocating once the scratch is warm. Unseen sets are assigned
+// to the nearest learned cluster by Jaccard distance to cluster medoids.
+// It does not count the event; see CreditEncoded.
+func (enc *Encoder) EncodeOne(s *Scratch, e *partition.Event) Tuple {
+	t := Tuple{EventType: int(e.Type)}
+	s.libNames(e)
+	t.Lib = enc.libs.assignScratch(s)
+	s.funcNames(e)
 	t.Func = enc.fns.assignScratch(s)
 	return t
 }
 
-// EncodeBatch discretises events in order, appending the tuples to dst
-// (pass dst[:0] to recycle a previous batch). A nil scratch gets a
-// private one for the call; passing one in makes repeated batches
-// allocation-free.
+// EncodeBatch is EncodeInto over events that carry no walk index.
 func (enc *Encoder) EncodeBatch(dst []Tuple, events []partition.Event, s *Scratch) []Tuple {
-	if s == nil {
-		s = &Scratch{}
-	}
-	for i := range events {
-		dst = append(dst, enc.EncodeOne(s, &events[i]))
-	}
-	CreditEncoded(len(events))
-	return dst
+	return enc.EncodeInto(dst, &partition.Log{Events: events}, s)
 }
 
-// CreditEncoded adds n events to the encoded-events counter. EncodeBatch
+// CreditEncoded adds n events to the encoded-events counter. EncodeInto
 // credits its own events; EncodeOne does not, so callers that encode one
 // event at a time, or memoise tuples, credit every event here.
 func CreditEncoded(n int) { mEncodedEvents.Add(uint64(n)) }
 
-// EncodeInto is EncodeBatch over a partitioned log.
+// EncodeInto discretises every event of a partitioned log in order,
+// appending the tuples to dst (pass dst[:0] to recycle a previous
+// batch). EncodeOne runs once per distinct stack walk of the log; every
+// later event of a walk takes the {Lib, Func} pair of the walk's first
+// event and its own event type. A nil scratch gets a private one for the
+// call; passing one in makes repeated batches allocation-free.
 func (enc *Encoder) EncodeInto(dst []Tuple, log *partition.Log, s *Scratch) []Tuple {
-	return enc.EncodeBatch(dst, log.Events, s)
+	if s == nil {
+		s = &Scratch{}
+	}
+	base := len(dst)
+	for i := range log.Events {
+		e := &log.Events[i]
+		if first := log.FirstOf(log.WalkOf(i)); first < i {
+			t := dst[base+first]
+			t.EventType = int(e.Type)
+			dst = append(dst, t)
+		} else {
+			dst = append(dst, enc.EncodeOne(s, e))
+		}
+	}
+	CreditEncoded(log.Len())
+	return dst
 }
 
 // EncodeAll discretises every event of a partitioned log, in order. It
@@ -395,25 +421,12 @@ func clusterSets(sets [][]string, linkage hcluster.Linkage, cut float64) (*setCl
 	return sc, nil
 }
 
-// assign maps a (possibly unseen) set to its cluster id.
-func (sc *setClusters) assign(s []string) int {
-	if l, ok := sc.keyToLabel[setKey(s)]; ok {
-		return l
-	}
-	return sc.nearestMedoid(s)
-}
-
-// assignScratch is assign over the sorted distinct names sitting in the
-// scratch: the set key is built in the scratch's byte buffer, and the
-// map probe compiles to an allocation-free string-keyed lookup.
+// assignScratch maps the sorted distinct names sitting in the scratch
+// to their cluster id: the set key is built in the scratch's byte
+// buffer, and the map probe compiles to an allocation-free string-keyed
+// lookup; a set the fit never saw goes to its nearest medoid.
 func (sc *setClusters) assignScratch(s *Scratch) int {
-	s.key = s.key[:0]
-	for i, n := range s.names {
-		if i > 0 {
-			s.key = append(s.key, 0)
-		}
-		s.key = append(s.key, n...)
-	}
+	s.key = appendSetKey(s.key[:0], s.names)
 	if l, ok := sc.keyToLabel[string(s.key)]; ok {
 		return l
 	}
@@ -432,13 +445,16 @@ func (sc *setClusters) nearestMedoid(s []string) int {
 	return best
 }
 
-func setKey(s []string) string { return strings.Join(s, "\x00") }
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// appendSetKey appends the map key of a sorted name set to dst: every
+// name prefixed by its length, so distinct sets get distinct keys
+// whatever bytes the names hold.
+func appendSetKey(dst []byte, names []string) []byte {
+	for _, n := range names {
+		dst = binary.AppendUvarint(dst, uint64(len(n)))
+		dst = append(dst, n...)
 	}
-	sort.Strings(out)
-	return out
+	return dst
 }
+
+// setKey returns the map key of a sorted name set.
+func setKey(names []string) string { return string(appendSetKey(nil, names)) }

@@ -1,6 +1,7 @@
 package preprocess
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -67,6 +68,15 @@ func TestJaccardPropertyQuick(t *testing.T) {
 
 func partitionedLog(t *testing.T, seed int64) *partition.Log {
 	t.Helper()
+	part, err := partition.Split(generatedLog(t, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return part
+}
+
+func generatedLog(t *testing.T, seed int64) *trace.Log {
+	t.Helper()
 	payload := appsim.ReverseTCPProfile()
 	p, err := appsim.NewProcess(appsim.WinSCPProfile(), &payload, appsim.MethodOfflineInfection)
 	if err != nil {
@@ -76,11 +86,7 @@ func partitionedLog(t *testing.T, seed int64) *partition.Log {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := partition.Split(log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return part
+	return log
 }
 
 func TestFitValidation(t *testing.T) {
@@ -144,13 +150,12 @@ func TestEncodeIdenticalSetsSameCluster(t *testing.T) {
 	// Events with identical system stacks must encode identically.
 	type key struct{ libs, fns string }
 	byKey := make(map[key]Tuple)
+	var s Scratch
 	for i := range part.Events {
 		e := &part.Events[i]
-		k := key{
-			libs: setKey(sortedKeys(e.LibSet())),
-			fns:  setKey(sortedKeys(e.FuncSet())),
-		}
-		tp := enc.Encode(e)
+		libs, fns := referenceSets(e)
+		k := key{libs: fmt.Sprintf("%q", libs), fns: fmt.Sprintf("%q", fns)}
+		tp := enc.EncodeOne(&s, e)
 		if prev, ok := byKey[k]; ok {
 			if prev.Lib != tp.Lib || prev.Func != tp.Func {
 				t.Fatalf("identical sets got clusters %+v and %+v", prev, tp)
@@ -174,7 +179,7 @@ func TestEncodeUnseenSetAssigned(t *testing.T) {
 			{Addr: 2, Module: "never_seen.dll", Function: "Mystery"},
 		},
 	}
-	tp := enc.Encode(&unseen)
+	tp := enc.EncodeOne(&Scratch{}, &unseen)
 	if tp.Lib < 0 || tp.Lib >= enc.NumLibClusters() {
 		t.Errorf("unseen lib set assigned out-of-range cluster %d", tp.Lib)
 	}
@@ -204,9 +209,10 @@ func TestSimilarSetsClusterTogether(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t0 := enc.Encode(&events[0])
-	t1 := enc.Encode(&events[1])
-	t3 := enc.Encode(&events[3])
+	var s Scratch
+	t0 := enc.EncodeOne(&s, &events[0])
+	t1 := enc.EncodeOne(&s, &events[1])
+	t3 := enc.EncodeOne(&s, &events[3])
 	if t0.Func != t1.Func {
 		t.Errorf("similar file stacks in different func clusters: %d vs %d", t0.Func, t1.Func)
 	}
