@@ -25,12 +25,15 @@ race:
 # parser, held to a faithful round trip, of streaming checkpoint restore,
 # held to a faithful Checkpoint round trip and windows over fed events
 # only, of the session envelope decoder behind both spool restore and
-# handoff import, held to a faithful re-cut of the revived session, and
-# of the walk-deduplicated stack split, held to a split of every event
-# on its own — the CI smoke budget, not a deep campaign. Envelope inputs are kilobytes
-# of JSON, so that target minimizes each new input for at most 100 runs:
-# the default 60 s minimization would spend the whole budget on the
-# first one.
+# handoff import, held to a faithful re-cut of the revived session, of
+# the stack-walk table and the split on it, held to a split of every
+# event on its own, and of the two JSONL replays, the autopilot journal
+# and the registry history, held to the whole records before the first
+# torn line and a faithful re-encode — the CI smoke budget, not a deep
+# campaign. Envelope, journal and history inputs are JSON the mutator
+# keeps growing, so those targets minimize each new input for at most
+# 100 runs: the default 60 s minimization would spend the whole budget
+# on the first one.
 fuzz-smoke:
 	$(GO) test ./internal/etl -run='^$$' -fuzz=FuzzParseStrict -fuzztime=10s
 	$(GO) test ./internal/etl -run='^$$' -fuzz=FuzzParseLenient -fuzztime=10s
@@ -40,6 +43,8 @@ fuzz-smoke:
 	$(GO) test ./internal/telemetry -run='^$$' -fuzz=FuzzParseTraceParent -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzRestoreStream -fuzztime=10s
 	$(GO) test ./internal/partition -run='^$$' -fuzz=FuzzSplitWalks -fuzztime=10s
+	$(GO) test ./internal/autopilot -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=10s -fuzzminimizetime=100x
+	$(GO) test ./internal/registry -run='^$$' -fuzz=FuzzRegistryHistory -fuzztime=10s -fuzzminimizetime=100x
 
 # Measures the pipeline hot paths (parse, featurize, artifacts,
 # select-train, train, gridsearch, detect) and writes
@@ -73,17 +78,21 @@ bench-compare:
 # identical results for any worker count, under the race detector —
 # including the shared kernel-row cache and the pooled/batch hot paths,
 # which must match their allocating reference implementations bit for
-# bit — and concurrent DetectLog calls through pooled detectors, beside
-# Feed racing Checkpoint on one detector, match the un-memoised
-# reference. BuildArtifacts splits both training logs concurrently and
-# works once per distinct stack walk, so the walk-deduplicated split,
-# the fit over distinct walks and the artifacts built on them must
-# equal the per-event path, artifacts at Parallel 1 and at every
-# processor. It also holds every trainer's saved model, batch detection
-# and the evaluation summaries to the committed golden of an earlier
-# commit, at Parallel 1 and at every processor.
+# bit. Both phases work once per distinct stack walk through one walk
+# table (partition.Walks), so the table and the split on it must equal
+# the per-event split, fresh, reset at its bounds and reused;
+# detection through it in both scoring modes (consecutive pooled
+# DetectLog calls across module maps and classifiers, Feed, and
+# concurrent DetectLog calls beside Feed racing Checkpoint on one
+# detector) must equal the per-event reference; and BuildArtifacts,
+# which splits both training logs concurrently, with the fit over
+# distinct walks and the artifacts built on them, must equal the
+# per-event path, at Parallel 1 and at every processor. It also holds
+# every trainer's saved model, batch detection and the evaluation
+# summaries to the committed golden of an earlier commit, at Parallel 1
+# and at every processor.
 determinism:
-	$(GO) test -race -run 'TestEvaluateRunsParallelDeterminism|TestEvaluateRunsBuildsArtifactsOnce|TestGridSearchParallel|TestSharedCrossValidateMatchesUncached|TestGridSearchMatchesUncachedSweep|TestRowCacheConcurrent|TestFeaturizeConcurrent|TestTrainedModelsGolden|TestArtifactsMatchPerEventReference|TestSplitMatchesPerEventReference|TestFitOverWalksMatchesPerEvent' ./internal/core ./internal/svm ./internal/partition ./internal/preprocess
+	$(GO) test -race -run 'TestEvaluateRunsParallelDeterminism|TestEvaluateRunsBuildsArtifactsOnce|TestGridSearchParallel|TestSharedCrossValidateMatchesUncached|TestGridSearchMatchesUncachedSweep|TestRowCacheConcurrent|TestFeaturizeConcurrent|TestDetectLogMatchesReference|TestFeedMatchesReference|TestTrainedModelsGolden|TestArtifactsMatchPerEventReference|TestSplitMatchesPerEventReference|TestFitOverWalksMatchesPerEvent' ./internal/core ./internal/svm ./internal/partition ./internal/preprocess
 
 # End-to-end smoke test of the -debug-addr introspection endpoints:
 # generates data, trains, then scrapes /metrics, /spans and pprof from a

@@ -417,7 +417,7 @@ func BenchmarkDetect(b *testing.B) {
 }
 
 // BenchmarkDetectDistinctStacks is BenchmarkDetect with no repeated
-// stack walk, the per-stack memo's worst case: every stack gets a unique
+// stack walk, the walk table's worst case: every stack gets a unique
 // unresolved frame on top, so each lookup misses while the tuples stay
 // those of BenchmarkDetect.
 func BenchmarkDetectDistinctStacks(b *testing.B) {

@@ -21,7 +21,7 @@ func splitPerEvent(t testing.TB, log *trace.Log) *partition.Log {
 	out := &partition.Log{App: log.App, PID: log.PID}
 	for i := range log.Events {
 		one := trace.Log{App: log.App, PID: log.PID, Modules: log.Modules, Events: log.Events[i : i+1]}
-		part, err := partition.SplitInto(&one, &partition.Scratch{})
+		part, err := partition.Split(&one)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func referenceArtifacts(t testing.TB, benign, mixed *trace.Log, config Config) *
 }
 
 // artifactInputs are benign/mixed pairs that stress the walk index,
-// keyed by what they stress: the memo inputs of the featurizer tests,
+// keyed by what they stress: the stack inputs of the featurizer tests,
 // cut to 1497 events per log to keep -race runs short and end on a
 // partial window.
 func artifactInputs(t testing.TB, seed int64) map[string][2]*trace.Log {
@@ -58,7 +58,7 @@ func artifactInputs(t testing.TB, seed int64) map[string][2]*trace.Log {
 		c.Events = l.Events[:1497]
 		return &c
 	}
-	benign, mixed := memoInputs(cut(logs.Benign)), memoInputs(cut(logs.Mixed))
+	benign, mixed := stackInputs(cut(logs.Benign)), stackInputs(cut(logs.Mixed))
 	out := make(map[string][2]*trace.Log, len(benign))
 	for name := range benign {
 		out[name] = [2]*trace.Log{benign[name], mixed[name]}

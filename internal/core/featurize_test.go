@@ -13,15 +13,14 @@ import (
 	"repro/internal/trace"
 )
 
-// referenceTuples featurizes every event on the un-memoised reference
-// path: SplitInto on a one-event log, then EncodeOne, with fresh scratch
-// per event.
+// referenceTuples featurizes every event on its own: Split on a
+// one-event log, then EncodeOne, with fresh scratch per event.
 func referenceTuples(t *testing.T, enc *preprocess.Encoder, log *trace.Log) []preprocess.Tuple {
 	t.Helper()
 	out := make([]preprocess.Tuple, len(log.Events))
 	for i := range log.Events {
 		one := trace.Log{App: log.App, PID: log.PID, Modules: log.Modules, Events: log.Events[i : i+1]}
-		part, err := partition.SplitInto(&one, &partition.Scratch{})
+		part, err := partition.Split(&one)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,16 +55,16 @@ func referenceDetect(t *testing.T, c *Classifier, log *trace.Log) []Detection {
 	return out
 }
 
-// memoInputs derives logs that stress the stack memo from an appsim log,
-// keyed by what they stress.
-func memoInputs(log *trace.Log) map[string]*trace.Log {
+// stackInputs derives logs that stress the detector's walk table from an
+// appsim log, keyed by what they stress.
+func stackInputs(log *trace.Log) map[string]*trace.Log {
 	renamed := log.Clone()
 	for i := range renamed.Events {
 		st := renamed.Events[i].Stack
 		if i%3 != 0 || len(st) == 0 {
 			continue
 		}
-		// Same addresses, different names: the memo must not serve the
+		// Same addresses, different names: the table must not serve the
 		// tuple of the walk as the module map names it.
 		st[len(st)-1].Function = fmt.Sprintf("renamed%d", i%5)
 		if i%2 == 0 {
@@ -80,11 +79,11 @@ func memoInputs(log *trace.Log) map[string]*trace.Log {
 		}
 	}
 
-	// More frames than stackMemoFrames: a unique unresolved frame on top
-	// of each stack, recurring every 1500 events. The first two events
-	// carry one walk deeper than the whole frame bound. The short
+	// More frames than trace.CacheFrames: a unique unresolved frame on
+	// top of each stack, recurring every 1500 events. The first two
+	// events carry one walk deeper than the whole frame bound. The short
 	// variant keeps only the last frame under the unique one, so its
-	// 1500 distinct walks overflow stackMemoEntries instead.
+	// 1500 distinct walks overflow trace.CacheWalks instead.
 	distinct, short := log.Clone(), log.Clone()
 	for i := range distinct.Events {
 		top := trace.Frame{Addr: 0x10 + uint64(i%1500)}
@@ -93,8 +92,18 @@ func memoInputs(log *trace.Log) map[string]*trace.Log {
 		e = &short.Events[i]
 		e.Stack = append(trace.StackWalk{top}, e.Stack[max(0, len(e.Stack)-1):]...)
 	}
+	// Every other event carries a walk of its own under a unique
+	// unresolved frame, so the table fills and resets while the open
+	// window still holds events whose repeated walks it indexed long
+	// before: no event may read its walk's split after a reset.
+	alternate := log.Clone()
+	for i := 1; i < len(alternate.Events); i += 2 {
+		e := &alternate.Events[i]
+		e.Stack = append(trace.StackWalk{{Addr: 0x10 + uint64(i)}}, e.Stack...)
+	}
+
 	var deep trace.StackWalk
-	for len(deep) <= stackMemoFrames {
+	for len(deep) <= trace.CacheFrames {
 		deep = append(deep, log.Events[len(deep)%len(log.Events)].Stack...)
 	}
 	distinct.Events[0].Stack = deep
@@ -106,47 +115,54 @@ func memoInputs(log *trace.Log) map[string]*trace.Log {
 		"stackless": stackless,
 		"distinct":  distinct,
 		"short":     short,
+		"alternate": alternate,
 	}
 }
 
-// TestFeaturizeMatchesReference holds memoised tuples to the reference
-// path on every memo input, and checks the memo stays within its bounds
-// while reaching them.
+// TestFeaturizeMatchesReference holds the featurizer's tuples to the
+// reference path on every stack input, and checks the walk table stays
+// within its bounds while reaching them: it holds more frames than
+// trace.CacheFrames only as a lone walk deeper than the bound, for the
+// event that carries it.
 func TestFeaturizeMatchesReference(t *testing.T) {
 	clf, mal := trainStream(t, 31)
 	var f featurizer
-	for name, log := range memoInputs(mal) {
+	for name, log := range stackInputs(mal) {
 		want := referenceTuples(t, clf.enc, log)
-		f.reset(log.App, log.PID, log.Modules)
-		var maxEntries, maxFrames int
+		f.reset(log.Modules)
+		var maxWalks, maxFrames int
 		for i := range log.Events {
 			got, err := f.tuple(clf.enc, &log.Events[i])
 			if err != nil {
 				t.Fatalf("%s: event %d: %v", name, i, err)
 			}
 			if got != want[i] {
-				t.Fatalf("%s: event %d: memoised %+v, reference %+v", name, i, got, want[i])
+				t.Fatalf("%s: event %d: featurized %+v, reference %+v", name, i, got, want[i])
 			}
-			if len(f.memo.entries) > stackMemoEntries || len(f.memo.frames) > stackMemoFrames {
-				t.Fatalf("%s: memo holds %d walks and %d frames, bounds %d and %d",
-					name, len(f.memo.entries), len(f.memo.frames), stackMemoEntries, stackMemoFrames)
+			walks, frames := f.walks.Len(), f.walks.Frames()
+			deep := walks == 1 && len(log.Events[i].Stack) > trace.CacheFrames
+			if walks > trace.CacheWalks || frames > trace.CacheFrames && !deep {
+				t.Fatalf("%s: table holds %d walks and %d frames, bounds %d and %d",
+					name, walks, frames, trace.CacheWalks, trace.CacheFrames)
 			}
-			maxEntries = max(maxEntries, len(f.memo.entries))
-			maxFrames = max(maxFrames, len(f.memo.frames))
+			maxWalks = max(maxWalks, walks)
+			if !deep {
+				maxFrames = max(maxFrames, frames)
+			}
 		}
 		f.flush()
-		if name == "short" && maxEntries != stackMemoEntries {
-			t.Errorf("short: memo peaked at %d walks, never reaching its bound of %d", maxEntries, stackMemoEntries)
+		if name == "short" && maxWalks != trace.CacheWalks {
+			t.Errorf("short: table peaked at %d walks, never reaching its bound of %d", maxWalks, trace.CacheWalks)
 		}
-		if name == "distinct" && maxFrames < stackMemoFrames-64 {
-			t.Errorf("distinct: memo peaked at %d frames, never nearing its bound of %d", maxFrames, stackMemoFrames)
+		if name == "distinct" && maxFrames < trace.CacheFrames-64 {
+			t.Errorf("distinct: table peaked at %d frames, never nearing its bound of %d", maxFrames, trace.CacheFrames)
 		}
 	}
 }
 
 // TestDetectLogMatchesReference runs consecutive DetectLog calls through
 // the shared detector pool on logs with different module maps and
-// classifiers, every memo input and a log shorter than one window; each
+// classifiers, every stack input and a log shorter than one window; each
 // must equal the reference, as a non-nil slice.
 func TestDetectLogMatchesReference(t *testing.T) {
 	clfA, malA := trainStream(t, 32)
@@ -170,7 +186,7 @@ func TestDetectLogMatchesReference(t *testing.T) {
 		{"B on A", clfB, malA},
 		{"A on A again", clfA, malA},
 	}
-	inputs := memoInputs(malA)
+	inputs := stackInputs(malA)
 	short := *malA
 	short.Events = malA.Events[:clfA.window-1]
 	inputs["short log"] = &short
@@ -193,43 +209,62 @@ func TestDetectLogMatchesReference(t *testing.T) {
 			t.Errorf("%s: DetectLog differs from the reference (%d vs %d detections)", r.name, len(got), len(want))
 		}
 	}
+	// Degraded scoring takes its traces from the same walk table, which
+	// the inputs past its bounds reset mid-window.
+	degraded := &Monitor{cg: clfA.cg, window: clfA.window}
+	for name, log := range inputs {
+		got, err := degraded.DetectLog(log)
+		if err != nil {
+			t.Fatalf("degraded on %s: %v", name, err)
+		}
+		if want := referenceDegraded(t, clfA.cg, clfA.window, log); !slices.Equal(got, want) {
+			t.Errorf("degraded on %s: DetectLog differs from the reference (%d vs %d detections)", name, len(got), len(want))
+		}
+	}
 }
 
-// TestFeedMatchesReference feeds every memo input through one detector
-// each, and once more through a single stack buffer the caller rewrites
-// in place before every Feed call.
+// TestFeedMatchesReference feeds every stack input through one detector
+// each, in both scoring modes, and once more through a single stack
+// buffer the caller rewrites in place before every Feed call.
 func TestFeedMatchesReference(t *testing.T) {
 	clf, mal := trainStream(t, 34)
-	inputs := memoInputs(mal)
+	inputs := stackInputs(mal)
 	inputs["reused buffer"] = mal
 	for name, log := range inputs {
-		s, err := clf.Stream(log.Modules)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf trace.StackWalk
-		var got []Detection
-		for _, e := range log.Events {
-			if name == "reused buffer" {
-				buf = append(buf[:0], e.Stack...)
-				e.Stack = buf
-			}
-			det, err := s.Feed(e)
+		for _, m := range []*Monitor{NewMonitor(clf), {cg: clf.cg, window: clf.window}} {
+			s, err := m.Stream(log.Modules)
 			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+				t.Fatal(err)
 			}
-			if det != nil {
-				got = append(got, *det)
+			var buf trace.StackWalk
+			var got []Detection
+			for _, e := range log.Events {
+				if name == "reused buffer" {
+					buf = append(buf[:0], e.Stack...)
+					e.Stack = buf
+				}
+				det, err := s.Feed(e)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if det != nil {
+					got = append(got, *det)
+				}
 			}
-		}
-		if want := referenceDetect(t, clf, log); !slices.Equal(got, want) {
-			t.Errorf("%s: Feed differs from the reference (%d vs %d detections)", name, len(got), len(want))
+			want := referenceDetect(t, clf, log)
+			if m.Degraded() {
+				want = referenceDegraded(t, clf.cg, clf.window, log)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s (degraded %v): Feed differs from the reference (%d vs %d detections)",
+					name, m.Degraded(), len(got), len(want))
+			}
 		}
 	}
 }
 
 // featurizeCounters are the telemetry counters featurization must keep
-// exact, memo hit or miss.
+// exact, table hit or miss.
 var featurizeCounters = []string{
 	"partition_events_total",
 	"partition_stackless_events_total",
@@ -257,16 +292,16 @@ func counterDelta(names []string, fn func()) []uint64 {
 }
 
 // TestFeaturizeCounters checks that DetectLog and Feed move the partition
-// and encode counters exactly as SplitInto plus EncodeBatch over the same
-// events do, though most events hit the memo.
+// and encode counters exactly as Split plus EncodeBatch over the same
+// events do, though most events hit the walk table.
 func TestFeaturizeCounters(t *testing.T) {
 	if !telemetry.Enabled() {
 		t.Skip("telemetry disabled")
 	}
 	clf, mal := trainStream(t, 35)
-	log := memoInputs(mal)["stackless"]
+	log := stackInputs(mal)["stackless"]
 	want := counterDelta(featurizeCounters, func() {
-		part, err := partition.SplitInto(log, &partition.Scratch{})
+		part, err := partition.Split(log)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -142,7 +142,7 @@ func (m *Monitor) Stream(modules *trace.ModuleMap) (*StreamDetector, error) {
 		return nil, errors.New("core: nil module map")
 	}
 	s := new(StreamDetector)
-	s.reset(m.clf, m.cg, m.window, modules.AppName(), 0, modules)
+	s.reset(m.clf, m.cg, m.window, modules)
 	return s, nil
 }
 

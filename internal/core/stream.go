@@ -78,11 +78,11 @@ type StreamDetector struct {
 	consumed int
 	skipped  int
 	winStart int
-	// Ingest scratch, recycled every event: the featurizer (its partition
-	// and encoder scratch and its stack-walk memo) and the flattened and
-	// scaled window vectors. Anything retained across events must be
-	// copied out of these buffers; the memo is derived state and never
-	// leaves the detector.
+	// Ingest scratch, recycled every event: the featurizer (its walk
+	// table and encoder scratch) and the flattened and scaled window
+	// vectors. Anything retained across events must be copied out of
+	// these buffers; the walk table is derived state and never leaves
+	// the detector.
 	feat   featurizer
 	winVec []float64
 	svec   []float64
@@ -90,13 +90,13 @@ type StreamDetector struct {
 
 // reset points the detector at a new stream of one process scored by
 // the given model. Buffers and counters start empty, and so does the
-// memo, which is only valid for one module map and one encoder; the
-// scratch memory is kept.
-func (s *StreamDetector) reset(clf *Classifier, cg *callgraph.Model, window int, app string, pid int, modules *trace.ModuleMap) {
+// walk table, which is only valid for one module map and one encoder;
+// the scratch memory is kept.
+func (s *StreamDetector) reset(clf *Classifier, cg *callgraph.Model, window int, modules *trace.ModuleMap) {
 	s.clf, s.cg, s.window = clf, cg, window
 	s.buf, s.evbuf, s.frames = s.buf[:0], s.evbuf[:0], s.frames[:0]
 	s.consumed, s.skipped, s.winStart = 0, 0, 0
-	s.feat.reset(app, pid, modules)
+	s.feat.reset(modules)
 }
 
 // Stream starts a streaming session for one process, identified by its
@@ -147,16 +147,15 @@ func (s *StreamDetector) feed(e *trace.Event) (Detection, bool, error) {
 	ord := s.consumed
 	s.consumed++
 	if s.clf == nil {
-		// Call-graph scoring needs the split traces, so degraded mode
-		// always partitions.
-		pe, err := s.feat.split(e)
+		// Call-graph scoring needs the split traces themselves.
+		pe, err := s.feat.event(e)
 		if err != nil {
 			return Detection{}, false, s.skip(ord, err)
 		}
 		if len(s.evbuf) == 0 {
 			s.winStart = ord
 		}
-		s.evbuf = append(s.evbuf, s.own(pe))
+		s.evbuf = append(s.evbuf, s.own(&pe))
 		if len(s.evbuf) < s.window {
 			return Detection{}, false, nil
 		}
@@ -214,7 +213,7 @@ func (m *Monitor) detectLog(ctx context.Context, log *trace.Log) ([]Detection, e
 	}
 	s := detectorPool.Get().(*StreamDetector)
 	defer detectorPool.Put(s)
-	s.reset(m.clf, m.cg, m.window, log.App, log.PID, log.Modules)
+	s.reset(m.clf, m.cg, m.window, log.Modules)
 	defer s.feat.flush()
 	out := make([]Detection, 0, len(log.Events)/m.window)
 	var malicious uint64
@@ -244,11 +243,11 @@ func (s *StreamDetector) skip(ord int, cause error) error {
 	return &EventError{Ordinal: ord, Cause: cause}
 }
 
-// own copies a partitioned event out of the featurizer's scratch, which
-// the next event recycles, for the open degraded window: its stack traces
-// move into the frames slab, which is truncated when the window closes.
-// Slab growth leaves earlier events on the old backing, which append
-// never mutates.
+// own copies a partitioned event out of the featurizer's walk table,
+// which a later event may reset mid-window, for the open degraded
+// window: its stack traces move into the frames slab, which is truncated
+// when the window closes. Slab growth leaves earlier events on the old
+// backing, which append never mutates.
 func (s *StreamDetector) own(pe *partition.Event) partition.Event {
 	pc := *pe
 	pc.AppTrace, pc.SysTrace = s.ownFrames(pe.AppTrace), s.ownFrames(pe.SysTrace)

@@ -52,23 +52,25 @@ func trainStream(t testing.TB, seed int64) (*Classifier, *trace.Log) {
 	return clf, logs.Malicious
 }
 
-// failEvent returns a copy of events in which the splitter fails
-// events[i], matched by Seq, until the test ends. A memo hit skips the
-// splitter, so the copy gives events[i] a stack walk no other event has:
-// its own under one extra unresolved frame. The event is skipped, so the
-// extra frame reaches no window.
+// failEvent returns a copy of events in which the featurizer's miss
+// path fails events[i], matched by Seq, until the test ends. A walk the
+// table already holds never reaches the miss path, so the copy gives
+// events[i] a stack walk no other event has: its own under one extra
+// unresolved frame. The event is skipped, so the extra frame reaches no
+// window.
 func failEvent(t *testing.T, events []trace.Event, i int, err error) []trace.Event {
 	t.Helper()
 	out := slices.Clone(events)
 	out[i].Stack = append(trace.StackWalk{{Addr: 1}}, events[i].Stack...)
 	seq := out[i].Seq
-	splitOne = func(log *trace.Log, s *partition.Scratch) (*partition.Log, error) {
-		if log.Events[0].Seq == seq {
-			return nil, err
+	prev := missFault
+	missFault = func(e trace.Event) error {
+		if e.Seq == seq {
+			return err
 		}
-		return partition.SplitInto(log, s)
+		return nil
 	}
-	t.Cleanup(func() { splitOne = partition.SplitInto })
+	t.Cleanup(func() { missFault = prev })
 	return out
 }
 
@@ -80,7 +82,7 @@ func TestStreamFeedRecoversFromEventError(t *testing.T) {
 	}
 
 	// Fail partitioning for exactly one event mid-stream, keyed by the
-	// event's Seq: memo hits skip the splitter, so call counts do not
+	// event's Seq: table hits skip the miss path, so call counts do not
 	// line up with events.
 	failAt := 3
 	injected := errors.New("boom")

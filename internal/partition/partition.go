@@ -115,110 +115,143 @@ func (l *Log) Gather(ranges [][2]int) *Log {
 
 // Split partitions every event of the log. Events without a stack walk are
 // kept with empty traces so event ordinals remain aligned with the source
-// log.
+// log. Each distinct stack walk is split once, through a Walks table:
+// events sharing a walk alias its split, and the returned Log's walk
+// index records which events share one.
 func Split(log *trace.Log) (*Log, error) {
-	return SplitInto(log, &Scratch{})
-}
-
-// Scratch is the reusable working memory of SplitInto: the partitioned
-// event slice, one frame arena per trace side and the walk index. After
-// a warm-up call its capacities have converged and further splits of
-// similar logs allocate nothing.
-//
-// Ownership: the Log returned by SplitInto, its events, their app/system
-// traces and its walk index all alias the scratch; they are valid only
-// until the next SplitInto on the same scratch. Callers that retain
-// events past that point must deep-copy the traces
-// (trace.StackWalk.Clone). Events sharing a stack walk share its traces,
-// so the traces are read-only: a caller that must change one clones it
-// first.
-type Scratch struct {
-	log    Log
-	events []Event
-	app    trace.StackWalk
-	sys    trace.StackWalk
-	walk   []int32
-	first  []int32
-	hashes []uint64 // HashWalk of each distinct walk, by id
-	slots  []int32  // walk id + 1, 0 when empty; len is a power of two
-}
-
-// SplitInto is Split backed by caller-owned scratch memory, for ingest
-// loops that partition one log (often a single event) per iteration.
-// Results are byte-identical to Split's; see Scratch for aliasing
-// rules.
-//
-// Each distinct stack walk is split once. An event whose walk equals an
-// earlier event's — same frames, compared by address, module and
-// function after a HashWalk match — aliases that event's traces, and the
-// walk index of the returned Log records which events share a walk.
-func SplitInto(log *trace.Log, s *Scratch) (*Log, error) {
 	if log == nil {
 		return nil, errors.New("partition: nil log")
 	}
 	if log.Modules == nil {
 		return nil, errors.New("partition: log has no module map")
 	}
-	s.events = slices.Grow(s.events[:0], len(log.Events))
-	s.walk = slices.Grow(s.walk[:0], len(log.Events))
-	s.app = s.app[:0]
-	s.sys = s.sys[:0]
-	s.first = s.first[:0]
-	s.hashes = s.hashes[:0]
-	clear(s.slots)
+	var t Walks
+	out := &Log{App: log.App, PID: log.PID, Events: make([]Event, len(log.Events)), Walk: make([]int32, len(log.Events))}
 	var stackless, appFrames, sysFrames int
 	for i := range log.Events {
-		e := &log.Events[i]
-		pe := Event{Seq: e.Seq, Type: e.Type, TID: e.TID}
-		h := HashWalk(e.Stack)
-		w := s.lookup(h, e.Stack, log.Events)
-		if w >= 0 {
-			first := &s.events[s.first[w]]
-			pe.AppTrace, pe.SysTrace = first.AppTrace, first.SysTrace
+		e, pe := &log.Events[i], &out.Events[i]
+		*pe = Event{Seq: e.Seq, Type: e.Type, TID: e.TID}
+		w, fresh := t.Walk(log.Modules, e.Stack)
+		if fresh {
+			out.First = append(out.First, int32(i))
+			pe.AppTrace, pe.SysTrace = t.Traces(w)
 		} else {
-			w = s.add(h, i)
-			pe.AppTrace, pe.SysTrace = s.split(log.Modules, e.Stack)
+			first := &out.Events[out.First[w]]
+			pe.AppTrace, pe.SysTrace = first.AppTrace, first.SysTrace
 		}
+		out.Walk[i] = int32(w)
 		if len(e.Stack) == 0 {
 			stackless++
 		}
 		appFrames += len(pe.AppTrace)
 		sysFrames += len(pe.SysTrace)
-		s.events = append(s.events, pe)
-		s.walk = append(s.walk, w)
 	}
 	CreditSplit(log.Len(), stackless, appFrames, sysFrames)
-	s.log = Log{App: log.App, PID: log.PID, Events: s.events, Walk: s.walk, First: s.first}
-	return &s.log, nil
+	return out, nil
 }
 
-// split routes one stack walk's frames to the scratch arenas and returns
-// the two traces, nil for a side without frames.
-func (s *Scratch) split(mm *trace.ModuleMap, stack trace.StackWalk) (app, sys trace.StackWalk) {
-	appStart, sysStart := len(s.app), len(s.sys)
+// Walks is the one table of distinct stack walks, behind the training
+// split and the testing-phase featurizer alike: every stack feature
+// depends on the walk alone, so each walk is split once, at its first
+// lookup, and given the next id, numbering the walks in first-occurrence
+// order. Split fills one table per log; a detector keeps one across
+// events and empties it at its bounds (trace.CacheWalks,
+// trace.CacheFrames).
+//
+// The index is open-addressed over hashWalk. A hash match is trusted
+// only after the walk's frames — address, module and function — equal
+// the table's own copy of the walk, so a forced collision, a reused
+// stack buffer or a frame named differently from the module map still
+// misses, and the table can outlive the events that filled it. Walks,
+// their traces and the entries live in slabs that Reset truncates, so a
+// warm table allocates nothing. The traces Traces returns alias the
+// frame slab: they are read-only and valid until the next Reset.
+type Walks struct {
+	slots   []int32 // walk id + 1, 0 when empty; len is a power of two
+	entries []walkEntry
+	// frames holds each indexed walk, then its application trace, then
+	// its system trace: twice as many frames as the walks hold.
+	frames trace.StackWalk
+}
+
+// walkEntry locates one indexed walk in the frame slab: the walk is
+// frames[off:off+n], its application trace the next app frames and its
+// system trace the n-app frames after those.
+type walkEntry struct {
+	hash        uint64
+	off, n, app int32
+}
+
+// Walk returns the id of stack's walk and whether this call indexed it:
+// on a miss it copies the walk into the table, splits it over mm and
+// gives it the next id.
+func (t *Walks) Walk(mm *trace.ModuleMap, stack trace.StackWalk) (id int, fresh bool) {
+	h := hashWalk(stack)
+	if id := t.lookup(h, stack); id >= 0 {
+		return id, false
+	}
+	off, n := len(t.frames), len(stack)
+	t.frames = append(append(t.frames, stack...), stack...)
+	// Application frames fill the split from the front and system
+	// frames from the back, reversed into order after.
+	split := t.frames[off+n:]
+	app, sys := 0, n
 	for _, fr := range stack {
 		if isSystemFrame(mm, fr) {
-			s.sys = append(s.sys, fr)
+			sys--
+			split[sys] = fr
 		} else {
-			s.app = append(s.app, fr)
+			split[app] = fr
+			app++
 		}
 	}
-	// Arena growth copies the in-flight frames to the new backing, so
-	// index-based subslicing stays correct; earlier walks keep aliasing
-	// the old backing, which append never mutates.
-	if len(s.app) > appStart {
-		app = s.app[appStart:len(s.app):len(s.app)]
+	slices.Reverse(split[app:])
+	id = len(t.entries)
+	t.entries = append(t.entries, walkEntry{hash: h, off: int32(off), n: int32(n), app: int32(app)})
+	if 2*len(t.entries) > len(t.slots) {
+		t.slots = make([]int32, max(64, 2*len(t.slots)))
+		for i := range t.entries {
+			t.place(t.entries[i].hash, i)
+		}
+	} else {
+		t.place(h, id)
 	}
-	if len(s.sys) > sysStart {
-		sys = s.sys[sysStart:len(s.sys):len(s.sys)]
-	}
-	return app, sys
+	return id, true
 }
 
-// HashWalk hashes a stack walk's frame addresses. Equal walks hash
-// equal; a walk-keyed index trusts a hash match only after comparing the
-// frames, so walks that share addresses but not names stay apart.
-func HashWalk(w trace.StackWalk) uint64 {
+// Traces returns walk id's application and system traces, nil for a
+// side without frames.
+func (t *Walks) Traces(id int) (app, sys trace.StackWalk) {
+	e := &t.entries[id]
+	split := e.off + e.n
+	return t.span(split, e.app), t.span(split+e.app, e.n-e.app)
+}
+
+// span returns the n frames of the slab at off, nil when n is 0.
+func (t *Walks) span(off, n int32) trace.StackWalk {
+	if n == 0 {
+		return nil
+	}
+	return t.frames[off : off+n : off+n]
+}
+
+// Len returns the number of walks indexed.
+func (t *Walks) Len() int { return len(t.entries) }
+
+// Frames returns the number of frames the indexed walks hold; the table
+// holds their traces as well, twice as many frames in all.
+func (t *Walks) Frames() int { return len(t.frames) / 2 }
+
+// Reset empties the table, keeping its memory.
+func (t *Walks) Reset() {
+	clear(t.slots)
+	t.entries, t.frames = t.entries[:0], t.frames[:0]
+}
+
+// hashWalk hashes a stack walk's frame addresses. Equal walks hash
+// equal; the table trusts a hash match only after comparing the frames,
+// so walks that share addresses but not names stay apart.
+func hashWalk(w trace.StackWalk) uint64 {
 	h := uint64(len(w))
 	for i := range w {
 		h = (h ^ w[i].Addr) * 0x9e3779b97f4a7c15
@@ -229,54 +262,37 @@ func HashWalk(w trace.StackWalk) uint64 {
 }
 
 // lookup returns the id of the indexed walk equal to stack (hashed to
-// h), or -1. A walk's frames are those of its first event in events.
-func (s *Scratch) lookup(h uint64, stack trace.StackWalk, events []trace.Event) int32 {
-	if len(s.slots) == 0 {
+// h), or -1.
+func (t *Walks) lookup(h uint64, stack trace.StackWalk) int {
+	if len(t.slots) == 0 {
 		return -1
 	}
-	mask := uint64(len(s.slots) - 1)
+	mask := uint64(len(t.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
-		v := s.slots[i]
+		v := t.slots[i]
 		if v == 0 {
 			return -1
 		}
-		if w := v - 1; s.hashes[w] == h && slices.Equal(events[s.first[w]].Stack, stack) {
-			return w
+		if e := &t.entries[v-1]; e.hash == h && slices.Equal(t.frames[e.off:e.off+e.n], stack) {
+			return int(v - 1)
 		}
 	}
 }
 
-// add indexes a new walk, hashed to h, first carried by event i, and
-// returns its id.
-func (s *Scratch) add(h uint64, i int) int32 {
-	w := int32(len(s.first))
-	s.first = append(s.first, int32(i))
-	s.hashes = append(s.hashes, h)
-	if 2*len(s.first) > len(s.slots) {
-		s.slots = make([]int32, max(64, 2*len(s.slots)))
-		for id, hh := range s.hashes {
-			s.place(hh, int32(id))
-		}
-	} else {
-		s.place(h, w)
-	}
-	return w
-}
-
-// place stores walk id w in the first free slot of h's probe run.
-func (s *Scratch) place(h uint64, w int32) {
-	mask := uint64(len(s.slots) - 1)
+// place stores walk id in the first free slot of h's probe run.
+func (t *Walks) place(h uint64, id int) {
+	mask := uint64(len(t.slots) - 1)
 	i := h & mask
-	for s.slots[i] != 0 {
+	for t.slots[i] != 0 {
 		i = (i + 1) & mask
 	}
-	s.slots[i] = w + 1
+	t.slots[i] = int32(id + 1)
 }
 
-// CreditSplit adds a split's volume to the partition counters without
-// splitting, for callers that memoise SplitInto's result per stack walk
-// and must still count every event they partition: events, those
-// without a stack walk, and the frames routed to each trace side.
+// CreditSplit adds a split's volume to the partition counters: events,
+// those without a stack walk, and the frames routed to each trace side.
+// Split credits each log once; callers that partition through a Walks
+// table of their own batch their events' volume here.
 func CreditSplit(events, stackless, appFrames, sysFrames int) {
 	mSplitEvents.Add(uint64(events))
 	mSplitStackless.Add(uint64(stackless))

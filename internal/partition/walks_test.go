@@ -1,15 +1,34 @@
-// Exactness tests for the walk-deduplicated split: every event must equal
-// a split of that event alone, and the walk index must group exactly the
-// events whose stack walks are equal.
+// Exactness tests for the walk table and the walk-deduplicated split on
+// it: every event must equal a split of that event alone, and walk ids
+// and the walk index must group exactly the events whose stack walks
+// are equal.
 package partition
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
+	"repro/internal/appsim"
 	"repro/internal/trace"
 )
+
+// generatedLog is an appsim log of vim infected with a reverse-TCP
+// payload.
+func generatedLog(t *testing.T, seed int64, events int) *trace.Log {
+	t.Helper()
+	payload := appsim.ReverseTCPProfile()
+	p, err := appsim.NewProcess(appsim.VimProfile(), &payload, appsim.MethodOfflineInfection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := p.GenerateLog(appsim.GenConfig{Seed: seed, Events: events, PayloadFraction: 0.3, PID: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log
+}
 
 // referenceSplit partitions every event on its own, frame by frame: the
 // per-event split the walk-deduplicated one must reproduce, with nil for
@@ -36,13 +55,13 @@ func sameTrace(a, b trace.StackWalk) bool {
 	return (a == nil) == (b == nil) && slices.Equal(a, b)
 }
 
-// checkSplit holds a split of log, made on s, to the per-event reference
+// checkSplit holds Split's result on log to the per-event reference
 // and checks its walk index: ids number distinct walks in
 // first-occurrence order, events share an id exactly when their stack
 // walks are equal, and events sharing an id alias one split.
-func checkSplit(t *testing.T, name string, log *trace.Log, s *Scratch) {
+func checkSplit(t *testing.T, name string, log *trace.Log) {
 	t.Helper()
-	got, err := SplitInto(log, s)
+	got, err := Split(log)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -66,10 +85,7 @@ func checkSplit(t *testing.T, name string, log *trace.Log, s *Scratch) {
 	// alike: the walk index must agree with it exactly.
 	byFrames := make(map[string]int)
 	for i := range log.Events {
-		var key string
-		for _, fr := range log.Events[i].Stack {
-			key += fmt.Sprintf("%x %q %q;", fr.Addr, fr.Module, fr.Function)
-		}
+		key := walkKey(log.Events[i].Stack)
 		w := got.WalkOf(i)
 		first := got.FirstOf(w)
 		id, seen := byFrames[key]
@@ -96,11 +112,77 @@ func checkSplit(t *testing.T, name string, log *trace.Log, s *Scratch) {
 	}
 }
 
-// hashK is HashWalk's per-frame multiplier.
+// walkKey keys a stack walk by its frames' full contents.
+func walkKey(st trace.StackWalk) string {
+	var key string
+	for _, fr := range st {
+		key += fmt.Sprintf("%x %q %q;", fr.Addr, fr.Module, fr.Function)
+	}
+	return key
+}
+
+// checkWalks looks log's stack walks up in tbl one event at a time,
+// emptying the table whenever it holds maxWalks walks or the next walk
+// would take it past maxFrames frames, as a detector does at its
+// bounds, and returns how often it did. Every lookup must return the
+// per-event reference split; ids must number the walks indexed since
+// the last reset in first-occurrence order, fresh exactly for a walk not
+// indexed since then; and before every reset, and at the end, every
+// indexed walk must still return its split.
+func checkWalks(t *testing.T, name string, log *trace.Log, tbl *Walks, maxWalks, maxFrames int) (resets int) {
+	t.Helper()
+	want := referenceSplit(log)
+	ids := make(map[string]int)
+	var firsts []int // the first event of each indexed walk, by id
+	frames := 0
+	checkIndexed := func() {
+		for id, i := range firsts {
+			if app, sys := tbl.Traces(id); !sameTrace(app, want[i].AppTrace) || !sameTrace(sys, want[i].SysTrace) {
+				t.Fatalf("%s: walk %d (event %d) now returns (%v, %v), reference (%v, %v)",
+					name, id, i, app, sys, want[i].AppTrace, want[i].SysTrace)
+			}
+		}
+	}
+	for i := range log.Events {
+		st := log.Events[i].Stack
+		if tbl.Len() == maxWalks || tbl.Frames()+len(st) > maxFrames {
+			checkIndexed()
+			tbl.Reset()
+			clear(ids)
+			firsts, frames = firsts[:0], 0
+			resets++
+		}
+		id, fresh := tbl.Walk(log.Modules, st)
+		prev, seen := ids[walkKey(st)]
+		switch {
+		case seen && (fresh || id != prev):
+			t.Fatalf("%s: event %d repeats walk %d but got (id %d, fresh %v)", name, i, prev, id, fresh)
+		case !seen && (!fresh || id != len(ids)):
+			t.Fatalf("%s: event %d carries a new walk but got (id %d, fresh %v), want (%d, true)", name, i, id, fresh, len(ids))
+		}
+		if !seen {
+			ids[walkKey(st)] = id
+			firsts = append(firsts, i)
+			frames += len(st)
+		}
+		if app, sys := tbl.Traces(id); !sameTrace(app, want[i].AppTrace) || !sameTrace(sys, want[i].SysTrace) {
+			t.Fatalf("%s: event %d: walk %d returns (%v, %v), reference (%v, %v)",
+				name, i, id, app, sys, want[i].AppTrace, want[i].SysTrace)
+		}
+		if tbl.Len() != len(ids) || tbl.Frames() != frames {
+			t.Fatalf("%s: event %d: table holds %d walks and %d frames, want %d and %d",
+				name, i, tbl.Len(), tbl.Frames(), len(ids), frames)
+		}
+	}
+	checkIndexed()
+	return resets
+}
+
+// hashK is hashWalk's per-frame multiplier.
 const hashK = 0x9e3779b97f4a7c15
 
 // collidingWalks returns two two-frame walks with different addresses
-// and equal HashWalk values: HashWalk mixes each address into the
+// and equal hashWalk values: hashWalk mixes each address into the
 // running value by xor before multiplying, so the second walk's last
 // address can cancel the difference its first address made.
 func collidingWalks(t testing.TB) (a, b trace.StackWalk) {
@@ -108,8 +190,8 @@ func collidingWalks(t testing.TB) (a, b trace.StackWalk) {
 	b1 := uint64(0x7ff00200)
 	b2 := (2^a[0].Addr)*hashK ^ (2^b1)*hashK ^ a[1].Addr
 	b = trace.StackWalk{{Addr: b1}, {Addr: b2}}
-	if HashWalk(a) != HashWalk(b) {
-		t.Fatal("constructed walks do not collide; update collidingWalks to HashWalk")
+	if hashWalk(a) != hashWalk(b) {
+		t.Fatal("constructed walks do not collide; update collidingWalks to hashWalk")
 	}
 	return a, b
 }
@@ -237,15 +319,51 @@ func walkInputs(t *testing.T) map[string]*trace.Log {
 	}
 }
 
-// TestSplitMatchesPerEventReference holds the walk-deduplicated split to
-// a split of every event on its own, on fresh scratch and on one scratch
-// reused across all inputs.
+// TestSplitMatchesPerEventReference holds the walk-deduplicated split
+// to a split of every event on its own, and so the walk table behind it:
+// fresh per input, bounded so that it resets many times per input, and
+// one table reused across all inputs.
 func TestSplitMatchesPerEventReference(t *testing.T) {
 	inputs := walkInputs(t)
-	var shared Scratch
-	for _, name := range []string{"appsim", "renamed", "stackless", "collision", "built", "empty", "appsim"} {
-		checkSplit(t, name, inputs[name], &Scratch{})
-		checkSplit(t, name+" (reused scratch)", inputs[name], &shared)
+	for seed := int64(1); seed <= 3; seed++ {
+		inputs[fmt.Sprint("appsim seed ", seed)] = generatedLog(t, seed, 400)
+	}
+	var names []string
+	for name := range inputs {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	var shared Walks
+	for _, name := range append(names, names...) {
+		log := inputs[name]
+		checkSplit(t, name, log)
+		checkWalks(t, name+" (fresh table)", log, &Walks{}, math.MaxInt, math.MaxInt)
+		if resets := checkWalks(t, name+" (bounded table)", log, &Walks{}, 8, 24); resets == 0 && log.Len() > 24 {
+			t.Fatalf("%s: the bounded table never reset", name)
+		}
+		shared.Reset()
+		checkWalks(t, name+" (reused table)", log, &shared, math.MaxInt, math.MaxInt)
+	}
+}
+
+// TestWalksSteadyStateAllocs requires a warm table to look up and index
+// a log's walks again, after a reset, without allocating.
+func TestWalksSteadyStateAllocs(t *testing.T) {
+	log := generatedLog(t, 7, 400)
+	var tbl Walks
+	walkAll := func() {
+		tbl.Reset()
+		for i := range log.Events {
+			id, _ := tbl.Walk(log.Modules, log.Events[i].Stack)
+			tbl.Traces(id)
+		}
+	}
+	walkAll()
+	if tbl.Len() < 2 {
+		t.Fatalf("log holds %d distinct walks; the check would be vacuous", tbl.Len())
+	}
+	if avg := testing.AllocsPerRun(50, walkAll); avg != 0 {
+		t.Fatalf("warm table allocates %.2f per pass over the log, want 0", avg)
 	}
 }
 
@@ -281,8 +399,9 @@ func TestGatherIndexesWalks(t *testing.T) {
 }
 
 // FuzzSplitWalks holds the split of arbitrary hand-built logs to the
-// per-event reference: repeated, renamed, colliding, stackless, nil and
-// empty walks in any order.
+// per-event reference, and the walk table behind it, unbounded and
+// reset at bounds the input picks: repeated, renamed, colliding,
+// stackless, nil and empty walks in any order.
 func FuzzSplitWalks(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0x80, 0, 0, 5, 0, 0, 6, 0, 0, 5, 0, 0})
@@ -292,6 +411,14 @@ func FuzzSplitWalks(f *testing.F) {
 			data = data[:3*512]
 		}
 		log := walkLog(t, data)
-		checkSplit(t, "fuzz", log, &Scratch{})
+		checkSplit(t, "fuzz", log)
+		var tbl Walks
+		checkWalks(t, "fuzz", log, &tbl, math.MaxInt, math.MaxInt)
+		// Bounds drawn from the input reset the same table, at the
+		// walk bound, at the frame bound or before every event.
+		if len(data) > 0 {
+			tbl.Reset()
+			checkWalks(t, "fuzz (bounded)", log, &tbl, 1+int(data[0]&7), int(data[0]>>3))
+		}
 	})
 }

@@ -219,18 +219,11 @@ func (s *Store) Publish(r io.Reader, train TrainInfo) (Manifest, error) {
 		return Manifest{}, fmt.Errorf("registry: rejecting bundle: %w", err)
 	}
 
-	if existing, err := s.Get(id); err == nil {
-		if existing.SHA256 != hash {
-			return Manifest{}, fmt.Errorf("registry: id collision: entry %s holds hash %s, new bundle hashes %s", id, existing.SHA256, hash)
-		}
-		return existing, nil
-	}
-
 	parent := ""
 	if cur, ok, err := s.Current(); err == nil && ok {
 		parent = cur.ID
 	}
-	man := Manifest{
+	man, fresh, err := s.commit("publish", Manifest{
 		ID:            id,
 		SHA256:        hash,
 		CreatedAt:     time.Now().UTC(),
@@ -239,30 +232,9 @@ func (s *Store) Publish(r io.Reader, train TrainInfo) (Manifest, error) {
 		Degraded:      info.Degraded,
 		Parent:        parent,
 		Train:         train,
-	}
-
-	dir := s.entryDir(id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return Manifest{}, fmt.Errorf("registry: creating entry: %w", err)
-	}
-	if err := faultinject.Step("registry/publish/bundle"); err != nil {
-		return Manifest{}, fmt.Errorf("registry: writing bundle: %w", err)
-	}
-	if err := WriteFileAtomic(filepath.Join(dir, bundleFile), blob); err != nil {
-		return Manifest{}, fmt.Errorf("registry: writing bundle: %w", err)
-	}
-	manBlob, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return Manifest{}, fmt.Errorf("registry: encoding manifest: %w", err)
-	}
-	// The manifest lands last: an entry directory without one is an
-	// uncommitted publish and is ignored by Get/List. The fault point
-	// between the two writes is where crash tests kill the publisher.
-	if err := faultinject.Step("registry/publish/manifest"); err != nil {
-		return Manifest{}, fmt.Errorf("registry: writing manifest: %w", err)
-	}
-	if err := WriteFileAtomic(filepath.Join(dir, manifestFile), manBlob); err != nil {
-		return Manifest{}, fmt.Errorf("registry: writing manifest: %w", err)
+	}, blob)
+	if err != nil || !fresh {
+		return man, err
 	}
 	mPublishes.Inc()
 	telemetry.RecordFlight(telemetry.FlightEntry{
@@ -276,6 +248,49 @@ func (s *Store) Publish(r io.Reader, train TrainInfo) (Manifest, error) {
 		}
 	}
 	return man, nil
+}
+
+// commit lands man and its bundle as an entry under the manifest-last
+// protocol Publish and ImportEntry share, op naming the caller: the
+// bundle first, the manifest last, so a crash between the two writes
+// leaves an entry directory without a manifest, which Get and List
+// ignore. The fault points before the writes (registry/publish/bundle
+// and registry/publish/manifest, registry/import/bundle and
+// registry/import/manifest) are where crash tests kill the writer. An
+// entry already committed under the id is left as it is: commit returns
+// it, with fresh false, when it holds the same hash, and fails when not.
+func (s *Store) commit(op string, man Manifest, blob []byte) (_ Manifest, fresh bool, err error) {
+	fail := func(what string, err error) (Manifest, bool, error) {
+		return Manifest{}, false, fmt.Errorf("registry: %s %s: %s: %w", op, man.ID, what, err)
+	}
+	if existing, err := s.Get(man.ID); err == nil {
+		if existing.SHA256 != man.SHA256 {
+			return Manifest{}, false, fmt.Errorf("registry: %s %s: id collision: entry holds hash %s, bundle hashes %s",
+				op, man.ID, existing.SHA256, man.SHA256)
+		}
+		return existing, false, nil
+	}
+	manBlob, err := json.MarshalIndent(man, "", "  ")
+	if err != nil {
+		return fail("encoding manifest", err)
+	}
+	dir := s.entryDir(man.ID)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fail("creating entry", err)
+	}
+	if err := faultinject.Step("registry/" + op + "/bundle"); err != nil {
+		return fail("writing bundle", err)
+	}
+	if err := WriteFileAtomic(filepath.Join(dir, bundleFile), blob); err != nil {
+		return fail("writing bundle", err)
+	}
+	if err := faultinject.Step("registry/" + op + "/manifest"); err != nil {
+		return fail("writing manifest", err)
+	}
+	if err := WriteFileAtomic(filepath.Join(dir, manifestFile), manBlob); err != nil {
+		return fail("writing manifest", err)
+	}
+	return man, true, nil
 }
 
 // Get returns the manifest of one committed entry.
@@ -374,30 +389,8 @@ func (s *Store) SetCurrent(id, reason string) (Transition, error) {
 	}
 	tr := Transition{At: time.Now().UTC(), From: prev.ID, To: id, Reason: reason}
 	ptr := Pointer{ID: id, Generation: prev.Generation + 1, UpdatedAt: tr.At, Reason: reason}
-	blob, err := json.MarshalIndent(ptr, "", "  ")
-	if err != nil {
-		return Transition{}, fmt.Errorf("registry: encoding current pointer: %w", err)
-	}
-	if err := faultinject.Step("registry/setcurrent"); err != nil {
-		return Transition{}, fmt.Errorf("registry: repointing current: %w", err)
-	}
-	if err := WriteFileAtomic(filepath.Join(s.root, currentFile), blob); err != nil {
-		return Transition{}, fmt.Errorf("registry: repointing current: %w", err)
-	}
-	line, err := json.Marshal(tr)
-	if err != nil {
-		return Transition{}, fmt.Errorf("registry: encoding transition: %w", err)
-	}
-	f, err := os.OpenFile(filepath.Join(s.root, historyFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return Transition{}, fmt.Errorf("registry: opening history: %w", err)
-	}
-	_, werr := f.Write(append(line, '\n'))
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return Transition{}, fmt.Errorf("registry: appending history: %w", werr)
+	if err := s.repoint("registry/setcurrent", ptr, tr); err != nil {
+		return Transition{}, err
 	}
 	return tr, nil
 }
@@ -454,31 +447,8 @@ func (s *Store) ImportEntry(man Manifest, blob []byte) error {
 	if !strings.HasPrefix(hash, man.ID) {
 		return fmt.Errorf("registry: import %s: id is not a prefix of bundle hash %s", man.ID, hash)
 	}
-	if existing, err := s.Get(man.ID); err == nil {
-		if existing.SHA256 != hash {
-			return fmt.Errorf("registry: import %s: existing entry holds hash %s, import hashes %s", man.ID, existing.SHA256, hash)
-		}
-		return nil
-	}
-	dir := s.entryDir(man.ID)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("registry: import %s: creating entry: %w", man.ID, err)
-	}
-	if err := faultinject.Step("registry/import/bundle"); err != nil {
-		return fmt.Errorf("registry: import %s: writing bundle: %w", man.ID, err)
-	}
-	if err := WriteFileAtomic(filepath.Join(dir, bundleFile), blob); err != nil {
-		return fmt.Errorf("registry: import %s: writing bundle: %w", man.ID, err)
-	}
-	manBlob, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return fmt.Errorf("registry: import %s: encoding manifest: %w", man.ID, err)
-	}
-	if err := faultinject.Step("registry/import/manifest"); err != nil {
-		return fmt.Errorf("registry: import %s: writing manifest: %w", man.ID, err)
-	}
-	if err := WriteFileAtomic(filepath.Join(dir, manifestFile), manBlob); err != nil {
-		return fmt.Errorf("registry: import %s: writing manifest: %w", man.ID, err)
+	if _, fresh, err := s.commit("import", man, blob); err != nil || !fresh {
+		return err
 	}
 	mImports.Inc()
 	return nil
@@ -509,32 +479,44 @@ func (s *Store) SetCurrentMirror(ptr Pointer) (Transition, error) {
 	}
 	tr := Transition{At: time.Now().UTC(), From: prev.ID, To: ptr.ID,
 		Reason: fmt.Sprintf("sync: mirror generation %d (%s)", ptr.Generation, ptr.Reason)}
+	if err := s.repoint("registry/setcurrent/mirror", ptr, tr); err != nil {
+		return Transition{}, err
+	}
+	return tr, nil
+}
+
+// repoint is the one pointer mutation, shared by SetCurrent and
+// SetCurrentMirror: it writes ptr as the current pointer, atomically,
+// then appends tr to the history log. The fault point before the
+// pointer write (registry/setcurrent or registry/setcurrent/mirror) is
+// where crash tests kill the writer. Callers hold s.mu.
+func (s *Store) repoint(fault string, ptr Pointer, tr Transition) error {
 	blob, err := json.MarshalIndent(ptr, "", "  ")
 	if err != nil {
-		return Transition{}, fmt.Errorf("registry: encoding mirrored pointer: %w", err)
-	}
-	if err := faultinject.Step("registry/setcurrent/mirror"); err != nil {
-		return Transition{}, fmt.Errorf("registry: mirroring pointer: %w", err)
-	}
-	if err := WriteFileAtomic(filepath.Join(s.root, currentFile), blob); err != nil {
-		return Transition{}, fmt.Errorf("registry: mirroring pointer: %w", err)
+		return fmt.Errorf("registry: encoding current pointer: %w", err)
 	}
 	line, err := json.Marshal(tr)
 	if err != nil {
-		return Transition{}, fmt.Errorf("registry: encoding transition: %w", err)
+		return fmt.Errorf("registry: encoding transition: %w", err)
+	}
+	if err := faultinject.Step(fault); err != nil {
+		return fmt.Errorf("registry: repointing current: %w", err)
+	}
+	if err := WriteFileAtomic(filepath.Join(s.root, currentFile), blob); err != nil {
+		return fmt.Errorf("registry: repointing current: %w", err)
 	}
 	f, err := os.OpenFile(filepath.Join(s.root, historyFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return Transition{}, fmt.Errorf("registry: opening history: %w", err)
+		return fmt.Errorf("registry: opening history: %w", err)
 	}
 	_, werr := f.Write(append(line, '\n'))
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
 	if werr != nil {
-		return Transition{}, fmt.Errorf("registry: appending history: %w", werr)
+		return fmt.Errorf("registry: appending history: %w", werr)
 	}
-	return tr, nil
+	return nil
 }
 
 // History returns every recorded transition, oldest first. A line the

@@ -29,10 +29,6 @@ import (
 // objects deeper is a syntax error there, so it is one here.
 const maxJSONDepth = 10000
 
-// stackCacheEntries bounds the resolved walks one session's stackCache
-// holds. Real processes walk a few hundred distinct call sites at most.
-const stackCacheEntries = 1024
-
 // maxPooledBody caps the body buffer a pooled decoder keeps, so one
 // oversized batch does not pin its buffer for the life of the pool.
 const maxPooledBody = 1 << 20
@@ -44,11 +40,14 @@ const maxPooledBody = 1 << 20
 // nothing downstream of ingest mutates an event's stack. The cache is
 // derived state: it is never checkpointed, spooled or handed off, and a
 // restored or imported session starts empty. It holds at most
-// stackCacheEntries walks; a full cache is emptied and refills, so a
-// session whose call sites drift keeps its hit rate.
+// trace.CacheWalks walks of trace.CacheFrames frames in all: a full
+// cache is emptied and refills, so a session whose call sites drift
+// keeps its hit rate, and a deeper walk is resolved but not cached.
+// Real processes walk a few hundred distinct call sites at most.
 type stackCache struct {
-	mu    sync.Mutex
-	walks map[string]trace.StackWalk
+	mu     sync.Mutex
+	walks  map[string]trace.StackWalk
+	frames int // in walks
 }
 
 // resolve returns the resolved walk of the frame addresses in key (8
@@ -64,12 +63,17 @@ func (c *stackCache) resolve(mm *trace.ModuleMap, key []byte) trace.StackWalk {
 		w[i].Addr = binary.LittleEndian.Uint64(key[8*i:])
 	}
 	mm.ResolveStack(w)
+	if len(w) > trace.CacheFrames {
+		return w
+	}
 	if c.walks == nil {
 		c.walks = make(map[string]trace.StackWalk)
-	} else if len(c.walks) >= stackCacheEntries {
+	} else if len(c.walks) == trace.CacheWalks || c.frames+len(w) > trace.CacheFrames {
 		clear(c.walks)
+		c.frames = 0
 	}
 	c.walks[string(key)] = w
+	c.frames += len(w)
 	return w
 }
 

@@ -313,34 +313,67 @@ func TestDecodeEventBatchBodies(t *testing.T) {
 }
 
 // TestStackCacheBound feeds one session more distinct stacks than the
-// cache holds: the cache stays within its bound and every event still
-// matches the reference.
+// cache holds: two-frame walks that reach its walk bound, full walks
+// that reach its frame bound, and walks deeper than the frame bound,
+// which are never cached. The cache stays within both bounds, reaches
+// the one each input stresses, and every event still matches the
+// reference.
 func TestStackCacheBound(t *testing.T) {
 	mm, log := decoderFixture(t)
-	stacks := new(stackCache)
-	var events []trace.Event
-	for i := 0; len(events) < 3*stackCacheEntries; i++ {
-		e := log.Events[i%len(log.Events)].Clone()
-		if len(e.Stack) == 0 {
-			continue
+	// distinct returns n events of log whose stacks, cut by cut, carry a
+	// walk per event.
+	distinct := func(n int, cut func(trace.StackWalk) trace.StackWalk) []trace.Event {
+		var events []trace.Event
+		for i := 0; len(events) < n; i++ {
+			e := log.Events[i%len(log.Events)].Clone()
+			if len(e.Stack) == 0 {
+				continue
+			}
+			e.Stack = cut(e.Stack)
+			e.Stack[0].Addr += uint64(len(events))
+			events = append(events, e)
 		}
-		e.Stack[0].Addr += uint64(len(events)) // distinct walk per event
-		events = append(events, e)
+		return events
 	}
-	filled := false
-	for lo := 0; lo < len(events); lo += 256 {
-		compact, _ := batchBodies(t, events[lo:min(lo+256, len(events))])
-		if !checkDecode(t, compact, mm, stacks) {
-			t.Fatal("batch rejected")
-		}
-		n := len(stacks.walks)
-		if n > stackCacheEntries {
-			t.Fatalf("cache holds %d walks, bound %d", n, stackCacheEntries)
-		}
-		filled = filled || n == stackCacheEntries
+	var deep trace.StackWalk
+	for i := 0; len(deep) <= trace.CacheFrames; i++ {
+		deep = append(deep, log.Events[i%len(log.Events)].Stack...)
 	}
-	if !filled {
-		t.Fatalf("cache never reached its bound of %d walks", stackCacheEntries)
+	for _, c := range []struct {
+		name   string
+		events []trace.Event
+		batch  int
+		// reached reports whether the cache reached the bound the input
+		// stresses.
+		reached func(walks, frames int) bool
+	}{
+		{"short", distinct(3*trace.CacheWalks, func(st trace.StackWalk) trace.StackWalk { return st[:min(2, len(st))] }), 256,
+			func(walks, _ int) bool { return walks == trace.CacheWalks }},
+		{"full", distinct(3*trace.CacheWalks, func(st trace.StackWalk) trace.StackWalk { return st }), 16,
+			func(walks, frames int) bool { return walks < trace.CacheWalks && frames > trace.CacheFrames-512 }},
+		{"deep", distinct(20, func(trace.StackWalk) trace.StackWalk { return deep.Clone() }), 4,
+			func(walks, _ int) bool { return walks == 0 }},
+	} {
+		stacks := new(stackCache)
+		reached := false
+		for lo := 0; lo < len(c.events); lo += c.batch {
+			compact, _ := batchBodies(t, c.events[lo:min(lo+c.batch, len(c.events))])
+			if !checkDecode(t, compact, mm, stacks) {
+				t.Fatalf("%s: batch rejected", c.name)
+			}
+			frames := 0
+			for _, w := range stacks.walks {
+				frames += len(w)
+			}
+			if len(stacks.walks) > trace.CacheWalks || frames > trace.CacheFrames {
+				t.Fatalf("%s: cache holds %d walks and %d frames, bounds %d and %d",
+					c.name, len(stacks.walks), frames, trace.CacheWalks, trace.CacheFrames)
+			}
+			reached = reached || c.reached(len(stacks.walks), frames)
+		}
+		if !reached {
+			t.Errorf("%s: cache never reached the bound the input stresses", c.name)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -75,11 +76,18 @@ func TestTraceParentPropagation(t *testing.T) {
 	}
 
 	// The flight recorder links the HTTP hop, the queue hand-off and the
-	// verdict summary under the same trace.
+	// verdict summary under the same trace. The worker replies before it
+	// records the verdict entry, so the ring is read until both kinds
+	// are there or the deadline passes.
 	kinds := map[string]bool{}
-	for _, e := range telemetry.Flight().Snapshot() {
-		if e.Trace == traceHex {
-			kinds[e.Kind] = true
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		for _, e := range telemetry.Flight().Snapshot() {
+			if e.Trace == traceHex {
+				kinds[e.Kind] = true
+			}
+		}
+		if kinds["http"] && kinds["verdict"] || time.Now().After(deadline) {
+			break
 		}
 	}
 	for _, want := range []string{"http", "verdict"} {

@@ -130,6 +130,16 @@ func (f Frame) String() string {
 // bottom.
 type StackWalk []Frame
 
+// Bounds of a session-lifetime cache of stack walks: serve's
+// per-session resolution cache and a detector's walk table. A stack walk
+// has no depth limit on the wire, so frames are bounded as well as
+// walks: a full cache is emptied and refills, and a walk deeper than
+// CacheFrames is never kept past its event.
+const (
+	CacheWalks  = 1024
+	CacheFrames = 4096
+)
+
 // Clone returns a deep copy of the stack walk. Callers that retain stacks
 // across mutations of the source log should clone at the boundary.
 func (s StackWalk) Clone() StackWalk {
