@@ -76,9 +76,14 @@ bench-compare:
 
 # Proves parallelism-invariance: EvaluateRuns and GridSearch produce
 # identical results for any worker count, under the race detector —
-# including the shared kernel-row cache and the pooled/batch hot paths,
-# which must match their allocating reference implementations bit for
-# bit. Both phases work once per distinct stack walk through one walk
+# including the pooled/batch hot paths, which must match their
+# allocating reference implementations bit for bit. Model selection
+# reads one kernel matrix per σ² (svm's gram), so the gram must equal
+# Kernel.Compute in both fill modes and under concurrent lazy fills; the
+# solver over it must equal the reference SMO solver bit for bit; every
+# grid point's accuracy must equal CrossValidate's; lazy rows must give
+# the eager mode's models; and the training decisions behind Platt must
+# equal Model.Decision. Both phases work once per distinct stack walk through one walk
 # table (partition.Walks), so the table and the split on it must equal
 # the per-event split, fresh, reset at its bounds and reused;
 # detection through it in both scoring modes (consecutive pooled
@@ -92,7 +97,7 @@ bench-compare:
 # summaries to the committed golden of an earlier commit, at Parallel 1
 # and at every processor.
 determinism:
-	$(GO) test -race -run 'TestEvaluateRunsParallelDeterminism|TestEvaluateRunsBuildsArtifactsOnce|TestGridSearchParallel|TestSharedCrossValidateMatchesUncached|TestGridSearchMatchesUncachedSweep|TestRowCacheConcurrent|TestFeaturizeConcurrent|TestDetectLogMatchesReference|TestFeedMatchesReference|TestTrainedModelsGolden|TestArtifactsMatchPerEventReference|TestSplitMatchesPerEventReference|TestFitOverWalksMatchesPerEvent' ./internal/core ./internal/svm ./internal/partition ./internal/preprocess
+	$(GO) test -race -run 'TestEvaluateRunsParallelDeterminism|TestEvaluateRunsBuildsArtifactsOnce|TestGridSearchParallel|TestSharedCrossValidateMatchesUncached|TestGridSearchMatchesUncachedSweep|TestSolverMatchesReference|TestGramMatchesCompute|TestGramConcurrent|TestLazyGramMatchesEager|TestFitDecisionsMatchDecision|TestFeaturizeConcurrent|TestDetectLogMatchesReference|TestFeedMatchesReference|TestTrainedModelsGolden|TestArtifactsMatchPerEventReference|TestSplitMatchesPerEventReference|TestFitOverWalksMatchesPerEvent' ./internal/core ./internal/svm ./internal/partition ./internal/preprocess
 
 # End-to-end smoke test of the -debug-addr introspection endpoints:
 # generates data, trains, then scrapes /metrics, /spans and pprof from a

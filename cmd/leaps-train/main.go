@@ -10,10 +10,11 @@
 //	    [-quiet] [-verbose] [-log-json] [-debug-addr 127.0.0.1:6060] \
 //	    [-telemetry-out report.json]
 //
-// Without -lambda/-sigma2 the parameters are chosen by cross-validated
-// grid search on the training set, as in the paper. With -lenient,
-// corrupt records in the training logs are skipped and reported instead
-// of rejecting the file.
+// -lambda and -sigma2 go together: with both, each finite and positive,
+// they fix the SVM parameters; without either the parameters are chosen
+// by cross-validated grid search on the training set, as in the paper.
+// With -lenient, corrupt records in the training logs are skipped and
+// reported instead of rejecting the file.
 //
 // -seeds trains one model per data-selection seed while building the
 // seed-independent pipeline artifacts (partitioning, feature clustering,
@@ -73,8 +74,8 @@ func run(args []string) error {
 		modelPath    = fs.String("model", "leaps.model", "output model file")
 		app          = fs.String("app", "", "application to slice (defaults to the only process)")
 		window       = fs.Int("window", 10, "event-coalescing window")
-		lambda       = fs.Float64("lambda", 0, "fixed λ (0 = grid search)")
-		sigma2       = fs.Float64("sigma2", 0, "fixed Gaussian σ² (0 = grid search)")
+		lambda       = fs.Float64("lambda", 0, "fixed λ, with -sigma2 (omit both to grid-search)")
+		sigma2       = fs.Float64("sigma2", 0, "fixed Gaussian σ², with -lambda (omit both to grid-search)")
 		seed         = fs.Int64("seed", 1, "data-selection seed")
 		seeds        = fs.String("seeds", "", "comma-separated seeds: one model per seed from shared artifacts (overrides -seed)")
 		parallel     = fs.Int("parallel", 0, "pipeline worker bound (0 = all processors, 1 = serial)")
@@ -95,6 +96,10 @@ func run(args []string) error {
 	}
 	if *benignPath == "" || *mixedPath == "" {
 		return fmt.Errorf("missing -benign or -mixed")
+	}
+	fixed, err := fixedParams(fs, *lambda, *sigma2)
+	if err != nil {
+		return err
 	}
 	if *debugAddr != "" {
 		srv, err := telemetry.Serve(*debugAddr)
@@ -126,10 +131,7 @@ func run(args []string) error {
 		}
 	}
 
-	cfg := core.Config{Window: *window, Seed: seedList[0], Parallel: *parallel}
-	if *lambda > 0 && *sigma2 > 0 {
-		cfg.FixedParams = &svm.Params{Lambda: *lambda, Kernel: svm.RBFKernel{Sigma2: *sigma2}}
-	}
+	cfg := core.Config{Window: *window, Seed: seedList[0], Parallel: *parallel, FixedParams: fixed}
 	ctx := context.Background()
 	art, err := core.BuildArtifacts(ctx, benign, mixed, cfg)
 	if err != nil {
@@ -186,6 +188,25 @@ func run(args []string) error {
 		slogx.Info("wrote telemetry report", "path", path)
 	}
 	return nil
+}
+
+// fixedParams resolves -lambda/-sigma2: both set fix the SVM parameters,
+// which must pass svm's parameter check; neither set means grid search;
+// one alone is a usage error.
+func fixedParams(fs *flag.FlagSet, lambda, sigma2 float64) (*svm.Params, error) {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["lambda"] != set["sigma2"] {
+		return nil, fmt.Errorf("-lambda and -sigma2 go together: pass both to fix the parameters, or neither to grid-search them")
+	}
+	if !set["lambda"] {
+		return nil, nil
+	}
+	p := svm.Params{Lambda: lambda, Kernel: svm.RBFKernel{Sigma2: sigma2}}
+	if err := p.Check(); err != nil {
+		return nil, fmt.Errorf("-lambda %v -sigma2 %v: %w", lambda, sigma2, err)
+	}
+	return &p, nil
 }
 
 // parseSeeds resolves -seeds/-seed: an empty -seeds keeps the single

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -195,5 +196,22 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-benign", "/no/such.letl", "-mixed", "/no/such.letl"}); err == nil {
 		t.Error("missing files accepted")
+	}
+	// -lambda and -sigma2 come together and pass svm's parameter check;
+	// the flags are checked before any log is read.
+	for _, flags := range [][]string{
+		{"-lambda", "8"},
+		{"-sigma2", "2"},
+		{"-sigma2", "-1"},
+		{"-lambda", "0", "-sigma2", "2"},
+		{"-lambda", "8", "-sigma2", "0"},
+		{"-lambda", "Inf", "-sigma2", "Inf"},
+		{"-lambda", "NaN", "-sigma2", "2"},
+		{"-lambda", "8", "-sigma2", "-Inf"},
+	} {
+		err := run(append([]string{"-benign", "/no/such.letl", "-mixed", "/no/such.letl"}, flags...))
+		if err == nil || !strings.Contains(err.Error(), "-lambda") {
+			t.Errorf("%v: error %v, want a -lambda/-sigma2 usage error", flags, err)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/callgraph"
+	"repro/internal/dataset"
 	"repro/internal/partition"
 	"repro/internal/preprocess"
 	"repro/internal/telemetry"
@@ -219,5 +220,37 @@ func TestBuildArtifactsAllocs(t *testing.T) {
 	})
 	if allocs > buildArtifactsAllocBudget {
 		t.Errorf("BuildArtifacts allocated %.0f times per call, budget %d", allocs, buildArtifactsAllocBudget)
+	}
+}
+
+// TestSelectTrainAllocs bounds a grid-searched training run's
+// allocations on one dataset of the benchmark's train size (3000 benign
+// and 3000 mixed events): the draw, scaling, the 16-point 5-fold model
+// selection, the final fit, Platt and the call graph, serially.
+func TestSelectTrainAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const selectTrainAllocBudget = 2600 // allocs per call; 2,098 measured
+	spec, err := dataset.ByName("winscp_reverse_tcp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.BenignEvents, spec.MixedEvents, spec.MaliciousEvents = 3000, 3000, 100
+	logs, err := spec.Generate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := BuildArtifacts(context.Background(), logs.Benign, logs.Mixed, Config{Seed: 1, Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := art.Select(1).Train(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > selectTrainAllocBudget {
+		t.Errorf("Select(1).Train allocated %.0f times per call, budget %d", allocs, selectTrainAllocBudget)
 	}
 }

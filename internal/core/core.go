@@ -247,9 +247,10 @@ func (s *Selection) draw(rng *rand.Rand, weighted bool, prob *svm.Problem) (nBen
 }
 
 // fit is the one fit path of the WSVM trainers. Given a drawn problem
-// whose X holds raw window vectors, it fits the scaler and scales X,
-// fixes (λ, σ²) or grid-searches them with folds seeded by seed, runs SMO
-// and calibrates Platt scaling. Spans nest under ctx.
+// whose X holds raw window vectors, it fits the scaler and scales X, then
+// has svm.Fit fix (λ, σ²) or grid-search them with folds seeded by seed
+// and run SMO, and calibrates Platt scaling on the training decisions
+// svm.Fit returns. Spans nest under ctx.
 func fit(ctx context.Context, prob svm.Problem, enc *preprocess.Encoder, cfg Config, seed int64) (*Classifier, error) {
 	scaler, err := svm.FitScaler(prob.X)
 	if err != nil {
@@ -260,33 +261,17 @@ func fit(ctx context.Context, prob svm.Problem, enc *preprocess.Encoder, cfg Con
 		// artifacts' window vectors.
 		prob.X[i] = scaler.ApplyInto(make([]float64, 0, len(v)), v)
 	}
-	if err := prob.Validate(); err != nil {
-		return nil, err
+	grid := cfg.Grid
+	grid.Seed = seed
+	if grid.Parallel == 0 {
+		grid.Parallel = cfg.Parallel
 	}
-	var params svm.Params
-	if cfg.FixedParams != nil {
-		params = *cfg.FixedParams
-	} else {
-		grid := cfg.Grid
-		grid.Seed = seed
-		if grid.Parallel == 0 {
-			grid.Parallel = cfg.Parallel
-		}
-		_, spGrid := telemetry.StartSpan(ctx, "gridsearch")
-		params, _, err = svm.GridSearch(prob, grid)
-		spGrid.End()
-		if err != nil {
-			return nil, err
-		}
-	}
-	_, spSMO := telemetry.StartSpan(ctx, "smo")
-	model, err := svm.Train(prob, params)
-	spSMO.End()
+	params, model, dec, err := svm.Fit(ctx, prob, cfg.FixedParams, grid)
 	if err != nil {
 		return nil, err
 	}
 	_, spPlatt := telemetry.StartSpan(ctx, "platt")
-	platt := fitPlatt(model, prob)
+	platt, _ := svm.FitPlatt(dec, prob.Y) // best-effort: nil on degenerate inputs
 	spPlatt.End()
 	return &Classifier{enc: enc, scaler: scaler, model: model, platt: platt, window: cfg.Window, params: params}, nil
 }
@@ -368,20 +353,6 @@ func (s *Selection) train(ctx context.Context, weighted bool) (*Classifier, erro
 		return nil, err
 	}
 	return clf, nil
-}
-
-// fitPlatt calibrates a probability sigmoid on the training decisions;
-// calibration is best-effort (nil on degenerate inputs).
-func fitPlatt(model *svm.Model, prob svm.Problem) *svm.PlattScaler {
-	dec := make([]float64, len(prob.X))
-	for i, x := range prob.X {
-		dec[i] = model.Decision(x)
-	}
-	p, err := svm.FitPlatt(dec, prob.Y)
-	if err != nil {
-		return nil
-	}
-	return p
 }
 
 // Detection is one classified window of a log.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -289,5 +290,98 @@ func TestLoadClassifierAcceptsV1Files(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("detection %d differs under v1 load", i)
 		}
+	}
+}
+
+// svmKernelFile, svmModelFile and svmScalerFile mirror the gob layout of
+// svm's model and scaler sections, so a test can corrupt one field.
+type svmKernelFile struct {
+	Kind         string
+	Sigma2       float64
+	Degree       int
+	Gamma, Coef0 float64
+}
+
+type svmModelFile struct {
+	Kernel            svmKernelFile
+	SVX               [][]float64
+	SVCoef            []float64
+	Bias              float64
+	Iters, BoundedSVs int
+}
+
+type svmScalerFile struct{ Min, Max []float64 }
+
+// regob decodes a gob section into v, applies edit and re-encodes it.
+func regob[T any](t *testing.T, section []byte, edit func(*T)) []byte {
+	t.Helper()
+	var v T
+	if err := gob.NewDecoder(bytes.NewReader(section)).Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	edit(&v)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadMonitorDegradesOnInconsistentBundle feeds LoadMonitor and
+// InspectBundle bundles whose sections each decode but do not fit
+// together or hold non-finite values. Each must load degraded, with a
+// typed cause, and score a log on the call graph without panicking —
+// the 29-dimension scaler used to pass both and panic at the first
+// window.
+func TestLoadMonitorDegradesOnInconsistentBundle(t *testing.T) {
+	clf, mal := trainStream(t, 47)
+	model := func(edit func(*svmModelFile)) func(*classifierFile) {
+		return func(f *classifierFile) { f.Model = regob(t, f.Model, edit) }
+	}
+	scaler := func(edit func(*svmScalerFile)) func(*classifierFile) {
+		return func(f *classifierFile) { f.Scaler = regob(t, f.Scaler, edit) }
+	}
+	cases := []struct {
+		name    string
+		corrupt func(*classifierFile)
+	}{
+		{"29-dimension scaler", scaler(func(s *svmScalerFile) { s.Min, s.Max = s.Min[:29], s.Max[:29] })},
+		{"infinite scaler bound", scaler(func(s *svmScalerFile) { s.Max[3] = math.Inf(1) })},
+		{"short support vector", model(func(m *svmModelFile) { m.SVX[0] = m.SVX[0][:29] })},
+		{"long support vector", model(func(m *svmModelFile) {
+			m.SVX[len(m.SVX)-1] = append(slices.Clone(m.SVX[len(m.SVX)-1]), 0.5)
+		})},
+		{"NaN coefficient", model(func(m *svmModelFile) { m.SVCoef[0] = math.NaN() })},
+		{"infinite bias", model(func(m *svmModelFile) { m.Bias = math.Inf(-1) })},
+		{"zero σ²", model(func(m *svmModelFile) { m.Kernel.Sigma2 = 0 })},
+		{"NaN Platt A", func(f *classifierFile) { f.PlattA = math.NaN() }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := saveFile(t, clf)
+			tc.corrupt(&f)
+			mon, err := LoadMonitor(encodeFile(t, f))
+			if err != nil {
+				t.Fatalf("LoadMonitor refused a bundle with a usable call graph: %v", err)
+			}
+			var invalid *InvalidModelError
+			if !mon.Degraded() || !errors.As(mon.DegradedCause(), &invalid) {
+				t.Fatalf("monitor degraded=%v, cause %v; want degraded by *InvalidModelError", mon.Degraded(), mon.DegradedCause())
+			}
+			dets, err := mon.DetectLog(mal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := referenceDegraded(t, mon.cg, mon.Window(), mal); !slices.Equal(dets, want) {
+				t.Fatalf("degraded DetectLog differs from the reference (%d vs %d detections)", len(dets), len(want))
+			}
+			info, err := InspectBundle(encodeFile(t, f))
+			if err != nil || !info.Degraded {
+				t.Fatalf("InspectBundle = %+v, %v; want Degraded", info, err)
+			}
+			if _, err := LoadClassifier(encodeFile(t, f)); !errors.As(err, &invalid) {
+				t.Fatalf("LoadClassifier error %v, want *InvalidModelError", err)
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/callgraph"
 	"repro/internal/preprocess"
@@ -110,11 +111,46 @@ func (f classifierFile) classifier() (*Classifier, error) {
 	if f.HasPlatt {
 		c.platt = &svm.PlattScaler{A: f.PlattA, B: f.PlattB}
 	}
+	if err := c.check(); err != nil {
+		return nil, &InvalidModelError{Cause: err}
+	}
 	if cg, err := f.callGraph(); err == nil {
 		c.cg = cg
 	}
 	return c, nil
 }
+
+// check ties the decoded statistical sections together, so that no
+// bundle the loader accepts can panic the scorer or score NaN: the scaler
+// and every support vector span the 3×Window features of a coalesced
+// window, every coefficient, bound and the bias are finite, the kernel
+// passes svm's parameter check, and Platt's A and B are finite.
+func (c *Classifier) check() error {
+	dim := 3 * c.window
+	if err := c.scaler.Check(dim); err != nil {
+		return err
+	}
+	if err := c.model.Check(dim); err != nil {
+		return err
+	}
+	if p := c.platt; p != nil && (math.IsNaN(p.A) || math.IsInf(p.A, 0) || math.IsNaN(p.B) || math.IsInf(p.B, 0)) {
+		return fmt.Errorf("core: Platt sigmoid A=%v B=%v is not finite", p.A, p.B)
+	}
+	return nil
+}
+
+// InvalidModelError reports a bundle whose statistical sections decode
+// but do not form a usable classifier (Classifier.check). LoadMonitor
+// degrades past it to the call graph like any other corrupt statistical
+// section.
+type InvalidModelError struct {
+	// Cause names the section and value at fault.
+	Cause error
+}
+
+func (e *InvalidModelError) Error() string { return "core: invalid model bundle: " + e.Cause.Error() }
+
+func (e *InvalidModelError) Unwrap() error { return e.Cause }
 
 // callGraph reconstructs the embedded call-graph baseline, if present.
 func (f classifierFile) callGraph() (*callgraph.Model, error) {

@@ -20,12 +20,39 @@ import (
 )
 
 // Kernel computes inner products in feature space.
+//
+// Training assumes symmetry: Compute(a, b) and Compute(b, a) must be
+// bitwise equal, because a kernel matrix evaluates each pair once and
+// reads it for both orders. The linear, RBF and polynomial kernels meet
+// this exactly: products commute and (a−b)² = (b−a)².
 type Kernel interface {
 	// Compute returns k(a, b). Implementations may assume len(a)==len(b).
 	Compute(a, b []float64) float64
 	// String describes the kernel and its parameters.
 	String() string
 }
+
+// checkKernel rejects kernel parameters that train on NaN or ±Inf: an
+// RBF σ² must be finite and positive (σ² = 0 makes k(x,x) = exp(−0/0)),
+// and a polynomial kernel needs finite γ and coef0 and a degree of at
+// least 1. Other kernels carry no checkable parameters.
+func checkKernel(k Kernel) error {
+	switch kk := k.(type) {
+	case RBFKernel:
+		if !finitePositive(kk.Sigma2) {
+			return fmt.Errorf("svm: RBF σ² %v must be finite and positive", kk.Sigma2)
+		}
+	case PolyKernel:
+		if kk.Degree < 1 || !finite(kk.Gamma) || !finite(kk.Coef0) {
+			return fmt.Errorf("svm: polynomial kernel %v needs degree ≥ 1 and finite γ and coef0", kk)
+		}
+	}
+	return nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // LinearKernel is k(a,b) = a·b.
 type LinearKernel struct{}

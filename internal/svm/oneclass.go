@@ -30,10 +30,7 @@ type OneClassParams struct {
 
 // OneClassModel is a trained one-class SVM.
 type OneClassModel struct {
-	kernel Kernel
-	svX    [][]float64
-	svCoef []float64
-	rho    float64
+	m Model // coefficients αᵢ, bias −ρ
 	// Iters reports solver iterations.
 	Iters int
 }
@@ -53,17 +50,9 @@ func TrainOneClass(x [][]float64, params OneClassParams) (*OneClassModel, error)
 	if params.Nu <= 0 || params.Nu > 1 {
 		return nil, fmt.Errorf("svm: Nu %v out of (0,1]", params.Nu)
 	}
-	if params.Kernel == nil {
-		params.Kernel = RBFKernel{Sigma2: 1}
-	}
-	if params.Tol <= 0 {
-		params.Tol = 1e-3
-	}
-	if params.MaxIter <= 0 {
-		params.MaxIter = 100 * n
-		if params.MaxIter < 10000 {
-			params.MaxIter = 10000
-		}
+	p := Params{Kernel: params.Kernel, Tol: params.Tol, MaxIter: params.MaxIter}.withDefaults(n)
+	if err := checkKernel(p.Kernel); err != nil {
+		return nil, err
 	}
 
 	// Reuse the two-class solver machinery with all labels +1: the pair
@@ -72,62 +61,58 @@ func TrainOneClass(x [][]float64, params OneClassParams) (*OneClassModel, error)
 	// the bound 1/(νn) and the remainder fractionally.
 	y := make([]float64, n)
 	c := make([]float64, n)
+	idx := make([]int, n)
 	upper := 1 / (params.Nu * float64(n))
 	for i := range y {
 		y[i] = 1
 		c[i] = upper
+		idx[i] = i
 	}
-	s := newSolver(x, y, c, Params{
-		Lambda:  1, // unused: c is set explicitly above
-		Kernel:  params.Kernel,
-		Tol:     params.Tol,
-		MaxIter: params.MaxIter,
-	})
+	k := newGram(x, p.Kernel)
+	s := newSolver(k, idx, y, c, p)
 	budget := 1.0
 	for i := 0; i < n && budget > 0; i++ {
 		a := math.Min(upper, budget)
 		s.alpha[i] = a
 		budget -= a
 	}
-	// Gradient of the one-class dual: G = Qα (no linear term).
+	// Gradient of the one-class dual: G = Qα (no linear term), kept as
+	// −G since every label is +1.
 	for t := 0; t < n; t++ {
-		s.grad[t] = 0
+		s.yg[t] = 0
 	}
 	for i := 0; i < n; i++ {
 		if s.alpha[i] == 0 {
 			continue
 		}
-		qi := s.q.row(i)
+		ki := k.row(i)
 		for t := 0; t < n; t++ {
-			s.grad[t] += qi[t] * s.alpha[i]
+			s.yg[t] += ki[t] * s.alpha[i]
 		}
+	}
+	for t := range s.yg {
+		s.yg[t] = -s.yg[t]
 	}
 	s.solve()
 
-	m := &OneClassModel{kernel: params.Kernel, rho: -s.bias(), Iters: s.iters}
+	m := &OneClassModel{m: Model{kernel: p.Kernel, bias: s.rho}, Iters: s.iters}
 	for i := 0; i < n; i++ {
 		if s.alpha[i] > 1e-12 {
-			m.svX = append(m.svX, x[i])
-			m.svCoef = append(m.svCoef, s.alpha[i])
+			m.m.svX = append(m.m.svX, x[i])
+			m.m.svCoef = append(m.m.svCoef, s.alpha[i])
 		}
 	}
 	return m, nil
 }
 
 // NumSVs returns the support-vector count.
-func (m *OneClassModel) NumSVs() int { return len(m.svX) }
+func (m *OneClassModel) NumSVs() int { return m.m.NumSVs() }
 
 // Rho returns the decision offset.
-func (m *OneClassModel) Rho() float64 { return m.rho }
+func (m *OneClassModel) Rho() float64 { return -m.m.bias }
 
 // Decision returns Σᵢ αᵢk(xᵢ,x) − ρ; negative means anomalous.
-func (m *OneClassModel) Decision(x []float64) float64 {
-	s := -m.rho
-	for i, sv := range m.svX {
-		s += m.svCoef[i] * m.kernel.Compute(sv, x)
-	}
-	return s
-}
+func (m *OneClassModel) Decision(x []float64) float64 { return m.m.Decision(x) }
 
 // PredictInlier reports whether x lies inside the learned region.
 func (m *OneClassModel) PredictInlier(x []float64) bool {

@@ -56,3 +56,17 @@ func (s *Scaler) ApplyInto(dst, v []float64) []float64 {
 
 // Dim returns the dimensionality the scaler was fitted on.
 func (s *Scaler) Dim() int { return len(s.min) }
+
+// Check validates a decoded scaler for dim-dimensional inputs: dim
+// columns, every bound finite.
+func (s *Scaler) Check(dim int) error {
+	if len(s.min) != dim {
+		return fmt.Errorf("svm: scaler has dimension %d, want %d", len(s.min), dim)
+	}
+	for d := range s.min {
+		if !finite(s.min[d]) || !finite(s.max[d]) {
+			return fmt.Errorf("svm: scaler column %d has bounds [%v, %v]", d, s.min[d], s.max[d])
+		}
+	}
+	return nil
+}

@@ -48,6 +48,57 @@ func TestTrainRejectsBadLambda(t *testing.T) {
 	}
 }
 
+// TestParamsCheck is the one parameter check's table, applied by Train,
+// TrainOneClass (kernel only) and GridSearch, which checks every grid
+// entry before it builds a kernel matrix.
+func TestParamsCheck(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	tests := []struct {
+		params Params
+		ok     bool
+	}{
+		{Params{Lambda: 8, Kernel: RBFKernel{Sigma2: 2}}, true},
+		{Params{Lambda: 1}, true},
+		{Params{Lambda: 1, Kernel: LinearKernel{}}, true},
+		{Params{Lambda: 1, Kernel: PolyKernel{Degree: 1, Gamma: -2, Coef0: 0}}, true},
+		{Params{Lambda: 0, Kernel: RBFKernel{Sigma2: 2}}, false},
+		{Params{Lambda: -1, Kernel: RBFKernel{Sigma2: 2}}, false},
+		{Params{Lambda: nan, Kernel: RBFKernel{Sigma2: 2}}, false},
+		{Params{Lambda: inf, Kernel: RBFKernel{Sigma2: 2}}, false},
+		{Params{Lambda: 8, Kernel: RBFKernel{Sigma2: 0}}, false},
+		{Params{Lambda: 8, Kernel: RBFKernel{Sigma2: -1}}, false},
+		{Params{Lambda: 8, Kernel: RBFKernel{Sigma2: nan}}, false},
+		{Params{Lambda: 8, Kernel: RBFKernel{Sigma2: inf}}, false},
+		{Params{Lambda: 8, Kernel: PolyKernel{Degree: 0, Gamma: 1, Coef0: 1}}, false},
+		{Params{Lambda: 8, Kernel: PolyKernel{Degree: 2, Gamma: nan, Coef0: 1}}, false},
+		{Params{Lambda: 8, Kernel: PolyKernel{Degree: 2, Gamma: 1, Coef0: -inf}}, false},
+	}
+	prob := separableProblem(rand.New(rand.NewSource(3)), 6)
+	for _, tt := range tests {
+		if err := tt.params.Check(); (err == nil) != tt.ok {
+			t.Errorf("%+v: Check() = %v, want ok=%v", tt.params, err, tt.ok)
+		}
+		if _, err := Train(prob, tt.params); (err == nil) != tt.ok {
+			t.Errorf("%+v: Train error %v, want ok=%v", tt.params, err, tt.ok)
+		}
+		if tt.params.Lambda == 8 {
+			_, err := TrainOneClass(prob.X, OneClassParams{Nu: 0.5, Kernel: tt.params.Kernel})
+			if (err == nil) != tt.ok {
+				t.Errorf("%+v: TrainOneClass error %v, want ok=%v", tt.params, err, tt.ok)
+			}
+		}
+		if rbf, isRBF := tt.params.Kernel.(RBFKernel); isRBF {
+			evals := mKernelEvals.Value()
+			grid := GridSpec{Lambdas: []float64{2, tt.params.Lambda}, Sigma2s: []float64{1, rbf.Sigma2}, Folds: 2}
+			if _, _, err := GridSearch(prob, grid); (err == nil) != tt.ok {
+				t.Errorf("%+v: GridSearch error %v, want ok=%v", tt.params, err, tt.ok)
+			} else if !tt.ok && mKernelEvals.Value() != evals {
+				t.Errorf("%+v: GridSearch evaluated the kernel before rejecting the grid", tt.params)
+			}
+		}
+	}
+}
+
 // linearly separable clusters around (0,0) and (3,3).
 func separableProblem(rng *rand.Rand, n int) Problem {
 	var p Problem
@@ -466,5 +517,34 @@ func TestSecondOrderWSSAgreesAndConvergesFaster(t *testing.T) {
 	// WSS2 should not need more iterations (usually far fewer).
 	if m2.Iters > first.Iters {
 		t.Errorf("WSS2 took %d iterations, WSS1 %d", m2.Iters, first.Iters)
+	}
+}
+
+// TestApplyIntoMatchesApply checks the scratch scaler against a fresh
+// allocation: scaling into a recycled buffer gives the same vector as
+// scaling into a new slice, and reuses the buffer once it is large enough.
+func TestApplyIntoMatchesApply(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	prob := noisyProblem(rng, 25)
+	sc, err := FitScaler(prob.X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []float64
+	for i, v := range prob.X {
+		want := sc.ApplyInto(nil, v)
+		prev := buf
+		buf = sc.ApplyInto(buf[:0], v)
+		if len(buf) != len(want) {
+			t.Fatalf("vector %d: ApplyInto returned %d dims, want %d", i, len(buf), len(want))
+		}
+		if i > 0 && &buf[0] != &prev[0] {
+			t.Fatalf("vector %d: ApplyInto reallocated despite sufficient capacity", i)
+		}
+		for d := range want {
+			if buf[d] != want[d] {
+				t.Fatalf("vector %d dim %d: %v != %v", i, d, buf[d], want[d])
+			}
+		}
 	}
 }

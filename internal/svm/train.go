@@ -8,12 +8,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Solver telemetry: kernel work (the dominant training cost), cache
-// effectiveness and SMO convergence behaviour across training runs.
+// Solver telemetry: kernel work (the dominant training cost) and SMO
+// convergence behaviour across training runs, added once per solve.
 var (
-	mKernelEvals = telemetry.NewCounter("svm_kernel_evals_total", "kernel function evaluations")
-	mCacheHits   = telemetry.NewCounter("svm_kernel_cache_hits_total", "kernel cache row hits")
-	mCacheMisses = telemetry.NewCounter("svm_kernel_cache_misses_total", "kernel cache row misses (rows computed on demand)")
+	mKernelEvals = telemetry.NewCounter("svm_kernel_evals_total", "kernel function evaluations (one per symmetric pair of an eagerly filled kernel matrix)")
 	mTrainRuns   = telemetry.NewCounter("svm_train_runs_total", "SMO training runs")
 	mIterHist    = telemetry.NewHistogram("svm_smo_iterations", "SMO iterations per training run", telemetry.CountBuckets())
 	mLastIters   = telemetry.NewGauge("svm_last_iterations", "SMO iterations of the most recent training run")
@@ -145,6 +143,21 @@ func (m *Model) Decision(x []float64) float64 {
 	return s
 }
 
+// Check validates a decoded model for dim-dimensional inputs: dim
+// coordinates per support vector, finite coefficients and bias, and a
+// kernel that passes checkKernel.
+func (m *Model) Check(dim int) error {
+	if !finite(m.bias) {
+		return fmt.Errorf("svm: model bias %v is not finite", m.bias)
+	}
+	for i, sv := range m.svX {
+		if len(sv) != dim || !finite(m.svCoef[i]) {
+			return fmt.Errorf("svm: support vector %d has dimension %d (want %d) and coefficient %v", i, len(sv), dim, m.svCoef[i])
+		}
+	}
+	return checkKernel(m.kernel)
+}
+
 // Predict returns the predicted label of x: +1 (benign) or -1 (malicious).
 func (m *Model) Predict(x []float64) float64 {
 	if m.Decision(x) < 0 {
@@ -153,117 +166,166 @@ func (m *Model) Predict(x []float64) float64 {
 	return 1
 }
 
-// Train solves the weighted SVM dual with SMO.
-func Train(prob Problem, params Params) (*Model, error) {
-	return trainShared(prob, params, nil, nil)
+// Check reports whether Train and GridSearch accept the parameters: λ
+// finite and positive, and a kernel that passes checkKernel.
+func (p Params) Check() error {
+	if !finitePositive(p.Lambda) {
+		return fmt.Errorf("svm: λ %v must be finite and positive", p.Lambda)
+	}
+	return checkKernel(p.Kernel)
 }
 
-// trainShared is Train optionally gathering its Q rows from a shared
-// raw-row cache: gidx maps the problem's sample indices to the cache's.
-// Results are byte-identical to the self-contained path — the gathered
-// products yᵢ·yⱼ·k(xᵢ,xⱼ) are the exact expressions computeRow
-// evaluates.
-func trainShared(prob Problem, params Params, shared *RowCache, gidx []int) (*Model, error) {
+// Train solves the weighted SVM dual with SMO.
+func Train(prob Problem, params Params) (*Model, error) {
+	s, err := solveAll(prob, params, nil)
+	if err != nil {
+		return nil, err
+	}
+	return s.model(prob.X), nil
+}
+
+// solveAll validates prob and params and solves the dual over every
+// sample, reading k, or a new gram when k is nil.
+func solveAll(prob Problem, params Params, k *gram) (*solver, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}
-	if params.Lambda <= 0 {
-		return nil, fmt.Errorf("svm: Lambda %v must be positive", params.Lambda)
+	params = params.withDefaults(len(prob.X))
+	if err := params.Check(); err != nil {
+		return nil, err
 	}
-	n := len(prob.X)
-	params = params.withDefaults(n)
+	if k == nil {
+		k = newGram(prob.X, params.Kernel)
+	}
+	idx := make([]int, len(prob.X))
+	for i := range idx {
+		idx[i] = i
+	}
+	return solve(prob, params, k, idx), nil
+}
 
-	// Per-sample box bounds λ·cᵢ.
-	c := make([]float64, n)
+// solve runs SMO on prob, whose samples are the samples idx of k.
+func solve(prob Problem, params Params, k *gram, idx []int) *solver {
+	c := make([]float64, len(idx))
 	for i := range c {
 		c[i] = params.Lambda
 		if prob.Weight != nil {
 			c[i] = params.Lambda * prob.Weight[i]
 		}
 	}
-
-	s := newSolverShared(prob.X, prob.Y, c, params, shared, gidx)
+	s := newSolver(k, idx, prob.Y, c, params.withDefaults(len(idx)))
 	s.solve()
+	return s
+}
 
+// model collects the support vectors into a Model; x is the gram's.
+func (s *solver) model(x [][]float64) *Model {
 	m := &Model{
-		kernel: params.Kernel, bias: s.bias(), Iters: s.iters,
+		kernel: s.k.kernel, bias: s.rho, Iters: s.iters,
 		Objective: s.objective(), Trajectory: s.trajectory,
 	}
-	for i := 0; i < n; i++ {
-		if s.alpha[i] > 0 {
-			m.svX = append(m.svX, prob.X[i])
-			m.svCoef = append(m.svCoef, s.alpha[i]*prob.Y[i])
-			if s.alpha[i] >= c[i]-1e-12 {
+	for l, a := range s.alpha {
+		if a > 0 {
+			m.svX = append(m.svX, x[s.idx[l]])
+			m.svCoef = append(m.svCoef, a*s.y[l])
+			if a >= s.c[l]-1e-12 {
 				m.BoundedSVs++
 			}
 		}
 	}
-	mTrainRuns.Inc()
-	mIterHist.Observe(float64(s.iters))
-	mLastIters.Set(float64(s.iters))
-	mLastObj.Set(m.Objective)
-	mLastSVs.Set(float64(m.NumSVs()))
-	if s.iters >= params.MaxIter {
-		mCappedRuns.Inc()
-	}
-	return m, nil
+	return m
 }
 
-// solver carries SMO state for one training run.
+// decisions sets dst[p] to the decision value on gram sample p, for each
+// p in ps, with Model.Decision's exact summation: the bias, then αₗyₗ·Kₗₚ
+// over the support vectors in order.
+func (s *solver) decisions(ps []int, dst []float64) {
+	for _, p := range ps {
+		dst[p] = s.rho
+	}
+	for l, a := range s.alpha {
+		if a > 0 {
+			coef, row := a*s.y[l], s.k.row(s.idx[l])
+			for _, p := range ps {
+				dst[p] += coef * row[p]
+			}
+		}
+	}
+}
+
+// solver carries SMO state for one training run over the samples idx of
+// a gram. No Q = yyᵀ∘K is materialised: the gradient is kept label-signed
+// and raw kernel values are signed as they are read. y ∈ {±1}, so every
+// signed value is an exact sign flip of Q's; only the sign of an exactly
+// zero gradient entry may differ, which no comparison or output sees.
 type solver struct {
-	x      [][]float64
-	y      []float64
-	c      []float64
-	params Params
-	alpha  []float64
-	grad   []float64 // gradient of the dual objective: (Qα)ᵢ - 1
-	q      *kernelCache
-	iters  int
-	// trajectory samples the dual objective during solve.
-	trajectory []float64
-	// rho is the decision bias determined at convergence.
-	rho float64
+	k          *gram
+	idx        []int // local sample → gram index
+	y, c       []float64
+	params     Params
+	alpha      []float64
+	yg         []float64 // −yₜ·∇ₜ for the dual gradient ∇ = Qα − 1
+	iters      int
+	trajectory []float64 // the dual objective sampled during solve
+	rho        float64   // the decision bias found at convergence
+	// upOff and lowOff are 0 for a member of I_up (I_low) and −Inf (+Inf)
+	// otherwise: added to ygₜ they keep non-members out of the maximum
+	// (minimum) without a branch on membership.
+	upOff, lowOff []float64
 }
 
-func newSolver(x [][]float64, y, c []float64, params Params) *solver {
-	return newSolverShared(x, y, c, params, nil, nil)
-}
-
-func newSolverShared(x [][]float64, y, c []float64, params Params, shared *RowCache, gidx []int) *solver {
-	n := len(x)
+// newSolver prepares SMO at α = 0 (∇ = −1) over the samples idx of k,
+// with labels y and box bounds c.
+func newSolver(k *gram, idx []int, y, c []float64, params Params) *solver {
+	n := len(idx)
 	s := &solver{
-		x: x, y: y, c: c, params: params,
-		alpha: make([]float64, n),
-		grad:  make([]float64, n),
-		q:     newKernelCache(x, y, params.Kernel, shared, gidx),
+		k: k, idx: idx, y: y, c: c, params: params,
+		alpha:  make([]float64, n),
+		yg:     make([]float64, n),
+		upOff:  make([]float64, n),
+		lowOff: make([]float64, n),
 	}
-	for i := range s.grad {
-		s.grad[i] = -1
-	}
+	copy(s.yg, y)
 	return s
 }
 
-// selectWorkingSet returns the working-set pair (i, j), or ok=false when
-// the KKT conditions hold within tolerance. The first index always
-// maximises the violation; the second is either the minimal-violation
-// index (WSS1) or the second-order gain minimiser (WSS2).
+// setMembership refreshes sample t's membership from αₜ: I_up holds
+// αₜ < Cₜ with y=+1 or αₜ > 0 with y=-1; I_low is the mirror.
+func (s *solver) setMembership(t int) {
+	up, low := s.alpha[t] < s.c[t], s.alpha[t] > 0
+	if s.y[t] < 0 {
+		up, low = low, up
+	}
+	s.upOff[t], s.lowOff[t] = math.Inf(-1), math.Inf(1)
+	if up {
+		s.upOff[t] = 0
+	}
+	if low {
+		s.lowOff[t] = 0
+	}
+}
+
+// selectWorkingSet sets every sample's membership and returns the first
+// working-set pair; the violation is max_{I_up}(yg) − min_{I_low}(yg).
 func (s *solver) selectWorkingSet() (i, j int, ok bool) {
-	// I_up:  α_t < C_t with y=+1, or α_t > 0 with y=-1
-	// I_low: α_t < C_t with y=-1, or α_t > 0 with y=+1
-	// violation = max_{I_up}(-y·g) - min_{I_low}(-y·g)
 	gmax, gmin := math.Inf(-1), math.Inf(1)
 	i, j = -1, -1
-	for t := range s.alpha {
-		yg := -s.y[t] * s.grad[t]
-		inUp := (s.y[t] > 0 && s.alpha[t] < s.c[t]) || (s.y[t] < 0 && s.alpha[t] > 0)
-		inLow := (s.y[t] < 0 && s.alpha[t] < s.c[t]) || (s.y[t] > 0 && s.alpha[t] > 0)
-		if inUp && yg > gmax {
-			gmax, i = yg, t
+	for t, yg := range s.yg {
+		s.setMembership(t)
+		if v := yg + s.upOff[t]; v > gmax {
+			gmax, i = v, t
 		}
-		if inLow && yg < gmin {
-			gmin, j = yg, t
+		if v := yg + s.lowOff[t]; v < gmin {
+			gmin, j = v, t
 		}
 	}
+	return s.pick(i, j, gmax, gmin)
+}
+
+// pick finishes a selection from the maximal violating pair (i, j):
+// ok=false when the violation is within tolerance; with WSS2 the second
+// index becomes the second-order gain minimiser.
+func (s *solver) pick(i, j int, gmax, gmin float64) (int, int, bool) {
 	if i < 0 || j < 0 || gmax-gmin < s.params.Tol {
 		return -1, -1, false
 	}
@@ -279,22 +341,18 @@ func (s *solver) selectWorkingSet() (i, j int, ok bool) {
 // estimated objective decrease -b²/a against the fixed first index
 // (LIBSVM's WSS2).
 func (s *solver) selectSecondOrder(i int, gmax float64) int {
-	qi := s.q.row(i)
-	kii := s.y[i] * s.y[i] * qi[i] // = K_ii
+	ki := s.k.row(s.idx[i])
+	kii := ki[s.idx[i]]
 	best, bestJ := math.Inf(1), -1
-	for t := range s.alpha {
-		inLow := (s.y[t] < 0 && s.alpha[t] < s.c[t]) || (s.y[t] > 0 && s.alpha[t] > 0)
-		if !inLow {
+	for t, g := range s.idx {
+		if s.lowOff[t] != 0 {
 			continue
 		}
-		yg := -s.y[t] * s.grad[t]
-		b := gmax - yg
+		b := gmax - s.yg[t]
 		if b <= 0 {
 			continue
 		}
-		ktt := s.q.row(t)[t]
-		kit := s.y[i] * s.y[t] * qi[t] // strip label signs: K_it
-		a := kii + ktt - 2*kit
+		a := kii + s.k.row(g)[g] - 2*ki[g]
 		if a <= 0 {
 			a = 1e-12
 		}
@@ -305,49 +363,63 @@ func (s *solver) selectSecondOrder(i int, gmax float64) int {
 	return bestJ
 }
 
-// solve runs SMO to convergence or iteration cap.
+// solve runs SMO to convergence or iteration cap and records telemetry.
 func (s *solver) solve() {
-	for s.iters = 0; s.iters < s.params.MaxIter; s.iters++ {
-		i, j, ok := s.selectWorkingSet()
-		if !ok {
-			break
-		}
-		s.update(i, j)
+	i, j, ok := s.selectWorkingSet()
+	for s.iters = 0; ok && s.iters < s.params.MaxIter; s.iters++ {
+		i, j, ok = s.update(i, j)
 		if s.iters%trajectoryEvery == 0 {
 			s.trajectory = append(s.trajectory, s.objective())
 		}
 	}
 	s.trajectory = append(s.trajectory, s.objective())
 	s.rho = s.computeBias()
+
+	var svs int
+	for _, a := range s.alpha {
+		if a > 0 {
+			svs++
+		}
+	}
+	mTrainRuns.Inc()
+	mIterHist.Observe(float64(s.iters))
+	mLastIters.Set(float64(s.iters))
+	mLastObj.Set(s.objective())
+	mLastSVs.Set(float64(svs))
+	if s.iters >= s.params.MaxIter {
+		mCappedRuns.Inc()
+	}
 }
 
-// objective returns the dual objective ½αᵀQα − Σαᵢ. With grad = Qα − 1
-// this is ½Σαᵢ(gradᵢ − 1), an O(n) read of existing solver state.
+// objective returns the dual objective ½αᵀQα − Σαᵢ. With ∇ = Qα − 1
+// this is ½Σαᵢ(∇ᵢ − 1), an O(n) read of existing solver state.
 func (s *solver) objective() float64 {
 	var obj float64
-	for t := range s.alpha {
-		obj += s.alpha[t] * (s.grad[t] - 1)
+	for t, a := range s.alpha {
+		obj += a * (-s.y[t]*s.yg[t] - 1)
 	}
 	return obj / 2
 }
 
 // update optimises the pair (αᵢ, αⱼ) analytically subject to the box and
-// equality constraints, then refreshes the gradient.
-func (s *solver) update(i, j int) {
-	qi := s.q.row(i)
-	qj := s.q.row(j)
+// equality constraints, then refreshes the gradient and, in the same
+// pass over the samples, selects the next working-set pair.
+func (s *solver) update(i, j int) (int, int, bool) {
+	pi, pj := s.idx[i], s.idx[j]
+	ki, kj := s.k.row(pi), s.k.row(pj)
 	oldAi, oldAj := s.alpha[i], s.alpha[j]
+	gradI, gradJ := -s.y[i]*s.yg[i], -s.y[j]*s.yg[j]
 	const minQuad = 1e-12
 
 	// The curvature along the feasible direction is K_ii + K_jj - 2K_ij in
 	// both label configurations.
-	quad := qi[i] + qj[j] - 2*s.q.k(i, j)
+	quad := ki[pi] + kj[pj] - 2*ki[pj]
 	if quad < minQuad {
 		quad = minQuad
 	}
 
 	if s.y[i] != s.y[j] {
-		delta := (-s.grad[i] - s.grad[j]) / quad
+		delta := (-gradI - gradJ) / quad
 		diff := s.alpha[i] - s.alpha[j]
 		s.alpha[i] += delta
 		s.alpha[j] += delta
@@ -374,7 +446,7 @@ func (s *solver) update(i, j int) {
 			}
 		}
 	} else {
-		delta := (s.grad[i] - s.grad[j]) / quad
+		delta := (gradI - gradJ) / quad
 		sum := s.alpha[i] + s.alpha[j]
 		s.alpha[i] -= delta
 		s.alpha[j] += delta
@@ -404,11 +476,28 @@ func (s *solver) update(i, j int) {
 
 	dAi, dAj := s.alpha[i]-oldAi, s.alpha[j]-oldAj
 	if dAi == 0 && dAj == 0 {
-		return
+		// Nothing moved, so the next selection is this one.
+		return i, j, true
 	}
-	for t := range s.grad {
-		s.grad[t] += qi[t]*dAi + qj[t]*dAj
+	s.setMembership(i)
+	s.setMembership(j)
+	// ∇ₜ += yᵢyₜKᵢₜΔαᵢ + yⱼyₜKⱼₜΔαⱼ, so ygₜ −= Kᵢₜ·yᵢΔαᵢ + Kⱼₜ·yⱼΔαⱼ. One
+	// length for the per-sample slices drops their bounds checks.
+	ai, aj := s.y[i]*dAi, s.y[j]*dAj
+	gmax, gmin := math.Inf(-1), math.Inf(1)
+	ni, nj := -1, -1
+	yg, upOff, lowOff := s.yg[:len(s.idx)], s.upOff[:len(s.idx)], s.lowOff[:len(s.idx)]
+	for t, p := range s.idx {
+		v := yg[t] - (ki[p]*ai + kj[p]*aj)
+		yg[t] = v
+		if u := v + upOff[t]; u > gmax {
+			gmax, ni = u, t
+		}
+		if l := v + lowOff[t]; l < gmin {
+			gmin, nj = l, t
+		}
 	}
+	return s.pick(ni, nj, gmax, gmin)
 }
 
 // computeBias derives the intercept from the KKT conditions: for free
@@ -423,7 +512,7 @@ func (s *solver) computeBias() float64 {
 			// Zero-weight samples impose no KKT condition on b.
 			continue
 		}
-		yg := -s.y[t] * s.grad[t]
+		yg := s.yg[t]
 		switch {
 		case s.alpha[t] > 1e-12 && s.alpha[t] < s.c[t]-1e-12:
 			sum += yg
@@ -456,71 +545,4 @@ func (s *solver) computeBias() float64 {
 		return ub
 	}
 	return (ub + lb) / 2
-}
-
-func (s *solver) bias() float64 { return s.rho }
-
-// kernelCache precomputes or lazily caches rows of Q, Q[i][j] =
-// yᵢyⱼk(xᵢ,xⱼ). With a shared RowCache attached, rows are gathered
-// from its raw kernel rows instead of re-evaluating the kernel, so
-// solvers over overlapping sample sets (cross-validation folds, the
-// λ axis of a grid sweep) each pay only the cheap label-sign products.
-type kernelCache struct {
-	x      [][]float64
-	y      []float64
-	kernel Kernel
-	rows   [][]float64
-	// full indicates the whole matrix was precomputed.
-	full bool
-	// shared, when non-nil, is the raw-row source; gidx maps local
-	// sample index to shared cache index.
-	shared *RowCache
-	gidx   []int
-}
-
-// fullMatrixLimit is the sample count up to which the entire Q matrix is
-// precomputed (n² float64; 4000² ≈ 128 MB is the ceiling).
-const fullMatrixLimit = 4000
-
-func newKernelCache(x [][]float64, y []float64, k Kernel, shared *RowCache, gidx []int) *kernelCache {
-	c := &kernelCache{x: x, y: y, kernel: k, rows: make([][]float64, len(x)), shared: shared, gidx: gidx}
-	if len(x) <= fullMatrixLimit {
-		c.full = true
-		for i := range x {
-			c.rows[i] = c.computeRow(i)
-		}
-	}
-	return c
-}
-
-func (c *kernelCache) computeRow(i int) []float64 {
-	row := make([]float64, len(c.x))
-	if c.shared != nil {
-		kr := c.shared.Row(c.gidx[i])
-		for j := range c.x {
-			row[j] = c.y[i] * c.y[j] * kr[c.gidx[j]]
-		}
-		return row
-	}
-	for j := range c.x {
-		row[j] = c.y[i] * c.y[j] * c.kernel.Compute(c.x[i], c.x[j])
-	}
-	mKernelEvals.Add(uint64(len(row)))
-	return row
-}
-
-// row returns Q's row i, computing and caching it on demand.
-func (c *kernelCache) row(i int) []float64 {
-	if c.rows[i] == nil {
-		mCacheMisses.Inc()
-		c.rows[i] = c.computeRow(i)
-		return c.rows[i]
-	}
-	mCacheHits.Inc()
-	return c.rows[i]
-}
-
-// k returns the raw kernel value k(xᵢ,xⱼ) (without label signs).
-func (c *kernelCache) k(i, j int) float64 {
-	return c.y[i] * c.y[j] * c.row(i)[j]
 }
