@@ -27,9 +27,11 @@ race:
 # only, of the session envelope decoder behind both spool restore and
 # handoff import, held to a faithful re-cut of the revived session, of
 # the stack-walk table and the split on it, held to a split of every
-# event on its own, and of the two JSONL replays, the autopilot journal
-# and the registry history, held to the whole records before the first
-# torn line and a faithful re-encode — the CI smoke budget, not a deep
+# event on its own, of the two JSONL replays, the autopilot journal and
+# the registry history, held to the whole records before the first torn
+# line and a faithful re-encode, and of the RBF scoring branch over the
+# flat support-vector matrix, held bit for bit to the Kernel.Compute
+# loop on models drawn from the input — the CI smoke budget, not a deep
 # campaign. Envelope, journal and history inputs are JSON the mutator
 # keeps growing, so those targets minimize each new input for at most
 # 100 runs: the default 60 s minimization would spend the whole budget
@@ -45,6 +47,7 @@ fuzz-smoke:
 	$(GO) test ./internal/partition -run='^$$' -fuzz=FuzzSplitWalks -fuzztime=10s
 	$(GO) test ./internal/autopilot -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=10s -fuzzminimizetime=100x
 	$(GO) test ./internal/registry -run='^$$' -fuzz=FuzzRegistryHistory -fuzztime=10s -fuzzminimizetime=100x
+	$(GO) test ./internal/svm -run='^$$' -fuzz=FuzzDecision -fuzztime=10s
 
 # Measures the pipeline hot paths (parse, featurize, artifacts,
 # select-train, train, gridsearch, detect) and writes
@@ -82,9 +85,11 @@ bench-compare:
 # Kernel.Compute in both fill modes and under concurrent lazy fills; the
 # solver over it must equal the reference SMO solver bit for bit; every
 # grid point's accuracy must equal CrossValidate's; lazy rows must give
-# the eager mode's models; and the training decisions behind Platt must
-# equal Model.Decision. Both phases work once per distinct stack walk through one walk
-# table (partition.Walks), so the table and the split on it must equal
+# the eager mode's models; the training decisions behind Platt must
+# equal Model.Decision; and Model.Decision's RBF branch over the flat
+# support-vector matrix must equal the Kernel.Compute loop bit for bit,
+# on random, one-class and reloaded models. Both phases work once per
+# distinct stack walk through one walk table (partition.Walks), so the table and the split on it must equal
 # the per-event split, fresh, reset at its bounds and reused;
 # detection through it in both scoring modes (consecutive pooled
 # DetectLog calls across module maps and classifiers, Feed, and
@@ -97,7 +102,7 @@ bench-compare:
 # summaries to the committed golden of an earlier commit, at Parallel 1
 # and at every processor.
 determinism:
-	$(GO) test -race -run 'TestEvaluateRunsParallelDeterminism|TestEvaluateRunsBuildsArtifactsOnce|TestGridSearchParallel|TestSharedCrossValidateMatchesUncached|TestGridSearchMatchesUncachedSweep|TestSolverMatchesReference|TestGramMatchesCompute|TestGramConcurrent|TestLazyGramMatchesEager|TestFitDecisionsMatchDecision|TestFeaturizeConcurrent|TestDetectLogMatchesReference|TestFeedMatchesReference|TestTrainedModelsGolden|TestArtifactsMatchPerEventReference|TestSplitMatchesPerEventReference|TestFitOverWalksMatchesPerEvent' ./internal/core ./internal/svm ./internal/partition ./internal/preprocess
+	$(GO) test -race -run 'TestEvaluateRunsParallelDeterminism|TestEvaluateRunsBuildsArtifactsOnce|TestGridSearchParallel|TestSharedCrossValidateMatchesUncached|TestGridSearchMatchesUncachedSweep|TestSolverMatchesReference|TestGramMatchesCompute|TestGramConcurrent|TestLazyGramMatchesEager|TestFitDecisionsMatchDecision|TestDecisionMatchesKernel|TestFeaturizeConcurrent|TestDetectLogMatchesReference|TestFeedMatchesReference|TestTrainedModelsGolden|TestArtifactsMatchPerEventReference|TestSplitMatchesPerEventReference|TestFitOverWalksMatchesPerEvent' ./internal/core ./internal/svm ./internal/partition ./internal/preprocess
 
 # End-to-end smoke test of the -debug-addr introspection endpoints:
 # generates data, trains, then scrapes /metrics, /spans and pprof from a

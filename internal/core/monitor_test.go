@@ -332,7 +332,8 @@ func regob[T any](t *testing.T, section []byte, edit func(*T)) []byte {
 // together or hold non-finite values. Each must load degraded, with a
 // typed cause, and score a log on the call graph without panicking —
 // the 29-dimension scaler used to pass both and panic at the first
-// window.
+// window, and a NaN support-vector coordinate loaded healthy and scored
+// every window NaN, flagging none.
 func TestLoadMonitorDegradesOnInconsistentBundle(t *testing.T) {
 	clf, mal := trainStream(t, 47)
 	model := func(edit func(*svmModelFile)) func(*classifierFile) {
@@ -352,6 +353,8 @@ func TestLoadMonitorDegradesOnInconsistentBundle(t *testing.T) {
 			m.SVX[len(m.SVX)-1] = append(slices.Clone(m.SVX[len(m.SVX)-1]), 0.5)
 		})},
 		{"NaN coefficient", model(func(m *svmModelFile) { m.SVCoef[0] = math.NaN() })},
+		{"NaN support-vector coordinate", model(func(m *svmModelFile) { m.SVX[0][4] = math.NaN() })},
+		{"infinite support-vector coordinate", model(func(m *svmModelFile) { m.SVX[len(m.SVX)-1][17] = math.Inf(1) })},
 		{"infinite bias", model(func(m *svmModelFile) { m.Bias = math.Inf(-1) })},
 		{"zero σ²", model(func(m *svmModelFile) { m.Kernel.Sigma2 = 0 })},
 		{"NaN Platt A", func(f *classifierFile) { f.PlattA = math.NaN() }},

@@ -2,6 +2,7 @@ package etl_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -33,20 +34,55 @@ func BenchmarkParseStream(b *testing.B) {
 	}
 }
 
-func benchRaw(b *testing.B) []byte {
-	b.Helper()
+// TestParseAllocs bounds ParseBytes' allocations on BenchmarkParseBytes'
+// input, in objects and in bytes per parse. The byte bound is the one
+// that holds the sized event slices: regrowing them by append allocated
+// about 661 KB a parse.
+func TestParseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const (
+		parseAllocBudget = 460     // allocs per parse; 374 measured
+		parseBytesBudget = 430_000 // bytes per parse; 350.5k measured
+	)
+	raw := benchRaw(t)
+	parse := func() {
+		if _, err := etl.ParseBytes(raw, etl.ParseOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(5, parse)
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		parse()
+	}
+	runtime.ReadMemStats(&after)
+	perParse := (after.TotalAlloc - before.TotalAlloc) / runs
+	if allocs > parseAllocBudget {
+		t.Errorf("ParseBytes allocated %.0f times per parse, budget %d", allocs, parseAllocBudget)
+	}
+	if perParse > parseBytesBudget {
+		t.Errorf("ParseBytes allocated %d bytes per parse, budget %d", perParse, parseBytesBudget)
+	}
+}
+
+func benchRaw(tb testing.TB) []byte {
+	tb.Helper()
 	spec, err := dataset.ByName("vim_reverse_tcp")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	spec.BenignEvents, spec.MixedEvents, spec.MaliciousEvents = 2000, 10, 10
 	logs, err := spec.Generate(1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := etl.WriteLogs(&buf, logs.Benign); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }

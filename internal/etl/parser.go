@@ -205,6 +205,10 @@ type parser struct {
 	// pending holds, per pid<<32|tid, the index of the event awaiting
 	// its stack record.
 	pending pendingSet
+	// events is eventCounts of the stream: each declared process's
+	// Events is allocated at its count, so a clean stream appends
+	// without regrowing.
+	events map[int]int
 	// records counts decoded records locally; ParseBytes flushes it to
 	// mParseRecords once instead of bumping the shared atomic on every
 	// record.
@@ -344,6 +348,7 @@ func (p *parser) parse() (*RawFile, error) {
 	if ver != version {
 		return nil, corrupt(fmt.Errorf("unsupported version %d", ver))
 	}
+	p.events = eventCounts(p.rd.data)
 
 	for {
 		tagOff := int64(p.rd.pos)
@@ -424,7 +429,11 @@ func (p *parser) record(tag byte) error {
 		if _, dup := p.f.byPID[pid]; dup {
 			return semantic(corrupt(fmt.Errorf("duplicate process record for pid %d", pid)))
 		}
-		p.f.byPID[pid] = &trace.Log{App: app, PID: pid, Modules: mm}
+		l := &trace.Log{App: app, PID: pid, Modules: mm}
+		if n := p.events[pid]; n > 0 {
+			l.Events = make([]trace.Event, 0, n)
+		}
+		p.f.byPID[pid] = l
 		return nil
 
 	case recEvent:

@@ -64,6 +64,37 @@ func ScanRecordsInto(dst []RecordSpan, data []byte) ([]RecordSpan, error) {
 	return spans, nil
 }
 
+// eventCounts counts, per pid, the event records that follow the pid's
+// process record. It walks data's records with recordLen, as
+// ScanRecords does, and stops at the end record or at the first record
+// recordLen rejects, so a damaged stream counts its well-formed prefix.
+// The parser makes a process's count the capacity of its Events; every
+// counted event has a 20-byte record, so the capacities total at most
+// len(data)/20 events.
+func eventCounts(data []byte) map[int]int {
+	counts := make(map[int]int)
+	for pos := HeaderLen; pos < len(data); {
+		n, err := recordLen(data[pos:])
+		if err != nil {
+			break
+		}
+		switch rec := data[pos : pos+n]; rec[0] {
+		case recProcess:
+			// Declares the pid: its later events count.
+			counts[int(binary.LittleEndian.Uint32(rec[1:]))] += 0
+		case recEvent:
+			pid := int(binary.LittleEndian.Uint32(rec[11:]))
+			if c, ok := counts[pid]; ok {
+				counts[pid] = c + 1
+			}
+		case recEnd:
+			return counts
+		}
+		pos += n
+	}
+	return counts
+}
+
 // recordLen computes the serialized size of the record starting at
 // b[0], including the tag byte.
 func recordLen(b []byte) (int, error) {

@@ -74,7 +74,6 @@ type refSolver struct {
 	params      Params
 	alpha, grad []float64
 	iters       int
-	trajectory  []float64
 	rho         float64
 }
 
@@ -146,20 +145,8 @@ func (r *refSolver) solve() {
 			break
 		}
 		r.update(i, j)
-		if r.iters%trajectoryEvery == 0 {
-			r.trajectory = append(r.trajectory, r.objective())
-		}
 	}
-	r.trajectory = append(r.trajectory, r.objective())
 	r.rho = r.computeBias()
-}
-
-func (r *refSolver) objective() float64 {
-	var obj float64
-	for t := range r.alpha {
-		obj += r.alpha[t] * (r.grad[t] - 1)
-	}
-	return obj / 2
 }
 
 func (r *refSolver) update(i, j int) {
@@ -257,7 +244,7 @@ func (r *refSolver) computeBias() float64 {
 // TestSolverMatchesReference holds the solver — raw kernel rows read
 // through a sample-index list, a label-signed gradient, membership
 // offsets and the fused gradient-and-selection pass — to the reference
-// solver bit for bit: α, gradient, iterations, bias and trajectory, over
+// solver bit for bit: α, gradient, iterations and bias, over
 // weighted problems with zero weights, both working-set rules, the
 // one-class initial state and 2 to 200 samples.
 func TestSolverMatchesReference(t *testing.T) {
@@ -311,7 +298,7 @@ func TestSolverMatchesReference(t *testing.T) {
 						grad[t] = -y[t] * v
 					}
 					if got.iters != ref.iters || !sameBits(got.alpha, ref.alpha) || !sameBits(grad, ref.grad) ||
-						math.Float64bits(got.rho) != math.Float64bits(ref.rho) || !sameBits(got.trajectory, ref.trajectory) {
+						math.Float64bits(got.rho) != math.Float64bits(ref.rho) {
 						t.Fatalf("n=%d %v wss2=%v one-class=%v: solver (iters %d, bias %v) differs from the reference (iters %d, bias %v)",
 							n, k, wss2, oneClass, got.iters, got.rho, ref.iters, ref.rho)
 					}
@@ -570,7 +557,7 @@ func TestGridSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const gridSearchAllocBudget = 1300 // allocs per call; 1,052 measured
+	const gridSearchAllocBudget = 800 // allocs per call; 653 measured
 	prob := noisyProblem(rand.New(rand.NewSource(5)), 45)
 	grid := DefaultGrid()
 	grid.Parallel = 1

@@ -95,13 +95,16 @@ func TrainOneClass(x [][]float64, params OneClassParams) (*OneClassModel, error)
 	}
 	s.solve()
 
-	m := &OneClassModel{m: Model{kernel: p.Kernel, bias: s.rho}, Iters: s.iters}
+	var rows [][]float64
+	var coef []float64
 	for i := 0; i < n; i++ {
 		if s.alpha[i] > 1e-12 {
-			m.m.svX = append(m.m.svX, x[i])
-			m.m.svCoef = append(m.m.svCoef, s.alpha[i])
+			rows = append(rows, x[i])
+			coef = append(coef, s.alpha[i])
 		}
 	}
+	m := &OneClassModel{m: Model{kernel: p.Kernel, bias: s.rho}, Iters: s.iters}
+	m.m.setSVs(rows, coef)
 	return m, nil
 }
 

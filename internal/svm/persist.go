@@ -88,8 +88,7 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 			len(snap.SVX), len(snap.SVCoef))
 	}
 	m.kernel = k
-	m.svX = snap.SVX
-	m.svCoef = snap.SVCoef
+	m.setSVs(snap.SVX, snap.SVCoef)
 	m.bias = snap.Bias
 	m.Iters = snap.Iters
 	m.BoundedSVs = snap.BoundedSVs

@@ -3,6 +3,7 @@ package svm
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -316,9 +317,10 @@ func TestKKTConditions(t *testing.T) {
 // alphaOf recovers |α_i| for training sample i from the model's support
 // vector coefficients (0 when the sample is not a support vector).
 func alphaOf(m *Model, p Problem, i int) float64 {
-	// Support vectors keep the training slice identity.
+	// The model copies its support vectors; the random samples are
+	// distinct, so coordinates identify them.
 	for s, sv := range m.svX {
-		if &sv[0] == &p.X[i][0] {
+		if slices.Equal(sv, p.X[i]) {
 			return math.Abs(m.svCoef[s])
 		}
 	}
@@ -360,7 +362,7 @@ func TestZeroWeightNeverSupportVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sv := range m.svX {
-		if &sv[0] == &p.X[3][0] || &sv[0] == &p.X[7][0] {
+		if slices.Equal(sv, p.X[3]) || slices.Equal(sv, p.X[7]) {
 			t.Error("zero-weight sample became a support vector")
 		}
 	}

@@ -20,10 +20,6 @@ var (
 	mCappedRuns  = telemetry.NewCounter("svm_iteration_capped_runs_total", "training runs that hit MaxIter before converging")
 )
 
-// trajectoryEvery is the SMO iteration interval between objective
-// trajectory samples; the trajectory stays small even on capped runs.
-const trajectoryEvery = 64
-
 // Problem is a binary classification training set.
 type Problem struct {
 	// X are the feature vectors; all must share one dimensionality.
@@ -111,7 +107,17 @@ func (p Params) withDefaults(n int) Params {
 // coefficients.
 type Model struct {
 	kernel Kernel
-	svX    [][]float64
+	// svX are the support vectors. When they share one width, dim, they
+	// are views into sv, one row-major matrix the model owns.
+	svX [][]float64
+	sv  []float64
+	dim int
+	// sigma2 is the RBF kernel's σ² when Decision scores over sv, and 0
+	// when it takes the Kernel.Compute loop.
+	sigma2 float64
+	// nonFinite is set when a support vector holds a NaN or ±Inf
+	// coordinate.
+	nonFinite bool
 	// svCoef holds αᵢ·yᵢ for each support vector.
 	svCoef []float64
 	bias   float64
@@ -121,10 +127,36 @@ type Model struct {
 	BoundedSVs int
 	// Objective is the final dual objective value ½αᵀQα − Σαᵢ.
 	Objective float64
-	// Trajectory samples the dual objective every trajectoryEvery SMO
-	// iterations (plus the final value), recording convergence behaviour.
-	// It is diagnostic only and not persisted with the model.
-	Trajectory []float64
+}
+
+// setSVs gives m the support vectors rows, with coefficients coef. Rows
+// of one width are copied into one row-major matrix that svX then views,
+// so the model pins none of the caller's vectors, and the copy notes a
+// non-finite coordinate. Ragged rows, which Check rejects by width, are
+// kept as they are and scored by the Kernel.Compute loop.
+func (m *Model) setSVs(rows [][]float64, coef []float64) {
+	m.svX, m.svCoef, m.sv, m.dim, m.sigma2, m.nonFinite = rows, coef, nil, 0, 0, false
+	d := 0
+	if len(rows) > 0 {
+		d = len(rows[0])
+	}
+	for _, r := range rows {
+		if len(r) != d {
+			return
+		}
+	}
+	m.sv, m.dim = make([]float64, len(rows)*d), d
+	for i, r := range rows {
+		row := m.sv[i*d : (i+1)*d : (i+1)*d]
+		copy(row, r)
+		for _, v := range row {
+			m.nonFinite = m.nonFinite || !finite(v)
+		}
+		rows[i] = row
+	}
+	if k, ok := m.kernel.(RBFKernel); ok {
+		m.sigma2 = k.Sigma2
+	}
 }
 
 // NumSVs returns the number of support vectors.
@@ -136,6 +168,9 @@ func (m *Model) Bias() float64 { return m.bias }
 // Decision returns the raw decision value Σ αᵢyᵢk(xᵢ,x) + b; positive
 // means benign, negative malicious (Eqn. 5).
 func (m *Model) Decision(x []float64) float64 {
+	if m.sigma2 != 0 {
+		return m.rbfDecision(x)
+	}
 	s := m.bias
 	for i, sv := range m.svX {
 		s += m.svCoef[i] * m.kernel.Compute(sv, x)
@@ -143,7 +178,50 @@ func (m *Model) Decision(x []float64) float64 {
 	return s
 }
 
-// Check validates a decoded model for dim-dimensional inputs: dim
+// rbfDecision is Decision for the RBF kernel over the flat matrix. It
+// sums four support vectors' squared distances side by side, each in
+// coordinate order with RBFKernel.Compute's statements, then adds their
+// terms to the bias in SV order, so it is bit-identical to the
+// Kernel.Compute loop; the four independent add chains are its speed.
+func (m *Model) rbfDecision(x []float64) float64 {
+	d, s2, coef := m.dim, m.sigma2, m.svCoef
+	x = x[:d]
+	s := m.bias
+	j := 0
+	for ; j+4 <= len(coef); j += 4 {
+		r0 := m.sv[j*d:][:len(x)]
+		r1 := m.sv[(j+1)*d:][:len(x)]
+		r2 := m.sv[(j+2)*d:][:len(x)]
+		r3 := m.sv[(j+3)*d:][:len(x)]
+		var a0, a1, a2, a3 float64
+		for k, xk := range x {
+			d0 := r0[k] - xk
+			a0 += d0 * d0
+			d1 := r1[k] - xk
+			a1 += d1 * d1
+			d2 := r2[k] - xk
+			a2 += d2 * d2
+			d3 := r3[k] - xk
+			a3 += d3 * d3
+		}
+		s += coef[j] * math.Exp(-a0/s2)
+		s += coef[j+1] * math.Exp(-a1/s2)
+		s += coef[j+2] * math.Exp(-a2/s2)
+		s += coef[j+3] * math.Exp(-a3/s2)
+	}
+	for ; j < len(coef); j++ {
+		r := m.sv[j*d:][:len(x)]
+		var a float64
+		for k, xk := range x {
+			dk := r[k] - xk
+			a += dk * dk
+		}
+		s += coef[j] * math.Exp(-a/s2)
+	}
+	return s
+}
+
+// Check validates a decoded model for dim-dimensional inputs: dim finite
 // coordinates per support vector, finite coefficients and bias, and a
 // kernel that passes checkKernel.
 func (m *Model) Check(dim int) error {
@@ -154,6 +232,9 @@ func (m *Model) Check(dim int) error {
 		if len(sv) != dim || !finite(m.svCoef[i]) {
 			return fmt.Errorf("svm: support vector %d has dimension %d (want %d) and coefficient %v", i, len(sv), dim, m.svCoef[i])
 		}
+	}
+	if m.nonFinite {
+		return errors.New("svm: a support vector has a non-finite coordinate")
 	}
 	return checkKernel(m.kernel)
 }
@@ -220,19 +301,19 @@ func solve(prob Problem, params Params, k *gram, idx []int) *solver {
 
 // model collects the support vectors into a Model; x is the gram's.
 func (s *solver) model(x [][]float64) *Model {
-	m := &Model{
-		kernel: s.k.kernel, bias: s.rho, Iters: s.iters,
-		Objective: s.objective(), Trajectory: s.trajectory,
-	}
+	m := &Model{kernel: s.k.kernel, bias: s.rho, Iters: s.iters, Objective: s.objective()}
+	var rows [][]float64
+	var coef []float64
 	for l, a := range s.alpha {
 		if a > 0 {
-			m.svX = append(m.svX, x[s.idx[l]])
-			m.svCoef = append(m.svCoef, a*s.y[l])
+			rows = append(rows, x[s.idx[l]])
+			coef = append(coef, a*s.y[l])
 			if a >= s.c[l]-1e-12 {
 				m.BoundedSVs++
 			}
 		}
 	}
+	m.setSVs(rows, coef)
 	return m
 }
 
@@ -259,15 +340,14 @@ func (s *solver) decisions(ps []int, dst []float64) {
 // signed value is an exact sign flip of Q's; only the sign of an exactly
 // zero gradient entry may differ, which no comparison or output sees.
 type solver struct {
-	k          *gram
-	idx        []int // local sample → gram index
-	y, c       []float64
-	params     Params
-	alpha      []float64
-	yg         []float64 // −yₜ·∇ₜ for the dual gradient ∇ = Qα − 1
-	iters      int
-	trajectory []float64 // the dual objective sampled during solve
-	rho        float64   // the decision bias found at convergence
+	k      *gram
+	idx    []int // local sample → gram index
+	y, c   []float64
+	params Params
+	alpha  []float64
+	yg     []float64 // −yₜ·∇ₜ for the dual gradient ∇ = Qα − 1
+	iters  int
+	rho    float64 // the decision bias found at convergence
 	// upOff and lowOff are 0 for a member of I_up (I_low) and −Inf (+Inf)
 	// otherwise: added to ygₜ they keep non-members out of the maximum
 	// (minimum) without a branch on membership.
@@ -368,11 +448,7 @@ func (s *solver) solve() {
 	i, j, ok := s.selectWorkingSet()
 	for s.iters = 0; ok && s.iters < s.params.MaxIter; s.iters++ {
 		i, j, ok = s.update(i, j)
-		if s.iters%trajectoryEvery == 0 {
-			s.trajectory = append(s.trajectory, s.objective())
-		}
 	}
-	s.trajectory = append(s.trajectory, s.objective())
 	s.rho = s.computeBias()
 
 	var svs int
