@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: build fmt-check vet test race fuzz-smoke bench bench-compare determinism verify verify-telemetry serve-smoke registry-smoke autopilot-smoke obs-smoke sim-smoke fleet-smoke doc-lint
+.PHONY: build fmt-check vet test race fuzz-smoke bench determinism verify verify-telemetry serve-smoke registry-smoke autopilot-smoke obs-smoke sim-smoke fleet-smoke doc-lint
 
 build:
 	$(GO) build ./...
 
 # Fails when any tracked Go file is not gofmt-clean; prints the offenders.
 fmt-check:
-	@out=$$(gofmt -l ./cmd ./internal); \
+	@files=$$(git ls-files '*.go') || exit 1; \
+	out=$$(gofmt -l $$files); \
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
@@ -49,33 +50,19 @@ fuzz-smoke:
 	$(GO) test ./internal/registry -run='^$$' -fuzz=FuzzRegistryHistory -fuzztime=10s -fuzzminimizetime=100x
 	$(GO) test ./internal/svm -run='^$$' -fuzz=FuzzDecision -fuzztime=10s
 
-# Measures the pipeline hot paths (parse, featurize, artifacts,
-# select-train, train, gridsearch, detect) and writes
-# BENCH_baseline.json, then drives the in-process serving workload and
-# writes per-endpoint/per-stage p50/p95/p99 latency to BENCH_serve.json,
-# then runs the canonical leaps-sim scenarios and writes their
-# deterministic throughput/latency/checksum rows to BENCH_sim.json.
-# Regenerating the committed baselines resets the regression gates, so
-# it must be an explicit decision: the target refuses to run unless
-# BENCH_REBASELINE=1 is set. Use bench-compare to measure against the
-# committed numbers.
+# Runs the canonical leaps-sim scenarios and writes their deterministic
+# throughput/latency/checksum rows to BENCH_sim.json, which sim-smoke
+# gates exactly. Regenerating it resets that gate, so it must be an
+# explicit decision: the target refuses to run unless BENCH_REBASELINE=1
+# is set. Hot-path allocations are bounded by the Test*Allocs Go tests,
+# and timings by scripts/ab.sh's paired runs of the benchmark.
 bench:
 	@if [ "$(BENCH_REBASELINE)" != "1" ]; then \
-		echo "bench: refusing to overwrite the committed baselines."; \
-		echo "bench: rerun as 'make bench BENCH_REBASELINE=1' to rebaseline,"; \
-		echo "bench: or 'make bench-compare' to measure against them."; \
+		echo "bench: refusing to overwrite the committed BENCH_sim.json;"; \
+		echo "bench: rerun as 'make bench BENCH_REBASELINE=1' to rebaseline."; \
 		exit 1; \
 	fi
-	$(GO) run ./cmd/leaps-bench -perf-baseline BENCH_baseline.json -serve-baseline BENCH_serve.json -sim-baseline BENCH_sim.json
-
-# Reruns both benchmark suites and fails on >20% regressions (ns/op and
-# allocs/op for the pipeline, p95 latency for serving) against the
-# committed baselines. Timings are warn-only in verify — absolute
-# numbers from the committed baselines' machine don't transfer to
-# arbitrary CI hosts — but the allocs/op gate stays hard everywhere:
-# allocation counts are deterministic.
-bench-compare:
-	./scripts/bench-compare.sh
+	$(GO) run ./cmd/leaps-bench -sim-baseline BENCH_sim.json
 
 # Proves parallelism-invariance: EvaluateRuns and GridSearch produce
 # identical results for any worker count, under the race detector —
@@ -161,5 +148,7 @@ fleet-smoke:
 doc-lint:
 	./scripts/doc-lint.sh
 
+# The CI recipe. The benchmark is its own module, so the root's build,
+# vet and test never compile it; the last step vets and tests it there.
 verify: build fmt-check vet test race determinism fuzz-smoke doc-lint verify-telemetry serve-smoke registry-smoke autopilot-smoke obs-smoke sim-smoke fleet-smoke
-	./scripts/bench-compare.sh -w
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...

@@ -501,20 +501,20 @@ func BenchmarkServeIngest(b *testing.B) {
 // emits events with no per-event allocation, repeated stacks resolve
 // through the session's cache, and the detector side of the turn runs
 // on per-session scratch — a repeated stack walk takes its tuple from
-// the detector's stack-walk memo, whose entry and frame slabs are
-// recycled, and only a new walk is partitioned and encoded; window
-// flatten, scale and score reuse their buffers. Decoding through
-// encoding/json and EventSpec.Event alone costs about 7 allocations per
-// event and fails it.
+// the detector's walk table, and only a new walk is partitioned and
+// encoded; window flatten, scale and score reuse their buffers.
+// Decoding through encoding/json and EventSpec.Event alone costs about
+// 7 allocations per event and fails it.
 func TestServeIngestAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement under -short")
 	}
-	const serveIngestAllocBudget = 4 // allocs per event
+	// 1.93 allocs per event measured, 2.05 under -race.
+	const serveIngestAllocBudget = 2.4
 	r := testing.Benchmark(benchmarkServeIngest)
 	perEvent := float64(r.AllocsPerOp()) / serveIngestBatchEvents
 	if perEvent > serveIngestAllocBudget {
-		t.Errorf("serve ingest allocated %.1f allocs/event (%d per %d-event batch), budget %d",
+		t.Errorf("serve ingest allocated %.2f allocs/event (%d per %d-event batch), budget %.1f",
 			perEvent, r.AllocsPerOp(), serveIngestBatchEvents, serveIngestAllocBudget)
 	}
 }

@@ -1,6 +1,7 @@
 // Command leaps-bench regenerates the paper's evaluation artifacts: Table
 // I, Figures 2, 4, 5, 6 and 7, the three case studies, and the ablation
-// studies described in DESIGN.md.
+// studies described in DESIGN.md. It also runs the canonical leaps-sim
+// scenarios against BENCH_sim.json.
 //
 // Usage:
 //
@@ -12,8 +13,8 @@
 //	leaps-bench -extensions             # §VI future-work extensions
 //	leaps-bench -all -runs 10           # everything at paper fidelity
 //	leaps-bench -table1 -csv            # machine-readable output
-//	leaps-bench -perf-baseline BENCH_baseline.json   # perf baseline (ns/op, MB/s)
-//	leaps-bench -perf-compare BENCH_baseline.json    # fail on >20% ns/op regressions
+//	leaps-bench -sim-baseline BENCH_sim.json         # canonical sim scenarios
+//	leaps-bench -sim-compare BENCH_sim.json          # fail on any sim drift
 //	leaps-bench -all -runs 10 -parallel 0            # paper fidelity, parallel pipeline
 package main
 
@@ -55,11 +56,6 @@ func run(args []string) error {
 		csv        = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		quiet      = fs.Bool("q", false, "suppress per-dataset progress")
 		parallel   = fs.Int("parallel", 0, "per-dataset pipeline worker bound (0 = serial inside datasets; datasets already run concurrently)")
-		perfOut    = fs.String("perf-baseline", "", "benchmark pipeline hot paths and write a JSON baseline to this file")
-		perfCmp    = fs.String("perf-compare", "", "benchmark pipeline hot paths and diff against this committed baseline (fails on >20% ns/op regressions)")
-		perfWarn   = fs.Bool("perf-warn", false, "report -perf-compare and -serve-compare regressions as warnings instead of failing")
-		serveOut   = fs.String("serve-baseline", "", "drive an in-process serving workload and write per-endpoint p50/p95/p99 latency to this file")
-		serveCmp   = fs.String("serve-compare", "", "drive the serving workload and diff p95 latency against this committed baseline (fails on >20% regressions)")
 		simOut     = fs.String("sim-baseline", "", "run the canonical leaps-sim scenarios and write per-scenario throughput/latency/checksums to this file")
 		simCmp     = fs.String("sim-compare", "", "run the canonical leaps-sim scenarios and diff against this committed baseline (counts and checksums gate exactly)")
 		debugAddr  = fs.String("debug-addr", "", "serve /metrics, /spans and pprof on this address while running")
@@ -92,30 +88,6 @@ func run(args []string) error {
 	any := false
 	start := time.Now()
 
-	if *perfOut != "" {
-		any = true
-		if err := runPerfBaseline(*perfOut); err != nil {
-			return err
-		}
-	}
-	if *perfCmp != "" {
-		any = true
-		if err := runPerfCompare(*perfCmp, *perfWarn); err != nil {
-			return err
-		}
-	}
-	if *serveOut != "" {
-		any = true
-		if err := runServeBaseline(*serveOut); err != nil {
-			return err
-		}
-	}
-	if *serveCmp != "" {
-		any = true
-		if err := runServeCompare(*serveCmp, *perfWarn); err != nil {
-			return err
-		}
-	}
 	if *simOut != "" {
 		any = true
 		if err := runSimBaseline(*simOut); err != nil {
@@ -124,7 +96,7 @@ func run(args []string) error {
 	}
 	if *simCmp != "" {
 		any = true
-		if err := runSimCompare(*simCmp, *perfWarn); err != nil {
+		if err := runSimCompare(*simCmp); err != nil {
 			return err
 		}
 	}
@@ -239,7 +211,7 @@ func run(args []string) error {
 	}
 	if !any {
 		fs.Usage()
-		return fmt.Errorf("nothing to do: pass -table1, -fig2..-fig7, -cases, -ablations, -perf-baseline, -perf-compare or -all")
+		return fmt.Errorf("nothing to do: pass -table1, -auc, -fig2..-fig7, -cases, -ablations, -extensions, -sim-baseline, -sim-compare or -all")
 	}
 	fmt.Fprintf(os.Stderr, "total: %.1fs\n", time.Since(start).Seconds())
 	return nil

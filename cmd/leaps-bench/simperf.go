@@ -6,8 +6,8 @@ package main
 // deterministic, the checksum and every count are gated exactly on
 // compare — any drift means the verdict stream or schedule changed and
 // must be an intentional rebaseline. The latency/throughput columns get
-// the usual 20% band only so that deliberate service-model retuning
-// shows up as a readable diff instead of a wall of exact-match failures.
+// a 20% band only so that deliberate service-model retuning shows up as
+// a readable diff instead of a wall of exact-match failures.
 
 import (
 	"encoding/json"
@@ -137,8 +137,9 @@ func simBand(old, fresh float64) bool {
 
 // runSimCompare re-runs the canonical scenarios and diffs them against
 // the committed BENCH_sim.json: exact on the deterministic counts and
-// the verdict checksum, 20% bands on throughput and latency.
-func runSimCompare(path string, warnOnly bool) error {
+// the verdict checksum, 20% bands on throughput and latency. Either
+// kind of mismatch fails.
+func runSimCompare(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -157,18 +158,18 @@ func runSimCompare(path string, warnOnly bool) error {
 		return err
 	}
 
-	var hardFailures, softFailures []string
+	var failures []string
 	for _, r := range fresh.Scenarios {
 		o, ok := old[r.Scenario]
 		if !ok {
 			// A scenario the baseline has never seen is drift, not noise: the
 			// canonical catalog grew and BENCH_sim.json was not regenerated.
 			fmt.Printf("%-20s checksum=%s  NEW (not in baseline)\n", r.Scenario, r.Checksum)
-			hardFailures = append(hardFailures,
+			failures = append(failures,
 				r.Scenario+": new canonical scenario absent from the baseline")
 			continue
 		}
-		var hard, soft []string
+		before := len(failures)
 		exact := []struct {
 			name     string
 			old, new any
@@ -185,7 +186,7 @@ func runSimCompare(path string, warnOnly bool) error {
 		}
 		for _, e := range exact {
 			if e.old != e.new {
-				hard = append(hard, fmt.Sprintf("%s %v -> %v", e.name, e.old, e.new))
+				failures = append(failures, fmt.Sprintf("%s: %s %v -> %v", r.Scenario, e.name, e.old, e.new))
 			}
 		}
 		banded := []struct {
@@ -199,18 +200,12 @@ func runSimCompare(path string, warnOnly bool) error {
 		}
 		for _, b := range banded {
 			if simBand(b.old, b.new) {
-				soft = append(soft, fmt.Sprintf("%s %.3f -> %.3f (%.2fx)", b.name, b.old, b.new, safeRatio(b.old, b.new)))
+				failures = append(failures, fmt.Sprintf("%s: %s %.3f -> %.3f (%.2fx)", r.Scenario, b.name, b.old, b.new, safeRatio(b.old, b.new)))
 			}
 		}
 		status := "ok"
-		if len(hard)+len(soft) > 0 {
+		if len(failures) > before {
 			status = "MISMATCH"
-		}
-		for _, f := range hard {
-			hardFailures = append(hardFailures, r.Scenario+": "+f)
-		}
-		for _, f := range soft {
-			softFailures = append(softFailures, r.Scenario+": "+f)
 		}
 		fmt.Printf("%-20s checksum=%s eps=%9.1f p95=%7.3fms  %s\n", r.Scenario, r.Checksum, r.ThroughputEPS, r.VerdictP95ms, status)
 	}
@@ -223,25 +218,12 @@ func runSimCompare(path string, warnOnly bool) error {
 			}
 		}
 		if !found {
-			hardFailures = append(hardFailures, name+": scenario missing from the canonical catalog")
+			failures = append(failures, name+": scenario missing from the canonical catalog")
 		}
 	}
-	// The banded columns are machine-independent too, but deliberate
-	// service-model retuning shifts them; -w downgrades only these.
-	if len(softFailures) > 0 {
-		msg := fmt.Sprintf("%d simulation latency/throughput deviation(s) vs %s:", len(softFailures), path)
-		for _, f := range softFailures {
-			msg += "\n  " + f
-		}
-		if warnOnly {
-			fmt.Fprintln(os.Stderr, "warning:", msg)
-		} else {
-			hardFailures = append(hardFailures, softFailures...)
-		}
-	}
-	if len(hardFailures) > 0 {
-		msg := fmt.Sprintf("%d simulation mismatch(es) vs %s (counts and checksums are deterministic and gate exactly, even under -w; rebaseline with 'make bench BENCH_REBASELINE=1' if intentional):", len(hardFailures), path)
-		for _, f := range hardFailures {
+	if len(failures) > 0 {
+		msg := fmt.Sprintf("%d simulation mismatch(es) vs %s (the simulator is deterministic; rebaseline with 'make bench BENCH_REBASELINE=1' if intentional):", len(failures), path)
+		for _, f := range failures {
 			msg += "\n  " + f
 		}
 		return fmt.Errorf("%s", msg)

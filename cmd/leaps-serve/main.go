@@ -53,6 +53,10 @@
 // passes. Its journal lives under -autopilot-state (default
 // <registry>/autopilot); a restarted server resumes any interrupted
 // cycle from there. See DESIGN.md "Retraining autopilot".
+// -autopilot-lambda and -autopilot-sigma2 go together, as leaps-train's
+// -lambda and -sigma2 do: with both, each finite and positive, they fix
+// every retrain's SVM parameters; without either, each cycle
+// grid-searches them; anything else is a usage error at startup.
 //
 // On SIGTERM or SIGINT the server stops accepting work, drains every
 // session queue, checkpoints all sessions to the spool directory and
@@ -82,6 +86,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/registry"
 	"repro/internal/serve"
+	"repro/internal/svm"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/slogx"
 )
@@ -155,8 +160,8 @@ func run(args []string, ready chan<- string) error {
 		apMixed    = fs.String("autopilot-mixed", "", "mixed training log the autopilot retrains from")
 		apApp      = fs.String("autopilot-app", "", "application to slice from the training logs")
 		apWindow   = fs.Int("autopilot-window", 0, "retraining detection window (0 = core default)")
-		apLambda   = fs.Float64("autopilot-lambda", 0, "fixed WSVM lambda (0 with sigma2 0 = grid search)")
-		apSigma2   = fs.Float64("autopilot-sigma2", 0, "fixed RBF sigma^2 (0 with lambda 0 = grid search)")
+		apLambda   = fs.Float64("autopilot-lambda", 0, "fixed WSVM λ, with -autopilot-sigma2 (omit both to grid-search)")
+		apSigma2   = fs.Float64("autopilot-sigma2", 0, "fixed RBF σ², with -autopilot-lambda (omit both to grid-search)")
 		apSeed     = fs.Int64("autopilot-seed", 1, "retraining data-selection seed")
 		apLenient  = fs.Bool("autopilot-lenient", false, "skip corrupt training-log records instead of failing the cycle")
 		apInterval = fs.Duration("autopilot-interval", time.Minute, "trigger-check period")
@@ -177,6 +182,10 @@ func run(args []string, ready chan<- string) error {
 	}
 	if len(models) == 0 && *regDir == "" {
 		return fmt.Errorf("missing -model (or -registry)")
+	}
+	apParams, err := svm.FlagParams(fs, "autopilot-lambda", "autopilot-sigma2", *apLambda, *apSigma2)
+	if err != nil {
+		return err
 	}
 	// Flight-recorder dumps land next to the server's other durable state
 	// unless -flight-dir points elsewhere. With neither a spool nor a
@@ -251,8 +260,7 @@ func run(args []string, ready chan<- string) error {
 				MixedPath:  *apMixed,
 				App:        *apApp,
 				Window:     *apWindow,
-				Lambda:     *apLambda,
-				Sigma2:     *apSigma2,
+				Params:     apParams,
 				Seed:       *apSeed,
 				Lenient:    *apLenient,
 				Parallel:   *parallel,

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -181,6 +182,24 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 	if err := run([]string{"-model", "a.model", "-model", "b.model", "-addr", "127.0.0.1:0"}, nil); err == nil {
 		t.Error("duplicate default model name accepted")
+	}
+	// -autopilot-lambda and -autopilot-sigma2 come together and pass
+	// svm's parameter check; the flags are checked before the server
+	// starts.
+	for _, flags := range [][]string{
+		{"-autopilot-lambda", "8"},
+		{"-autopilot-sigma2", "2"},
+		{"-autopilot-sigma2", "-1"},
+		{"-autopilot-lambda", "0", "-autopilot-sigma2", "2"},
+		{"-autopilot-lambda", "8", "-autopilot-sigma2", "0"},
+		{"-autopilot-lambda", "Inf", "-autopilot-sigma2", "Inf"},
+		{"-autopilot-lambda", "NaN", "-autopilot-sigma2", "2"},
+		{"-autopilot-lambda", "8", "-autopilot-sigma2", "-Inf"},
+	} {
+		err := run(append([]string{"-model", "/no/such.model", "-addr", "127.0.0.1:0"}, flags...), nil)
+		if err == nil || !strings.Contains(err.Error(), "-autopilot-lambda") {
+			t.Errorf("%v: error %v, want an -autopilot-lambda/-autopilot-sigma2 usage error", flags, err)
+		}
 	}
 }
 

@@ -97,7 +97,7 @@ func run(args []string) error {
 	if *benignPath == "" || *mixedPath == "" {
 		return fmt.Errorf("missing -benign or -mixed")
 	}
-	fixed, err := fixedParams(fs, *lambda, *sigma2)
+	fixed, err := svm.FlagParams(fs, "lambda", "sigma2", *lambda, *sigma2)
 	if err != nil {
 		return err
 	}
@@ -188,25 +188,6 @@ func run(args []string) error {
 		slogx.Info("wrote telemetry report", "path", path)
 	}
 	return nil
-}
-
-// fixedParams resolves -lambda/-sigma2: both set fix the SVM parameters,
-// which must pass svm's parameter check; neither set means grid search;
-// one alone is a usage error.
-func fixedParams(fs *flag.FlagSet, lambda, sigma2 float64) (*svm.Params, error) {
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["lambda"] != set["sigma2"] {
-		return nil, fmt.Errorf("-lambda and -sigma2 go together: pass both to fix the parameters, or neither to grid-search them")
-	}
-	if !set["lambda"] {
-		return nil, nil
-	}
-	p := svm.Params{Lambda: lambda, Kernel: svm.RBFKernel{Sigma2: sigma2}}
-	if err := p.Check(); err != nil {
-		return nil, fmt.Errorf("-lambda %v -sigma2 %v: %w", lambda, sigma2, err)
-	}
-	return &p, nil
 }
 
 // parseSeeds resolves -seeds/-seed: an empty -seeds keeps the single

@@ -158,9 +158,6 @@ func TestBuildProgramLayout(t *testing.T) {
 	if prog.Limit() != syms[len(syms)-1].Addr+funcSpacing {
 		t.Errorf("Limit() = 0x%x, want 0x%x", prog.Limit(), syms[len(syms)-1].Addr+funcSpacing)
 	}
-	if got, want := prog.NumOps(), len(VimProfile().Ops); got != want {
-		t.Errorf("NumOps() = %d, want %d", got, want)
-	}
 	// Every op chain starts at main and is strictly inside the image.
 	for _, op := range prog.ops {
 		if op.chain[0] != syms[0].Addr {

@@ -202,18 +202,6 @@ func (prog *Program) Symbols() []trace.Symbol {
 	return out
 }
 
-// NumOps returns the number of operations in the program.
-func (prog *Program) NumOps() int { return len(prog.ops) }
-
-// OpNames returns the operation names in declaration order.
-func (prog *Program) OpNames() []string {
-	out := make([]string, len(prog.ops))
-	for i, op := range prog.ops {
-		out[i] = op.name
-	}
-	return out
-}
-
 // op returns the named operation or nil.
 func (prog *Program) op(name string) *builtOp {
 	for _, op := range prog.ops {

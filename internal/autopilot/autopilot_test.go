@@ -607,7 +607,7 @@ func TestLogTrainerTrainsFromDisk(t *testing.T) {
 	writeRaw(t, benign, logs.Benign)
 	writeRaw(t, mixed, logs.Mixed)
 
-	tr := LogTrainer{BenignPath: benign, MixedPath: mixed, Lambda: 8, Sigma2: 2, Seed: 7}
+	tr := LogTrainer{BenignPath: benign, MixedPath: mixed, Params: &svm.Params{Lambda: 8, Kernel: svm.RBFKernel{Sigma2: 2}}, Seed: 7}
 	blob, info, err := tr.Train(context.Background())
 	if err != nil {
 		t.Fatalf("Train: %v", err)

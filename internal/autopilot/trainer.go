@@ -14,10 +14,10 @@ import (
 )
 
 // LogTrainer retrains from raw .letl logs on disk — the leaps-train
-// recipe with fixed hyperparameters. Each Train call re-reads the logs,
-// so drift shows up as new content at the same paths (rotated-in
-// captures, appended traffic). Fixed Lambda/Sigma2 keep the retrain
-// cheap and deterministic; leave them zero to grid-search each cycle.
+// recipe. Each Train call re-reads the logs, so drift shows up as new
+// content at the same paths (rotated-in captures, appended traffic).
+// Fixed Params keep the retrain cheap and deterministic; leave them nil
+// to grid-search each cycle.
 type LogTrainer struct {
 	// BenignPath and MixedPath are the training inputs.
 	BenignPath string
@@ -26,10 +26,9 @@ type LogTrainer struct {
 	App string
 	// Window is the event-coalescing window (0 = core default).
 	Window int
-	// Lambda and Sigma2 fix the WSVM hyperparameters; both zero selects
-	// cross-validated grid search.
-	Lambda float64
-	Sigma2 float64
+	// Params fixes the WSVM hyperparameters; nil selects cross-validated
+	// grid search.
+	Params *svm.Params
 	// Seed is the data-selection seed.
 	Seed int64
 	// Lenient skips corrupt log records instead of rejecting the file.
@@ -51,10 +50,7 @@ func (t LogTrainer) Train(ctx context.Context) ([]byte, registry.TrainInfo, erro
 	if err := ctx.Err(); err != nil {
 		return nil, registry.TrainInfo{}, err
 	}
-	cfg := core.Config{Window: t.Window, Seed: t.Seed, Parallel: t.Parallel}
-	if t.Lambda > 0 && t.Sigma2 > 0 {
-		cfg.FixedParams = &svm.Params{Lambda: t.Lambda, Kernel: svm.RBFKernel{Sigma2: t.Sigma2}}
-	}
+	cfg := core.Config{Window: t.Window, Seed: t.Seed, Parallel: t.Parallel, FixedParams: t.Params}
 	td, err := core.BuildTrainingData(benign, mixed, cfg)
 	if err != nil {
 		return nil, registry.TrainInfo{}, err

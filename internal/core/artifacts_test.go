@@ -204,12 +204,12 @@ func TestBuildArtifactsCounters(t *testing.T) {
 }
 
 // TestBuildArtifactsAllocs pins BuildArtifacts' allocation count on the
-// vim_reverse_tcp training pair (seed 1, 6,005 + 6,006 events, serial):
-// 4,222 allocations a call when the stages work once per distinct stack
-// walk. Per-event stages allocate 112,187 times on this pair, so a stage
-// that goes back to working per event fails the budget.
+// vim_reverse_tcp training pair (seed 1, 6,005 + 6,006 events, serial),
+// where the stages work once per distinct stack walk. Per-event stages
+// allocate 112,187 times on this pair, so a stage that goes back to
+// working per event fails the budget.
 func TestBuildArtifactsAllocs(t *testing.T) {
-	const buildArtifactsAllocBudget = 5000 // allocs per call
+	const buildArtifactsAllocBudget = 5000 // allocs per call; 4,203 measured
 	logs := genLogs(t, "vim_reverse_tcp", 1)
 	config := fastConfig(1)
 	config.Parallel = 1
@@ -231,7 +231,7 @@ func TestSelectTrainAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const selectTrainAllocBudget = 2300 // allocs per call; 1,898 measured
+	const selectTrainAllocBudget = 2300 // allocs per call; 1,897 measured
 	spec, err := dataset.ByName("winscp_reverse_tcp")
 	if err != nil {
 		t.Fatal(err)
@@ -252,5 +252,39 @@ func TestSelectTrainAllocs(t *testing.T) {
 	})
 	if allocs > selectTrainAllocBudget {
 		t.Errorf("Select(1).Train allocated %.0f times per call, budget %d", allocs, selectTrainAllocBudget)
+	}
+}
+
+// TestTrainAllocs bounds the whole training path with fixed parameters,
+// BuildTrainingData then Train, on vim_reverse_tcp (2,000 benign and
+// 2,000 mixed events, seed 1, λ 8, σ² 2), serially: the artifacts, the
+// draw, scaling, the fit, Platt and the call graph.
+func TestTrainAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const trainAllocBudget = 5600 // allocs per call; 4,489 measured
+	spec, err := dataset.ByName("vim_reverse_tcp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.BenignEvents, spec.MixedEvents, spec.MaliciousEvents = 2000, 2000, 1000
+	logs, err := spec.Generate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	config := fastConfig(1)
+	config.Parallel = 1
+	allocs := testing.AllocsPerRun(3, func() {
+		td, err := BuildTrainingData(logs.Benign, logs.Mixed, config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := td.Train(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > trainAllocBudget {
+		t.Errorf("BuildTrainingData and Train allocated %.0f times per call, budget %d", allocs, trainAllocBudget)
 	}
 }

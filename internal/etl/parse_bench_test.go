@@ -34,38 +34,47 @@ func BenchmarkParseStream(b *testing.B) {
 	}
 }
 
-// TestParseAllocs bounds ParseBytes' allocations on BenchmarkParseBytes'
-// input, in objects and in bytes per parse. The byte bound is the one
-// that holds the sized event slices: regrowing them by append allocated
-// about 661 KB a parse.
+// TestParseAllocs bounds the parser's allocations on BenchmarkParseBytes'
+// input, in objects and in bytes per parse, through both entries:
+// ParseBytes on the in-memory log, and Parse on a reader, which adds one
+// copy of the input. The byte bounds are the ones that hold the sized
+// event slices, which regrowing by append took to about 661 KB a
+// ParseBytes, and the reader's single copy.
 func TestParseAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const (
-		parseAllocBudget = 460     // allocs per parse; 374 measured
-		parseBytesBudget = 430_000 // bytes per parse; 350.5k measured
-	)
 	raw := benchRaw(t)
-	parse := func() {
-		if _, err := etl.ParseBytes(raw, etl.ParseOpts{}); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name          string
+		parse         func() (*etl.RawFile, error)
+		allocs, bytes uint64 // budgets per parse
+	}{
+		// 374 allocations and 350.5k bytes measured.
+		{"ParseBytes", func() (*etl.RawFile, error) { return etl.ParseBytes(raw, etl.ParseOpts{}) }, 460, 430_000},
+		// 376 allocations and 571.7k bytes measured.
+		{"Parse", func() (*etl.RawFile, error) { return etl.Parse(bytes.NewReader(raw)) }, 460, 710_000},
+	} {
+		parse := func() {
+			if _, err := tc.parse(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	allocs := testing.AllocsPerRun(5, parse)
-	const runs = 5
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		parse()
-	}
-	runtime.ReadMemStats(&after)
-	perParse := (after.TotalAlloc - before.TotalAlloc) / runs
-	if allocs > parseAllocBudget {
-		t.Errorf("ParseBytes allocated %.0f times per parse, budget %d", allocs, parseAllocBudget)
-	}
-	if perParse > parseBytesBudget {
-		t.Errorf("ParseBytes allocated %d bytes per parse, budget %d", perParse, parseBytesBudget)
+		allocs := testing.AllocsPerRun(5, parse)
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			parse()
+		}
+		runtime.ReadMemStats(&after)
+		perParse := (after.TotalAlloc - before.TotalAlloc) / runs
+		if allocs > float64(tc.allocs) {
+			t.Errorf("%s allocated %.0f times per parse, budget %d", tc.name, allocs, tc.allocs)
+		}
+		if perParse > tc.bytes {
+			t.Errorf("%s allocated %d bytes per parse, budget %d", tc.name, perParse, tc.bytes)
+		}
 	}
 }
 

@@ -121,9 +121,6 @@ type Dendrogram struct {
 	merges []Merge
 }
 
-// NumObservations returns n.
-func (d *Dendrogram) NumObservations() int { return d.n }
-
 // Merges returns a copy of the merge steps in order.
 func (d *Dendrogram) Merges() []Merge {
 	out := make([]Merge, len(d.merges))

@@ -225,7 +225,10 @@ func TestEncodeBatchMatchesEncodeAll(t *testing.T) {
 }
 
 // TestEncodeOneSteadyStateAllocs requires the warm scratch path to be
-// allocation-free per event.
+// allocation-free: per event through EncodeOne, and per log through
+// EncodeInto into a recycled dst, featurization's batch path. Coalescing
+// that batch into a warm buffer is held to 0 by
+// TestCoalesceIntoMatchesCoalesce.
 func TestEncodeOneSteadyStateAllocs(t *testing.T) {
 	part := partitionedLog(t, 9)
 	enc, err := Fit(part.Events, Config{})
@@ -243,6 +246,12 @@ func TestEncodeOneSteadyStateAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("warm EncodeOne allocates %.2f per event, want 0", avg)
+	}
+	tuples := enc.EncodeInto(nil, part, &s)
+	if avg := testing.AllocsPerRun(50, func() {
+		tuples = enc.EncodeInto(tuples[:0], part, &s)
+	}); avg != 0 {
+		t.Fatalf("warm EncodeInto into a recycled dst allocates %.2f per call, want 0", avg)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/registry"
@@ -260,11 +261,8 @@ func TestServeModelsLifecycleAPI(t *testing.T) {
 
 	if c := s.canary.Load(); c == nil {
 		t.Fatal("no canary active after shadow start")
-	} else {
-		c.Sync()
-		if st := c.Status(); st.Events != cut {
-			t.Errorf("shadow replayed %d events, want %d", st.Events, cut)
-		}
+	} else if st := shadowReplayed(c, cut); st.Events != cut {
+		t.Errorf("shadow replayed %d events, want %d", st.Events, cut)
 	}
 	info = ModelsInfo{} // Unmarshal keeps stale fields the response omits
 	resp = httpJSON(t, ts.Client(), "GET", ts.URL+"/v1/models", nil, &info)
@@ -377,8 +375,7 @@ func TestServeShadowDeterminism(t *testing.T) {
 			if c == nil {
 				t.Fatal("canary vanished mid-run")
 			}
-			c.Sync()
-			cmp := c.Status()
+			cmp := shadowReplayed(c, n)
 			if cmp.Events != n || cmp.Diverged != 0 {
 				t.Fatalf("shadow comparison %+v, want %d events and no divergence", cmp, n)
 			}
@@ -398,5 +395,18 @@ func TestServeShadowDeterminism(t *testing.T) {
 	without := run(false)
 	if !bytes.Equal(with, without) {
 		t.Fatal("champion verdict stream differs with a shadow challenger attached")
+	}
+}
+
+// shadowReplayed returns the canary's comparison once it has replayed at
+// least events events, or when the deadline passes. The worker offers a
+// batch to the shadow only after it replies, so a client can hold its
+// verdicts before the offer reaches Sync.
+func shadowReplayed(c *registry.Canary, events int) registry.Comparison {
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		c.Sync()
+		if st := c.Status(); st.Events >= events || time.Now().After(deadline) {
+			return st
+		}
 	}
 }

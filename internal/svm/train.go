@@ -2,6 +2,7 @@ package svm
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"math"
 
@@ -254,6 +255,26 @@ func (p Params) Check() error {
 		return fmt.Errorf("svm: λ %v must be finite and positive", p.Lambda)
 	}
 	return checkKernel(p.Kernel)
+}
+
+// FlagParams resolves a command's pair of flags that fix λ and the RBF
+// σ², defined on fs as lambdaFlag and sigma2Flag and parsed into lambda
+// and sigma2. Both set give parameters, which must pass Check; neither
+// set gives nil, which selects grid search; one alone is a usage error.
+func FlagParams(fs *flag.FlagSet, lambdaFlag, sigma2Flag string, lambda, sigma2 float64) (*Params, error) {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set[lambdaFlag] != set[sigma2Flag] {
+		return nil, fmt.Errorf("-%s and -%s go together: pass both to fix the parameters, or neither to grid-search them", lambdaFlag, sigma2Flag)
+	}
+	if !set[lambdaFlag] {
+		return nil, nil
+	}
+	p := Params{Lambda: lambda, Kernel: RBFKernel{Sigma2: sigma2}}
+	if err := p.Check(); err != nil {
+		return nil, fmt.Errorf("-%s %v -%s %v: %w", lambdaFlag, lambda, sigma2Flag, sigma2, err)
+	}
+	return &p, nil
 }
 
 // Train solves the weighted SVM dual with SMO.

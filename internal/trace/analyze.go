@@ -7,57 +7,7 @@ import (
 	"time"
 )
 
-// Log analysis and slicing utilities for tooling built on the library.
-
-// FilterType returns a new log containing only events of the given types,
-// renumbered sequentially. The module map is shared.
-func (l *Log) FilterType(types ...EventType) *Log {
-	want := make(map[EventType]bool, len(types))
-	for _, t := range types {
-		want[t] = true
-	}
-	out := &Log{App: l.App, PID: l.PID, Modules: l.Modules}
-	for _, e := range l.Events {
-		if want[e.Type] {
-			c := e.Clone()
-			c.Seq = len(out.Events)
-			out.Events = append(out.Events, c)
-		}
-	}
-	return out
-}
-
-// FilterTime returns a new log with the events in [from, to), renumbered
-// sequentially. Zero bounds are open.
-func (l *Log) FilterTime(from, to time.Time) *Log {
-	out := &Log{App: l.App, PID: l.PID, Modules: l.Modules}
-	for _, e := range l.Events {
-		if !from.IsZero() && e.Time.Before(from) {
-			continue
-		}
-		if !to.IsZero() && !e.Time.Before(to) {
-			continue
-		}
-		c := e.Clone()
-		c.Seq = len(out.Events)
-		out.Events = append(out.Events, c)
-	}
-	return out
-}
-
-// FilterThread returns a new log with the events of one thread,
-// renumbered sequentially.
-func (l *Log) FilterThread(tid int) *Log {
-	out := &Log{App: l.App, PID: l.PID, Modules: l.Modules}
-	for _, e := range l.Events {
-		if e.TID == tid {
-			c := e.Clone()
-			c.Seq = len(out.Events)
-			out.Events = append(out.Events, c)
-		}
-	}
-	return out
-}
+// Log summary statistics for diagnostics.
 
 // Stats summarises a log for diagnostics.
 type Stats struct {
@@ -129,31 +79,4 @@ func (s Stats) String() string {
 		fmt.Fprintf(&b, "  %-16s %d\n", t, s.ByType[t])
 	}
 	return b.String()
-}
-
-// MergeLogs combines several logs of the same process (e.g. slices
-// captured at different times) into one, ordered by timestamp and
-// renumbered. All logs must agree on App and PID; the first log's module
-// map is used.
-func MergeLogs(logs ...*Log) (*Log, error) {
-	if len(logs) == 0 {
-		return nil, fmt.Errorf("trace: no logs to merge")
-	}
-	out := &Log{App: logs[0].App, PID: logs[0].PID, Modules: logs[0].Modules}
-	for i, l := range logs {
-		if l.App != out.App || l.PID != out.PID {
-			return nil, fmt.Errorf("trace: log %d is for (%q,%d), want (%q,%d)",
-				i, l.App, l.PID, out.App, out.PID)
-		}
-		for _, e := range l.Events {
-			out.Events = append(out.Events, e.Clone())
-		}
-	}
-	sort.SliceStable(out.Events, func(i, j int) bool {
-		return out.Events[i].Time.Before(out.Events[j].Time)
-	})
-	for i := range out.Events {
-		out.Events[i].Seq = i
-	}
-	return out, nil
 }

@@ -30,51 +30,6 @@ func analyzedLog(t *testing.T) *Log {
 	}
 }
 
-func TestFilterType(t *testing.T) {
-	l := analyzedLog(t)
-	got := l.FilterType(EventFileRead)
-	if got.Len() != 2 {
-		t.Fatalf("FilterType kept %d events, want 2", got.Len())
-	}
-	for i, e := range got.Events {
-		if e.Type != EventFileRead {
-			t.Errorf("event %d type = %v", i, e.Type)
-		}
-		if e.Seq != i {
-			t.Errorf("event %d Seq = %d, not renumbered", i, e.Seq)
-		}
-	}
-	// Deep copy: mutating the filtered log leaves the original intact.
-	got.Events[0].Stack[0].Addr = 1
-	if l.Events[0].Stack[0].Addr == 1 {
-		t.Error("FilterType shares stacks with the source")
-	}
-}
-
-func TestFilterTime(t *testing.T) {
-	l := analyzedLog(t)
-	base := l.Events[0].Time
-	got := l.FilterTime(base.Add(time.Millisecond), base.Add(3*time.Millisecond))
-	if got.Len() != 2 {
-		t.Fatalf("FilterTime kept %d events, want 2", got.Len())
-	}
-	if got.Events[0].Type != EventFileWrite || got.Events[1].Type != EventNetSend {
-		t.Errorf("wrong events kept: %v, %v", got.Events[0].Type, got.Events[1].Type)
-	}
-	// Open bounds keep everything.
-	if all := l.FilterTime(time.Time{}, time.Time{}); all.Len() != l.Len() {
-		t.Errorf("open bounds kept %d, want %d", all.Len(), l.Len())
-	}
-}
-
-func TestFilterThread(t *testing.T) {
-	l := analyzedLog(t)
-	got := l.FilterThread(9)
-	if got.Len() != 1 || got.Events[0].Type != EventNetSend {
-		t.Fatalf("FilterThread(9) = %d events", got.Len())
-	}
-}
-
 func TestStats(t *testing.T) {
 	l := analyzedLog(t)
 	s := l.Stats()
@@ -99,33 +54,5 @@ func TestStats(t *testing.T) {
 	}
 	if empty := (&Log{}).Stats(); empty.Span() != 0 || empty.AvgStack != 0 {
 		t.Errorf("empty stats = %+v", empty)
-	}
-}
-
-func TestMergeLogs(t *testing.T) {
-	l := analyzedLog(t)
-	a := l.FilterTime(time.Time{}, l.Events[2].Time) // first two events
-	b := l.FilterTime(l.Events[2].Time, time.Time{}) // last two events
-	merged, err := MergeLogs(b, a)                   // out of order on purpose
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Len() != l.Len() {
-		t.Fatalf("merged %d events, want %d", merged.Len(), l.Len())
-	}
-	for i := range merged.Events {
-		if merged.Events[i].Seq != i {
-			t.Errorf("event %d not renumbered", i)
-		}
-		if merged.Events[i].Type != l.Events[i].Type {
-			t.Errorf("event %d out of order: %v", i, merged.Events[i].Type)
-		}
-	}
-	if _, err := MergeLogs(); err == nil {
-		t.Error("MergeLogs() with no logs succeeded")
-	}
-	other := &Log{App: "chrome.exe", PID: 9}
-	if _, err := MergeLogs(l, other); err == nil {
-		t.Error("merging different processes succeeded")
 	}
 }

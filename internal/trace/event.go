@@ -209,12 +209,3 @@ func (l *Log) Clone() *Log {
 	}
 	return out
 }
-
-// CountTypes tallies events by type.
-func (l *Log) CountTypes() map[EventType]int {
-	out := make(map[EventType]int)
-	for _, e := range l.Events {
-		out[e.Type]++
-	}
-	return out
-}

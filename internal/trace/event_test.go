@@ -116,19 +116,6 @@ func TestLogCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestLogCountTypes(t *testing.T) {
-	l := &Log{Events: []Event{
-		{Type: EventFileRead}, {Type: EventFileRead}, {Type: EventNetSend},
-	}}
-	counts := l.CountTypes()
-	if counts[EventFileRead] != 2 || counts[EventNetSend] != 1 {
-		t.Errorf("CountTypes() = %v, want FileRead:2 NetSend:1", counts)
-	}
-	if l.Len() != 3 {
-		t.Errorf("Len() = %d, want 3", l.Len())
-	}
-}
-
 func TestStackWalkClonePropertyQuick(t *testing.T) {
 	// Property: cloning preserves addresses for arbitrary stacks.
 	f := func(addrs []uint64) bool {
