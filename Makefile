@@ -23,20 +23,22 @@ race:
 # Short fuzz runs of the raw-log parser, seeded with fault-injected
 # corpora and held to a faithful WriteLogs round trip, of the event-batch
 # JSON decoder, cross-checked against encoding/json, of the traceparent
-# parser, held to a faithful round trip, of streaming checkpoint restore,
-# held to a faithful Checkpoint round trip and windows over fed events
-# only, of the session envelope decoder behind both spool restore and
-# handoff import, held to a faithful re-cut of the revived session, of
-# the stack-walk table and the split on it, held to a split of every
-# event on its own, of the two JSONL replays, the autopilot journal and
-# the registry history, held to the whole records before the first torn
-# line and a faithful re-encode, and of the RBF scoring branch over the
-# flat support-vector matrix, held bit for bit to the Kernel.Compute
-# loop on models drawn from the input — the CI smoke budget, not a deep
-# campaign. Envelope, journal and history inputs are JSON the mutator
-# keeps growing, so those targets minimize each new input for at most
-# 100 runs: the default 60 s minimization would spend the whole budget
-# on the first one.
+# parser, held to a faithful round trip, of the model-bundle decoder,
+# held to no panic, a log scored by every bundle it accepts, in either
+# mode, and a re-encode that is a fixed point, of streaming checkpoint
+# restore, held to a faithful JSON Checkpoint round trip and windows over
+# fed events only, of the session envelope decoder behind both spool
+# restore and handoff import, held to a faithful re-cut of the revived
+# session, of the stack-walk table and the split on it, held to a split
+# of every event on its own, of the two JSONL replays, the autopilot
+# journal and the registry history, held to the whole records before the
+# first torn line and a faithful re-encode, and of the RBF scoring
+# branch over the flat support-vector matrix, held bit for bit to the
+# Kernel.Compute loop on models drawn from the input — the CI smoke
+# budget, not a deep campaign. Bundle, checkpoint, envelope, journal and
+# history inputs are large or JSON the mutator keeps growing, so those
+# targets minimize each new input for at most 100 runs: the default
+# 60 s minimization would spend the whole budget on the first one.
 fuzz-smoke:
 	$(GO) test ./internal/etl -run='^$$' -fuzz=FuzzParseStrict -fuzztime=10s
 	$(GO) test ./internal/etl -run='^$$' -fuzz=FuzzParseLenient -fuzztime=10s
@@ -44,7 +46,8 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeEventBatch -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzReviveSession -fuzztime=10s -fuzzminimizetime=100x
 	$(GO) test ./internal/telemetry -run='^$$' -fuzz=FuzzParseTraceParent -fuzztime=10s
-	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzRestoreStream -fuzztime=10s
+	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzLoadMonitor -fuzztime=10s -fuzzminimizetime=100x
+	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzRestoreStream -fuzztime=10s -fuzzminimizetime=100x
 	$(GO) test ./internal/partition -run='^$$' -fuzz=FuzzSplitWalks -fuzztime=10s
 	$(GO) test ./internal/autopilot -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=10s -fuzzminimizetime=100x
 	$(GO) test ./internal/registry -run='^$$' -fuzz=FuzzRegistryHistory -fuzztime=10s -fuzzminimizetime=100x
@@ -87,9 +90,10 @@ bench:
 # per-event path, at Parallel 1 and at every processor. It also holds
 # every trainer's saved model, batch detection and the evaluation
 # summaries to the committed golden of an earlier commit, at Parallel 1
-# and at every processor.
+# and at every processor; and a saved model's bytes, and so its registry
+# entry ID, to one hash whatever its process did before the save.
 determinism:
-	$(GO) test -race -run 'TestEvaluateRunsParallelDeterminism|TestEvaluateRunsBuildsArtifactsOnce|TestGridSearchParallel|TestSharedCrossValidateMatchesUncached|TestGridSearchMatchesUncachedSweep|TestSolverMatchesReference|TestGramMatchesCompute|TestGramConcurrent|TestLazyGramMatchesEager|TestFitDecisionsMatchDecision|TestDecisionMatchesKernel|TestFeaturizeConcurrent|TestDetectLogMatchesReference|TestFeedMatchesReference|TestTrainedModelsGolden|TestArtifactsMatchPerEventReference|TestSplitMatchesPerEventReference|TestFitOverWalksMatchesPerEvent' ./internal/core ./internal/svm ./internal/partition ./internal/preprocess
+	$(GO) test -race -run 'TestEvaluateRunsParallelDeterminism|TestEvaluateRunsBuildsArtifactsOnce|TestGridSearchParallel|TestSharedCrossValidateMatchesUncached|TestGridSearchMatchesUncachedSweep|TestSolverMatchesReference|TestGramMatchesCompute|TestGramConcurrent|TestLazyGramMatchesEager|TestFitDecisionsMatchDecision|TestDecisionMatchesKernel|TestFeaturizeConcurrent|TestDetectLogMatchesReference|TestFeedMatchesReference|TestTrainedModelsGolden|TestArtifactsMatchPerEventReference|TestSplitMatchesPerEventReference|TestFitOverWalksMatchesPerEvent|TestBundleBytesIndependentOfProcessHistory' ./internal/core ./internal/svm ./internal/partition ./internal/preprocess ./internal/registry
 
 # End-to-end smoke test of the -debug-addr introspection endpoints:
 # generates data, trains, then scrapes /metrics, /spans and pprof from a

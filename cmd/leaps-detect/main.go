@@ -23,7 +23,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -87,13 +86,6 @@ func run(args []string) error {
 	mon, err := core.LoadMonitor(mf)
 	if cerr := mf.Close(); err == nil {
 		err = cerr
-	}
-	var fbErr *core.FallbackUnavailableError
-	if errors.As(err, &fbErr) {
-		// Distinguish "your bundle predates the embedded call graph" from
-		// a generic parse failure: the fix is a migration, not a retrain
-		// from scratch (DESIGN.md §5, "v1→v2 bundle migration").
-		return fmt.Errorf("model %s cannot run degraded: %w", *modelPath, fbErr)
 	}
 	if err != nil {
 		return err

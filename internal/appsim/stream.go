@@ -117,6 +117,3 @@ func (gen *Generator) Next(n int) []trace.Event {
 	}
 	return out
 }
-
-// Emitted returns how many events the generator has handed out.
-func (gen *Generator) Emitted() int { return gen.emitted }

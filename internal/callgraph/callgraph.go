@@ -14,21 +14,20 @@
 package callgraph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/partition"
 	"repro/internal/telemetry"
 )
 
-// Matcher telemetry: verdict mix (the undecided share is the model's
-// headline weakness) and the sizes of the trained graphs. Verdict counters
-// are resolved once here so the per-event path stays a plain atomic add.
+// Matcher telemetry: window verdict mix (the undecided share is the
+// model's headline weakness) and the sizes of the trained graphs. Verdict
+// counters are resolved once here so the per-window path stays a plain
+// atomic add.
 var (
-	mVerdicts         = telemetry.NewCounterVec("callgraph_verdicts_total", "event classifications by the call-graph matcher", "verdict")
-	mVerdictBenign    = mVerdicts.With("benign")
-	mVerdictMalicious = mVerdicts.With("malicious")
-	mVerdictUndecided = mVerdicts.With("undecided")
 	mWindowVerdicts   = telemetry.NewCounterVec("callgraph_window_verdicts_total", "window classifications by the call-graph matcher", "verdict")
 	mWinVerdBenign    = mWindowVerdicts.With("benign")
 	mWinVerdMalicious = mWindowVerdicts.With("malicious")
@@ -63,16 +62,16 @@ func (v Verdict) String() string {
 	return fmt.Sprintf("Verdict(%d)", int(v))
 }
 
-// edge is one call relation between two module-qualified functions.
-type edge struct {
-	caller string
-	callee string
+// Edge is one call relation between two module-qualified functions.
+type Edge struct {
+	Caller string
+	Callee string
 }
 
 // Model holds the benign and mixed system-level call graphs.
 type Model struct {
-	bcg map[edge]struct{}
-	mcg map[edge]struct{}
+	bcg map[Edge]struct{}
+	mcg map[Edge]struct{}
 }
 
 // Train builds the BCG from the benign log and the MCG from the mixed log.
@@ -81,8 +80,8 @@ func Train(benign, mixed *partition.Log) (*Model, error) {
 		return nil, errors.New("callgraph: nil training log")
 	}
 	m := &Model{
-		bcg: make(map[edge]struct{}),
-		mcg: make(map[edge]struct{}),
+		bcg: make(map[Edge]struct{}),
+		mcg: make(map[Edge]struct{}),
 	}
 	addAll(m.bcg, benign)
 	addAll(m.mcg, mixed)
@@ -91,16 +90,38 @@ func Train(benign, mixed *partition.Log) (*Model, error) {
 	return m, nil
 }
 
-// BCGSize and MCGSize report the graph sizes (edge counts).
-func (m *Model) BCGSize() int { return len(m.bcg) }
+// NewModel returns the model with the given BCG and MCG edges, as a
+// model bundle stores them.
+func NewModel(bcg, mcg []Edge) *Model {
+	m := &Model{bcg: make(map[Edge]struct{}, len(bcg)), mcg: make(map[Edge]struct{}, len(mcg))}
+	for _, e := range bcg {
+		m.bcg[e] = struct{}{}
+	}
+	for _, e := range mcg {
+		m.mcg[e] = struct{}{}
+	}
+	return m
+}
 
-// MCGSize reports the mixed call graph's edge count.
-func (m *Model) MCGSize() int { return len(m.mcg) }
+// Edges returns the BCG and MCG edges, each sorted by caller then
+// callee, so equal models list equal edges.
+func (m *Model) Edges() (bcg, mcg []Edge) { return sortedEdges(m.bcg), sortedEdges(m.mcg) }
+
+func sortedEdges(g map[Edge]struct{}) []Edge {
+	out := make([]Edge, 0, len(g))
+	for e := range g {
+		out = append(out, e)
+	}
+	slices.SortFunc(out, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.Caller, b.Caller), cmp.Compare(a.Callee, b.Callee))
+	})
+	return out
+}
 
 // addAll adds the call relations of every event of the log to g. The
 // graph is a set and an event's relations depend on its stack walk
 // alone, so only the first event of each distinct walk is visited.
-func addAll(g map[edge]struct{}, log *partition.Log) {
+func addAll(g map[Edge]struct{}, log *partition.Log) {
 	for w := 0; w < log.NumWalks(); w++ {
 		for _, e := range eventEdges(&log.Events[log.FirstOf(w)]) {
 			g[e] = struct{}{}
@@ -110,40 +131,24 @@ func addAll(g map[edge]struct{}, log *partition.Log) {
 
 // eventEdges extracts the call relations from an event's system stack
 // trace: one edge per adjacent frame pair.
-func eventEdges(e *partition.Event) []edge {
+func eventEdges(e *partition.Event) []Edge {
 	if len(e.SysTrace) < 2 {
 		return nil
 	}
-	out := make([]edge, 0, len(e.SysTrace)-1)
+	out := make([]Edge, 0, len(e.SysTrace)-1)
 	for i := 0; i+1 < len(e.SysTrace); i++ {
 		a, b := e.SysTrace[i], e.SysTrace[i+1]
-		out = append(out, edge{
-			caller: a.Module + "!" + a.Function,
-			callee: b.Module + "!" + b.Function,
+		out = append(out, Edge{
+			Caller: a.Module + "!" + a.Function,
+			Callee: b.Module + "!" + b.Function,
 		})
 	}
 	return out
 }
 
-// Classify scores one event: call relations exclusive to the BCG vote
-// benign, relations exclusive to the MCG vote malicious; a majority
-// decides, anything else is undecidable.
-func (m *Model) Classify(e *partition.Event) Verdict {
-	benignVotes, maliciousVotes := m.votes(e)
-	switch {
-	case benignVotes > maliciousVotes:
-		mVerdictBenign.Inc()
-		return VerdictBenign
-	case maliciousVotes > benignVotes:
-		mVerdictMalicious.Inc()
-		return VerdictMalicious
-	default:
-		mVerdictUndecided.Inc()
-		return VerdictUndecided
-	}
-}
-
-// votes counts the event's exclusive-edge evidence.
+// votes counts the event's exclusive-edge evidence: call relations
+// exclusive to the BCG vote benign, relations exclusive to the MCG vote
+// malicious.
 func (m *Model) votes(e *partition.Event) (benign, malicious int) {
 	for _, ed := range eventEdges(e) {
 		_, inB := m.bcg[ed]
@@ -172,7 +177,7 @@ func (m *Model) WindowVotes(events []partition.Event) (benign, malicious int) {
 
 // ClassifyWindow aggregates the vote counts of a run of consecutive events
 // (the same 10-event windows the statistical models classify) and decides
-// by vote majority.
+// by vote majority; anything else is undecidable.
 func (m *Model) ClassifyWindow(events []partition.Event) Verdict {
 	benignVotes, maliciousVotes := m.WindowVotes(events)
 	switch {

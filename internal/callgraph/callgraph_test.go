@@ -30,6 +30,8 @@ func TestTrainValidation(t *testing.T) {
 	}
 }
 
+// TestClassifyExclusiveEdges and the other Classify tests score
+// one-event windows: WindowVotes over one event is that event's votes.
 func TestClassifyExclusiveEdges(t *testing.T) {
 	benignEvent := sysEvent(trace.EventFileRead,
 		[2]string{"k32", "ReadFile"}, [2]string{"ntdll", "NtReadFile"})
@@ -42,21 +44,21 @@ func TestClassifyExclusiveEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.BCGSize() != 1 || m.MCGSize() != 2 {
-		t.Fatalf("graph sizes = (%d,%d), want (1,2)", m.BCGSize(), m.MCGSize())
+	if bcg, mcg := m.Edges(); len(bcg) != 1 || len(mcg) != 2 {
+		t.Fatalf("graph sizes = (%d,%d), want (1,2)", len(bcg), len(mcg))
 	}
 	// The benign event's edge is in both graphs: undecidable — the
 	// paper's central complaint about this model.
-	if got := m.Classify(&benignEvent); got != VerdictUndecided {
+	if got := m.ClassifyWindow([]partition.Event{benignEvent}); got != VerdictUndecided {
 		t.Errorf("benign-event verdict = %v, want undecided", got)
 	}
 	// The malicious event's edge is exclusive to the MCG.
-	if got := m.Classify(&maliciousEvent); got != VerdictMalicious {
+	if got := m.ClassifyWindow([]partition.Event{maliciousEvent}); got != VerdictMalicious {
 		t.Errorf("malicious-event verdict = %v, want malicious", got)
 	}
 	// An unseen stack yields no votes.
 	unseen := sysEvent(trace.EventRegistryRead, [2]string{"adv", "RegOpen"}, [2]string{"ntdll", "NtOpenKey"})
-	if got := m.Classify(&unseen); got != VerdictUndecided {
+	if got := m.ClassifyWindow([]partition.Event{unseen}); got != VerdictUndecided {
 		t.Errorf("unseen-event verdict = %v, want undecided", got)
 	}
 }
@@ -73,7 +75,7 @@ func TestClassifyBenignExclusive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Classify(&benignOnly); got != VerdictBenign {
+	if got := m.ClassifyWindow([]partition.Event{benignOnly}); got != VerdictBenign {
 		t.Errorf("verdict = %v, want benign", got)
 	}
 }
@@ -87,7 +89,7 @@ func TestClassifySingleFrameNoEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Classify(&one); got != VerdictUndecided {
+	if got := m.ClassifyWindow([]partition.Event{one}); got != VerdictUndecided {
 		t.Errorf("single-frame verdict = %v, want undecided", got)
 	}
 }
@@ -131,7 +133,8 @@ func TestVerdictString(t *testing.T) {
 	}
 }
 
-// On simulated data, pure-malicious events should classify mostly
+// On simulated data, pure-malicious events, each a one-event window,
+// should classify mostly
 // malicious while many benign events are undecided (their edges occur in
 // both graphs) — the phenomenon the paper reports as CGraph's low benign
 // hit rate.
@@ -182,14 +185,14 @@ func TestSimulatedBehaviour(t *testing.T) {
 
 	var malCorrect, malTotal int
 	for i := range tp.Events {
-		if m.Classify(&tp.Events[i]) == VerdictMalicious {
+		if m.ClassifyWindow(tp.Events[i:i+1]) == VerdictMalicious {
 			malCorrect++
 		}
 		malTotal++
 	}
 	var benignDecided, benignTotal int
 	for i := range bp.Events {
-		if m.Classify(&bp.Events[i]) == VerdictBenign {
+		if m.ClassifyWindow(bp.Events[i:i+1]) == VerdictBenign {
 			benignDecided++
 		}
 		benignTotal++

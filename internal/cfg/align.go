@@ -257,19 +257,6 @@ func AlignGraphs(a, b *Graph) *Alignment {
 	return al
 }
 
-// TranslateGraph rewrites graph b into a's coordinate system using the
-// alignment; unmatched nodes keep their addresses. The edge set is
-// preserved (possibly merging parallel edges).
-func (al *Alignment) TranslateGraph(b *Graph) *Graph {
-	out := NewGraph()
-	for _, e := range b.Edges() {
-		from, _ := al.Translate(e.From)
-		to, _ := al.Translate(e.To)
-		out.AddEdge(from, to)
-	}
-	return out
-}
-
 // abs64 returns |x|.
 func abs64(x int64) int64 {
 	if x < 0 {

@@ -72,8 +72,13 @@ func TestAlignUniformShift(t *testing.T) {
 			t.Fatalf("node 0x%x mapped with offset 0x%x", b, b-a)
 		}
 	}
-	// TranslateGraph reproduces the benign edge set.
-	back := al.TranslateGraph(shifted)
+	// Translating every edge reproduces the benign edge set.
+	back := NewGraph()
+	for _, e := range shifted.Edges() {
+		from, _ := al.Translate(e.From)
+		to, _ := al.Translate(e.To)
+		back.AddEdge(from, to)
+	}
 	d := DiffGraphs(benign, back)
 	if len(d.OnlyA) != 0 || len(d.OnlyB) != 0 {
 		t.Errorf("translated graph differs: onlyA=%d onlyB=%d", len(d.OnlyA), len(d.OnlyB))

@@ -67,29 +67,15 @@ func artifactInputs(t testing.TB, seed int64) map[string][2]*trace.Log {
 	return out
 }
 
-// encoderBytes returns the encoder's saved form.
-func encoderBytes(t testing.TB, enc *preprocess.Encoder) []byte {
-	t.Helper()
-	b, err := enc.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// callGraphBytes returns the saved form of the call-graph model trained
-// on benign and mixed.
-func callGraphBytes(t testing.TB, benign, mixed *partition.Log) []byte {
+// trainCallGraph returns the call-graph model trained on benign and
+// mixed.
+func trainCallGraph(t testing.TB, benign, mixed *partition.Log) *callgraph.Model {
 	t.Helper()
 	cg, err := callgraph.Train(benign, mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cg.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return cg
 }
 
 // TestArtifactsMatchPerEventReference requires BuildArtifacts, which
@@ -119,7 +105,7 @@ func TestArtifactsMatchPerEventReference(t *testing.T) {
 				what      string
 				got, want any
 			}{
-				{"encoder", encoderBytes(t, got.Encoder), encoderBytes(t, want.Encoder)},
+				{"encoder", got.Encoder, want.Encoder},
 				{"benign events", got.BenignPart.Events, want.BenignPart.Events},
 				{"mixed events", got.MixedPart.Events, want.MixedPart.Events},
 				{"benign CFG", got.BenignCFG, want.BenignCFG},
@@ -128,7 +114,7 @@ func TestArtifactsMatchPerEventReference(t *testing.T) {
 				{"benign windows", got.benignWins, want.benignWins},
 				{"mixed windows", got.mixed, want.mixed},
 				{"mixed window weights", got.mixedWeight, want.mixedWeight},
-				{"call graph", callGraphBytes(t, got.BenignPart, got.MixedPart), callGraphBytes(t, want.BenignPart, want.MixedPart)},
+				{"call graph", trainCallGraph(t, got.BenignPart, got.MixedPart), trainCallGraph(t, want.BenignPart, want.MixedPart)},
 				{"config", got.cfg, want.cfg},
 			} {
 				if !reflect.DeepEqual(c.got, c.want) {
@@ -146,7 +132,7 @@ func TestArtifactsMatchPerEventReference(t *testing.T) {
 				ranges = append(ranges, [2]int{w.start, end})
 				wantTrain.Events = append(wantTrain.Events, want.BenignPart.Events[w.start:end]...)
 			}
-			if !slices.Equal(callGraphBytes(t, got.BenignPart.Gather(ranges), got.MixedPart), callGraphBytes(t, wantTrain, want.MixedPart)) {
+			if !reflect.DeepEqual(trainCallGraph(t, got.BenignPart.Gather(ranges), got.MixedPart), trainCallGraph(t, wantTrain, want.MixedPart)) {
 				t.Fatalf("%s, Parallel %d: call graph over gathered training windows differs from the per-event reference", name, parallel)
 			}
 		}

@@ -286,9 +286,9 @@ type Classifier struct {
 	window int
 	params svm.Params
 	// cg is the call-graph baseline trained on the same logs. It travels
-	// with the classifier (persisted since file version 2) so a Monitor
-	// can degrade to it when the statistical sections are unusable. Nil
-	// for classifiers loaded from version-1 files.
+	// with the classifier in its bundle so a Monitor can degrade to it
+	// when the statistical section is unusable. The universal classifier
+	// trains none; its bundle carries an empty graph.
 	cg *callgraph.Model
 	// trainBenign/trainMixed are the actual sampled training-set sizes
 	// (zero for classifiers loaded from disk).
@@ -301,8 +301,8 @@ func (c *Classifier) Params() svm.Params { return c.params }
 // Model exposes the underlying SVM model (e.g. for support-vector counts).
 func (c *Classifier) Model() *svm.Model { return c.model }
 
-// CallGraph exposes the bundled call-graph baseline (nil when the
-// classifier was loaded from a file predating it).
+// CallGraph exposes the bundled call-graph baseline (nil for a universal
+// classifier before it is saved and loaded).
 func (c *Classifier) CallGraph() *callgraph.Model { return c.cg }
 
 // TrainSizes reports the actual sampled training-set sizes (benign and

@@ -292,7 +292,7 @@ func counterDelta(names []string, fn func()) []uint64 {
 }
 
 // TestFeaturizeCounters checks that DetectLog and Feed move the partition
-// and encode counters exactly as Split plus EncodeBatch over the same
+// and encode counters exactly as Split plus EncodeInto over the same
 // events do, though most events hit the walk table.
 func TestFeaturizeCounters(t *testing.T) {
 	if !telemetry.Enabled() {
@@ -305,7 +305,7 @@ func TestFeaturizeCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clf.enc.EncodeBatch(nil, part.Events, nil)
+		clf.enc.EncodeInto(nil, part, nil)
 	})
 	for i, name := range featurizeCounters {
 		if want[i] == 0 {

@@ -7,21 +7,20 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"reflect"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/svm"
 )
 
 // goldenModelsPath holds what the trainers and the evaluation protocol
 // produced on fixed logs and seeds before their sampling, fitting and
-// partitioning stages were merged: the SHA-256 of every saved model, the
-// digest of its detections, and the printed evaluation summaries. It is
-// the training path's cross-commit reference; a change that means to
-// alter trained models must say so and rewrite it.
+// partitioning stages were merged: the SHA-256 of every saved model (in
+// bundle format v3, whose bytes depend on the model alone), the digest
+// of its detections, and the printed evaluation summaries. It is the
+// training path's cross-commit reference; a change that means to alter
+// trained models or their bundle bytes must say so and rewrite it.
 const goldenModelsPath = "testdata/trained_models.golden.json"
 
 // trainedGolden is the golden record; JSON sorts the map keys.
@@ -34,33 +33,6 @@ type trainedGolden struct {
 	// Summaries maps an evaluation to its result printed with %#v, which
 	// keeps every float at full precision (Summary's String rounds).
 	Summaries map[string]string
-}
-
-// Gob numbers each type the first time the process meets it, and Save's
-// bytes carry those numbers, so a model's digest would depend on which
-// tests ran before it. Saving a small classifier while the test binary
-// initialises numbers every type Save writes first, in Save's order.
-func init() {
-	spec, err := dataset.ByName("vim_reverse_tcp")
-	if err != nil {
-		panic(err)
-	}
-	spec.BenignEvents, spec.MixedEvents, spec.MaliciousEvents = 300, 300, 100
-	logs, err := spec.Generate(1)
-	if err != nil {
-		panic(err)
-	}
-	td, err := BuildTrainingData(logs.Benign, logs.Mixed, fastConfig(1))
-	if err != nil {
-		panic(err)
-	}
-	clf, err := td.Train()
-	if err != nil {
-		panic(err)
-	}
-	if err := clf.Save(io.Discard); err != nil {
-		panic(err)
-	}
 }
 
 func saveDigest(t *testing.T, clf *Classifier) string {

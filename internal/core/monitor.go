@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 
 	"repro/internal/callgraph"
@@ -12,8 +11,8 @@ import (
 
 // Monitor is the fault-tolerant front of the testing phase: a detector
 // that prefers the statistical WSVM classifier but degrades to the
-// call-graph baseline when the statistical sections of a model file are
-// corrupt or missing, instead of refusing to monitor at all.
+// call-graph baseline when the statistical section of a model bundle is
+// corrupt, instead of refusing to monitor at all.
 type Monitor struct {
 	clf    *Classifier      // nil in degraded mode
 	cg     *callgraph.Model // the fallback (and bundled baseline)
@@ -26,60 +25,23 @@ func NewMonitor(c *Classifier) *Monitor {
 	return &Monitor{clf: c, cg: c.cg, window: c.window}
 }
 
-// FallbackUnavailableError reports a model bundle whose statistical
-// sections are unusable and that carries no call-graph section to degrade
-// to. Version-1 bundles always trip this — they predate the embedded
-// call-graph fallback — so the fix is a migration, not a repair: re-save
-// the model with a current build (or retrain) to produce a version-2
-// bundle. DESIGN.md §5 documents the migration.
-type FallbackUnavailableError struct {
-	// Version is the bundle's file-format version.
-	Version int
-	// Cause is why the statistical sections were unusable.
-	Cause error
-}
-
-func (e *FallbackUnavailableError) Error() string {
-	if e.Version < 2 {
-		return fmt.Sprintf("core: version-%d model bundle predates the embedded call-graph fallback (re-save or retrain to migrate to version %d): %v",
-			e.Version, classifierVersion, e.Cause)
-	}
-	return fmt.Sprintf("core: version-%d model bundle carries no call-graph fallback: %v", e.Version, e.Cause)
-}
-
-func (e *FallbackUnavailableError) Unwrap() error { return e.Cause }
-
 // LoadMonitor reads a classifier file like LoadClassifier but degrades
-// instead of failing: when the statistical sections are unusable and the
-// file carries a call-graph section, the returned Monitor runs the
-// call-graph baseline and reports why via DegradedCause. Only a file whose
-// envelope is unreadable — or that offers no usable model at all — is an
-// error.
+// instead of failing: when the statistical section is unusable, the
+// returned Monitor runs the call-graph baseline and reports why via
+// DegradedCause. A bundle whose header, framing or call-graph section is
+// unreadable is an error. This is the one acceptance rule; InspectBundle
+// and so the registry's Publish apply it too.
 func LoadMonitor(r io.Reader) (*Monitor, error) {
-	f, err := decodeClassifierFile(r)
+	window, stats, cg, err := readBundle(r)
 	if err != nil {
 		return nil, err
 	}
-	return f.monitor()
-}
-
-// monitor is the one acceptance rule of LoadMonitor and InspectBundle:
-// the classifier when its statistical sections decode, else the
-// call-graph fallback, else an error — the typed FallbackUnavailableError
-// when the file carries no call-graph section at all.
-func (f classifierFile) monitor() (*Monitor, error) {
-	clf, cerr := f.classifier()
-	if cerr == nil {
-		return NewMonitor(clf), nil
+	c, err := decodeStats(window, stats)
+	if err != nil {
+		return &Monitor{cg: cg, window: window, cause: err}, nil
 	}
-	cg, gerr := f.callGraph()
-	if gerr != nil {
-		if len(f.CallGraph) == 0 {
-			return nil, &FallbackUnavailableError{Version: f.Version, Cause: cerr}
-		}
-		return nil, fmt.Errorf("core: no usable model: %w (call-graph fallback: %v)", cerr, gerr)
-	}
-	return &Monitor{cg: cg, window: f.Window, cause: cerr}, nil
+	c.cg = cg
+	return NewMonitor(c), nil
 }
 
 // BundleInfo summarises a model bundle's envelope and usability without
@@ -90,27 +52,20 @@ type BundleInfo struct {
 	Version int
 	// Window is the event-coalescing window the model classifies with.
 	Window int
-	// Degraded reports that the statistical sections are unusable and a
+	// Degraded reports that the statistical section is unusable and a
 	// Monitor loading this bundle would run the call-graph fallback.
 	Degraded bool
 }
 
-// InspectBundle decodes a model bundle just far enough to describe it:
-// the file-format version, the detection window, and whether a Monitor
-// would run degraded. It applies LoadMonitor's acceptance rules — a
-// bundle with no usable model at all is an error, including the typed
-// FallbackUnavailableError for statistical corruption with no call-graph
-// section to fall back to.
+// InspectBundle decodes a model bundle under LoadMonitor's acceptance
+// rule and describes it: the file-format version, the detection window,
+// and whether a Monitor would run degraded.
 func InspectBundle(r io.Reader) (BundleInfo, error) {
-	f, err := decodeClassifierFile(r)
+	m, err := LoadMonitor(r)
 	if err != nil {
 		return BundleInfo{}, err
 	}
-	m, err := f.monitor()
-	if err != nil {
-		return BundleInfo{}, err
-	}
-	return BundleInfo{Version: f.Version, Window: f.Window, Degraded: m.Degraded()}, nil
+	return BundleInfo{Version: bundleVersion, Window: m.window, Degraded: m.Degraded()}, nil
 }
 
 // Degraded reports whether the monitor fell back to the call-graph

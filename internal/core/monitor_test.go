@@ -2,15 +2,14 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"math"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/callgraph"
 	"repro/internal/partition"
+	"repro/internal/svm"
 	"repro/internal/trace"
 )
 
@@ -30,28 +29,20 @@ func referenceDegraded(t *testing.T, cg *callgraph.Model, window int, log *trace
 	return out
 }
 
-// saveFile round-trips a classifier through Save and re-decodes the
-// envelope so tests can corrupt individual sections.
-func saveFile(t *testing.T, clf *Classifier) classifierFile {
+// saveBundle returns clf's saved bytes.
+func saveBundle(t testing.TB, clf *Classifier) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := clf.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	f, err := decodeClassifierFile(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
+	return buf.Bytes()
 }
 
-func encodeFile(t *testing.T, f classifierFile) *bytes.Reader {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		t.Fatal(err)
-	}
-	return bytes.NewReader(buf.Bytes())
+// rebundle frames clf's window and call graph around a given
+// statistical section, so a test can corrupt that section alone.
+func rebundle(clf *Classifier, stats []byte) *bytes.Reader {
+	return bytes.NewReader(appendBundle(clf.window, stats, appendCallGraph(nil, clf.cg)))
 }
 
 func TestLoadMonitorHealthyFile(t *testing.T) {
@@ -85,10 +76,7 @@ func TestLoadMonitorHealthyFile(t *testing.T) {
 
 func TestLoadMonitorDegradesToCallGraph(t *testing.T) {
 	clf, mal := trainStream(t, 28)
-	f := saveFile(t, clf)
-	f.Model = []byte("rotten")
-
-	mon, err := LoadMonitor(encodeFile(t, f))
+	mon, err := LoadMonitor(rebundle(clf, []byte("rotten")))
 	if err != nil {
 		t.Fatalf("LoadMonitor refused a file with a usable call graph: %v", err)
 	}
@@ -154,10 +142,7 @@ func TestDegradedDetectLogAllocs(t *testing.T) {
 
 func TestLoadMonitorDegradedCheckpointRoundTrip(t *testing.T) {
 	clf, mal := trainStream(t, 29)
-	f := saveFile(t, clf)
-	f.Scaler = nil // unusable statistical section
-
-	mon, err := LoadMonitor(encodeFile(t, f))
+	mon, err := LoadMonitor(rebundle(clf, nil)) // empty statistical section
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,152 +203,106 @@ func TestLoadMonitorDegradedCheckpointRoundTrip(t *testing.T) {
 
 func TestLoadMonitorNoFallbackAvailable(t *testing.T) {
 	clf, _ := trainStream(t, 30)
-	f := saveFile(t, clf)
-	f.Model = []byte("rotten")
-	f.CallGraph = []byte("also rotten")
-	if _, err := LoadMonitor(encodeFile(t, f)); err == nil {
+	rotten := appendBundle(clf.window, []byte("rotten"), []byte("also rotten"))
+	if _, err := LoadMonitor(bytes.NewReader(rotten)); err == nil {
 		t.Error("file with no usable model accepted")
 	}
-
-	// Version-1 files carry no call-graph section: a corrupt model is
-	// fatal there too, and the failure is typed so callers can tell "your
-	// bundle predates the fallback" apart from a generic parse failure.
-	f = saveFile(t, clf)
-	f.Version = 1
-	f.Model = nil
-	f.CallGraph = nil
-	_, err := LoadMonitor(encodeFile(t, f))
-	if err == nil {
-		t.Fatal("v1 file with corrupt model accepted")
+	// A call graph that does not decode is no fallback, and a loaded
+	// classifier always carries one: the bundle is malformed even with a
+	// healthy statistical section.
+	stats, err := clf.appendStats(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var fbErr *FallbackUnavailableError
-	if !errors.As(err, &fbErr) {
-		t.Fatalf("v1 fallback failure is %T (%v), want *FallbackUnavailableError", err, err)
-	}
-	if fbErr.Version != 1 || fbErr.Cause == nil {
-		t.Errorf("FallbackUnavailableError = %+v, want Version 1 with a cause", fbErr)
-	}
-	if !strings.Contains(err.Error(), "migrate") {
-		t.Errorf("error %q does not mention the v1→v2 migration", err)
+	if _, err := LoadMonitor(bytes.NewReader(appendBundle(clf.window, stats, []byte("rotten")))); err == nil {
+		t.Error("healthy statistics beside a rotten call graph accepted")
 	}
 }
 
-func TestLoadMonitorV2MissingCallGraphIsTyped(t *testing.T) {
-	// A v2 bundle saved without a call graph (classifier trained from a
-	// v1 file) also reports the typed error, without the migration hint.
+// TestLoadMonitorMissingCallGraphIsMalformed cuts a bundle after its
+// statistical section, and appends a byte after its call graph: both
+// bundles are malformed, whatever their statistical section holds.
+func TestLoadMonitorMissingCallGraphIsMalformed(t *testing.T) {
 	clf, _ := trainStream(t, 46)
-	f := saveFile(t, clf)
-	f.Scaler = []byte("rotten")
-	f.CallGraph = nil
-	_, err := LoadMonitor(encodeFile(t, f))
-	var fbErr *FallbackUnavailableError
-	if !errors.As(err, &fbErr) {
-		t.Fatalf("got %T (%v), want *FallbackUnavailableError", err, err)
-	}
-	if fbErr.Version != classifierVersion {
-		t.Errorf("Version = %d, want %d", fbErr.Version, classifierVersion)
-	}
-}
-
-func TestLoadClassifierAcceptsV1Files(t *testing.T) {
-	clf, mal := trainStream(t, 31)
-	f := saveFile(t, clf)
-	f.Version = 1
-	f.CallGraph = nil
-
-	loaded, err := LoadClassifier(encodeFile(t, f))
-	if err != nil {
-		t.Fatalf("version-1 file rejected: %v", err)
-	}
-	if loaded.CallGraph() != nil {
-		t.Error("v1 file produced a call graph out of thin air")
-	}
-	want, err := clf.DetectLog(mal)
+	cg := appendCallGraph(nil, clf.cg)
+	stats, err := clf.appendStats(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := loaded.DetectLog(mal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("detection %d differs under v1 load", i)
+	for name, s := range map[string][]byte{"healthy": stats, "rotten": []byte("rotten")} {
+		b := appendBundle(clf.window, s, cg)
+		for what, bad := range map[string][]byte{
+			"no call-graph section": b[:len(b)-len(appendSection(nil, cg))],
+			"trailing byte":         append(b, 0),
+		} {
+			if _, err := LoadMonitor(bytes.NewReader(bad)); err == nil {
+				t.Errorf("%s statistics, %s: bundle accepted", name, what)
+			}
+			if _, err := InspectBundle(bytes.NewReader(bad)); err == nil {
+				t.Errorf("%s statistics, %s: InspectBundle accepted it", name, what)
+			}
 		}
 	}
 }
 
-// svmKernelFile, svmModelFile and svmScalerFile mirror the gob layout of
-// svm's model and scaler sections, so a test can corrupt one field.
-type svmKernelFile struct {
-	Kind         string
-	Sigma2       float64
-	Degree       int
-	Gamma, Coef0 float64
-}
-
-type svmModelFile struct {
-	Kernel            svmKernelFile
-	SVX               [][]float64
-	SVCoef            []float64
-	Bias              float64
-	Iters, BoundedSVs int
-}
-
-type svmScalerFile struct{ Min, Max []float64 }
-
-// regob decodes a gob section into v, applies edit and re-encodes it.
-func regob[T any](t *testing.T, section []byte, edit func(*T)) []byte {
-	t.Helper()
-	var v T
-	if err := gob.NewDecoder(bytes.NewReader(section)).Decode(&v); err != nil {
-		t.Fatal(err)
-	}
-	edit(&v)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestLoadMonitorDegradesOnInconsistentBundle feeds LoadMonitor and
-// InspectBundle bundles whose sections each decode but do not fit
-// together or hold non-finite values. Each must load degraded, with a
-// typed cause, and score a log on the call graph without panicking —
-// the 29-dimension scaler used to pass both and panic at the first
-// window, and a NaN support-vector coordinate loaded healthy and scored
-// every window NaN, flagging none.
+// TestLoadMonitorDegradesOnInconsistentBundle saves classifiers whose
+// sections each encode but do not fit together or hold non-finite
+// values. Each bundle must load degraded, with a typed cause, and score
+// a log on the call graph without panicking — the 29-dimension scaler
+// used to pass both and panic at the first window, and a NaN
+// support-vector coordinate loaded healthy and scored every window NaN,
+// flagging none.
 func TestLoadMonitorDegradesOnInconsistentBundle(t *testing.T) {
 	clf, mal := trainStream(t, 47)
-	model := func(edit func(*svmModelFile)) func(*classifierFile) {
-		return func(f *classifierFile) { f.Model = regob(t, f.Model, edit) }
+	lo, hi := clf.scaler.Bounds()
+	sv, dim := clf.model.SupportVectors()
+	coef, bias, kernel := clf.model.Coef(), clf.model.Bias(), clf.model.Kernel()
+	n := len(coef)
+	// resized copies every support vector at width d, padding with 0.5.
+	resized := func(d int) []float64 {
+		var out []float64
+		for i := 0; i < n; i++ {
+			row := sv[i*dim : (i+1)*dim]
+			out = append(out, row[:min(d, dim)]...)
+			for j := dim; j < d; j++ {
+				out = append(out, 0.5)
+			}
+		}
+		return out
 	}
-	scaler := func(edit func(*svmScalerFile)) func(*classifierFile) {
-		return func(f *classifierFile) { f.Scaler = regob(t, f.Scaler, edit) }
+	set := func(vs []float64, i int, v float64) []float64 {
+		vs = slices.Clone(vs)
+		vs[i] = v
+		return vs
+	}
+	model := func(k svm.Kernel, sv []float64, dim int, coef []float64, bias float64) func(*Classifier) {
+		return func(c *Classifier) { c.model = svm.NewModel(k, sv, dim, coef, bias) }
+	}
+	scaler := func(lo, hi []float64) func(*Classifier) {
+		return func(c *Classifier) { c.scaler = svm.NewScaler(lo, hi) }
 	}
 	cases := []struct {
 		name    string
-		corrupt func(*classifierFile)
+		corrupt func(*Classifier)
 	}{
-		{"29-dimension scaler", scaler(func(s *svmScalerFile) { s.Min, s.Max = s.Min[:29], s.Max[:29] })},
-		{"infinite scaler bound", scaler(func(s *svmScalerFile) { s.Max[3] = math.Inf(1) })},
-		{"short support vector", model(func(m *svmModelFile) { m.SVX[0] = m.SVX[0][:29] })},
-		{"long support vector", model(func(m *svmModelFile) {
-			m.SVX[len(m.SVX)-1] = append(slices.Clone(m.SVX[len(m.SVX)-1]), 0.5)
-		})},
-		{"NaN coefficient", model(func(m *svmModelFile) { m.SVCoef[0] = math.NaN() })},
-		{"NaN support-vector coordinate", model(func(m *svmModelFile) { m.SVX[0][4] = math.NaN() })},
-		{"infinite support-vector coordinate", model(func(m *svmModelFile) { m.SVX[len(m.SVX)-1][17] = math.Inf(1) })},
-		{"infinite bias", model(func(m *svmModelFile) { m.Bias = math.Inf(-1) })},
-		{"zero σ²", model(func(m *svmModelFile) { m.Kernel.Sigma2 = 0 })},
-		{"NaN Platt A", func(f *classifierFile) { f.PlattA = math.NaN() }},
+		{"29-dimension scaler", scaler(lo[:29], hi[:29])},
+		{"infinite scaler bound", scaler(lo, set(hi, 3, math.Inf(1)))},
+		{"short support vector", model(kernel, resized(dim-1), dim-1, coef, bias)},
+		{"long support vector", model(kernel, resized(dim+1), dim+1, coef, bias)},
+		{"NaN coefficient", model(kernel, sv, dim, set(coef, 0, math.NaN()), bias)},
+		{"NaN support-vector coordinate", model(kernel, set(sv, 4, math.NaN()), dim, coef, bias)},
+		{"infinite support-vector coordinate", model(kernel, set(sv, (n-1)*dim+17, math.Inf(1)), dim, coef, bias)},
+		{"infinite bias", model(kernel, sv, dim, coef, math.Inf(-1))},
+		{"zero σ²", model(svm.RBFKernel{}, sv, dim, coef, bias)},
+		{"NaN Platt A", func(c *Classifier) { c.platt = &svm.PlattScaler{A: math.NaN(), B: 1} }},
+		{"infinite Platt B", func(c *Classifier) { c.platt = &svm.PlattScaler{A: -1, B: math.Inf(1)} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := saveFile(t, clf)
-			tc.corrupt(&f)
-			mon, err := LoadMonitor(encodeFile(t, f))
+			bad := *clf
+			tc.corrupt(&bad)
+			raw := saveBundle(t, &bad)
+			mon, err := LoadMonitor(bytes.NewReader(raw))
 			if err != nil {
 				t.Fatalf("LoadMonitor refused a bundle with a usable call graph: %v", err)
 			}
@@ -378,11 +317,11 @@ func TestLoadMonitorDegradesOnInconsistentBundle(t *testing.T) {
 			if want := referenceDegraded(t, mon.cg, mon.Window(), mal); !slices.Equal(dets, want) {
 				t.Fatalf("degraded DetectLog differs from the reference (%d vs %d detections)", len(dets), len(want))
 			}
-			info, err := InspectBundle(encodeFile(t, f))
+			info, err := InspectBundle(bytes.NewReader(raw))
 			if err != nil || !info.Degraded {
 				t.Fatalf("InspectBundle = %+v, %v; want Degraded", info, err)
 			}
-			if _, err := LoadClassifier(encodeFile(t, f)); !errors.As(err, &invalid) {
+			if _, err := LoadClassifier(bytes.NewReader(raw)); !errors.As(err, &invalid) {
 				t.Fatalf("LoadClassifier error %v, want *InvalidModelError", err)
 			}
 		})

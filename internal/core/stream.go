@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -315,38 +315,28 @@ func (s *StreamDetector) Skipped() int {
 // instead of the statistical model.
 func (s *StreamDetector) Degraded() bool { return s.clf == nil }
 
-// checkpointFile is the serialized in-flight state of a StreamDetector.
-// The model itself is not included: restore pairs a checkpoint with a
-// detector built from the same classifier (or monitor).
-type checkpointFile struct {
-	Magic    string
-	Version  int
-	Window   int
-	Degraded bool
-	Consumed int
-	Skipped  int
-	WinStart int
-	Tuples   []preprocess.Tuple
-	Events   []partition.Event
+// checkpoint is the in-flight state of a StreamDetector, written as one
+// JSON object. The model itself is not included: restore pairs a
+// checkpoint with a detector built from the same classifier (or monitor).
+type checkpoint struct {
+	Window   int                `json:"window"`
+	Degraded bool               `json:"degraded"`
+	Consumed int                `json:"consumed"`
+	Skipped  int                `json:"skipped"`
+	WinStart int                `json:"win_start"`
+	Tuples   []preprocess.Tuple `json:"tuples,omitempty"`
+	Events   []partition.Event  `json:"events,omitempty"`
 }
 
-const (
-	checkpointMagic   = "LEAPS-CKPT"
-	checkpointVersion = 1
-)
-
-// Checkpoint serialises the detector's in-flight state — the open window's
-// buffered events and the stream counters — so a crashed or restarted
-// monitor can resume with RestoreStream and produce the same window
-// boundaries and scores as an uninterrupted run.
+// Checkpoint writes the detector's in-flight state — the open window's
+// buffered events and the stream counters — as one JSON object, so a
+// crashed or restarted monitor can resume with RestoreStream and produce
+// the same window boundaries and scores as an uninterrupted run.
 func (s *StreamDetector) Checkpoint(w io.Writer) error {
 	start := time.Now()
 	defer func() { mCheckpointSecs.Observe(time.Since(start).Seconds()) }()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	f := checkpointFile{
-		Magic:    checkpointMagic,
-		Version:  checkpointVersion,
+	b, err := json.Marshal(checkpoint{
 		Window:   s.window,
 		Degraded: s.clf == nil,
 		Consumed: s.consumed,
@@ -354,9 +344,13 @@ func (s *StreamDetector) Checkpoint(w io.Writer) error {
 		WinStart: s.winStart,
 		Tuples:   s.buf,
 		Events:   s.evbuf,
-	}
-	if err := gob.NewEncoder(w).Encode(f); err != nil {
+	})
+	s.mu.Unlock()
+	if err != nil {
 		return fmt.Errorf("core: encoding checkpoint: %w", err)
+	}
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("core: writing checkpoint: %w", err)
 	}
 	return nil
 }
@@ -366,15 +360,13 @@ func (s *StreamDetector) Checkpoint(w io.Writer) error {
 func (s *StreamDetector) restore(r io.Reader) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var f checkpointFile
-	if err := gob.NewDecoder(r).Decode(&f); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("core: reading checkpoint: %w", err)
+	}
+	var f checkpoint
+	if err := json.Unmarshal(data, &f); err != nil {
 		return fmt.Errorf("core: decoding checkpoint: %w", err)
-	}
-	if f.Magic != checkpointMagic {
-		return fmt.Errorf("core: not a checkpoint file (magic %q)", f.Magic)
-	}
-	if f.Version != checkpointVersion {
-		return fmt.Errorf("core: unsupported checkpoint version %d", f.Version)
 	}
 	if f.Window != s.window {
 		return fmt.Errorf("core: checkpoint window %d does not match model window %d", f.Window, s.window)

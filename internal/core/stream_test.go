@@ -2,7 +2,7 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"slices"
 	"testing"
@@ -251,34 +251,34 @@ func TestStreamRestoreRejectsBadCheckpoints(t *testing.T) {
 	}
 }
 
-// encodeCheckpoint gob-encodes a checkpoint as Checkpoint would.
-func encodeCheckpoint(t testing.TB, f checkpointFile) []byte {
+// encodeCheckpoint encodes a checkpoint as Checkpoint would.
+func encodeCheckpoint(t testing.TB, f checkpoint) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
+	b, err := json.Marshal(f)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // restoreCases are hand-built checkpoints for a window-10 detector:
 // consistent states and the inconsistent ones restore must reject.
 var restoreCases = []struct {
 	name   string
-	f      checkpointFile
+	f      checkpoint
 	accept bool
 }{
-	{"empty", checkpointFile{}, true},
-	{"open window", checkpointFile{Consumed: 7, Skipped: 1, WinStart: 2, Tuples: make([]preprocess.Tuple, 4)}, true},
-	{"closed window ignores its start", checkpointFile{Consumed: 5, WinStart: 1000}, true},
-	{"degraded open window", checkpointFile{Degraded: true, Consumed: 3, WinStart: 1, Events: make([]partition.Event, 2)}, true},
-	{"buffer past consumed", checkpointFile{Consumed: 0, WinStart: -7, Tuples: make([]preprocess.Tuple, 5)}, false},
-	{"buffer past unskipped", checkpointFile{Consumed: 6, Skipped: 3, Tuples: make([]preprocess.Tuple, 4)}, false},
-	{"negative window start", checkpointFile{Consumed: 7, WinStart: -1, Tuples: make([]preprocess.Tuple, 3)}, false},
-	{"window start past consumed", checkpointFile{Consumed: 5, WinStart: 1000, Tuples: make([]preprocess.Tuple, 3)}, false},
-	{"window start after its events", checkpointFile{Consumed: 7, WinStart: 4, Tuples: make([]preprocess.Tuple, 4)}, false},
-	{"degraded events in statistical mode", checkpointFile{Consumed: 5, WinStart: 3, Events: make([]partition.Event, 2)}, false},
-	{"tuples in degraded mode", checkpointFile{Degraded: true, Consumed: 5, WinStart: 3, Tuples: make([]preprocess.Tuple, 2)}, false},
+	{"empty", checkpoint{}, true},
+	{"open window", checkpoint{Consumed: 7, Skipped: 1, WinStart: 2, Tuples: make([]preprocess.Tuple, 4)}, true},
+	{"closed window ignores its start", checkpoint{Consumed: 5, WinStart: 1000}, true},
+	{"degraded open window", checkpoint{Degraded: true, Consumed: 3, WinStart: 1, Events: make([]partition.Event, 2)}, true},
+	{"buffer past consumed", checkpoint{Consumed: 0, WinStart: -7, Tuples: make([]preprocess.Tuple, 5)}, false},
+	{"buffer past unskipped", checkpoint{Consumed: 6, Skipped: 3, Tuples: make([]preprocess.Tuple, 4)}, false},
+	{"negative window start", checkpoint{Consumed: 7, WinStart: -1, Tuples: make([]preprocess.Tuple, 3)}, false},
+	{"window start past consumed", checkpoint{Consumed: 5, WinStart: 1000, Tuples: make([]preprocess.Tuple, 3)}, false},
+	{"window start after its events", checkpoint{Consumed: 7, WinStart: 4, Tuples: make([]preprocess.Tuple, 4)}, false},
+	{"degraded events in statistical mode", checkpoint{Consumed: 5, WinStart: 3, Events: make([]partition.Event, 2)}, false},
+	{"tuples in degraded mode", checkpoint{Degraded: true, Consumed: 5, WinStart: 3, Tuples: make([]preprocess.Tuple, 2)}, false},
 }
 
 // TestStreamRestoreValidatesState restores each restoreCases checkpoint
@@ -293,7 +293,7 @@ func TestStreamRestoreValidatesState(t *testing.T) {
 	for _, c := range restoreCases {
 		t.Run(c.name, func(t *testing.T) {
 			f := c.f
-			f.Magic, f.Version, f.Window = checkpointMagic, checkpointVersion, clf.window
+			f.Window = clf.window
 			mon := NewMonitor(clf)
 			if f.Degraded {
 				mon = degraded
@@ -336,7 +336,7 @@ func checkNextWindow(t *testing.T, s *StreamDetector, events []trace.Event) {
 
 // FuzzRestoreStream feeds arbitrary bytes to RestoreStream, as a handoff
 // import does with an HTTP body. No input may panic; an accepted one must
-// give a detector whose Checkpoint decodes to the same checkpointFile
+// give a detector whose Checkpoint decodes to the same checkpoint
 // and whose open window completes over fed ordinals only.
 func FuzzRestoreStream(f *testing.F) {
 	clf, mal := trainStream(f, 28)
@@ -361,7 +361,7 @@ func FuzzRestoreStream(f *testing.F) {
 	}
 	for _, c := range restoreCases {
 		cf := c.f
-		cf.Magic, cf.Version, cf.Window = checkpointMagic, checkpointVersion, clf.window
+		cf.Window = clf.window
 		f.Add(encodeCheckpoint(f, cf))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -370,15 +370,15 @@ func FuzzRestoreStream(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			var in, out checkpointFile
-			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&in); err != nil {
+			var in, out checkpoint
+			if err := json.Unmarshal(data, &in); err != nil {
 				t.Fatalf("restore accepted an undecodable checkpoint: %v", err)
 			}
 			var buf bytes.Buffer
 			if err := s.Checkpoint(&buf); err != nil {
 				t.Fatal(err)
 			}
-			if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
+			if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
 				t.Fatal(err)
 			}
 			if !sameCheckpoint(in, out) {
@@ -390,9 +390,9 @@ func FuzzRestoreStream(f *testing.F) {
 }
 
 // sameCheckpoint compares checkpoints by value, not telling a nil
-// buffer from an empty one: gob does not either.
-func sameCheckpoint(a, b checkpointFile) bool {
-	return a.Magic == b.Magic && a.Version == b.Version && a.Window == b.Window &&
+// buffer from an empty one: Checkpoint omits both.
+func sameCheckpoint(a, b checkpoint) bool {
+	return a.Window == b.Window &&
 		a.Degraded == b.Degraded && a.Consumed == b.Consumed && a.Skipped == b.Skipped &&
 		a.WinStart == b.WinStart && slices.Equal(a.Tuples, b.Tuples) &&
 		slices.EqualFunc(a.Events, b.Events, func(x, y partition.Event) bool {

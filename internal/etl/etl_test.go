@@ -208,19 +208,19 @@ func TestParseOrphanStackDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Emit a stack record with no pending event.
-	if err := writeU8(&w.cw, recStack); err != nil {
+	if err := writeU8(w.bw, recStack); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeU32(&w.cw, 9); err != nil {
+	if err := writeU32(w.bw, 9); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeU32(&w.cw, 1); err != nil {
+	if err := writeU32(w.bw, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeU16(&w.cw, 1); err != nil {
+	if err := writeU16(w.bw, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeU64(&w.cw, 0x401000); err != nil {
+	if err := writeU64(w.bw, 0x401000); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -270,26 +270,6 @@ func TestWriterStringTooLong(t *testing.T) {
 	}
 	if err := w.WriteProcess(1, long, []*trace.Module{mod}); err == nil {
 		t.Error("overlong app name accepted")
-	}
-}
-
-func TestWriterBytesWritten(t *testing.T) {
-	log := genLog(t, 8, 2, 60)
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.WriteProcess(2, log.App, log.Modules.Modules()); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range log.Events {
-		if err := w.WriteEvent(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if w.BytesWritten() != int64(buf.Len()) {
-		t.Errorf("BytesWritten = %d, buffer has %d", w.BytesWritten(), buf.Len())
 	}
 }
 

@@ -25,7 +25,6 @@
 package etl
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -54,17 +53,6 @@ const (
 
 // ErrCorrupt is wrapped by every parse error caused by malformed input.
 var ErrCorrupt = errors.New("etl: corrupt file")
-
-type countingWriter struct {
-	w *bufio.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
 
 func writeU8(w io.Writer, v uint8) error   { return binary.Write(w, binary.LittleEndian, v) }
 func writeU16(w io.Writer, v uint16) error { return binary.Write(w, binary.LittleEndian, v) }

@@ -122,22 +122,22 @@ func TestLenientParseSkipsUndeclaredPIDEvent(t *testing.T) {
 	}
 	// Hand-craft an event for an undeclared pid (99): a semantic error
 	// whose bytes are structurally fine.
-	if err := writeU8(&w.cw, recEvent); err != nil {
+	if err := writeU8(w.bw, recEvent); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeU16(&w.cw, uint16(trace.EventFileRead)); err != nil {
+	if err := writeU16(w.bw, uint16(trace.EventFileRead)); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeI64(&w.cw, time.Unix(0, 5).UnixNano()); err != nil {
+	if err := writeI64(w.bw, time.Unix(0, 5).UnixNano()); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeU32(&w.cw, 99); err != nil {
+	if err := writeU32(w.bw, 99); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeU32(&w.cw, 1); err != nil {
+	if err := writeU32(w.bw, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeU8(&w.cw, 0); err != nil {
+	if err := writeU8(w.bw, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.WriteEvent(log.Events[1]); err != nil {

@@ -15,7 +15,7 @@ import (
 // events can be emitted in any order, as real tracing engines interleave
 // event streams from concurrent processes.
 type Writer struct {
-	cw        countingWriter
+	bw        *bufio.Writer
 	started   bool
 	processes map[int]bool
 	err       error
@@ -24,7 +24,7 @@ type Writer struct {
 // NewWriter creates a Writer emitting to w.
 func NewWriter(w io.Writer) *Writer {
 	return &Writer{
-		cw:        countingWriter{w: bufio.NewWriter(w)},
+		bw:        bufio.NewWriter(w),
 		processes: make(map[int]bool),
 	}
 }
@@ -38,10 +38,10 @@ func (w *Writer) begin() error {
 		return nil
 	}
 	w.started = true
-	if _, err := io.WriteString(&w.cw, magic); err != nil {
+	if _, err := io.WriteString(w.bw, magic); err != nil {
 		return w.fail(err)
 	}
-	if err := writeU16(&w.cw, version); err != nil {
+	if err := writeU16(w.bw, version); err != nil {
 		return w.fail(err)
 	}
 	return nil
@@ -66,40 +66,40 @@ func (w *Writer) WriteProcess(pid int, app string, modules []*trace.Module) erro
 		return w.fail(fmt.Errorf("etl: duplicate process record for pid %d", pid))
 	}
 	w.processes[pid] = true
-	if err := writeU8(&w.cw, recProcess); err != nil {
+	if err := writeU8(w.bw, recProcess); err != nil {
 		return w.fail(err)
 	}
-	if err := writeU32(&w.cw, uint32(pid)); err != nil {
+	if err := writeU32(w.bw, uint32(pid)); err != nil {
 		return w.fail(err)
 	}
-	if err := writeString(&w.cw, app); err != nil {
+	if err := writeString(w.bw, app); err != nil {
 		return w.fail(err)
 	}
-	if err := writeU32(&w.cw, uint32(len(modules))); err != nil {
+	if err := writeU32(w.bw, uint32(len(modules))); err != nil {
 		return w.fail(err)
 	}
 	for _, m := range modules {
-		if err := writeString(&w.cw, m.Name); err != nil {
+		if err := writeString(w.bw, m.Name); err != nil {
 			return w.fail(err)
 		}
-		if err := writeU8(&w.cw, uint8(m.Kind)); err != nil {
+		if err := writeU8(w.bw, uint8(m.Kind)); err != nil {
 			return w.fail(err)
 		}
-		if err := writeU64(&w.cw, m.Base); err != nil {
+		if err := writeU64(w.bw, m.Base); err != nil {
 			return w.fail(err)
 		}
-		if err := writeU64(&w.cw, m.Size); err != nil {
+		if err := writeU64(w.bw, m.Size); err != nil {
 			return w.fail(err)
 		}
 		syms := m.Symbols()
-		if err := writeU32(&w.cw, uint32(len(syms))); err != nil {
+		if err := writeU32(w.bw, uint32(len(syms))); err != nil {
 			return w.fail(err)
 		}
 		for _, s := range syms {
-			if err := writeString(&w.cw, s.Name); err != nil {
+			if err := writeString(w.bw, s.Name); err != nil {
 				return w.fail(err)
 			}
-			if err := writeU64(&w.cw, s.Addr); err != nil {
+			if err := writeU64(w.bw, s.Addr); err != nil {
 				return w.fail(err)
 			}
 		}
@@ -119,45 +119,45 @@ func (w *Writer) WriteEvent(e trace.Event) error {
 	if len(e.Stack) > maxFrames {
 		return w.fail(fmt.Errorf("etl: stack of %d frames exceeds limit %d", len(e.Stack), maxFrames))
 	}
-	if err := writeU8(&w.cw, recEvent); err != nil {
+	if err := writeU8(w.bw, recEvent); err != nil {
 		return w.fail(err)
 	}
-	if err := writeU16(&w.cw, uint16(e.Type)); err != nil {
+	if err := writeU16(w.bw, uint16(e.Type)); err != nil {
 		return w.fail(err)
 	}
-	if err := writeI64(&w.cw, e.Time.UnixNano()); err != nil {
+	if err := writeI64(w.bw, e.Time.UnixNano()); err != nil {
 		return w.fail(err)
 	}
-	if err := writeU32(&w.cw, uint32(e.PID)); err != nil {
+	if err := writeU32(w.bw, uint32(e.PID)); err != nil {
 		return w.fail(err)
 	}
-	if err := writeU32(&w.cw, uint32(e.TID)); err != nil {
+	if err := writeU32(w.bw, uint32(e.TID)); err != nil {
 		return w.fail(err)
 	}
 	var flags uint8
 	if len(e.Stack) > 0 {
 		flags |= flagHasStack
 	}
-	if err := writeU8(&w.cw, flags); err != nil {
+	if err := writeU8(w.bw, flags); err != nil {
 		return w.fail(err)
 	}
 	if len(e.Stack) == 0 {
 		return nil
 	}
-	if err := writeU8(&w.cw, recStack); err != nil {
+	if err := writeU8(w.bw, recStack); err != nil {
 		return w.fail(err)
 	}
-	if err := writeU32(&w.cw, uint32(e.PID)); err != nil {
+	if err := writeU32(w.bw, uint32(e.PID)); err != nil {
 		return w.fail(err)
 	}
-	if err := writeU32(&w.cw, uint32(e.TID)); err != nil {
+	if err := writeU32(w.bw, uint32(e.TID)); err != nil {
 		return w.fail(err)
 	}
-	if err := writeU16(&w.cw, uint16(len(e.Stack))); err != nil {
+	if err := writeU16(w.bw, uint16(len(e.Stack))); err != nil {
 		return w.fail(err)
 	}
 	for _, fr := range e.Stack {
-		if err := writeU64(&w.cw, fr.Addr); err != nil {
+		if err := writeU64(w.bw, fr.Addr); err != nil {
 			return w.fail(err)
 		}
 	}
@@ -170,18 +170,14 @@ func (w *Writer) Close() error {
 	if err := w.begin(); err != nil {
 		return err
 	}
-	if err := writeU8(&w.cw, recEnd); err != nil {
+	if err := writeU8(w.bw, recEnd); err != nil {
 		return w.fail(err)
 	}
-	if err := w.cw.w.Flush(); err != nil {
+	if err := w.bw.Flush(); err != nil {
 		return w.fail(err)
 	}
 	return nil
 }
-
-// BytesWritten reports how many bytes have been emitted so far (before
-// buffering flushes are accounted, the count covers accepted records).
-func (w *Writer) BytesWritten() int64 { return w.cw.n }
 
 // WriteLogs serialises one or more per-process logs into a single raw
 // file, merging their event streams in timestamp order the way a system

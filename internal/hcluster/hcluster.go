@@ -229,22 +229,6 @@ func (d *Dendrogram) CutDistance(t float64) []int {
 	return d.labelsAfter(apply)
 }
 
-// CutK flattens the dendrogram into exactly k clusters (or fewer when
-// there are fewer observations).
-func (d *Dendrogram) CutK(k int) []int {
-	if k < 1 {
-		k = 1
-	}
-	apply := d.n - k
-	if apply < 0 {
-		apply = 0
-	}
-	if apply > len(d.merges) {
-		apply = len(d.merges)
-	}
-	return d.labelsAfter(apply)
-}
-
 // labelsAfter applies the first `apply` merges with union-find and labels
 // the resulting components.
 func (d *Dendrogram) labelsAfter(apply int) []int {
@@ -281,42 +265,6 @@ func (d *Dendrogram) labelsAfter(apply int) []int {
 		labels[i] = l
 	}
 	return labels
-}
-
-// NumClustersAt reports how many clusters a cut at threshold t yields.
-func (d *Dendrogram) NumClustersAt(t float64) int {
-	apply := 0
-	for apply < len(d.merges) && d.merges[apply].Distance <= t {
-		apply++
-	}
-	return d.n - apply
-}
-
-// CopheneticDistance returns the dendrogram distance at which observations
-// i and j were first joined.
-func (d *Dendrogram) CopheneticDistance(i, j int) float64 {
-	if i == j {
-		return 0
-	}
-	// Track the cluster id containing each observation through the
-	// merges; the first merge uniting them gives the distance.
-	holder := make(map[int]int, 2)
-	holder[i] = i
-	holder[j] = j
-	for s, m := range d.merges {
-		newID := d.n + s
-		hi, hj := holder[i], holder[j]
-		if hi == m.A || hi == m.B {
-			holder[i] = newID
-		}
-		if hj == m.A || hj == m.B {
-			holder[j] = newID
-		}
-		if holder[i] == holder[j] {
-			return m.Distance
-		}
-	}
-	return math.Inf(1)
 }
 
 // MergeDistances returns the sorted sequence of merge distances — useful

@@ -104,7 +104,9 @@ func TestClusterTwoGroups(t *testing.T) {
 			if got := len(dend.Merges()); got != len(pts)-1 {
 				t.Fatalf("merges = %d, want %d", got, len(pts)-1)
 			}
-			labels := dend.CutK(2)
+			// Cut below the last merge: two clusters.
+			ms := dend.Merges()
+			labels := dend.CutDistance(ms[len(ms)-2].Distance)
 			if labels[0] != labels[1] || labels[1] != labels[2] {
 				t.Errorf("group one split: %v", labels)
 			}
@@ -138,31 +140,11 @@ func TestCutDistanceThresholds(t *testing.T) {
 			break
 		}
 	}
-	if got := dend.NumClustersAt(0); got != 5 {
-		t.Errorf("NumClustersAt(0) = %d, want 5", got)
-	}
-	if got := dend.NumClustersAt(100); got != 1 {
-		t.Errorf("NumClustersAt(100) = %d, want 1", got)
-	}
 	// A threshold between the within-group and between-group scales
 	// yields exactly the two groups.
 	labels = dend.CutDistance(3)
 	if labels[0] != labels[2] || labels[0] == labels[3] || labels[3] != labels[4] {
 		t.Errorf("CutDistance(3) = %v, want two groups", labels)
-	}
-}
-
-func TestCutKBounds(t *testing.T) {
-	pts := []float64{0, 1, 5}
-	dend, err := Cluster(matrixFromPoints(t, pts), Complete)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if labels := dend.CutK(0); !allEqual(labels) {
-		t.Errorf("CutK(0) = %v, want single cluster", labels)
-	}
-	if labels := dend.CutK(10); !reflect.DeepEqual(labels, []int{0, 1, 2}) {
-		t.Errorf("CutK(10) = %v, want singletons", labels)
 	}
 }
 
@@ -219,25 +201,6 @@ func TestSingleVersusCompleteChaining(t *testing.T) {
 	cd := complete.Merges()
 	if cd[len(cd)-1].Distance <= 2 {
 		t.Errorf("complete final merge at %v, want > 2", cd[len(cd)-1].Distance)
-	}
-}
-
-func TestCopheneticDistance(t *testing.T) {
-	pts := []float64{0, 1, 10}
-	dend, err := Cluster(matrixFromPoints(t, pts), Average)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := dend.CopheneticDistance(0, 1); got != 1 {
-		t.Errorf("CopheneticDistance(0,1) = %v, want 1", got)
-	}
-	c02 := dend.CopheneticDistance(0, 2)
-	c12 := dend.CopheneticDistance(1, 2)
-	if c02 != c12 || c02 != 9.5 {
-		t.Errorf("cophenetic to outlier = (%v, %v), want 9.5 each", c02, c12)
-	}
-	if got := dend.CopheneticDistance(2, 2); got != 0 {
-		t.Errorf("CopheneticDistance(2,2) = %v, want 0", got)
 	}
 }
 
@@ -298,16 +261,17 @@ func TestClusterPropertyQuick(t *testing.T) {
 		if !allEqual(all) {
 			return false
 		}
-		for k := 1; k <= len(pts); k++ {
-			labels := dend.CutK(k)
-			distinct := make(map[int]bool)
-			for _, l := range labels {
-				distinct[l] = true
-			}
-			// Exactly k clusters unless duplicate points merged at 0;
-			// never more than k.
-			if len(distinct) > k {
-				return false
+		for _, t := range dend.MergeDistances() {
+			// Labels number the clusters 0..k-1 in order of each
+			// cluster's first observation.
+			next := 0
+			for _, l := range dend.CutDistance(t) {
+				if l > next {
+					return false
+				}
+				if l == next {
+					next++
+				}
 			}
 		}
 		return true

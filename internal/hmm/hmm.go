@@ -313,57 +313,3 @@ func (c *Classifier) PredictBenign(window []int) (bool, error) {
 	}
 	return s >= 0, nil
 }
-
-// Viterbi returns the most likely hidden-state sequence for the
-// observations, using log-space dynamic programming.
-func (m *Model) Viterbi(seq []int) ([]int, error) {
-	if len(seq) == 0 {
-		return nil, errors.New("hmm: empty sequence")
-	}
-	for i, s := range seq {
-		if s < 0 || s >= m.NumSymbols() {
-			return nil, fmt.Errorf("hmm: symbol %d at position %d out of range", s, i)
-		}
-	}
-	n, T := m.NumStates(), len(seq)
-	logP := func(p float64) float64 {
-		if p <= 0 {
-			return math.Inf(-1)
-		}
-		return math.Log(p)
-	}
-	delta := make([][]float64, T)
-	back := make([][]int, T)
-	delta[0] = make([]float64, n)
-	back[0] = make([]int, n)
-	for i := 0; i < n; i++ {
-		delta[0][i] = logP(m.Pi[i]) + logP(m.B[i][seq[0]])
-	}
-	for t := 1; t < T; t++ {
-		delta[t] = make([]float64, n)
-		back[t] = make([]int, n)
-		for j := 0; j < n; j++ {
-			best, bestI := math.Inf(-1), 0
-			for i := 0; i < n; i++ {
-				if v := delta[t-1][i] + logP(m.A[i][j]); v > best {
-					best, bestI = v, i
-				}
-			}
-			delta[t][j] = best + logP(m.B[j][seq[t]])
-			back[t][j] = bestI
-		}
-	}
-	// Backtrack from the best final state.
-	path := make([]int, T)
-	best, bestI := math.Inf(-1), 0
-	for i := 0; i < n; i++ {
-		if delta[T-1][i] > best {
-			best, bestI = delta[T-1][i], i
-		}
-	}
-	path[T-1] = bestI
-	for t := T - 1; t > 0; t-- {
-		path[t-1] = back[t][path[t]]
-	}
-	return path, nil
-}

@@ -176,57 +176,3 @@ func TestTrainDeterministic(t *testing.T) {
 		t.Errorf("same seed trained different models: %v vs %v", llA, llB)
 	}
 }
-
-func TestViterbiValidation(t *testing.T) {
-	m := randomModel(2, 3, rand.New(rand.NewSource(9)))
-	if _, err := m.Viterbi(nil); err == nil {
-		t.Error("empty sequence accepted")
-	}
-	if _, err := m.Viterbi([]int{9}); err == nil {
-		t.Error("out-of-range symbol accepted")
-	}
-}
-
-func TestViterbiRecoversBlockStructure(t *testing.T) {
-	// Train on alternating blocks; the decoded state sequence must
-	// switch states exactly at the block boundaries.
-	var seq []int
-	for i := 0; i < 40; i++ {
-		for j := 0; j < 6; j++ {
-			seq = append(seq, 0)
-		}
-		for j := 0; j < 6; j++ {
-			seq = append(seq, 1)
-		}
-	}
-	m, err := Train(seq, 2, Config{States: 2, MaxIter: 60, Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, err := m.Viterbi(seq[:24])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(path) != 24 {
-		t.Fatalf("path length = %d", len(path))
-	}
-	// Within each block the state must be constant; across the block
-	// boundary it must change.
-	for _, block := range [][2]int{{0, 6}, {6, 12}, {12, 18}, {18, 24}} {
-		first := path[block[0]]
-		for i := block[0]; i < block[1]; i++ {
-			if path[i] != first {
-				t.Fatalf("state changed inside block %v at %d", block, i)
-			}
-		}
-	}
-	if path[0] == path[6] {
-		t.Error("states identical across block boundary")
-	}
-	// Viterbi path probability is consistent with model dimensions.
-	for _, s := range path {
-		if s < 0 || s >= m.NumStates() {
-			t.Fatalf("state %d out of range", s)
-		}
-	}
-}

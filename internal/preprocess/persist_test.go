@@ -5,20 +5,26 @@ import (
 	"testing"
 )
 
+// roundTrip rebuilds enc from the tables a model bundle stores, as the
+// bundle decoder does with NewEncoder.
+func roundTrip(t *testing.T, enc *Encoder) *Encoder {
+	t.Helper()
+	libs, fns := enc.Clusters()
+	got, err := NewEncoder(Clusters{Sets: libs.Sets, Labels: libs.Labels, Medoids: libs.Medoids},
+		Clusters{Sets: fns.Sets, Labels: fns.Labels, Medoids: fns.Medoids})
+	if err != nil {
+		t.Fatalf("NewEncoder: %v", err)
+	}
+	return got
+}
+
 func TestEncoderMarshalRoundTrip(t *testing.T) {
 	part := partitionedLog(t, 13)
 	enc, err := Fit(part.Events, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := enc.MarshalBinary()
-	if err != nil {
-		t.Fatalf("MarshalBinary: %v", err)
-	}
-	var got Encoder
-	if err := got.UnmarshalBinary(data); err != nil {
-		t.Fatalf("UnmarshalBinary: %v", err)
-	}
+	got := roundTrip(t, enc)
 	if got.NumLibClusters() != enc.NumLibClusters() || got.NumFuncClusters() != enc.NumFuncClusters() {
 		t.Fatalf("cluster counts changed: (%d,%d) vs (%d,%d)",
 			got.NumLibClusters(), got.NumFuncClusters(),
@@ -33,42 +39,25 @@ func TestEncoderMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncoderUnmarshalRejectsGarbage hands NewEncoder tables no fit
+// makes: a label count that differs from the set count, a label outside
+// the clusters and a medoid outside the sets.
 func TestEncoderUnmarshalRejectsGarbage(t *testing.T) {
-	var enc Encoder
-	if err := enc.UnmarshalBinary([]byte("garbage")); err == nil {
-		t.Error("garbage accepted")
+	good := Clusters{Sets: [][]string{{"a"}}, Labels: []int{0}, Medoids: []int{0}}
+	for name, bad := range map[string]Clusters{
+		"mismatched labels":   {Sets: [][]string{{"a"}}, Labels: []int{0, 1}, Medoids: []int{0}},
+		"label out of range":  {Sets: [][]string{{"a"}}, Labels: []int{1}, Medoids: []int{0}},
+		"negative label":      {Sets: [][]string{{"a"}}, Labels: []int{-1}, Medoids: []int{0}},
+		"medoid out of range": {Sets: [][]string{{"a"}}, Labels: []int{0}, Medoids: []int{5}},
+	} {
+		if _, err := NewEncoder(bad, good); err == nil {
+			t.Errorf("%s: library table accepted", name)
+		}
+		if _, err := NewEncoder(good, bad); err == nil {
+			t.Errorf("%s: function table accepted", name)
+		}
 	}
-	if err := enc.UnmarshalBinary(nil); err == nil {
-		t.Error("empty input accepted")
-	}
-}
-
-func TestClustersSnapshotValidation(t *testing.T) {
-	bad := clustersSnapshot{
-		Uniq:        [][]string{{"a"}},
-		Labels:      []int{0, 1}, // mismatched
-		Medoids:     []int{0},
-		NumClusters: 1,
-	}
-	if _, err := bad.clusters(); err == nil {
-		t.Error("mismatched labels accepted")
-	}
-	bad2 := clustersSnapshot{
-		Uniq:        [][]string{{"a"}},
-		Labels:      []int{0},
-		Medoids:     []int{5}, // out of range
-		NumClusters: 1,
-	}
-	if _, err := bad2.clusters(); err == nil {
-		t.Error("out-of-range medoid accepted")
-	}
-	bad3 := clustersSnapshot{
-		Uniq:        [][]string{{"a"}},
-		Labels:      []int{0},
-		Medoids:     []int{0, 0}, // wrong count
-		NumClusters: 1,
-	}
-	if _, err := bad3.clusters(); err == nil {
-		t.Error("medoid/cluster count mismatch accepted")
+	if _, err := NewEncoder(good, good); err != nil {
+		t.Errorf("consistent tables refused: %v", err)
 	}
 }

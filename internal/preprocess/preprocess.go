@@ -72,9 +72,8 @@ func (c Config) withDefaults() Config {
 // and function sets, learned on training events and reusable on unseen
 // testing events.
 type Encoder struct {
-	cfg  Config
-	libs *setClusters
-	fns  *setClusters
+	libs *Clusters
+	fns  *Clusters
 }
 
 // Fit learns the library/function clusterings from training events, which
@@ -120,16 +119,44 @@ func FitContext(ctx context.Context, logs []*partition.Log, cfg Config) (*Encode
 		return nil, fmt.Errorf("preprocess: clustering function sets: %w", err)
 	}
 	mFitEvents.Add(uint64(events))
-	mLibClusters.Set(float64(libs.numClusters))
-	mFuncClusters.Set(float64(fns.numClusters))
-	return &Encoder{cfg: cfg, libs: libs, fns: fns}, nil
+	mLibClusters.Set(float64(len(libs.Medoids)))
+	mFuncClusters.Set(float64(len(fns.Medoids)))
+	return &Encoder{libs: libs, fns: fns}, nil
 }
 
+// NewEncoder returns the encoder with the given library-set and
+// function-set clusterings, as a model bundle stores them. It rejects
+// tables that would misassign or panic: a label per set, every label a
+// cluster and every medoid a set. The encoder keeps the tables.
+func NewEncoder(libs, fns Clusters) (*Encoder, error) {
+	for _, c := range []*Clusters{&libs, &fns} {
+		if len(c.Labels) != len(c.Sets) {
+			return nil, fmt.Errorf("preprocess: %d sets with %d labels", len(c.Sets), len(c.Labels))
+		}
+		for _, l := range c.Labels {
+			if l < 0 || l >= len(c.Medoids) {
+				return nil, fmt.Errorf("preprocess: label %d outside %d clusters", l, len(c.Medoids))
+			}
+		}
+		for _, m := range c.Medoids {
+			if m < 0 || m >= len(c.Sets) {
+				return nil, fmt.Errorf("preprocess: medoid index %d out of range", m)
+			}
+		}
+		c.index()
+	}
+	return &Encoder{libs: &libs, fns: &fns}, nil
+}
+
+// Clusters returns the library-set and function-set clusterings. They
+// are the encoder's own; callers must not modify them.
+func (enc *Encoder) Clusters() (libs, fns *Clusters) { return enc.libs, enc.fns }
+
 // NumLibClusters returns how many library-set clusters were learned.
-func (enc *Encoder) NumLibClusters() int { return enc.libs.numClusters }
+func (enc *Encoder) NumLibClusters() int { return len(enc.libs.Medoids) }
 
 // NumFuncClusters returns how many function-set clusters were learned.
-func (enc *Encoder) NumFuncClusters() int { return enc.fns.numClusters }
+func (enc *Encoder) NumFuncClusters() int { return len(enc.fns.Medoids) }
 
 // Scratch is the reusable working memory of the encode path: the
 // distinct-name buffer, the set-key buffer and the interned
@@ -211,11 +238,6 @@ func (enc *Encoder) EncodeOne(s *Scratch, e *partition.Event) Tuple {
 	s.funcNames(e)
 	t.Func = enc.fns.assignScratch(s)
 	return t
-}
-
-// EncodeBatch is EncodeInto over events that carry no walk index.
-func (enc *Encoder) EncodeBatch(dst []Tuple, events []partition.Event, s *Scratch) []Tuple {
-	return enc.EncodeInto(dst, &partition.Log{Events: events}, s)
 }
 
 // CreditEncoded adds n events to the encoded-events counter. EncodeInto
@@ -353,70 +375,78 @@ func Jaccard(a, b []string) float64 {
 	return 1 - float64(inter)/float64(union)
 }
 
-// setClusters is a fitted clustering over unique string sets.
-type setClusters struct {
-	uniq        [][]string // unique sets in first-seen order
-	labels      []int      // cluster label per unique set
-	medoids     []int      // index into uniq per cluster
-	numClusters int
-	keyToLabel  map[string]int
+// Clusters is a fitted clustering over unique string sets.
+type Clusters struct {
+	// Sets are the unique sets, each sorted, in first-seen order.
+	Sets [][]string
+	// Labels holds each set's cluster id.
+	Labels []int
+	// Medoids holds each cluster's medoid, an index into Sets.
+	Medoids []int
+	// keyToLabel maps a set's key to its label.
+	keyToLabel map[string]int
+}
+
+// index builds the set-key lookup of Sets.
+func (sc *Clusters) index() {
+	sc.keyToLabel = make(map[string]int, len(sc.Sets))
+	for i, s := range sc.Sets {
+		sc.keyToLabel[setKey(s)] = sc.Labels[i]
+	}
 }
 
 // clusterSets deduplicates the observed sets, hierarchically clusters the
 // unique ones under Jaccard dissimilarity and records per-cluster medoids
 // for assigning unseen sets.
-func clusterSets(sets [][]string, linkage hcluster.Linkage, cut float64) (*setClusters, error) {
-	sc := &setClusters{keyToLabel: make(map[string]int)}
+func clusterSets(sets [][]string, linkage hcluster.Linkage, cut float64) (*Clusters, error) {
+	sc := &Clusters{}
 	seen := make(map[string]bool)
 	for _, s := range sets {
 		k := setKey(s)
 		if !seen[k] {
 			seen[k] = true
-			sc.uniq = append(sc.uniq, s)
+			sc.Sets = append(sc.Sets, s)
 		}
 	}
-	dm, err := hcluster.NewDistMatrix(len(sc.uniq))
+	dm, err := hcluster.NewDistMatrix(len(sc.Sets))
 	if err != nil {
 		return nil, err
 	}
-	for i := range sc.uniq {
-		for j := i + 1; j < len(sc.uniq); j++ {
-			dm.Set(i, j, Jaccard(sc.uniq[i], sc.uniq[j]))
+	for i := range sc.Sets {
+		for j := i + 1; j < len(sc.Sets); j++ {
+			dm.Set(i, j, Jaccard(sc.Sets[i], sc.Sets[j]))
 		}
 	}
 	dend, err := hcluster.Cluster(dm, linkage)
 	if err != nil {
 		return nil, err
 	}
-	sc.labels = dend.CutDistance(cut)
-	for _, l := range sc.labels {
-		if l+1 > sc.numClusters {
-			sc.numClusters = l + 1
-		}
+	sc.Labels = dend.CutDistance(cut)
+	k := 0
+	for _, l := range sc.Labels {
+		k = max(k, l+1)
 	}
-	for i, s := range sc.uniq {
-		sc.keyToLabel[setKey(s)] = sc.labels[i]
-	}
+	sc.index()
 	// Medoid of each cluster: the member minimising total dissimilarity
 	// to its cluster mates.
-	sc.medoids = make([]int, sc.numClusters)
-	for c := 0; c < sc.numClusters; c++ {
+	sc.Medoids = make([]int, k)
+	for c := range sc.Medoids {
 		best, bestCost := -1, -1.0
-		for i := range sc.uniq {
-			if sc.labels[i] != c {
+		for i := range sc.Sets {
+			if sc.Labels[i] != c {
 				continue
 			}
 			var cost float64
-			for j := range sc.uniq {
-				if sc.labels[j] == c {
-					cost += Jaccard(sc.uniq[i], sc.uniq[j])
+			for j := range sc.Sets {
+				if sc.Labels[j] == c {
+					cost += Jaccard(sc.Sets[i], sc.Sets[j])
 				}
 			}
 			if best == -1 || cost < bestCost {
 				best, bestCost = i, cost
 			}
 		}
-		sc.medoids[c] = best
+		sc.Medoids[c] = best
 	}
 	return sc, nil
 }
@@ -425,7 +455,7 @@ func clusterSets(sets [][]string, linkage hcluster.Linkage, cut float64) (*setCl
 // to their cluster id: the set key is built in the scratch's byte
 // buffer, and the map probe compiles to an allocation-free string-keyed
 // lookup; a set the fit never saw goes to its nearest medoid.
-func (sc *setClusters) assignScratch(s *Scratch) int {
+func (sc *Clusters) assignScratch(s *Scratch) int {
 	s.key = appendSetKey(s.key[:0], s.names)
 	if l, ok := sc.keyToLabel[string(s.key)]; ok {
 		return l
@@ -435,10 +465,10 @@ func (sc *setClusters) assignScratch(s *Scratch) int {
 
 // nearestMedoid maps an unseen sorted set to the cluster whose medoid
 // it is least dissimilar to.
-func (sc *setClusters) nearestMedoid(s []string) int {
+func (sc *Clusters) nearestMedoid(s []string) int {
 	best, bestD := 0, 2.0
-	for c, mi := range sc.medoids {
-		if d := Jaccard(s, sc.uniq[mi]); d < bestD {
+	for c, mi := range sc.Medoids {
+		if d := Jaccard(s, sc.Sets[mi]); d < bestD {
 			best, bestD = c, d
 		}
 	}

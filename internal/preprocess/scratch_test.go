@@ -6,6 +6,7 @@ package preprocess
 
 import (
 	"context"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -42,15 +43,15 @@ func sortedSet(m map[string]bool) []string {
 // referenceAssign maps a sorted set to its cluster id without set keys:
 // the label of an equal fitted set, else the cluster of the nearest
 // medoid.
-func referenceAssign(sc *setClusters, set []string) int {
-	for i, u := range sc.uniq {
+func referenceAssign(sc *Clusters, set []string) int {
+	for i, u := range sc.Sets {
 		if slices.Equal(u, set) {
-			return sc.labels[i]
+			return sc.Labels[i]
 		}
 	}
 	best, bestD := 0, 2.0
-	for c, mi := range sc.medoids {
-		if d := Jaccard(set, sc.uniq[mi]); d < bestD {
+	for c, mi := range sc.Medoids {
+		if d := Jaccard(set, sc.Sets[mi]); d < bestD {
 			best, bestD = c, d
 		}
 	}
@@ -139,15 +140,7 @@ func TestFitOverWalksMatchesPerEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotBytes, err := got.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBytes, err := want.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(gotBytes, wantBytes) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatal("encoder fitted over distinct walks differs from one fitted over every event")
 	}
 	for _, part := range []*partition.Log{a, b} {
@@ -176,16 +169,9 @@ func TestSetKeysInjective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := enc.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var loaded Encoder
-	if err := loaded.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
+	loaded := roundTrip(t, enc)
 	var s Scratch
-	for name, e := range map[string]*Encoder{"fitted": enc, "loaded": &loaded} {
+	for name, e := range map[string]*Encoder{"fitted": enc, "loaded": loaded} {
 		if e.NumLibClusters() != 3 || e.NumFuncClusters() != 3 {
 			t.Errorf("%s: %d library and %d function clusters, want 3 each", name, e.NumLibClusters(), e.NumFuncClusters())
 		}
@@ -198,9 +184,8 @@ func TestSetKeysInjective(t *testing.T) {
 	}
 }
 
-// TestEncodeBatchMatchesEncodeAll checks the batch wrappers: EncodeAll,
-// EncodeInto and EncodeBatch must agree, and a recycled dst must be
-// reused in place.
+// TestEncodeBatchMatchesEncodeAll checks batch encoding: EncodeAll and
+// EncodeInto must agree, and a recycled dst must be reused in place.
 func TestEncodeBatchMatchesEncodeAll(t *testing.T) {
 	part := partitionedLog(t, 5)
 	enc, err := Fit(part.Events, Config{})
@@ -218,9 +203,9 @@ func TestEncodeBatchMatchesEncodeAll(t *testing.T) {
 			t.Fatalf("tuple %d: want %+v, got %+v", i, want[i], got[i])
 		}
 	}
-	reused := enc.EncodeBatch(got[:0], part.Events, &s)
+	reused := enc.EncodeInto(got[:0], part, &s)
 	if &reused[0] != &got[0] {
-		t.Fatal("EncodeBatch reallocated despite sufficient capacity")
+		t.Fatal("EncodeInto reallocated despite sufficient capacity")
 	}
 }
 

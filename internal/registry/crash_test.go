@@ -111,7 +111,7 @@ func TestSetCurrentInjectedFailureLeavesPointer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := mutateBundle(t, raw, func(e *bundleEnvelope) { e.Model = []byte("corrupt") })
+	second := otherBundle(t)
 	man2, err := st.Publish(bytes.NewReader(second), TrainInfo{})
 	if err != nil {
 		t.Fatal(err)

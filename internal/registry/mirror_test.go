@@ -16,7 +16,7 @@ func publishTwo(t *testing.T) (*Store, Manifest, Manifest) {
 	if err != nil {
 		t.Fatalf("Publish first: %v", err)
 	}
-	variant := mutateBundle(t, raw, func(env *bundleEnvelope) { env.Lambda++ })
+	variant := otherBundle(t)
 	second, err := st.Publish(bytes.NewReader(variant), TrainInfo{Seed: 14})
 	if err != nil {
 		t.Fatalf("Publish second: %v", err)

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"flag"
+	"fmt"
+	"io"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -18,83 +22,89 @@ import (
 	"repro/internal/trace"
 )
 
-// Shared trained bundle: training dominates test time, so every test
-// reuses one model and its dataset.
+// Shared trained bundles: training dominates test time, so every test
+// reuses one model and its dataset, and a second model trained on the
+// same logs with another seed where a test needs a distinct bundle.
 var (
-	fixtureOnce sync.Once
-	fixtureErr  error
-	fixtureRaw  []byte
-	fixtureLogs *dataset.Logs
+	fixtureOnce  sync.Once
+	fixtureErr   error
+	fixtureRaw   []byte
+	fixtureOther []byte
+	fixtureLogs  *dataset.Logs
 )
+
+func trainFixture() error {
+	spec, err := dataset.ByName("vim_reverse_tcp")
+	if err != nil {
+		return err
+	}
+	if fixtureLogs, err = spec.Generate(13); err != nil {
+		return err
+	}
+	if fixtureRaw, err = saveModel(fixtureLogs, 13); err != nil {
+		return err
+	}
+	fixtureOther, err = saveModel(fixtureLogs, 14)
+	return err
+}
+
+// trainModel trains the weighted classifier on logs with the given
+// seed, λ 8 and σ² 2.
+func trainModel(logs *dataset.Logs, seed int64) (*core.Classifier, error) {
+	td, err := core.BuildTrainingData(logs.Benign, logs.Mixed, core.Config{
+		Seed:        seed,
+		FixedParams: &svm.Params{Lambda: 8, Kernel: svm.RBFKernel{Sigma2: 2}},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return td.Train()
+}
+
+// saveModel returns the bundle of trainModel's classifier.
+func saveModel(logs *dataset.Logs, seed int64) ([]byte, error) {
+	clf, err := trainModel(logs, seed)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := clf.Save(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
 
 func testBundle(t *testing.T) ([]byte, *dataset.Logs) {
 	t.Helper()
-	fixtureOnce.Do(func() {
-		spec, err := dataset.ByName("vim_reverse_tcp")
-		if err != nil {
-			fixtureErr = err
-			return
-		}
-		logs, err := spec.Generate(13)
-		if err != nil {
-			fixtureErr = err
-			return
-		}
-		td, err := core.BuildTrainingData(logs.Benign, logs.Mixed, core.Config{
-			Seed:        13,
-			FixedParams: &svm.Params{Lambda: 8, Kernel: svm.RBFKernel{Sigma2: 2}},
-		})
-		if err != nil {
-			fixtureErr = err
-			return
-		}
-		clf, err := td.Train()
-		if err != nil {
-			fixtureErr = err
-			return
-		}
-		var buf bytes.Buffer
-		if err := clf.Save(&buf); err != nil {
-			fixtureErr = err
-			return
-		}
-		fixtureRaw = buf.Bytes()
-		fixtureLogs = logs
-	})
+	fixtureOnce.Do(func() { fixtureErr = trainFixture() })
 	if fixtureErr != nil {
 		t.Fatal(fixtureErr)
 	}
 	return fixtureRaw, fixtureLogs
 }
 
-// bundleEnvelope mirrors core's on-disk classifier envelope by gob field
-// names, so tests can corrupt sections without reaching into core.
-type bundleEnvelope struct {
-	Magic     string
-	Version   int
-	Window    int
-	Lambda    float64
-	Encoder   []byte
-	Scaler    []byte
-	Model     []byte
-	HasPlatt  bool
-	PlattA    float64
-	PlattB    float64
-	CallGraph []byte
+// otherBundle is a second healthy bundle, distinct from testBundle's.
+func otherBundle(t *testing.T) []byte {
+	t.Helper()
+	testBundle(t)
+	return fixtureOther
 }
 
-func mutateBundle(t *testing.T, raw []byte, mutate func(*bundleEnvelope)) []byte {
+// degradedBundle overwrites 16 bytes of raw with 0xff at the first of
+// a run of offsets where core.InspectBundle then reports a degraded
+// bundle: the bytes fell in the statistical section and made a count or
+// a float unusable. It knows nothing of the bundle layout.
+func degradedBundle(t *testing.T, raw []byte) []byte {
 	t.Helper()
-	var env bundleEnvelope
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&env); err != nil {
-		t.Fatal(err)
+	for off := len(raw) / 8; off+16 <= len(raw); off += len(raw) / 32 {
+		b := bytes.Clone(raw)
+		copy(b[off:], bytes.Repeat([]byte{0xff}, 16))
+		if info, err := core.InspectBundle(bytes.NewReader(b)); err == nil && info.Degraded {
+			return b
+		}
 	}
-	mutate(&env)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	t.Fatal("no overwrite degrades the bundle")
+	return nil
 }
 
 func openStore(t *testing.T) *Store {
@@ -117,8 +127,8 @@ func TestStorePublishLifecycle(t *testing.T) {
 	if len(man.ID) != idLen || !strings.HasPrefix(man.SHA256, man.ID) {
 		t.Errorf("manifest id %q is not a prefix of hash %q", man.ID, man.SHA256)
 	}
-	if man.FormatVersion != 2 || man.Window <= 0 || man.Degraded {
-		t.Errorf("manifest envelope = %+v, want version 2, positive window, not degraded", man)
+	if man.FormatVersion != 3 || man.Window <= 0 || man.Degraded {
+		t.Errorf("manifest envelope = %+v, want version 3, positive window, not degraded", man)
 	}
 	if man.Parent != "" {
 		t.Errorf("first entry has parent %q, want none", man.Parent)
@@ -140,7 +150,7 @@ func TestStorePublishLifecycle(t *testing.T) {
 	}
 
 	// A different (degraded) bundle becomes a second entry with lineage.
-	degraded := mutateBundle(t, raw, func(e *bundleEnvelope) { e.Model = []byte("corrupt") })
+	degraded := degradedBundle(t, raw)
 	man2, err := st.Publish(bytes.NewReader(degraded), TrainInfo{})
 	if err != nil {
 		t.Fatalf("Publish degraded: %v", err)
@@ -198,24 +208,86 @@ func TestStoreRejectsUnloadableBundles(t *testing.T) {
 		t.Error("garbage bundle accepted")
 	}
 
-	// A version-1 bundle with corrupt statistics has no fallback: the
-	// publish error must carry the migration instruction, not a generic
-	// load failure.
-	v1 := mutateBundle(t, raw, func(e *bundleEnvelope) {
-		e.Version = 1
-		e.Model = []byte("corrupt")
-		e.CallGraph = nil
-	})
-	_, err := st.Publish(bytes.NewReader(v1), TrainInfo{})
-	if err == nil {
-		t.Fatal("version-1 corrupt bundle accepted")
+	// A bundle of an earlier format, such as an earlier build's gob
+	// bundle, or one cut short is refused; the format error names the
+	// format and says to retrain.
+	_, err := st.Publish(strings.NewReader("an earlier build's bundle"), TrainInfo{})
+	if err == nil || !strings.Contains(err.Error(), "format v3") || !strings.Contains(err.Error(), "retrain") {
+		t.Errorf("publishing an earlier format: error %v, want the format error", err)
 	}
-	var fbErr *core.FallbackUnavailableError
-	if !errors.As(err, &fbErr) {
-		t.Fatalf("publish error %v is not a FallbackUnavailableError", err)
+	if _, err := st.Publish(bytes.NewReader(raw[:len(raw)-1]), TrainInfo{}); err == nil {
+		t.Error("truncated bundle accepted")
 	}
-	if !strings.Contains(err.Error(), "re-save or retrain") {
-		t.Errorf("publish error %q lacks the migration instruction", err)
+}
+
+// TestBundleBytesIndependentOfProcessHistory saves one model in child
+// processes that first do nothing, gob-encode an unrelated value, or
+// checkpoint a stream detector, publishes it and requires one hash: a
+// bundle's bytes, and so its entry ID, depend on the model alone, so
+// leaps-train and a serving process's autopilot publish a model under
+// one ID.
+func TestBundleBytesIndependentOfProcessHistory(t *testing.T) {
+	const prefix = "history="
+	if args := flag.Args(); len(args) == 1 && strings.HasPrefix(args[0], prefix) {
+		spec, err := dataset.ByName("vim_reverse_tcp")
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.BenignEvents, spec.MixedEvents, spec.MaliciousEvents = 600, 600, 100
+		logs, err := spec.Generate(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clf, err := trainModel(logs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch args[0][len(prefix):] {
+		case "gob":
+			if err := gob.NewEncoder(io.Discard).Encode(map[string][]float64{"unrelated": {1}}); err != nil {
+				t.Fatal(err)
+			}
+		case "checkpoint":
+			s, err := clf.Stream(logs.Malicious.Modules)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range logs.Malicious.Events[:3] {
+				if _, err := s.Feed(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Checkpoint(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var raw bytes.Buffer
+		if err := clf.Save(&raw); err != nil {
+			t.Fatal(err)
+		}
+		man, err := openStore(t).Publish(&raw, TrainInfo{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Printf("bundle %s\n", man.SHA256)
+		return
+	}
+	var first string
+	for _, history := range []string{"none", "gob", "checkpoint"} {
+		out, err := exec.Command(os.Args[0], "-test.run=^TestBundleBytesIndependentOfProcessHistory$", "--", prefix+history).Output()
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", history, err, out)
+		}
+		_, rest, ok := strings.Cut(string(out), "bundle ")
+		sum, _, _ := strings.Cut(rest, "\n")
+		if !ok || sum == "" {
+			t.Fatalf("%s: no bundle hash in the child's output:\n%s", history, out)
+		}
+		if first == "" {
+			first = sum
+		} else if sum != first {
+			t.Errorf("after %s the bundle hashes %s, in a fresh process %s", history, sum, first)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -54,9 +53,10 @@ type SessionInfo struct {
 	// Created and LastUsed bound the session's lifetime.
 	Created  time.Time `json:"created"`
 	LastUsed time.Time `json:"last_used"`
-	// Checkpoint is the base64 binary checkpoint of the detector,
-	// present only when requested with ?checkpoint=1.
-	Checkpoint string `json:"checkpoint,omitempty"`
+	// Checkpoint is the detector's checkpoint, the JSON object a
+	// SessionExport carries, present only when requested with
+	// ?checkpoint=1.
+	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
 }
 
 // IngestResult is the JSON body answering an accepted event batch.
@@ -308,7 +308,7 @@ func (s *Server) getSession(id string) (*session, error) {
 }
 
 // sessionInfo snapshots a session for the API. With checkpoint set it
-// embeds the detector's binary checkpoint in base64.
+// embeds the detector's checkpoint.
 func (s *Server) sessionInfo(sess *session, checkpoint bool) SessionInfo {
 	sess.mu.Lock()
 	info := SessionInfo{
@@ -333,7 +333,7 @@ func (s *Server) sessionInfo(sess *session, checkpoint bool) SessionInfo {
 	if checkpoint {
 		var buf bytes.Buffer
 		if err := sess.det.Checkpoint(&buf); err == nil {
-			info.Checkpoint = base64.StdEncoding.EncodeToString(buf.Bytes())
+			info.Checkpoint = buf.Bytes()
 		}
 	}
 	return info

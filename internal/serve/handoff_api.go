@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
 	"sort"
 	"strconv"
@@ -47,8 +48,9 @@ type SessionExport struct {
 	// Replica names the replica that cut the envelope, for the handoff
 	// audit trail.
 	Replica string `json:"replica,omitempty"`
-	// Checkpoint is the binary detector checkpoint (base64 in JSON).
-	Checkpoint []byte `json:"checkpoint"`
+	// Checkpoint is the detector's checkpoint, a JSON object
+	// (core.StreamDetector.Checkpoint).
+	Checkpoint json.RawMessage `json:"checkpoint"`
 }
 
 // ringGenFrom reads the router's ring-generation stamp off a forwarded

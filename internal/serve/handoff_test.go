@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
 	"reflect"
 	"testing"
@@ -78,6 +79,14 @@ func TestExportImportContinuity(t *testing.T) {
 	}
 	if _, err := ldrv.Export(spec.ID); !IsStatus(err, http.StatusNotFound) {
 		t.Errorf("double export: err %v, want 404", err)
+	}
+
+	// Builds before the JSON checkpoint carried a gob checkpoint as a
+	// base64 string; the format break refuses such an envelope.
+	old := ex
+	old.Checkpoint = json.RawMessage(`"P/+BAwEBDmNoZWNrcG9pbnRGaWxl"`)
+	if _, err := gdrv.Import(old); !IsStatus(err, http.StatusBadRequest) {
+		t.Errorf("import of an envelope with a base64 checkpoint: err %v, want 400", err)
 	}
 
 	info, err := gdrv.Import(ex)

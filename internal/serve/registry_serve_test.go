@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -64,34 +63,21 @@ func altTestBundle(t *testing.T) []byte {
 	return altRaw
 }
 
-// bundleEnvelope mirrors core's on-disk classifier envelope by gob field
-// names, so tests can corrupt sections without reaching into core.
-type bundleEnvelope struct {
-	Magic     string
-	Version   int
-	Window    int
-	Lambda    float64
-	Encoder   []byte
-	Scaler    []byte
-	Model     []byte
-	HasPlatt  bool
-	PlattA    float64
-	PlattB    float64
-	CallGraph []byte
-}
-
-func mutateBundle(t testing.TB, raw []byte, mutate func(*bundleEnvelope)) []byte {
+// degradedBundle overwrites 16 bytes of raw with 0xff at the first of
+// a run of offsets where core.InspectBundle then reports a degraded
+// bundle: the bytes fell in the statistical section and made a count or
+// a float unusable. It knows nothing of the bundle layout.
+func degradedBundle(t testing.TB, raw []byte) []byte {
 	t.Helper()
-	var env bundleEnvelope
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&env); err != nil {
-		t.Fatal(err)
+	for off := len(raw) / 8; off+16 <= len(raw); off += len(raw) / 32 {
+		b := bytes.Clone(raw)
+		copy(b[off:], bytes.Repeat([]byte{0xff}, 16))
+		if info, err := core.InspectBundle(bytes.NewReader(b)); err == nil && info.Degraded {
+			return b
+		}
 	}
-	mutate(&env)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	t.Fatal("no overwrite degrades the bundle")
+	return nil
 }
 
 // writeBundle drops bundle bytes at a path for path-backed models.
@@ -161,25 +147,24 @@ func TestServeReloadAllOrNothing(t *testing.T) {
 }
 
 // TestServeV1BundleMigrationError checks the serving half of the
-// format-migration contract: pointing leaps-serve at a version-1 bundle
-// whose statistics cannot be decoded fails with the migration
-// instruction, not a generic load error.
+// format-migration contract: pointing leaps-serve at a bundle of an
+// earlier format — a version-1 header, or an earlier build's gob stream —
+// fails with the format error, which names format v3 and says to
+// retrain, not with a generic load error.
 func TestServeV1BundleMigrationError(t *testing.T) {
-	raw := newTestBundle(t)
-	v1 := mutateBundle(t, raw, func(e *bundleEnvelope) {
-		e.Version = 1
-		e.Model = []byte("corrupt")
-		e.CallGraph = nil
-	})
-	path := filepath.Join(t.TempDir(), "v1.model")
-	writeBundle(t, path, v1)
-
-	_, err := NewServer(Config{Models: map[string]string{"default": path}})
-	if err == nil {
-		t.Fatal("version-1 corrupt bundle accepted by NewServer")
-	}
-	if !strings.Contains(err.Error(), "re-save or retrain") {
-		t.Errorf("NewServer error %q lacks the migration instruction", err)
+	for name, raw := range map[string][]byte{
+		"version 1": append([]byte("LEAPS-MODEL"), 1),
+		"gob":       []byte("\x3f\xff\x81\x03\x01\x01\x0eclassifierFile"),
+	} {
+		path := filepath.Join(t.TempDir(), "old.model")
+		writeBundle(t, path, raw)
+		_, err := NewServer(Config{Models: map[string]string{"default": path}})
+		if err == nil {
+			t.Fatalf("%s: an earlier bundle format was accepted by NewServer", name)
+		}
+		if !strings.Contains(err.Error(), "format v3") || !strings.Contains(err.Error(), "retrain") {
+			t.Errorf("%s: NewServer error %q lacks the format and the retrain instruction", name, err)
+		}
 	}
 }
 

@@ -210,7 +210,7 @@ func TestServeSessionLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("get session: status %d", resp.StatusCode)
 	}
-	if state.Consumed != n || state.Verdicts != len(want) || state.Checkpoint == "" {
+	if state.Consumed != n || state.Verdicts != len(want) || len(state.Checkpoint) == 0 {
 		t.Fatalf("session state %+v, want consumed=%d verdicts=%d with checkpoint", state, n, len(want))
 	}
 

@@ -475,14 +475,12 @@ func TestLazyRestoreRespectsSessionCap(t *testing.T) {
 func FuzzReviveSession(f *testing.F) {
 	stat, logs := newTestModel(f)
 	mal := logs.Malicious
-	degraded, err := core.LoadMonitor(bytes.NewReader(mutateBundle(f, newTestBundle(f), func(e *bundleEnvelope) {
-		e.Model = []byte("not a model")
-	})))
+	degraded, err := core.LoadMonitor(bytes.NewReader(degradedBundle(f, newTestBundle(f))))
 	if err != nil {
 		f.Fatal(err)
 	}
 	if !degraded.Degraded() {
-		f.Fatal("a corrupt model section did not degrade the monitor")
+		f.Fatal("a corrupt statistical section did not degrade the monitor")
 	}
 	var servers []*Server
 	for _, mon := range []*core.Monitor{stat, degraded} {

@@ -103,8 +103,9 @@ func (s *simulation) logf(format string, args ...any) {
 // trainBundle deterministically trains one model bundle from the
 // scenario's dataset spec and returns its serialized bytes. Training
 // with fixed hyperparameters (no grid search) keeps it fast; the same
-// (dataset, sizes, seed) always yields the same bundle bytes, so the
-// registry entry ID — a content hash — is itself deterministic.
+// (dataset, sizes, seed) yields the same bundle bytes in every process,
+// whatever it encoded before, so the registry entry ID — a content
+// hash — is itself deterministic.
 func trainBundle(mc ModelConfig, seed int64) ([]byte, registry.TrainInfo, error) {
 	spec, err := dataset.ByName(mc.Dataset)
 	if err != nil {

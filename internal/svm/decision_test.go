@@ -3,6 +3,7 @@ package svm
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -18,15 +19,14 @@ func kernelDecision(m *Model, x []float64) float64 {
 // dimensions. Every fifth coordinate is +0 or −0, so signed zeros reach
 // both the support vectors and the differences.
 func randomRBFModel(rng *rand.Rand, n, dim int) *Model {
-	rows := make([][]float64, n)
+	var sv []float64
 	coef := make([]float64, n)
-	for i := range rows {
-		rows[i] = randomPoint(rng, dim)
+	for i := range coef {
+		sv = append(sv, randomPoint(rng, dim)...)
 		coef[i] = rng.NormFloat64() * 4
 	}
-	m := &Model{kernel: RBFKernel{Sigma2: []float64{0.3, 1.7, 6.1}[rng.Intn(3)]}, bias: rng.NormFloat64()}
-	m.setSVs(rows, coef)
-	return m
+	k := RBFKernel{Sigma2: []float64{0.3, 1.7, 6.1}[rng.Intn(3)]}
+	return NewModel(k, sv, dim, coef, rng.NormFloat64())
 }
 
 func randomPoint(rng *rand.Rand, dim int) []float64 {
@@ -54,7 +54,7 @@ func decisionInputs(rng *rand.Rand, m *Model, dim int) [][]float64 {
 	}
 	xs = append(xs, far, pz, nz)
 	if m.NumSVs() > 0 {
-		xs = append(xs, append([]float64(nil), m.svX[rng.Intn(m.NumSVs())]...))
+		xs = append(xs, append([]float64(nil), m.row(rng.Intn(m.NumSVs()))...))
 	}
 	return xs
 }
@@ -75,8 +75,8 @@ func checkDecision(t *testing.T, name string, m *Model, xs [][]float64) {
 // TestDecisionMatchesKernel holds the RBF branch over the flat support
 // vector matrix to the Kernel.Compute loop bit for bit: random models of
 // 0 to 200 support vectors (every remainder of the four-wide blocks) in
-// 1 to 31 dimensions, a one-class model, and models round-tripped
-// through MarshalBinary.
+// 1 to 31 dimensions, a one-class model, and models rebuilt by NewModel
+// from the parts a bundle stores.
 func TestDecisionMatchesKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for _, n := range []int{0, 1, 3, 4, 5, 58, 61, 200} {
@@ -88,18 +88,12 @@ func TestDecisionMatchesKernel(t *testing.T) {
 			xs := decisionInputs(rng, m, dim)
 			checkDecision(t, "random model", m, xs)
 
-			data, err := m.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var loaded Model
-			if err := loaded.UnmarshalBinary(data); err != nil {
-				t.Fatal(err)
-			}
-			checkDecision(t, "round-tripped model", &loaded, xs)
+			sv, d := m.SupportVectors()
+			loaded := NewModel(m.Kernel(), slices.Clone(sv), d, slices.Clone(m.Coef()), m.Bias())
+			checkDecision(t, "rebuilt model", loaded, xs)
 			for _, x := range xs {
 				if math.Float64bits(loaded.Decision(x)) != math.Float64bits(m.Decision(x)) {
-					t.Fatalf("n=%d dim=%d: the round trip changed a decision", n, dim)
+					t.Fatalf("n=%d dim=%d: rebuilding the model changed a decision", n, dim)
 				}
 			}
 		}
@@ -131,17 +125,16 @@ func FuzzDecision(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		d := int(dim%40) + 1
-		rows := make([][]float64, int(n))
+		var sv []float64
 		coef := make([]float64, int(n))
-		for i := range rows {
-			rows[i] = randomPoint(rng, d)
+		for i := range coef {
+			sv = append(sv, randomPoint(rng, d)...)
 			coef[i] = rng.NormFloat64()
 		}
-		if len(rows) > 0 {
-			rows[rng.Intn(len(rows))][rng.Intn(d)] = coord
+		if len(coef) > 0 {
+			sv[rng.Intn(len(coef))*d+rng.Intn(d)] = coord
 		}
-		m := &Model{kernel: RBFKernel{Sigma2: sigma2}, bias: rng.NormFloat64()}
-		m.setSVs(rows, coef)
+		m := NewModel(RBFKernel{Sigma2: sigma2}, sv, d, coef, rng.NormFloat64())
 		xs := decisionInputs(rng, m, d)
 		probe := randomPoint(rng, d)
 		probe[rng.Intn(d)] = coord

@@ -95,17 +95,14 @@ func TrainOneClass(x [][]float64, params OneClassParams) (*OneClassModel, error)
 	}
 	s.solve()
 
-	var rows [][]float64
-	var coef []float64
+	var sv, coef []float64
 	for i := 0; i < n; i++ {
 		if s.alpha[i] > 1e-12 {
-			rows = append(rows, x[i])
+			sv = append(sv, x[i]...)
 			coef = append(coef, s.alpha[i])
 		}
 	}
-	m := &OneClassModel{m: Model{kernel: p.Kernel, bias: s.rho}, Iters: s.iters}
-	m.m.setSVs(rows, coef)
-	return m, nil
+	return &OneClassModel{m: *NewModel(p.Kernel, sv, len(x[0]), coef, s.rho), Iters: s.iters}, nil
 }
 
 // NumSVs returns the support-vector count.

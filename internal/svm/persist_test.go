@@ -2,9 +2,13 @@ package svm
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
+// TestModelMarshalRoundTrip rebuilds trained models of every kernel kind
+// from the parts a model bundle stores, as the bundle decoder does with
+// NewModel, and requires the same support vectors, bias and decisions.
 func TestModelMarshalRoundTrip(t *testing.T) {
 	kernels := []Kernel{
 		LinearKernel{},
@@ -19,17 +23,14 @@ func TestModelMarshalRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			data, err := m.MarshalBinary()
-			if err != nil {
-				t.Fatalf("MarshalBinary: %v", err)
+			sv, dim := m.SupportVectors()
+			got := NewModel(m.Kernel(), slices.Clone(sv), dim, slices.Clone(m.Coef()), m.Bias())
+			if got.NumSVs() != m.NumSVs() || got.Bias() != m.Bias() || dim != 2 {
+				t.Errorf("round trip changed SVs/bias: (%d,%v) vs (%d,%v), dimension %d",
+					got.NumSVs(), got.Bias(), m.NumSVs(), m.Bias(), dim)
 			}
-			var got Model
-			if err := got.UnmarshalBinary(data); err != nil {
-				t.Fatalf("UnmarshalBinary: %v", err)
-			}
-			if got.NumSVs() != m.NumSVs() || got.Bias() != m.Bias() {
-				t.Errorf("round trip changed SVs/bias: (%d,%v) vs (%d,%v)",
-					got.NumSVs(), got.Bias(), m.NumSVs(), m.Bias())
+			if err := got.Check(2); err != nil {
+				t.Errorf("rebuilt model fails Check: %v", err)
 			}
 			probe := []float64{1.4, 1.6}
 			if got.Decision(probe) != m.Decision(probe) {
@@ -39,26 +40,23 @@ func TestModelMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestModelUnmarshalRejectsGarbage rebuilds models from parts no trained
+// model has, as a decoder could hand them to NewModel: each must fail
+// Check, which the bundle decoder runs before anything scores.
 func TestModelUnmarshalRejectsGarbage(t *testing.T) {
-	var m Model
-	if err := m.UnmarshalBinary([]byte("junk")); err == nil {
-		t.Error("garbage accepted")
+	k := RBFKernel{Sigma2: 2}
+	for name, m := range map[string]*Model{
+		"matrix shorter than its rows": NewModel(k, make([]float64, 5), 2, make([]float64, 3), 0),
+		"matrix longer than its rows":  NewModel(k, make([]float64, 7), 2, make([]float64, 3), 0),
+		"rows of another width":        NewModel(k, make([]float64, 9), 3, make([]float64, 3), 0),
+		"no coefficients for its rows": NewModel(k, make([]float64, 6), 2, nil, 0),
+	} {
+		if err := m.Check(2); err == nil {
+			t.Errorf("%s: Check passed", name)
+		}
 	}
-	if err := m.UnmarshalBinary(nil); err == nil {
-		t.Error("empty input accepted")
-	}
-}
-
-// unsupportedKernel exercises the serialisation error path.
-type unsupportedKernel struct{}
-
-func (unsupportedKernel) Compute(a, b []float64) float64 { return 0 }
-func (unsupportedKernel) String() string                 { return "unsupported" }
-
-func TestModelMarshalUnsupportedKernel(t *testing.T) {
-	m := &Model{kernel: unsupportedKernel{}}
-	if _, err := m.MarshalBinary(); err == nil {
-		t.Error("unsupported kernel marshalled")
+	if err := NewModel(k, make([]float64, 6), 2, make([]float64, 3), 0).Check(2); err != nil {
+		t.Errorf("consistent parts fail Check: %v", err)
 	}
 }
 
@@ -67,23 +65,15 @@ func TestScalerMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Scaler
-	if err := got.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
+	got := NewScaler(s.Bounds())
 	in := []float64{5, 10}
 	a, b := s.ApplyInto(nil, in), got.ApplyInto(nil, in)
-	for d := range a {
-		if a[d] != b[d] {
-			t.Fatalf("round trip changed scaling: %v vs %v", a, b)
-		}
+	if !slices.Equal(a, b) {
+		t.Fatalf("round trip changed scaling: %v vs %v", a, b)
 	}
-	if err := got.UnmarshalBinary([]byte("nope")); err == nil {
-		t.Error("garbage scaler accepted")
+	min, _ := s.Bounds()
+	if err := NewScaler(min, min[:1]).Check(2); err == nil {
+		t.Error("scaler with bounds of different widths passed Check")
 	}
 }
 

@@ -38,6 +38,15 @@ func FitScaler(x [][]float64) (*Scaler, error) {
 	return s, nil
 }
 
+// NewScaler returns the scaler with per-column bounds min and max, as a
+// model bundle stores them. The scaler keeps both slices; Check
+// validates them.
+func NewScaler(min, max []float64) *Scaler { return &Scaler{min: min, max: max} }
+
+// Bounds returns the per-column bounds. The slices are the scaler's own;
+// callers must not modify them.
+func (s *Scaler) Bounds() (min, max []float64) { return s.min, s.max }
+
 // ApplyInto appends the scaled v to dst, reusing dst's capacity (pass
 // dst[:0] to recycle a buffer), and returns the scaled vector. Values
 // outside the learned range are not clamped (they simply fall outside
@@ -60,8 +69,8 @@ func (s *Scaler) Dim() int { return len(s.min) }
 // Check validates a decoded scaler for dim-dimensional inputs: dim
 // columns, every bound finite.
 func (s *Scaler) Check(dim int) error {
-	if len(s.min) != dim {
-		return fmt.Errorf("svm: scaler has dimension %d, want %d", len(s.min), dim)
+	if len(s.min) != dim || len(s.max) != dim {
+		return fmt.Errorf("svm: scaler has dimension %d/%d, want %d", len(s.min), len(s.max), dim)
 	}
 	for d := range s.min {
 		if !finite(s.min[d]) || !finite(s.max[d]) {

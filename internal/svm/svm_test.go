@@ -319,9 +319,9 @@ func TestKKTConditions(t *testing.T) {
 func alphaOf(m *Model, p Problem, i int) float64 {
 	// The model copies its support vectors; the random samples are
 	// distinct, so coordinates identify them.
-	for s, sv := range m.svX {
-		if slices.Equal(sv, p.X[i]) {
-			return math.Abs(m.svCoef[s])
+	for s, c := range m.coef {
+		if slices.Equal(m.row(s), p.X[i]) {
+			return math.Abs(c)
 		}
 	}
 	return 0
@@ -361,8 +361,8 @@ func TestZeroWeightNeverSupportVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sv := range m.svX {
-		if slices.Equal(sv, p.X[3]) || slices.Equal(sv, p.X[7]) {
+	for s := range m.coef {
+		if sv := m.row(s); slices.Equal(sv, p.X[3]) || slices.Equal(sv, p.X[7]) {
 			t.Error("zero-weight sample became a support vector")
 		}
 	}

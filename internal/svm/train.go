@@ -108,60 +108,51 @@ func (p Params) withDefaults(n int) Params {
 // coefficients.
 type Model struct {
 	kernel Kernel
-	// svX are the support vectors. When they share one width, dim, they
-	// are views into sv, one row-major matrix the model owns.
-	svX [][]float64
+	// sv holds the support vectors as one row-major matrix of
+	// len(coef) rows, dim coordinates each.
 	sv  []float64
 	dim int
 	// sigma2 is the RBF kernel's σ² when Decision scores over sv, and 0
 	// when it takes the Kernel.Compute loop.
 	sigma2 float64
-	// nonFinite is set when a support vector holds a NaN or ±Inf
-	// coordinate.
-	nonFinite bool
-	// svCoef holds αᵢ·yᵢ for each support vector.
-	svCoef []float64
-	bias   float64
+	// coef holds αᵢ·yᵢ for each support vector.
+	coef []float64
+	bias float64
 	// Iters reports how many SMO iterations training took.
 	Iters int
-	// BoundedSVs counts support vectors at their upper bound.
-	BoundedSVs int
 	// Objective is the final dual objective value ½αᵀQα − Σαᵢ.
 	Objective float64
 }
 
-// setSVs gives m the support vectors rows, with coefficients coef. Rows
-// of one width are copied into one row-major matrix that svX then views,
-// so the model pins none of the caller's vectors, and the copy notes a
-// non-finite coordinate. Ragged rows, which Check rejects by width, are
-// kept as they are and scored by the Kernel.Compute loop.
-func (m *Model) setSVs(rows [][]float64, coef []float64) {
-	m.svX, m.svCoef, m.sv, m.dim, m.sigma2, m.nonFinite = rows, coef, nil, 0, 0, false
-	d := 0
-	if len(rows) > 0 {
-		d = len(rows[0])
+// NewModel returns the model with kernel k, support vectors sv — a
+// row-major matrix of len(coef) rows, dim coordinates each — dual
+// coefficients coef (αᵢ·yᵢ) and bias: the parts a model bundle stores.
+// The model keeps sv and coef; Check validates them.
+func NewModel(k Kernel, sv []float64, dim int, coef []float64, bias float64) *Model {
+	m := &Model{kernel: k, sv: sv, dim: dim, coef: coef, bias: bias}
+	if r, ok := k.(RBFKernel); ok {
+		m.sigma2 = r.Sigma2
 	}
-	for _, r := range rows {
-		if len(r) != d {
-			return
-		}
-	}
-	m.sv, m.dim = make([]float64, len(rows)*d), d
-	for i, r := range rows {
-		row := m.sv[i*d : (i+1)*d : (i+1)*d]
-		copy(row, r)
-		for _, v := range row {
-			m.nonFinite = m.nonFinite || !finite(v)
-		}
-		rows[i] = row
-	}
-	if k, ok := m.kernel.(RBFKernel); ok {
-		m.sigma2 = k.Sigma2
-	}
+	return m
 }
 
+// Kernel returns the model's kernel.
+func (m *Model) Kernel() Kernel { return m.kernel }
+
+// SupportVectors returns the support-vector matrix, row-major with dim
+// coordinates per row. The slice is the model's own; callers must not
+// modify it.
+func (m *Model) SupportVectors() (sv []float64, dim int) { return m.sv, m.dim }
+
+// Coef returns the dual coefficients αᵢ·yᵢ, one per support vector. The
+// slice is the model's own; callers must not modify it.
+func (m *Model) Coef() []float64 { return m.coef }
+
 // NumSVs returns the number of support vectors.
-func (m *Model) NumSVs() int { return len(m.svX) }
+func (m *Model) NumSVs() int { return len(m.coef) }
+
+// row returns support vector i.
+func (m *Model) row(i int) []float64 { return m.sv[i*m.dim : (i+1)*m.dim : (i+1)*m.dim] }
 
 // Bias returns the intercept b of the decision function.
 func (m *Model) Bias() float64 { return m.bias }
@@ -173,8 +164,8 @@ func (m *Model) Decision(x []float64) float64 {
 		return m.rbfDecision(x)
 	}
 	s := m.bias
-	for i, sv := range m.svX {
-		s += m.svCoef[i] * m.kernel.Compute(sv, x)
+	for i, c := range m.coef {
+		s += c * m.kernel.Compute(m.row(i), x)
 	}
 	return s
 }
@@ -185,7 +176,7 @@ func (m *Model) Decision(x []float64) float64 {
 // terms to the bias in SV order, so it is bit-identical to the
 // Kernel.Compute loop; the four independent add chains are its speed.
 func (m *Model) rbfDecision(x []float64) float64 {
-	d, s2, coef := m.dim, m.sigma2, m.svCoef
+	d, s2, coef := m.dim, m.sigma2, m.coef
 	x = x[:d]
 	s := m.bias
 	j := 0
@@ -222,20 +213,26 @@ func (m *Model) rbfDecision(x []float64) float64 {
 	return s
 }
 
-// Check validates a decoded model for dim-dimensional inputs: dim finite
-// coordinates per support vector, finite coefficients and bias, and a
-// kernel that passes checkKernel.
+// Check validates a decoded model for dim-dimensional inputs: a matrix
+// of dim finite coordinates per support vector, finite coefficients and
+// bias, and a kernel that passes checkKernel.
 func (m *Model) Check(dim int) error {
+	if m.dim != dim || len(m.sv) != len(m.coef)*dim {
+		return fmt.Errorf("svm: %d support vectors of dimension %d in %d coordinates, want dimension %d",
+			len(m.coef), m.dim, len(m.sv), dim)
+	}
 	if !finite(m.bias) {
 		return fmt.Errorf("svm: model bias %v is not finite", m.bias)
 	}
-	for i, sv := range m.svX {
-		if len(sv) != dim || !finite(m.svCoef[i]) {
-			return fmt.Errorf("svm: support vector %d has dimension %d (want %d) and coefficient %v", i, len(sv), dim, m.svCoef[i])
+	for i, c := range m.coef {
+		if !finite(c) {
+			return fmt.Errorf("svm: support vector %d has coefficient %v", i, c)
 		}
 	}
-	if m.nonFinite {
-		return errors.New("svm: a support vector has a non-finite coordinate")
+	for _, v := range m.sv {
+		if !finite(v) {
+			return errors.New("svm: a support vector has a non-finite coordinate")
+		}
 	}
 	return checkKernel(m.kernel)
 }
@@ -322,19 +319,21 @@ func solve(prob Problem, params Params, k *gram, idx []int) *solver {
 
 // model collects the support vectors into a Model; x is the gram's.
 func (s *solver) model(x [][]float64) *Model {
-	m := &Model{kernel: s.k.kernel, bias: s.rho, Iters: s.iters, Objective: s.objective()}
-	var rows [][]float64
-	var coef []float64
-	for l, a := range s.alpha {
+	n, d := 0, len(x[0])
+	for _, a := range s.alpha {
 		if a > 0 {
-			rows = append(rows, x[s.idx[l]])
-			coef = append(coef, a*s.y[l])
-			if a >= s.c[l]-1e-12 {
-				m.BoundedSVs++
-			}
+			n++
 		}
 	}
-	m.setSVs(rows, coef)
+	sv, coef := make([]float64, 0, n*d), make([]float64, 0, n)
+	for l, a := range s.alpha {
+		if a > 0 {
+			sv = append(sv, x[s.idx[l]]...)
+			coef = append(coef, a*s.y[l])
+		}
+	}
+	m := NewModel(s.k.kernel, sv, d, coef, s.rho)
+	m.Iters, m.Objective = s.iters, s.objective()
 	return m
 }
 

@@ -76,16 +76,11 @@ type (
 	EventError = core.EventError
 	// Monitor is the fault-tolerant detector front: it prefers the
 	// statistical classifier and degrades to the call-graph baseline when
-	// the model file's statistical sections are unusable.
+	// the model bundle's statistical section is unusable.
 	Monitor = core.Monitor
 	// LogPair is one application's benign/mixed training material for the
 	// universal classifier.
 	LogPair = core.LogPair
-
-	// FallbackUnavailableError reports a model bundle whose statistical
-	// sections are unusable and that carries no call-graph fallback —
-	// typically a version-1 bundle predating the embedded call graph.
-	FallbackUnavailableError = core.FallbackUnavailableError
 
 	// ServeConfig parameterises the online detection server.
 	ServeConfig = serve.Config
@@ -284,8 +279,9 @@ func (d *Detector) AttackEntryPoints() []EntryPoint {
 }
 
 // Save persists the trained detector so Detect can run in a later process
-// without retraining. Training-time artifacts (CFGs, weights) are not
-// included.
+// without retraining. It writes bundle format v3, whose bytes depend on
+// the model alone, so equal models save equal bytes in any process.
+// Training-time artifacts (CFGs, weights) are not included.
 func (d *Detector) Save(w io.Writer) error {
 	if err := d.clf.Save(w); err != nil {
 		return fmt.Errorf("leaps: %w", err)
@@ -293,7 +289,8 @@ func (d *Detector) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadDetector reads a detector previously written by Save.
+// LoadDetector reads a detector previously written by Save. Bundles of
+// earlier formats are refused with an error that says to retrain.
 func LoadDetector(r io.Reader) (*Detector, error) {
 	clf, err := core.LoadClassifier(r)
 	if err != nil {
@@ -458,10 +455,11 @@ func OpenModelRegistry(dir string) (*ModelRegistry, error) {
 	return st, nil
 }
 
-// LoadMonitor reads a model file like LoadDetector but degrades instead of
-// failing when the statistical sections are corrupt: if the file carries a
-// usable call-graph section the returned Monitor runs the call-graph
-// matcher and reports why via DegradedCause.
+// LoadMonitor reads a model bundle like LoadDetector but degrades instead
+// of failing when its statistical section is corrupt: the returned
+// Monitor runs the bundled call-graph matcher and reports why via
+// DegradedCause. A bundle whose call-graph section is unreadable is an
+// error.
 func LoadMonitor(r io.Reader) (*Monitor, error) {
 	m, err := core.LoadMonitor(r)
 	if err != nil {
