@@ -39,16 +39,13 @@ func TestEncoderMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEncoderUnmarshalRejectsGarbage hands NewEncoder tables no fit
-// makes: a label count that differs from the set count, a label outside
-// the clusters and a medoid outside the sets.
+// TestEncoderUnmarshalRejectsGarbage hands NewEncoder tables whose
+// labels name no cluster, and checks that consistent tables pass.
 func TestEncoderUnmarshalRejectsGarbage(t *testing.T) {
 	good := Clusters{Sets: [][]string{{"a"}}, Labels: []int{0}, Medoids: []int{0}}
 	for name, bad := range map[string]Clusters{
-		"mismatched labels":   {Sets: [][]string{{"a"}}, Labels: []int{0, 1}, Medoids: []int{0}},
-		"label out of range":  {Sets: [][]string{{"a"}}, Labels: []int{1}, Medoids: []int{0}},
-		"negative label":      {Sets: [][]string{{"a"}}, Labels: []int{-1}, Medoids: []int{0}},
-		"medoid out of range": {Sets: [][]string{{"a"}}, Labels: []int{0}, Medoids: []int{5}},
+		"label out of range": {Sets: [][]string{{"a"}}, Labels: []int{1}, Medoids: []int{0}},
+		"negative label":     {Sets: [][]string{{"a"}}, Labels: []int{-1}, Medoids: []int{0}},
 	} {
 		if _, err := NewEncoder(bad, good); err == nil {
 			t.Errorf("%s: library table accepted", name)
@@ -59,5 +56,24 @@ func TestEncoderUnmarshalRejectsGarbage(t *testing.T) {
 	}
 	if _, err := NewEncoder(good, good); err != nil {
 		t.Errorf("consistent tables refused: %v", err)
+	}
+}
+
+// TestClustersSnapshotValidation hands NewEncoder clustering tables no
+// fit makes: a label count that differs from the set count, a medoid
+// outside the sets, and more medoids than clusters with members.
+func TestClustersSnapshotValidation(t *testing.T) {
+	good := Clusters{Sets: [][]string{{"a"}}, Labels: []int{0}, Medoids: []int{0}}
+	for name, bad := range map[string]Clusters{
+		"mismatched labels":   {Sets: [][]string{{"a"}}, Labels: []int{0, 1}, Medoids: []int{0}},
+		"medoid out of range": {Sets: [][]string{{"a"}}, Labels: []int{0}, Medoids: []int{5}},
+		"medoid count":        {Sets: [][]string{{"a"}}, Labels: []int{0}, Medoids: []int{0, 0}},
+	} {
+		if _, err := NewEncoder(bad, good); err == nil {
+			t.Errorf("%s: library table accepted", name)
+		}
+		if _, err := NewEncoder(good, bad); err == nil {
+			t.Errorf("%s: function table accepted", name)
+		}
 	}
 }

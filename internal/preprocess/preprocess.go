@@ -127,7 +127,8 @@ func FitContext(ctx context.Context, logs []*partition.Log, cfg Config) (*Encode
 // NewEncoder returns the encoder with the given library-set and
 // function-set clusterings, as a model bundle stores them. It rejects
 // tables that would misassign or panic: a label per set, every label a
-// cluster and every medoid a set. The encoder keeps the tables.
+// cluster and every medoid a set of its own cluster. The encoder keeps
+// the tables.
 func NewEncoder(libs, fns Clusters) (*Encoder, error) {
 	for _, c := range []*Clusters{&libs, &fns} {
 		if len(c.Labels) != len(c.Sets) {
@@ -138,9 +139,12 @@ func NewEncoder(libs, fns Clusters) (*Encoder, error) {
 				return nil, fmt.Errorf("preprocess: label %d outside %d clusters", l, len(c.Medoids))
 			}
 		}
-		for _, m := range c.Medoids {
+		for k, m := range c.Medoids {
 			if m < 0 || m >= len(c.Sets) {
 				return nil, fmt.Errorf("preprocess: medoid index %d out of range", m)
+			}
+			if c.Labels[m] != k {
+				return nil, fmt.Errorf("preprocess: medoid of cluster %d is a set of cluster %d", k, c.Labels[m])
 			}
 		}
 		c.index()
