@@ -22,7 +22,8 @@ race:
 
 # Short fuzz runs of the raw-log parser, seeded with fault-injected
 # corpora and held to a faithful WriteLogs round trip, of the event-batch
-# JSON decoder, cross-checked against encoding/json, of the traceparent
+# JSON decoder, cross-checked against encoding/json, of the ingest reply
+# encoder, held byte for byte to writeJSON's reply, of the traceparent
 # parser, held to a faithful round trip, of the model-bundle decoder,
 # held to no panic, a log scored by every bundle it accepts, in either
 # mode, and a re-encode that is a fixed point, of streaming checkpoint
@@ -44,6 +45,7 @@ fuzz-smoke:
 	$(GO) test ./internal/etl -run='^$$' -fuzz=FuzzParseLenient -fuzztime=10s
 	$(GO) test ./internal/etl -run='^$$' -fuzz=FuzzParseRoundTrip -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzDecodeEventBatch -fuzztime=10s
+	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzIngestReply -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzReviveSession -fuzztime=10s -fuzzminimizetime=100x
 	$(GO) test ./internal/telemetry -run='^$$' -fuzz=FuzzParseTraceParent -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzLoadMonitor -fuzztime=10s -fuzzminimizetime=100x

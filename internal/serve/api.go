@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/telemetry"
@@ -133,6 +135,83 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// replyBufs recycles the buffers writeIngest encodes replies into.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeIngest answers an event batch with res: the bytes writeJSON
+// writes for it with a nil Verdicts taken as empty, appended by hand into
+// a pooled buffer. The reply is encoded before the status is written, so
+// a score or probability with no JSON form answers 500 with the error
+// envelope instead of a 200 with an empty body.
+func writeIngest(w http.ResponseWriter, res *IngestResult) {
+	bp := replyBufs.Get().(*[]byte)
+	b, err := appendIngestResult((*bp)[:0], res)
+	if cap(b) <= maxPooledBody {
+		*bp = b
+		defer replyBufs.Put(bp)
+	}
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding reply: %v", err)
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
+}
+
+// appendIngestResult appends res as a json.Encoder with
+// SetIndent("", "  ") encodes it, trailing newline included, writing
+// "verdicts": [] for a nil Verdicts too.
+func appendIngestResult(b []byte, res *IngestResult) ([]byte, error) {
+	b = append(b, "{\n  \"consumed\": "...)
+	b = strconv.AppendInt(b, int64(res.Consumed), 10)
+	b = append(b, ",\n  \"skipped\": "...)
+	b = strconv.AppendInt(b, int64(res.Skipped), 10)
+	if len(res.Verdicts) == 0 {
+		return append(b, ",\n  \"verdicts\": []\n}\n"...), nil
+	}
+	b = append(b, ",\n  \"verdicts\": ["...)
+	for i := range res.Verdicts {
+		v := &res.Verdicts[i]
+		if math.IsNaN(v.Score) || math.IsInf(v.Score, 0) || math.IsNaN(v.Probability) || math.IsInf(v.Probability, 0) {
+			return b, fmt.Errorf("verdict %d: score %v or probability %v is not finite", i, v.Score, v.Probability)
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    {\n      \"first_event\": "...)
+		b = strconv.AppendInt(b, int64(v.FirstEvent), 10)
+		b = append(b, ",\n      \"last_event\": "...)
+		b = strconv.AppendInt(b, int64(v.LastEvent), 10)
+		b = append(b, ",\n      \"score\": "...)
+		b = appendFloat(b, v.Score)
+		b = append(b, ",\n      \"probability\": "...)
+		b = appendFloat(b, v.Probability)
+		b = append(b, ",\n      \"malicious\": "...)
+		b = strconv.AppendBool(b, v.Malicious)
+		b = append(b, "\n    }"...)
+	}
+	return append(b, "\n  ]\n}\n"...), nil
+}
+
+// appendFloat appends a finite f as encoding/json writes a float64: the
+// shortest 'f' form, but 'e' below 1e-6 and from 1e21 up, with a
+// two-digit negative exponent trimmed to one digit (e-07 to e-7).
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -365,7 +444,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(events) == 0 {
-		writeJSON(w, http.StatusOK, IngestResult{Verdicts: []Verdict{}})
+		writeIngest(w, &IngestResult{})
 		return
 	}
 	b := &ingestBatch{
@@ -408,11 +487,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, "scoring batch: %v", rep.err)
 			return
 		}
-		res := IngestResult{Consumed: rep.consumed, Skipped: rep.skipped, Verdicts: rep.verdicts}
-		if res.Verdicts == nil {
-			res.Verdicts = []Verdict{}
-		}
-		writeJSON(w, http.StatusOK, res)
+		writeIngest(w, &IngestResult{Consumed: rep.consumed, Skipped: rep.skipped, Verdicts: rep.verdicts})
 	case <-timeout.C:
 		mRejected.With("timeout").Inc()
 		w.Header().Set("Retry-After", "1")

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -33,47 +32,67 @@ const maxJSONDepth = 10000
 // oversized batch does not pin its buffer for the life of the pool.
 const maxPooledBody = 1 << 20
 
-// stackCache memoises one session's resolved stack walks, keyed by frame
-// addresses. Ingest traffic repeats a process's call sites constantly,
-// so most events skip symbol resolution. A cached walk is shared by
+// stackCache memoises one session's resolved stack walks, keyed by the
+// raw bytes of the stack array that carried each, from '[' through ']'.
+// Ingest traffic repeats a process's call sites constantly, so most
+// events find their array's bytes here and skip tokenising, number
+// parsing and symbol resolution. Bytes that decoded once decode the same
+// way again, so a hit returns exactly what the parse would have; a stack
+// spelled differently (whitespace inside the array, null for an address)
+// resolves once more under its own key. A cached walk is shared by
 // every event that carried the same stack, which is safe because
 // nothing downstream of ingest mutates an event's stack. The cache is
 // derived state: it is never checkpointed, spooled or handed off, and a
 // restored or imported session starts empty. It holds at most
-// trace.CacheWalks walks of trace.CacheFrames frames in all: a full
-// cache is emptied and refills, so a session whose call sites drift
-// keeps its hit rate, and a deeper walk is resolved but not cached.
-// Real processes walk a few hundred distinct call sites at most.
+// trace.CacheWalks walks of trace.CacheFrames frames and cacheKeyBytes
+// key bytes in all: a full cache is emptied and refills, so a session
+// whose call sites drift keeps its hit rate, and a walk deeper than the
+// frame bound, or an array longer than the byte bound, is resolved but
+// not cached. Real processes walk a few hundred distinct call sites at
+// most.
 type stackCache struct {
 	mu     sync.Mutex
 	walks  map[string]trace.StackWalk
 	frames int // in walks
+	bytes  int // of walks' keys
 }
 
-// resolve returns the resolved walk of the frame addresses in key (8
-// bytes little-endian each), resolving and caching it on a miss.
-func (c *stackCache) resolve(mm *trace.ModuleMap, key []byte) trace.StackWalk {
+// cacheKeyBytes bounds a stack cache's key bytes: 24 per cacheable frame,
+// room for a 20-digit address, its comma and a walk's brackets, so a
+// compact array never reaches it before trace.CacheFrames. Without it,
+// whitespace-padded arrays could pin up to the body cap per walk.
+const cacheKeyBytes = 24 * trace.CacheFrames
+
+// lookup returns the walk cached under a stack array's raw bytes.
+func (c *stackCache) lookup(raw []byte) (trace.StackWalk, bool) {
+	c.mu.Lock()
+	w, ok := c.walks[string(raw)]
+	c.mu.Unlock()
+	return w, ok
+}
+
+// store caches the resolved walk w of the stack array raw and returns
+// the walk now cached under raw: w, or the one a concurrent batch stored
+// first. A walk past either per-entry bound is returned uncached.
+func (c *stackCache) store(raw []byte, w trace.StackWalk) trace.StackWalk {
+	if len(w) > trace.CacheFrames || len(raw) > cacheKeyBytes {
+		return w
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if w, ok := c.walks[string(key)]; ok {
-		return w
-	}
-	w := make(trace.StackWalk, len(key)/8)
-	for i := range w {
-		w[i].Addr = binary.LittleEndian.Uint64(key[8*i:])
-	}
-	mm.ResolveStack(w)
-	if len(w) > trace.CacheFrames {
-		return w
+	if prev, ok := c.walks[string(raw)]; ok {
+		return prev
 	}
 	if c.walks == nil {
 		c.walks = make(map[string]trace.StackWalk)
-	} else if len(c.walks) == trace.CacheWalks || c.frames+len(w) > trace.CacheFrames {
+	} else if len(c.walks) == trace.CacheWalks || c.frames+len(w) > trace.CacheFrames ||
+		c.bytes+len(raw) > cacheKeyBytes {
 		clear(c.walks)
-		c.frames = 0
+		c.frames, c.bytes = 0, 0
 	}
-	c.walks[string(key)] = w
+	c.walks[string(raw)] = w
 	c.frames += len(w)
+	c.bytes += len(raw)
 	return w
 }
 
@@ -118,7 +137,7 @@ type batchDecoder struct {
 	body   bytes.Buffer
 	data   []byte
 	pos    int
-	key    []byte        // frame addresses of the stack being read
+	addrs  []uint64      // frame addresses of the stack being read
 	events []trace.Event // decoded so far; copied out exactly sized
 	mm     *trace.ModuleMap
 	stacks *stackCache
@@ -340,17 +359,27 @@ func (d *batchDecoder) integer(field string) (int64, error) {
 
 // stack reads a stack array and returns its resolved walk through the
 // session cache; empty and null stacks are nil, as EventSpec.Event has
-// them.
+// them. A valid stack array holds only numbers, nulls, commas and
+// whitespace, so its first ']' closes it: when the bytes up to there are
+// a cache key, they were validated and resolved before, and their walk
+// is returned without reading them again.
 func (d *batchDecoder) stack() (trace.StackWalk, error) {
 	switch d.peek() {
 	case '[':
-		d.pos++
 	case 'n':
 		return nil, d.literal("null")
 	default:
 		return nil, d.mismatch("stack", "an array")
 	}
-	d.key = d.key[:0]
+	start := d.pos
+	if n := bytes.IndexByte(d.data[start:min(len(d.data), start+cacheKeyBytes)], ']'); n >= 0 {
+		if w, ok := d.stacks.lookup(d.data[start : start+n+1]); ok {
+			d.pos = start + n + 1
+			return w, nil
+		}
+	}
+	d.pos++
+	d.addrs = d.addrs[:0]
 	for first := true; ; first = false {
 		ok, err := d.element(first)
 		if err != nil {
@@ -371,12 +400,17 @@ func (d *batchDecoder) stack() (trace.StackWalk, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.key = binary.LittleEndian.AppendUint64(d.key, addr)
+		d.addrs = append(d.addrs, addr)
 	}
-	if len(d.key) == 0 {
+	if len(d.addrs) == 0 {
 		return nil, nil
 	}
-	return d.stacks.resolve(d.mm, d.key), nil
+	w := make(trace.StackWalk, len(d.addrs))
+	for i, addr := range d.addrs {
+		w[i].Addr = addr
+	}
+	d.mm.ResolveStack(w)
+	return d.stacks.store(d.data[start:d.pos], w), nil
 }
 
 // digits reads the unsigned magnitude of a number literal. It refuses

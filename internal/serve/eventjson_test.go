@@ -270,6 +270,18 @@ var decodeCases = []struct {
 	{"bad number in unknown", `{"events":[{"type":"FileRead","x":1.}]}`, false},
 	{"truncated", `{"events":[{"type":"FileRead"`, false},
 	{"missing colon", `{"events" []}`, false},
+
+	// The stack fast path: an array's raw bytes, once validated and
+	// resolved, are a cache key for the rest of the body (and, in the
+	// fuzz target, for later inputs).
+	{"repeated stack", `{"events":[{"type":"FileRead","stack":[4198400,4198500]},{"type":"FileWrite","stack":[4198400,4198500]}]}`, true},
+	{"respelled stack", `{"events":[{"type":"FileRead","stack":[4198400,0]},{"type":"FileRead","stack":[ 4198400 ,0]},{"type":"FileRead","stack":[4198400,null]},{"type":"FileRead","stack":[4198400,0]}]}`, true},
+	{"respelled empty stack", `{"events":[{"type":"FileRead","stack":[]},{"type":"FileRead","stack":[ ]},{"type":"FileRead","stack":[]}]}`, true},
+	{"cached stack then truncated", `{"events":[{"type":"FileRead","stack":[4198400]},{"type":"FileRead","stack":[4198400]`, false},
+	{"cached stack then invalid tail", `{"events":[{"type":"FileRead","stack":[4198400]},{"type":"FileRead","stack":[4198400]]}]}`, false},
+	{"cached stack then bad member", `{"events":[{"type":"FileRead","stack":[4198400]},{"type":"FileRead","stack":[4198400] "pid":1}]}`, false},
+	{"cached prefix of nested array", `{"events":[{"type":"FileRead","stack":[4198400,1]},{"type":"FileRead","stack":[4198400,[1]]}]}`, false},
+	{"cached inner of nested array", `{"events":[{"type":"FileRead","stack":[4198400]},{"type":"FileRead","stack":[[4198400]]}]}`, false},
 }
 
 // batchBodies renders events as compact (bench-shaped) and indented
@@ -314,8 +326,10 @@ func TestDecodeEventBatchBodies(t *testing.T) {
 
 // TestStackCacheBound feeds one session more distinct stacks than the
 // cache holds: two-frame walks that reach its walk bound, full walks
-// that reach its frame bound, and walks deeper than the frame bound,
-// which are never cached. The cache stays within both bounds, reaches
+// that reach its frame bound well before its key-byte bound, walks
+// deeper than the frame bound, which are never cached, and full walks
+// whose arrays are padded with 1 KB of whitespace, which reach the
+// key-byte bound first. The cache stays within all three bounds, reaches
 // the one each input stresses, and every event still matches the
 // reference.
 func TestStackCacheBound(t *testing.T) {
@@ -335,41 +349,52 @@ func TestStackCacheBound(t *testing.T) {
 		}
 		return events
 	}
+	whole := func(st trace.StackWalk) trace.StackWalk { return st }
 	var deep trace.StackWalk
 	for i := 0; len(deep) <= trace.CacheFrames; i++ {
 		deep = append(deep, log.Events[i%len(log.Events)].Stack...)
 	}
+	const pad = 1024
 	for _, c := range []struct {
 		name   string
 		events []trace.Event
 		batch  int
+		pad    int // whitespace bytes after each stack array's '['
 		// reached reports whether the cache reached the bound the input
 		// stresses.
-		reached func(walks, frames int) bool
+		reached func(walks, frames, keyBytes int) bool
 	}{
-		{"short", distinct(3*trace.CacheWalks, func(st trace.StackWalk) trace.StackWalk { return st[:min(2, len(st))] }), 256,
-			func(walks, _ int) bool { return walks == trace.CacheWalks }},
-		{"full", distinct(3*trace.CacheWalks, func(st trace.StackWalk) trace.StackWalk { return st }), 16,
-			func(walks, frames int) bool { return walks < trace.CacheWalks && frames > trace.CacheFrames-512 }},
-		{"deep", distinct(20, func(trace.StackWalk) trace.StackWalk { return deep.Clone() }), 4,
-			func(walks, _ int) bool { return walks == 0 }},
+		{"short", distinct(3*trace.CacheWalks, func(st trace.StackWalk) trace.StackWalk { return st[:min(2, len(st))] }), 256, 0,
+			func(walks, _, _ int) bool { return walks == trace.CacheWalks }},
+		{"full", distinct(3*trace.CacheWalks, whole), 16, 0,
+			func(walks, frames, keyBytes int) bool {
+				return walks < trace.CacheWalks && frames > trace.CacheFrames-512 && keyBytes < cacheKeyBytes/2
+			}},
+		{"deep", distinct(20, func(trace.StackWalk) trace.StackWalk { return deep.Clone() }), 4, 0,
+			func(walks, _, _ int) bool { return walks == 0 }},
+		{"padded", distinct(300, whole), 1, pad,
+			func(walks, frames, keyBytes int) bool {
+				return walks < trace.CacheWalks && frames < trace.CacheFrames/2 && keyBytes > cacheKeyBytes-2*pad
+			}},
 	} {
 		stacks := new(stackCache)
 		reached := false
 		for lo := 0; lo < len(c.events); lo += c.batch {
-			compact, _ := batchBodies(t, c.events[lo:min(lo+c.batch, len(c.events))])
-			if !checkDecode(t, compact, mm, stacks) {
+			body, _ := batchBodies(t, c.events[lo:min(lo+c.batch, len(c.events))])
+			body = bytes.ReplaceAll(body, []byte(`"stack":[`), []byte(`"stack":[`+strings.Repeat(" ", c.pad)))
+			if !checkDecode(t, body, mm, stacks) {
 				t.Fatalf("%s: batch rejected", c.name)
 			}
-			frames := 0
-			for _, w := range stacks.walks {
+			frames, keyBytes := 0, 0
+			for k, w := range stacks.walks {
 				frames += len(w)
+				keyBytes += len(k)
 			}
-			if len(stacks.walks) > trace.CacheWalks || frames > trace.CacheFrames {
-				t.Fatalf("%s: cache holds %d walks and %d frames, bounds %d and %d",
-					c.name, len(stacks.walks), frames, trace.CacheWalks, trace.CacheFrames)
+			if len(stacks.walks) > trace.CacheWalks || frames > trace.CacheFrames || keyBytes > cacheKeyBytes {
+				t.Fatalf("%s: cache holds %d walks, %d frames and %d key bytes, bounds %d, %d and %d",
+					c.name, len(stacks.walks), frames, keyBytes, trace.CacheWalks, trace.CacheFrames, cacheKeyBytes)
 			}
-			reached = reached || c.reached(len(stacks.walks), frames)
+			reached = reached || c.reached(len(stacks.walks), frames, keyBytes)
 		}
 		if !reached {
 			t.Errorf("%s: cache never reached the bound the input stresses", c.name)
