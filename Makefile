@@ -94,8 +94,20 @@ bench:
 # summaries to the committed golden of an earlier commit, at Parallel 1
 # and at every processor; and a saved model's bytes, and so its registry
 # entry ID, to one hash whatever its process did before the save.
+# A -run pattern silently runs fewer tests when a listed one is renamed
+# or deleted, so the recipe first lists the packages' tests and fails,
+# naming it, on any name that matches none.
 determinism:
-	$(GO) test -race -run 'TestEvaluateRunsParallelDeterminism|TestEvaluateRunsBuildsArtifactsOnce|TestGridSearchParallel|TestSharedCrossValidateMatchesUncached|TestGridSearchMatchesUncachedSweep|TestSolverMatchesReference|TestGramMatchesCompute|TestGramConcurrent|TestLazyGramMatchesEager|TestFitDecisionsMatchDecision|TestDecisionMatchesKernel|TestFeaturizeConcurrent|TestDetectLogMatchesReference|TestFeedMatchesReference|TestTrainedModelsGolden|TestArtifactsMatchPerEventReference|TestSplitMatchesPerEventReference|TestFitOverWalksMatchesPerEvent|TestBundleBytesIndependentOfProcessHistory' ./internal/core ./internal/svm ./internal/partition ./internal/preprocess ./internal/registry
+	@tests='TestEvaluateRunsParallelDeterminism|TestEvaluateRunsBuildsArtifactsOnce|TestGridSearchParallel|TestSharedCrossValidateMatchesUncached|TestGridSearchMatchesUncachedSweep|TestSolverMatchesReference|TestGramMatchesCompute|TestGramConcurrent|TestLazyGramMatchesEager|TestFitDecisionsMatchDecision|TestDecisionMatchesKernel|TestFeaturizeConcurrent|TestDetectLogMatchesReference|TestFeedMatchesReference|TestTrainedModelsGolden|TestArtifactsMatchPerEventReference|TestSplitMatchesPerEventReference|TestFitOverWalksMatchesPerEvent|TestBundleBytesIndependentOfProcessHistory'; \
+	pkgs='./internal/core ./internal/svm ./internal/partition ./internal/preprocess ./internal/registry'; \
+	listed=$$($(GO) test -race -list . $$pkgs | grep '^Test') || exit 1; \
+	missing=; \
+	for name in $$(echo "$$tests" | tr '|' ' '); do \
+		echo "$$listed" | grep -q -- "$$name" || missing="$$missing $$name"; \
+	done; \
+	if [ -n "$$missing" ]; then echo "determinism: no test matches:$$missing"; exit 1; fi; \
+	echo "$(GO) test -race -run '$$tests' $$pkgs"; \
+	$(GO) test -race -run "$$tests" $$pkgs
 
 # End-to-end smoke test of the -debug-addr introspection endpoints:
 # generates data, trains, then scrapes /metrics, /spans and pprof from a

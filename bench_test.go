@@ -374,7 +374,7 @@ func BenchmarkHierarchicalClustering(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hcluster.Cluster(dm, hcluster.Average); err != nil {
+		if _, err := hcluster.Cluster(dm); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -444,41 +444,30 @@ func BenchmarkDetectDistinctStacks(b *testing.B) {
 	}
 }
 
-// BenchmarkSMOWorkingSetSelection compares the classic maximal-violating
-// pair (WSS1) against second-order selection (WSS2) on the same training
-// problem, reporting solver iterations.
+// BenchmarkSMOWorkingSetSelection times SMO training, with its
+// maximal-violating-pair working-set selection, on one training problem,
+// reporting solver iterations.
 func BenchmarkSMOWorkingSetSelection(b *testing.B) {
 	logs := logsFor(b, "winscp_reverse_tcp")
-	for _, tc := range []struct {
-		name   string
-		second bool
-	}{{"wss1", false}, {"wss2", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			cfg := core.Config{
-				Seed:           1,
-				SampleFraction: 0.4,
-				FixedParams: &svm.Params{
-					Lambda:         8,
-					Kernel:         svm.RBFKernel{Sigma2: 2},
-					SecondOrderWSS: tc.second,
-				},
-			}
-			td2, err := core.BuildTrainingData(logs.Benign, logs.Mixed, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var iters int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				clf, err := td2.Train()
-				if err != nil {
-					b.Fatal(err)
-				}
-				iters = clf.Model().Iters
-			}
-			b.ReportMetric(float64(iters), "smo-iters")
-		})
+	cfg := core.Config{
+		Seed:           1,
+		SampleFraction: 0.4,
+		FixedParams:    &svm.Params{Lambda: 8, Kernel: svm.RBFKernel{Sigma2: 2}},
 	}
+	td, err := core.BuildTrainingData(logs.Benign, logs.Mixed, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var iters int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clf, err := td.Train()
+		if err != nil {
+			b.Fatal(err)
+		}
+		iters = clf.Model().Iters
+	}
+	b.ReportMetric(float64(iters), "smo-iters")
 }
 
 // serveIngestBatchEvents is the fixed batch size of the serving

@@ -220,15 +220,9 @@ func (p *Process) indexSystemFunctions() error {
 // Modules returns the process's module map.
 func (p *Process) Modules() *trace.ModuleMap { return p.modules }
 
-// Method returns the attack method the process was built with.
-func (p *Process) Method() AttackMethod { return p.method }
-
 // App returns the application program (for standalone processes, the
 // payload program acting as the main image).
 func (p *Process) App() *Program { return p.app }
-
-// Payload returns the embedded/injected payload program, or nil.
-func (p *Process) Payload() *Program { return p.payload }
 
 // BenignRange returns the address range [lo, hi) occupied by benign
 // application functions. Useful to assert the separation invariant.

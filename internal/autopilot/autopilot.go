@@ -109,17 +109,14 @@ type Config struct {
 	// reach the gate's MinEvents before judging on what it has — the
 	// gate fails closed on thin evidence (default 10m).
 	ShadowTimeout time.Duration
-	// ShadowPoll is the evidence polling period (default 250ms).
-	ShadowPoll time.Duration
 	// StageRetries is how many times a failed stage is retried beyond
 	// its first attempt (default 2, so 3 attempts per stage).
 	StageRetries int
-	// BackoffBase and BackoffMax bound the exponential retry backoff
-	// (defaults 500ms and 30s). Jitter is deterministic — a hash of
-	// stage, cycle, attempt and Seed — so recovery schedules are
+	// BackoffBase is the first retry's backoff (default 500ms); each
+	// further attempt doubles it, up to 30s. Jitter is deterministic — a
+	// hash of stage, cycle, attempt and Seed — so recovery schedules are
 	// reproducible.
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// BreakerThreshold is how many consecutive failed cycles trip the
 	// circuit breaker (default 3).
 	BreakerThreshold int
@@ -140,9 +137,6 @@ func (c Config) withDefaults() Config {
 	if c.ShadowTimeout <= 0 {
 		c.ShadowTimeout = 10 * time.Minute
 	}
-	if c.ShadowPoll <= 0 {
-		c.ShadowPoll = 250 * time.Millisecond
-	}
 	if c.StageRetries < 0 {
 		c.StageRetries = 0
 	} else if c.StageRetries == 0 {
@@ -150,9 +144,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 500 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 30 * time.Second
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3

@@ -178,6 +178,11 @@ type fixture struct {
 
 func newFixture(t *testing.T, trainer Trainer) *fixture {
 	t.Helper()
+	// Poll evidence every millisecond and cap backoffs at 4 ms for the
+	// test's lifetime; deferred Stops run before this restore.
+	poll, capped := shadowPoll, backoffMax
+	shadowPoll, backoffMax = time.Millisecond, 4*time.Millisecond
+	t.Cleanup(func() { shadowPoll, backoffMax = poll, capped })
 	champ, _ := testBundles(t)
 	store, err := registry.Open(t.TempDir())
 	if err != nil {
@@ -200,9 +205,7 @@ func newFixture(t *testing.T, trainer Trainer) *fixture {
 			Interval:         time.Hour,
 			TriggerEvents:    50,
 			ShadowTimeout:    2 * time.Second,
-			ShadowPoll:       time.Millisecond,
 			BackoffBase:      time.Millisecond,
-			BackoffMax:       4 * time.Millisecond,
 			BreakerThreshold: 2,
 			Logger:           quietLogger(),
 		},
@@ -552,7 +555,7 @@ func TestStartLoopRunsCycleOnKick(t *testing.T) {
 func TestBackoffDeterministicAndBounded(t *testing.T) {
 	fx := newFixture(t, staticTrainer(nil))
 	fx.cfg.BackoffBase = 100 * time.Millisecond
-	fx.cfg.BackoffMax = time.Second
+	backoffMax = time.Second
 	ctl := fx.controller(t)
 
 	for attempt := 0; attempt < 8; attempt++ {
@@ -561,8 +564,8 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 		if d1 != d2 {
 			t.Fatalf("attempt %d: backoff not deterministic (%v vs %v)", attempt, d1, d2)
 		}
-		if d1 > fx.cfg.BackoffMax {
-			t.Fatalf("attempt %d: backoff %v exceeds max %v", attempt, d1, fx.cfg.BackoffMax)
+		if d1 > backoffMax {
+			t.Fatalf("attempt %d: backoff %v exceeds max %v", attempt, d1, backoffMax)
 		}
 		if d1 < fx.cfg.BackoffBase/2 {
 			t.Fatalf("attempt %d: backoff %v below half the base", attempt, d1)

@@ -346,9 +346,14 @@ func (c *Controller) failCycle(cycle int, entry string, cause error) {
 	}
 }
 
-// awaitEvidence polls the shadow comparison until it reaches the gate's
-// effective evidence floor or the shadow timeout passes; the gate then
-// judges whatever accumulated (and fails closed on thin evidence).
+// shadowPoll is the evidence polling period. A test may lower it;
+// nothing else sets it.
+var shadowPoll = 250 * time.Millisecond
+
+// awaitEvidence polls the shadow comparison every shadowPoll until it
+// reaches the gate's effective evidence floor or the shadow timeout
+// passes; the gate then judges whatever accumulated (and fails closed on
+// thin evidence).
 func (c *Controller) awaitEvidence() (registry.Comparison, error) {
 	eff := c.cfg.Gate.Effective()
 	deadline := time.Now().Add(c.cfg.ShadowTimeout)
@@ -365,7 +370,7 @@ func (c *Controller) awaitEvidence() (registry.Comparison, error) {
 		select {
 		case <-c.stop:
 			return last, errStopped
-		case <-time.After(c.cfg.ShadowPoll):
+		case <-time.After(shadowPoll):
 		}
 	}
 }
@@ -398,18 +403,22 @@ func (c *Controller) retryStage(stage string, cycle int, fn func() error) error 
 		stage, c.cfg.StageRetries+1, err)
 }
 
+// backoffMax caps the retry backoff. A test may lower it; nothing else
+// sets it.
+var backoffMax = 30 * time.Second
+
 // backoff is exponential in the attempt with deterministic jitter: the
 // delay for (stage, cycle, attempt) is a pure function of those and
 // Config.Seed, in [base/2, base] where base doubles per attempt up to
-// BackoffMax. Reproducible schedules make recovery tests and incident
+// backoffMax. Reproducible schedules make recovery tests and incident
 // timelines exact.
 func (c *Controller) backoff(stage string, cycle, attempt int) time.Duration {
 	base := c.cfg.BackoffBase
-	for i := 0; i < attempt && base < c.cfg.BackoffMax; i++ {
+	for i := 0; i < attempt && base < backoffMax; i++ {
 		base *= 2
 	}
-	if base > c.cfg.BackoffMax {
-		base = c.cfg.BackoffMax
+	if base > backoffMax {
+		base = backoffMax
 	}
 	span := uint64(base) / 2
 	if span == 0 {

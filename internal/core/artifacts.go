@@ -54,10 +54,6 @@ type Artifacts struct {
 	cfg Config // defaults applied
 }
 
-// Config returns the (defaulted) configuration the artifacts were built
-// with.
-func (a *Artifacts) Config() Config { return a.cfg }
-
 // BuildArtifacts runs the seed-independent tier of the training pipeline
 // on a benign and a mixed log: partition, fit the feature encoder, infer
 // both CFGs, assess weights and coalesce windows. The benign and mixed
@@ -85,7 +81,7 @@ func BuildArtifacts(ctx context.Context, benign, mixed *trace.Log, config Config
 	// Feature encoder fitted on all training events so cluster ids are
 	// consistent across the benign and mixed sets — the one barrier
 	// between the two branches.
-	if a.Encoder, err = preprocess.FitContext(ctx, parts, config.Preprocess); err != nil {
+	if a.Encoder, err = preprocess.FitContext(ctx, parts, preprocess.Config{}); err != nil {
 		return nil, err
 	}
 
@@ -200,7 +196,7 @@ type Selection struct {
 func (a *Artifacts) Select(seed int64) *Selection {
 	rng := rand.New(rand.NewSource(seed))
 	sel := &Selection{art: a, seed: seed, mixedWeight: a.mixedWeight}
-	sel.benignTrain, sel.benignTest = splitBenign(rng, a.benignWins, a.cfg.TrainFraction)
+	sel.benignTrain, sel.benignTest = splitBenign(rng, a.benignWins)
 	if a.cfg.ShuffleWeights {
 		sel.mixedWeight = append([]float64(nil), a.mixedWeight...)
 		rng.Shuffle(len(sel.mixedWeight), func(i, j int) {
@@ -211,11 +207,11 @@ func (a *Artifacts) Select(seed int64) *Selection {
 }
 
 // splitBenign is the benign train/test split: a permutation drawn from
-// rng, its first fraction of windows for training and the rest for
-// testing.
-func splitBenign(rng *rand.Rand, wins []window, fraction float64) (train, test []window) {
+// rng, its first half of windows for training and the rest for testing,
+// the paper's 50/50 split (§V-A2).
+func splitBenign(rng *rand.Rand, wins []window) (train, test []window) {
 	perm := rng.Perm(len(wins))
-	nTrain := int(float64(len(wins)) * fraction)
+	nTrain := len(wins) / 2
 	for i, p := range perm {
 		if i < nTrain {
 			train = append(train, wins[p])

@@ -10,7 +10,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/partition"
 	"repro/internal/preprocess"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -37,7 +36,7 @@ func referenceArtifacts(t testing.TB, benign, mixed *trace.Log, config Config) *
 	t.Helper()
 	config = config.withDefaults()
 	bp, mp := splitPerEvent(t, benign), splitPerEvent(t, mixed)
-	enc, err := preprocess.Fit(append(slices.Clone(bp.Events), mp.Events...), config.Preprocess)
+	enc, err := preprocess.Fit(append(slices.Clone(bp.Events), mp.Events...), preprocess.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,9 +167,6 @@ var buildCounters = []string{
 // partition, preprocess and CFG counter exactly as the per-event path
 // does, though it splits, fits and encodes each stack walk once.
 func TestBuildArtifactsCounters(t *testing.T) {
-	if !telemetry.Enabled() {
-		t.Skip("telemetry disabled")
-	}
 	pair := artifactInputs(t, 42)["stackless"]
 	config := fastConfig(42)
 	want := counterDelta(buildCounters, func() { referenceArtifacts(t, pair[0], pair[1], config) })

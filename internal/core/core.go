@@ -51,19 +51,12 @@ type Config struct {
 	// Window is the event-coalescing width; default 10 (30 feature
 	// dimensions, §V-A2).
 	Window int
-	// TrainFraction is the share of benign windows used for training
-	// (the rest test); default 0.5.
-	TrainFraction float64
 	// SampleFraction subsamples every selection (training and testing);
 	// default 0.2, per §V-A2.
 	SampleFraction float64
-	// Grid is the λ/σ² search space for model selection; zero value uses
-	// svm.DefaultGrid(). Ignored when FixedParams is set.
-	Grid svm.GridSpec
-	// FixedParams skips cross-validated model selection.
+	// FixedParams skips cross-validated model selection over
+	// svm.DefaultGrid().
 	FixedParams *svm.Params
-	// Preprocess configures the feature clustering.
-	Preprocess preprocess.Config
 	// Weight configures CFG weight assessment.
 	Weight weight.Config
 	// ShuffleWeights randomly permutes the mixed-window weights before
@@ -90,14 +83,8 @@ func (c Config) withDefaults() Config {
 	if c.Window == 0 {
 		c.Window = 10
 	}
-	if c.TrainFraction == 0 {
-		c.TrainFraction = 0.5
-	}
 	if c.SampleFraction == 0 {
 		c.SampleFraction = 0.2
-	}
-	if len(c.Grid.Lambdas) == 0 {
-		c.Grid = svm.DefaultGrid()
 	}
 	return c
 }
@@ -106,9 +93,6 @@ func (c Config) withDefaults() Config {
 func (c Config) Validate() error {
 	if c.Window < 0 {
 		return fmt.Errorf("core: Window %d must be non-negative", c.Window)
-	}
-	if c.TrainFraction < 0 || c.TrainFraction > 1 {
-		return fmt.Errorf("core: TrainFraction %v out of [0,1]", c.TrainFraction)
 	}
 	if c.SampleFraction < 0 || c.SampleFraction > 1 {
 		return fmt.Errorf("core: SampleFraction %v out of [0,1]", c.SampleFraction)
@@ -152,9 +136,6 @@ func BuildTrainingData(benign, mixed *trace.Log, config Config) (*TrainingData, 
 func (a *Artifacts) TrainingData() *TrainingData {
 	return &TrainingData{Artifacts: a, sel: a.Select(a.cfg.Seed)}
 }
-
-// Selection exposes the per-seed tier (benign split, effective weights).
-func (td *TrainingData) Selection() *Selection { return td.sel }
 
 // coalesce encodes and windows one partitioned log.
 func coalesce(enc *preprocess.Encoder, log *partition.Log, windowSize int) ([]window, error) {
@@ -246,11 +227,15 @@ func (s *Selection) draw(rng *rand.Rand, weighted bool, prob *svm.Problem) (nBen
 	return len(benign), len(mixed), nil
 }
 
+// searchGrid is the λ/σ² space of model selection. A test may narrow it;
+// nothing else sets it.
+var searchGrid = svm.DefaultGrid()
+
 // fit is the one fit path of the WSVM trainers. Given a drawn problem
 // whose X holds raw window vectors, it fits the scaler and scales X, then
-// has svm.Fit fix (λ, σ²) or grid-search them with folds seeded by seed
-// and run SMO, and calibrates Platt scaling on the training decisions
-// svm.Fit returns. Spans nest under ctx.
+// has svm.Fit fix (λ, σ²) or grid-search them over searchGrid with folds
+// seeded by seed and run SMO, and calibrates Platt scaling on the
+// training decisions svm.Fit returns. Spans nest under ctx.
 func fit(ctx context.Context, prob svm.Problem, enc *preprocess.Encoder, cfg Config, seed int64) (*Classifier, error) {
 	scaler, err := svm.FitScaler(prob.X)
 	if err != nil {
@@ -261,11 +246,8 @@ func fit(ctx context.Context, prob svm.Problem, enc *preprocess.Encoder, cfg Con
 		// artifacts' window vectors.
 		prob.X[i] = scaler.ApplyInto(make([]float64, 0, len(v)), v)
 	}
-	grid := cfg.Grid
-	grid.Seed = seed
-	if grid.Parallel == 0 {
-		grid.Parallel = cfg.Parallel
-	}
+	grid := searchGrid
+	grid.Seed, grid.Parallel = seed, cfg.Parallel
 	params, model, dec, err := svm.Fit(ctx, prob, cfg.FixedParams, grid)
 	if err != nil {
 		return nil, err
@@ -325,11 +307,6 @@ func (td *TrainingData) TrainUnweighted() (*Classifier, error) {
 // Telemetry spans nest under ctx.
 func (s *Selection) Train(ctx context.Context) (*Classifier, error) {
 	return s.train(ctx, true)
-}
-
-// TrainUnweighted fits the plain-SVM comparison model (all weights 1).
-func (s *Selection) TrainUnweighted(ctx context.Context) (*Classifier, error) {
-	return s.train(ctx, false)
 }
 
 // train fits a classifier on this selection's draw from an RNG seeded

@@ -38,7 +38,6 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"zero value ok", Config{}, false},
 		{"negative window", Config{Window: -1}, true},
-		{"train fraction high", Config{TrainFraction: 1.5}, true},
 		{"sample fraction negative", Config{SampleFraction: -0.1}, true},
 	}
 	for _, tt := range tests {
@@ -59,7 +58,7 @@ func TestBuildTrainingDataValidation(t *testing.T) {
 		t.Error("nil mixed accepted")
 	}
 	bad := fastConfig(1)
-	bad.TrainFraction = 2
+	bad.SampleFraction = 2
 	if _, err := BuildTrainingData(logs.Benign, logs.Mixed, bad); err == nil {
 		t.Error("bad config accepted")
 	}

@@ -295,9 +295,6 @@ func counterDelta(names []string, fn func()) []uint64 {
 // and encode counters exactly as Split plus EncodeInto over the same
 // events do, though most events hit the walk table.
 func TestFeaturizeCounters(t *testing.T) {
-	if !telemetry.Enabled() {
-		t.Skip("telemetry disabled")
-	}
 	clf, mal := trainStream(t, 35)
 	log := stackInputs(mal)["stackless"]
 	want := counterDelta(featurizeCounters, func() {
@@ -347,9 +344,6 @@ var windowCounters = []string{
 // reverse, and only the WSVM coalesces windows. Batch detection also
 // counts the partial window it drops; a stream keeps it open.
 func TestDetectionWindowCounters(t *testing.T) {
-	if !telemetry.Enabled() {
-		t.Skip("telemetry disabled")
-	}
 	clf, mal := trainStream(t, 39)
 	log := *mal
 	log.Events = mal.Events[:len(mal.Events)/clf.window*clf.window-3]

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 
 	"repro/internal/callgraph"
@@ -29,8 +30,11 @@ func NewMonitor(c *Classifier) *Monitor {
 // instead of failing: when the statistical section is unusable, the
 // returned Monitor runs the call-graph baseline and reports why via
 // DegradedCause. A bundle whose header, framing or call-graph section is
-// unreadable is an error. This is the one acceptance rule; InspectBundle
-// and so the registry's Publish apply it too.
+// unreadable is an error, and so is one whose statistical section is
+// unusable while its call graph holds no edges (a universal classifier's
+// bundle): its matcher would call every window benign. This is the one
+// acceptance rule; InspectBundle and so the registry's Publish apply it
+// too.
 func LoadMonitor(r io.Reader) (*Monitor, error) {
 	window, stats, cg, err := readBundle(r)
 	if err != nil {
@@ -38,6 +42,9 @@ func LoadMonitor(r io.Reader) (*Monitor, error) {
 	}
 	c, err := decodeStats(window, stats)
 	if err != nil {
+		if bcg, mcg := cg.Edges(); len(bcg)+len(mcg) == 0 {
+			return nil, fmt.Errorf("core: unusable bundle: %w, and its call-graph section holds no edges to fall back on", err)
+		}
 		return &Monitor{cg: cg, window: window, cause: err}, nil
 	}
 	c.cg = cg

@@ -41,7 +41,7 @@ func EvaluateOneClass(ctx context.Context, benign, malicious *trace.Log, config 
 	bp, mp := parts[0], parts[1]
 	// The encoder sees only benign events: a deployment without any
 	// infected training material.
-	enc, err := preprocess.FitContext(ctx, parts[:1], config.Preprocess)
+	enc, err := preprocess.FitContext(ctx, parts[:1], preprocess.Config{})
 	if err != nil {
 		return metrics.Summary{}, err
 	}
@@ -55,7 +55,7 @@ func EvaluateOneClass(ctx context.Context, benign, malicious *trace.Log, config 
 	}
 
 	rng := rand.New(rand.NewSource(config.Seed))
-	train, test := splitBenign(rng, benignWins, config.TrainFraction)
+	train, test := splitBenign(rng, benignWins)
 	trainSample, err := sampleWindows(rng, train, config.SampleFraction)
 	if err != nil {
 		return metrics.Summary{}, fmt.Errorf("sampling benign training windows: %w", err)

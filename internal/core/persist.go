@@ -29,9 +29,10 @@ import (
 // Equal models encode to equal bytes in every process. The decoder
 // checks every count against the bytes left before it allocates. A
 // statistical section that does not decode, or whose classifier fails
-// Classifier.check, degrades LoadMonitor to the call graph; a bundle
-// whose header, framing or call-graph section does not decode, or with
-// bytes after the call-graph section, is malformed.
+// Classifier.check, degrades LoadMonitor to the call graph, or makes the
+// bundle unusable when the call graph holds no edges; a bundle whose
+// header, framing or call-graph section does not decode, or with bytes
+// after the call-graph section, is malformed.
 const (
 	bundleMagic   = "LEAPS-MODEL"
 	bundleVersion = 3

@@ -75,7 +75,7 @@ func BuildUniversalTrainingData(ctx context.Context, pairs []LogPair, config Con
 
 	// The shared encoder is the one barrier: it must see every
 	// application's events before any windows are encoded.
-	enc, err := preprocess.FitContext(ctx, parts, config.Preprocess)
+	enc, err := preprocess.FitContext(ctx, parts, preprocess.Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -186,7 +186,9 @@ func TestLenientParseErrorBudget(t *testing.T) {
 		// Clobber the tag byte: a structural error per corrupted record.
 		mutated[sp.Offset] = 0x77
 	}
-	_, err = ParseWith(bytes.NewReader(mutated), ParseOpts{Lenient: true, MaxErrors: 2})
+	defer func(n int) { maxErrors = n }(maxErrors)
+	maxErrors = 2
+	_, err = ParseWith(bytes.NewReader(mutated), lenient())
 	if err == nil {
 		t.Fatal("parse under tiny error budget succeeded")
 	}
@@ -197,6 +199,7 @@ func TestLenientParseErrorBudget(t *testing.T) {
 		t.Errorf("error %v does not wrap ErrCorrupt", err)
 	}
 	// The same stream parses under the default budget.
+	maxErrors = DefaultMaxErrors
 	if _, err := ParseWith(bytes.NewReader(mutated), lenient()); err != nil {
 		t.Fatalf("default budget: %v", err)
 	}

@@ -28,27 +28,26 @@ var (
 	mParseFailures = telemetry.NewCounter("etl_parse_failures_total", "parses rejected outright (strict error or error budget exhausted)")
 )
 
-// DefaultMaxErrors is the lenient parser's record-error budget when
-// ParseOpts.MaxErrors is zero.
+// DefaultMaxErrors is the lenient parser's record-error budget.
 const DefaultMaxErrors = 1024
 
+// maxErrors is the budget a lenient parse enforces. A test may lower it;
+// nothing else sets it.
+var maxErrors = DefaultMaxErrors
+
 // ErrTooManyErrors is wrapped by the error a lenient parse returns when
-// the stream produced more malformed records than ParseOpts.MaxErrors
-// allows — at that point the input is treated as hopeless rather than
-// noisy.
+// the stream produced more malformed records than DefaultMaxErrors —
+// at that point the input is treated as hopeless rather than noisy.
 var ErrTooManyErrors = errors.New("etl: too many corrupt records")
 
 // ParseOpts controls how Parse treats malformed input.
 type ParseOpts struct {
 	// Lenient makes the parser recover from malformed records: instead
 	// of aborting, it logs the failure, scans forward for the next
-	// plausible record boundary and resumes. Strict mode (the zero
-	// value) rejects the whole stream on the first error.
+	// plausible record boundary and resumes, until DefaultMaxErrors
+	// records have failed. Strict mode (the zero value) rejects the whole
+	// stream on the first error.
 	Lenient bool
-	// MaxErrors caps how many record failures a lenient parse tolerates
-	// before giving up with ErrTooManyErrors. Zero selects
-	// DefaultMaxErrors; a negative value removes the cap.
-	MaxErrors int
 }
 
 // ParseError is one record the lenient parser had to skip.
@@ -167,9 +166,6 @@ func ParseWith(r io.Reader, opts ParseOpts) (*RawFile, error) {
 func ParseBytes(data []byte, opts ParseOpts) (*RawFile, error) {
 	_, sp := telemetry.StartSpan(context.Background(), "etl/parse")
 	defer sp.End()
-	if opts.MaxErrors == 0 {
-		opts.MaxErrors = DefaultMaxErrors
-	}
 	p := &parser{
 		rd:   reader{data: data},
 		opts: opts,
@@ -412,7 +408,7 @@ func (p *parser) note(off int64, tag byte, cause error) error {
 		cause = sem.err
 	}
 	p.f.ErrorLog = append(p.f.ErrorLog, ParseError{Offset: off, Tag: tag, Cause: cause})
-	if p.opts.MaxErrors > 0 && len(p.f.ErrorLog) > p.opts.MaxErrors {
+	if len(p.f.ErrorLog) > maxErrors {
 		return fmt.Errorf("%w: %w: %d records skipped", ErrCorrupt, ErrTooManyErrors, len(p.f.ErrorLog))
 	}
 	return nil

@@ -60,11 +60,6 @@ type Config struct {
 	// Specs are the faults to apply. An empty list applies every
 	// record-level fault at DefaultRate.
 	Specs []Spec
-	// IncludeProcess lets record-level faults hit process records too.
-	// Off by default: corrupting a process record loses the whole
-	// process (there is no redundancy for module maps in the format),
-	// which models a catastrophic failure rather than noisy capture.
-	IncludeProcess bool
 }
 
 // Report summarises what an injection did.
@@ -121,7 +116,10 @@ func Inject(data []byte, cfg Config) ([]byte, Report, error) {
 	out = append(out, data[:etl.HeaderLen]...)
 	for _, sp := range spans {
 		rec := data[sp.Offset : sp.Offset+int64(sp.Len)]
-		if sp.Tag == etl.TagEnd || (sp.Tag == etl.TagProcess && !cfg.IncludeProcess) {
+		// Process records are never faulted: corrupting one loses the
+		// whole process (the format keeps no second copy of a module
+		// map), a catastrophic failure rather than noisy capture.
+		if sp.Tag == etl.TagEnd || sp.Tag == etl.TagProcess {
 			out = append(out, rec...)
 			continue
 		}

@@ -298,26 +298,38 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, ms *memberStat
 	ms.member.Handler.ServeHTTP(w, r2)
 }
 
-// handleCreate places a session: the spec's ID (minted here when absent)
-// hashes to its owning replica, the request forwards there, and a 201
-// records the placement in the ownership table.
+// handleCreate places a session: the spec's ID hashes to its owning
+// replica, the request forwards there, and a 201 records the placement in
+// the ownership table. The router reads only the ID and forwards the body
+// unchanged, so the replica's decode is the one full parse; only a spec
+// without an ID is decoded here, given a minted ID and re-encoded.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, "reading request body: %v", err)
 		return
 	}
-	var spec serve.SessionSpec
+	// encoding/json matches keys case-insensitively and keeps the last
+	// duplicate, for this struct as for SessionSpec.
+	var spec struct {
+		ID string `json:"id"`
+	}
 	if err := json.Unmarshal(blob, &spec); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding session spec: %v", err)
 		return
 	}
 	if spec.ID == "" {
-		spec.ID = rt.cfg.NewID()
-		if blob, err = json.Marshal(spec); err != nil {
+		var full serve.SessionSpec
+		if err := json.Unmarshal(blob, &full); err != nil {
+			writeError(w, http.StatusBadRequest, "decoding session spec: %v", err)
+			return
+		}
+		full.ID = rt.cfg.NewID()
+		if blob, err = json.Marshal(full); err != nil {
 			writeError(w, http.StatusInternalServerError, "re-encoding session spec: %v", err)
 			return
 		}
+		spec.ID = full.ID
 	}
 	ms, gen, ok := rt.owner(spec.ID)
 	if !ok {

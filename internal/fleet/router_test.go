@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/serve"
@@ -100,6 +103,64 @@ func TestRouterPlacement(t *testing.T) {
 	}
 	if st := rt.Status(); st.Sessions != 12 {
 		t.Errorf("sessions after delete %d, want 12", st.Sessions)
+	}
+}
+
+// TestRouterCreateReadsOnlyID: the router reads a create's ID and
+// nothing else. A spec that names its ID reaches the owner byte for byte;
+// an ID-less spec is decoded, given the minted ID and placed; and a spec
+// whose ID decodes but whose other fields do not gets the replica's 400
+// and no placement.
+func TestRouterCreateReadsOnlyID(t *testing.T) {
+	var got []byte
+	recorder := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got, _ = io.ReadAll(r.Body)
+		w.WriteHeader(http.StatusCreated)
+	})
+	create := func(rt *Router, body string) int {
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions", strings.NewReader(body)))
+		return rec.Code
+	}
+	rt, err := NewRouter(RouterConfig{
+		Members: []Member{{ID: "r0", Handler: recorder}},
+		Seed:    1106, Logger: discardLogger(),
+		NewID: func() string { return "minted" },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	named := `{ "app": "vim.exe",  "modules": [ ], "ID": "first" }`
+	if code := create(rt, named); code != http.StatusCreated || string(got) != named {
+		t.Errorf("named create: status %d, member saw %q, want 201 and %q", code, got, named)
+	}
+	if code := create(rt, `{"app":"vim.exe"}`); code != http.StatusCreated {
+		t.Fatalf("ID-less create: status %d, want 201", code)
+	}
+	var spec serve.SessionSpec
+	if err := json.Unmarshal(got, &spec); err != nil || spec.ID != "minted" || spec.App != "vim.exe" {
+		t.Errorf("ID-less create forwarded %q (%v), want the spec with ID minted", got, err)
+	}
+	rt.mu.Lock()
+	table := maps.Clone(rt.table)
+	rt.mu.Unlock()
+	if want := map[string]string{"first": "r0", "minted": "r0"}; !reflect.DeepEqual(table, want) {
+		t.Errorf("ownership table %v, want %v", table, want)
+	}
+
+	rt, err = NewRouter(RouterConfig{
+		Members: []Member{{ID: "r0", Handler: newServeReplica(t, "r0").Handler()}},
+		Seed:    1106, Logger: discardLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := create(rt, `{"id":"x","modules":5}`); code != http.StatusBadRequest {
+		t.Errorf("malformed spec with an ID: status %d, want 400", code)
+	}
+	if n := rt.Status().Sessions; n != 0 {
+		t.Errorf("malformed spec left %d placements, want none", n)
 	}
 }
 

@@ -1,55 +1,19 @@
 // Package hcluster implements agglomerative hierarchical clustering over a
 // precomputed pairwise distance matrix, equivalent to the SciPy
 // cluster.hierarchy routines the paper uses in its Data Preprocessing
-// Module. The paper's linkage criterion is UPGMA (average linkage): the
-// distance between two clusters is the mean distance between all pairs of
-// their elements.
+// Module, under the paper's linkage criterion, UPGMA (average linkage):
+// the distance between two clusters is the mean distance between all
+// pairs of their elements.
 //
-// Cluster merging uses the Lance-Williams update formulas, which express
-// every supported linkage as a recurrence on the evolving distance matrix.
+// Cluster merging uses the Lance-Williams update for average linkage, a
+// recurrence on the evolving distance matrix.
 package hcluster
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
-
-// Linkage selects the inter-cluster distance criterion.
-type Linkage int
-
-// Supported linkage criteria.
-const (
-	// Single: minimum pairwise distance (nearest neighbour).
-	Single Linkage = iota + 1
-	// Complete: maximum pairwise distance (furthest neighbour).
-	Complete
-	// Average is UPGMA, the paper's criterion: mean pairwise distance.
-	Average
-	// Weighted is WPGMA: the unweighted mean of the two sub-cluster
-	// distances.
-	Weighted
-	// Ward merges the pair minimising the within-cluster variance
-	// increase.
-	Ward
-)
-
-var linkageNames = map[Linkage]string{
-	Single:   "single",
-	Complete: "complete",
-	Average:  "average",
-	Weighted: "weighted",
-	Ward:     "ward",
-}
-
-// String returns the canonical linkage name.
-func (l Linkage) String() string {
-	if n, ok := linkageNames[l]; ok {
-		return n
-	}
-	return fmt.Sprintf("Linkage(%d)", int(l))
-}
 
 // DistMatrix is a symmetric pairwise distance matrix over n observations,
 // stored in condensed form (upper triangle).
@@ -65,9 +29,6 @@ func NewDistMatrix(n int) (*DistMatrix, error) {
 	}
 	return &DistMatrix{n: n, data: make([]float64, n*(n-1)/2)}, nil
 }
-
-// Len returns the number of observations.
-func (dm *DistMatrix) Len() int { return dm.n }
 
 // idx maps (i, j), i != j, to the condensed offset.
 func (dm *DistMatrix) idx(i, j int) int {
@@ -128,17 +89,14 @@ func (d *Dendrogram) Merges() []Merge {
 	return out
 }
 
-// Cluster performs agglomerative clustering of the observations described
-// by the distance matrix under the given linkage.
-func Cluster(dm *DistMatrix, linkage Linkage) (*Dendrogram, error) {
+// Cluster performs UPGMA agglomerative clustering of the observations
+// described by the distance matrix.
+func Cluster(dm *DistMatrix) (*Dendrogram, error) {
 	if dm == nil {
 		return nil, errors.New("hcluster: nil distance matrix")
 	}
 	if err := dm.Validate(); err != nil {
 		return nil, err
-	}
-	if _, ok := linkageNames[linkage]; !ok {
-		return nil, fmt.Errorf("hcluster: unknown linkage %v", linkage)
 	}
 	n := dm.n
 	dend := &Dendrogram{n: n}
@@ -185,29 +143,13 @@ func Cluster(dm *DistMatrix, linkage Linkage) (*Dendrogram, error) {
 			A: id[bi], B: id[bj], Distance: best, Size: size[bi] + size[bj],
 		})
 		// Lance-Williams update of distances from the merged cluster to
-		// every other active cluster k:
-		//   d(ab,k) = αa·d(a,k) + αb·d(b,k) + β·d(a,b) + γ·|d(a,k)-d(b,k)|
+		// every other active cluster k, for average linkage:
+		//   d(ab,k) = (na·d(a,k) + nb·d(b,k)) / (na + nb)
 		for k := 0; k < n; k++ {
 			if !active[k] || k == bi || k == bj {
 				continue
 			}
-			dak, dbk, dab := dist[bi][k], dist[bj][k], best
-			var d float64
-			switch linkage {
-			case Single:
-				d = math.Min(dak, dbk)
-			case Complete:
-				d = math.Max(dak, dbk)
-			case Average:
-				d = (na*dak + nb*dbk) / (na + nb)
-			case Weighted:
-				d = (dak + dbk) / 2
-			case Ward:
-				nk := float64(size[k])
-				t := na + nb + nk
-				d = math.Sqrt(math.Max(0,
-					((na+nk)*dak*dak+(nb+nk)*dbk*dbk-nk*dab*dab)/t))
-			}
+			d := (na*dist[bi][k] + nb*dist[bj][k]) / (na + nb)
 			dist[bi][k], dist[k][bi] = d, d
 		}
 		active[bj] = false
@@ -265,15 +207,4 @@ func (d *Dendrogram) labelsAfter(apply int) []int {
 		labels[i] = l
 	}
 	return labels
-}
-
-// MergeDistances returns the sorted sequence of merge distances — useful
-// for picking a cut threshold from the largest gap.
-func (d *Dendrogram) MergeDistances() []float64 {
-	out := make([]float64, len(d.merges))
-	for i, m := range d.merges {
-		out[i] = m.Distance
-	}
-	sort.Float64s(out)
-	return out
 }

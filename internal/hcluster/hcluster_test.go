@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -64,22 +63,19 @@ func TestDistMatrixValidate(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := Cluster(nil, Average); err == nil {
+	if _, err := Cluster(nil); err == nil {
 		t.Error("Cluster(nil) succeeded")
 	}
 	dm, _ := NewDistMatrix(3)
-	if _, err := Cluster(dm, Linkage(99)); err == nil {
-		t.Error("Cluster with unknown linkage succeeded")
-	}
 	dm.Set(0, 1, math.Inf(1))
-	if _, err := Cluster(dm, Average); err == nil {
+	if _, err := Cluster(dm); err == nil {
 		t.Error("Cluster accepted infinite distance")
 	}
 }
 
 func TestClusterSingleObservation(t *testing.T) {
 	dm, _ := NewDistMatrix(1)
-	d, err := Cluster(dm, Average)
+	d, err := Cluster(dm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,34 +91,33 @@ func TestClusterSingleObservation(t *testing.T) {
 // Two well-separated groups on a line: {0, 1, 2} and {10, 11}.
 func TestClusterTwoGroups(t *testing.T) {
 	pts := []float64{0, 1, 2, 10, 11}
-	for _, linkage := range []Linkage{Single, Complete, Average, Weighted, Ward} {
-		t.Run(linkage.String(), func(t *testing.T) {
-			dend, err := Cluster(matrixFromPoints(t, pts), linkage)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := len(dend.Merges()); got != len(pts)-1 {
-				t.Fatalf("merges = %d, want %d", got, len(pts)-1)
-			}
-			// Cut below the last merge: two clusters.
-			ms := dend.Merges()
-			labels := dend.CutDistance(ms[len(ms)-2].Distance)
-			if labels[0] != labels[1] || labels[1] != labels[2] {
-				t.Errorf("group one split: %v", labels)
-			}
-			if labels[3] != labels[4] {
-				t.Errorf("group two split: %v", labels)
-			}
-			if labels[0] == labels[3] {
-				t.Errorf("groups merged: %v", labels)
-			}
-		})
-	}
+	// Cluster is average linkage (UPGMA).
+	t.Run("average", func(t *testing.T) {
+		dend, err := Cluster(matrixFromPoints(t, pts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(dend.Merges()); got != len(pts)-1 {
+			t.Fatalf("merges = %d, want %d", got, len(pts)-1)
+		}
+		// Cut below the last merge: two clusters.
+		ms := dend.Merges()
+		labels := dend.CutDistance(ms[len(ms)-2].Distance)
+		if labels[0] != labels[1] || labels[1] != labels[2] {
+			t.Errorf("group one split: %v", labels)
+		}
+		if labels[3] != labels[4] {
+			t.Errorf("group two split: %v", labels)
+		}
+		if labels[0] == labels[3] {
+			t.Errorf("groups merged: %v", labels)
+		}
+	})
 }
 
 func TestCutDistanceThresholds(t *testing.T) {
 	pts := []float64{0, 1, 2, 10, 11}
-	dend, err := Cluster(matrixFromPoints(t, pts), Average)
+	dend, err := Cluster(matrixFromPoints(t, pts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +159,7 @@ func TestAverageLinkageHandWorked(t *testing.T) {
 	dm.Set(0, 1, 1)
 	dm.Set(0, 2, 4)
 	dm.Set(1, 2, 3)
-	dend, err := Cluster(dm, Average)
+	dend, err := Cluster(dm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,54 +175,22 @@ func TestAverageLinkageHandWorked(t *testing.T) {
 	}
 }
 
-// Single vs complete linkage diverge on a chain of points.
-func TestSingleVersusCompleteChaining(t *testing.T) {
-	// Points: 0, 2, 4, 6 — a chain with equal gaps.
-	pts := []float64{0, 2, 4, 6}
-	single, err := Cluster(matrixFromPoints(t, pts), Single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	complete, err := Cluster(matrixFromPoints(t, pts), Complete)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Single linkage joins the whole chain at distance 2.
-	sd := single.Merges()
-	if sd[len(sd)-1].Distance != 2 {
-		t.Errorf("single final merge at %v, want 2", sd[len(sd)-1].Distance)
-	}
-	// Complete linkage's final merge must exceed single's.
-	cd := complete.Merges()
-	if cd[len(cd)-1].Distance <= 2 {
-		t.Errorf("complete final merge at %v, want > 2", cd[len(cd)-1].Distance)
-	}
-}
-
+// TestMergeDistancesSortedAndMonotone checks that UPGMA, a reducible
+// linkage, merges at non-decreasing distances (no inversions).
 func TestMergeDistancesSortedAndMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts := make([]float64, 30)
 	for i := range pts {
 		pts[i] = rng.Float64() * 100
 	}
-	for _, linkage := range []Linkage{Single, Complete, Average, Weighted, Ward} {
-		dend, err := Cluster(matrixFromPoints(t, pts), linkage)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds := dend.MergeDistances()
-		if !sort.Float64sAreSorted(ds) {
-			t.Errorf("%v MergeDistances not sorted", linkage)
-		}
-		// For these reducible linkages the raw merge sequence itself is
-		// non-decreasing (no inversions).
-		raw := dend.Merges()
-		for i := 1; i < len(raw); i++ {
-			if raw[i].Distance < raw[i-1].Distance-1e-9 {
-				t.Errorf("%v merge %d at %v after %v (inversion)",
-					linkage, i, raw[i].Distance, raw[i-1].Distance)
-				break
-			}
+	dend, err := Cluster(matrixFromPoints(t, pts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := dend.Merges()
+	for i := 1; i < len(raw); i++ {
+		if raw[i].Distance < raw[i-1].Distance-1e-9 {
+			t.Fatalf("merge %d at %v after %v (inversion)", i, raw[i].Distance, raw[i-1].Distance)
 		}
 	}
 }
@@ -253,7 +216,7 @@ func TestClusterPropertyQuick(t *testing.T) {
 				dm.Set(i, j, math.Abs(pts[i]-pts[j]))
 			}
 		}
-		dend, err := Cluster(dm, Average)
+		dend, err := Cluster(dm)
 		if err != nil {
 			return false
 		}
@@ -261,11 +224,11 @@ func TestClusterPropertyQuick(t *testing.T) {
 		if !allEqual(all) {
 			return false
 		}
-		for _, t := range dend.MergeDistances() {
+		for _, m := range dend.Merges() {
 			// Labels number the clusters 0..k-1 in order of each
 			// cluster's first observation.
 			next := 0
-			for _, l := range dend.CutDistance(t) {
+			for _, l := range dend.CutDistance(m.Distance) {
 				if l > next {
 					return false
 				}
@@ -278,14 +241,5 @@ func TestClusterPropertyQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLinkageString(t *testing.T) {
-	if Average.String() != "average" || Ward.String() != "ward" {
-		t.Error("linkage names wrong")
-	}
-	if Linkage(42).String() != "Linkage(42)" {
-		t.Error("unknown linkage name wrong")
 	}
 }

@@ -40,11 +40,6 @@ func (m *Model) NumSymbols() int {
 type Config struct {
 	// States is the number of hidden states (default 4).
 	States int
-	// MaxIter bounds Baum-Welch iterations (default 30).
-	MaxIter int
-	// Tol stops training when the per-symbol log-likelihood improves by
-	// less than this (default 1e-4).
-	Tol float64
 	// Seed initialises the random parameter start.
 	Seed int64
 }
@@ -53,14 +48,15 @@ func (c Config) withDefaults() Config {
 	if c.States == 0 {
 		c.States = 4
 	}
-	if c.MaxIter == 0 {
-		c.MaxIter = 30
-	}
-	if c.Tol == 0 {
-		c.Tol = 1e-4
-	}
 	return c
 }
+
+// Baum-Welch runs at most maxIter iterations and stops early once the
+// per-symbol log-likelihood improves by less than tol.
+const (
+	maxIter = 30
+	tol     = 1e-4
+)
 
 // smoothing is the additive floor keeping probabilities non-zero so
 // unseen symbols cannot produce -Inf likelihoods.
@@ -84,9 +80,9 @@ func Train(seq []int, numSymbols int, cfg Config) (*Model, error) {
 
 	m := randomModel(cfg.States, numSymbols, rand.New(rand.NewSource(cfg.Seed)))
 	prev := math.Inf(-1)
-	for iter := 0; iter < cfg.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		ll := m.baumWelchStep(seq)
-		if ll-prev < cfg.Tol*float64(len(seq)) && iter > 0 {
+		if ll-prev < tol*float64(len(seq)) && iter > 0 {
 			break
 		}
 		prev = ll

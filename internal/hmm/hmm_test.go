@@ -75,7 +75,7 @@ func TestTrainingImprovesLikelihood(t *testing.T) {
 			seq = append(seq, 1)
 		}
 	}
-	trained, err := Train(seq, 2, Config{States: 2, MaxIter: 50, Seed: 2})
+	trained, err := Train(seq, 2, Config{States: 2, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

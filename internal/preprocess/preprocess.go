@@ -44,9 +44,6 @@ type Tuple struct {
 
 // Config controls feature extraction.
 type Config struct {
-	// Linkage is the clustering criterion; the zero value selects UPGMA
-	// (average linkage), the paper's choice.
-	Linkage hcluster.Linkage
 	// LibCut and FuncCut are the dendrogram cut thresholds on Jaccard
 	// dissimilarity for the library-set and function-set clusterings.
 	// Zero values default to 0.5: sets sharing at least half their
@@ -56,9 +53,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Linkage == 0 {
-		c.Linkage = hcluster.Average
-	}
 	if c.LibCut == 0 {
 		c.LibCut = 0.5
 	}
@@ -110,11 +104,11 @@ func FitContext(ctx context.Context, logs []*partition.Log, cfg Config) (*Encode
 			fnSets = append(fnSets, slices.Clone(s.funcNames(e)))
 		}
 	}
-	libs, err := clusterSets(libSets, cfg.Linkage, cfg.LibCut)
+	libs, err := clusterSets(libSets, cfg.LibCut)
 	if err != nil {
 		return nil, fmt.Errorf("preprocess: clustering library sets: %w", err)
 	}
-	fns, err := clusterSets(fnSets, cfg.Linkage, cfg.FuncCut)
+	fns, err := clusterSets(fnSets, cfg.FuncCut)
 	if err != nil {
 		return nil, fmt.Errorf("preprocess: clustering function sets: %w", err)
 	}
@@ -399,10 +393,10 @@ func (sc *Clusters) index() {
 	}
 }
 
-// clusterSets deduplicates the observed sets, hierarchically clusters the
-// unique ones under Jaccard dissimilarity and records per-cluster medoids
+// clusterSets deduplicates the observed sets, clusters the unique ones
+// with UPGMA under Jaccard dissimilarity and records per-cluster medoids
 // for assigning unseen sets.
-func clusterSets(sets [][]string, linkage hcluster.Linkage, cut float64) (*Clusters, error) {
+func clusterSets(sets [][]string, cut float64) (*Clusters, error) {
 	sc := &Clusters{}
 	seen := make(map[string]bool)
 	for _, s := range sets {
@@ -421,7 +415,7 @@ func clusterSets(sets [][]string, linkage hcluster.Linkage, cut float64) (*Clust
 			dm.Set(i, j, Jaccard(sc.Sets[i], sc.Sets[j]))
 		}
 	}
-	dend, err := hcluster.Cluster(dm, linkage)
+	dend, err := hcluster.Cluster(dm)
 	if err != nil {
 		return nil, err
 	}

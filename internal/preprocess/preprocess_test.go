@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/appsim"
-	"repro/internal/hcluster"
 	"repro/internal/partition"
 	"repro/internal/trace"
 )
@@ -205,7 +204,7 @@ func TestSimilarSetsClusterTogether(t *testing.T) {
 		mkEvent(trace.EventFileRead, [2]string{"msvcrt", "fread"}, [2]string{"k32", "ReadFile"}, [2]string{"ntdll", "NtReadFile"}),
 		mkEvent(trace.EventNetSend, [2]string{"ws2", "send"}, [2]string{"afd", "Send"}, [2]string{"tcp", "SendData"}),
 	}
-	enc, err := Fit(events, Config{Linkage: hcluster.Average, LibCut: 0.5, FuncCut: 0.5})
+	enc, err := Fit(events, Config{LibCut: 0.5, FuncCut: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,11 +100,6 @@ func NewCanary(id string, mon *core.Monitor, queueDepth int) (*Canary, error) {
 // ID returns the challenger's registry entry id.
 func (c *Canary) ID() string { return c.id }
 
-// Window returns the challenger's detection window, which callers check
-// against the champion's before shadowing (mismatched windows cannot be
-// compared verdict-for-verdict).
-func (c *Canary) Window() int { return c.mon.Window() }
-
 // Offer enqueues one scored batch for shadow replay: the events the
 // champion scored and the champion's malicious flag per completed
 // window. It never blocks — a full queue drops the batch and reports

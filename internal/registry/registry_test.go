@@ -2,6 +2,7 @@ package registry
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
 	"flag"
@@ -217,6 +218,79 @@ func TestStoreRejectsUnloadableBundles(t *testing.T) {
 	}
 	if _, err := st.Publish(bytes.NewReader(raw[:len(raw)-1]), TrainInfo{}); err == nil {
 		t.Error("truncated bundle accepted")
+	}
+}
+
+// TestStoreRejectsDegradedBundleWithoutCallGraph: a universal
+// classifier trains no call graph, so its bundle's call-graph section
+// holds no edges, and once its statistical section is unusable there is
+// nothing left to detect with. LoadMonitor, InspectBundle and Publish
+// refuse such a bundle with an error naming both causes.
+func TestStoreRejectsDegradedBundleWithoutCallGraph(t *testing.T) {
+	var pairs []core.LogPair
+	for i, name := range []string{"vim_reverse_tcp", "putty_reverse_https_online"} {
+		spec, err := dataset.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.BenignEvents, spec.MixedEvents, spec.MaliciousEvents = 3000, 3000, 1500
+		logs, err := spec.Generate(int64(20 + i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs = append(pairs, core.LogPair{Benign: logs.Benign, Mixed: logs.Mixed})
+	}
+	ctx := context.Background()
+	u, err := core.BuildUniversalTrainingData(ctx, pairs, core.Config{
+		Seed:        41,
+		FixedParams: &svm.Params{Lambda: 8, Kernel: svm.RBFKernel{Sigma2: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clf, err := u.Train(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := clf.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+
+	// Overwrite 16 bytes with 0xff, as degradedBundle does, at the first
+	// offset where the statistical section then decodes to an invalid
+	// model: the framing holds and only that section is unusable.
+	var bad []byte
+	for off := len(raw) / 8; bad == nil && off+16 <= len(raw); off += len(raw) / 32 {
+		b := bytes.Clone(raw)
+		copy(b[off:], bytes.Repeat([]byte{0xff}, 16))
+		if _, err := core.LoadClassifier(bytes.NewReader(b)); errors.As(err, new(*core.InvalidModelError)) {
+			bad = b
+		}
+	}
+	if bad == nil {
+		t.Fatal("no overwrite invalidates the statistical section")
+	}
+
+	bothCauses := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s accepted a degraded bundle without call-graph edges", what)
+		}
+		if !errors.As(err, new(*core.InvalidModelError)) || !strings.Contains(err.Error(), "no edges") {
+			t.Errorf("%s: error %q, want the statistical cause and the empty call graph", what, err)
+		}
+	}
+	_, err = core.LoadMonitor(bytes.NewReader(bad))
+	bothCauses("LoadMonitor", err)
+	_, err = core.InspectBundle(bytes.NewReader(bad))
+	bothCauses("InspectBundle", err)
+	st := openStore(t)
+	_, err = st.Publish(bytes.NewReader(bad), TrainInfo{})
+	bothCauses("Publish", err)
+	if mans, err := st.List(); err != nil || len(mans) != 0 {
+		t.Errorf("store lists %d entries (%v) after the refused publish, want none", len(mans), err)
 	}
 }
 

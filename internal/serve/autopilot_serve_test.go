@@ -67,7 +67,8 @@ func newAPFixture(t *testing.T) *apFixture {
 }
 
 // controller builds a controller over the fixture's journal and binds it
-// to the server. Timings are tightened for test speed; determinism does
+// to the server. Its trigger and retry backoff are tightened for test
+// speed, and it polls for shadow evidence every 250 ms; determinism does
 // not depend on them.
 func (fx *apFixture) controller(t *testing.T, s *Server) *autopilot.Controller {
 	t.Helper()
@@ -78,9 +79,7 @@ func (fx *apFixture) controller(t *testing.T, s *Server) *autopilot.Controller {
 		StateDir:      fx.stateDir,
 		TriggerEvents: 1,
 		ShadowTimeout: 30 * time.Second,
-		ShadowPoll:    2 * time.Millisecond,
 		BackoffBase:   time.Millisecond,
-		BackoffMax:    4 * time.Millisecond,
 		Logger:        apQuietLogger(),
 	})
 	if err != nil {
@@ -306,7 +305,6 @@ func TestServeAutopilotBreakerKeepsChampionServing(t *testing.T) {
 		TriggerEvents:    1,
 		StageRetries:     -1, // no retries: each cycle fails fast
 		BackoffBase:      time.Millisecond,
-		BackoffMax:       2 * time.Millisecond,
 		BreakerThreshold: 2,
 		Logger:           apQuietLogger(),
 	})

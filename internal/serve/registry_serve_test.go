@@ -322,6 +322,7 @@ func TestServeModelsLifecycleAPI(t *testing.T) {
 // evaluation never perturbs the serving path: the champion's verdict
 // stream is byte-identical with a challenger attached and without one.
 func TestServeShadowDeterminism(t *testing.T) {
+	lowerTurnEvents(t, 9)
 	mon, logs := newTestModel(t)
 	mal := logs.Malicious
 	n := 4 * mon.Window()
@@ -330,10 +331,9 @@ func TestServeShadowDeterminism(t *testing.T) {
 	run := func(withShadow bool) []byte {
 		st, _, manB := registryFixture(t)
 		s := newTestServer(t, Config{
-			Registry:   st,
-			Preloaded:  map[string]*core.Monitor{},
-			Parallel:   4,
-			TurnEvents: 9,
+			Registry:  st,
+			Preloaded: map[string]*core.Monitor{},
+			Parallel:  4,
 		})
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()

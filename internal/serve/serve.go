@@ -90,9 +90,6 @@ type Config struct {
 	// Parallel sizes the scoring worker pool (default GOMAXPROCS).
 	// Verdicts are identical for any value; only throughput changes.
 	Parallel int
-	// TurnEvents caps the events one worker turn scores before the
-	// session yields its worker for fairness (default 1024).
-	TurnEvents int
 	// ReplicaID names this server within a fleet. When set it is
 	// reported as the owning replica in session info and stamped on
 	// verdict flight-recorder entries, so handoff races are attributable
@@ -130,9 +127,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShadowQueue <= 0 {
 		c.ShadowQueue = 256
-	}
-	if c.TurnEvents <= 0 {
-		c.TurnEvents = 1024
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -401,10 +395,15 @@ func (s *Server) worker() {
 	}
 }
 
+// turnEvents caps the events one worker turn scores before the session
+// yields its worker for fairness. A test may lower it; nothing else sets
+// it.
+var turnEvents = 1024
+
 // runTurn drains one session's queue in order, yielding the worker after
-// TurnEvents events so a firehose session cannot starve the rest.
+// turnEvents events so a firehose session cannot starve the rest.
 func (s *Server) runTurn(sess *session) {
-	budget := s.cfg.TurnEvents
+	budget := turnEvents
 	for {
 		b, ok := sess.pop()
 		if !ok {

@@ -235,7 +235,17 @@ func TestServeSessionLifecycle(t *testing.T) {
 	}
 }
 
+// lowerTurnEvents sets the per-turn event budget to n until the test's
+// servers have shut down: the restore is registered before them, so it
+// runs after their cleanups.
+func lowerTurnEvents(t *testing.T, n int) {
+	old := turnEvents
+	turnEvents = n
+	t.Cleanup(func() { turnEvents = old })
+}
+
 func TestServeDeterministicAcrossWorkerCounts(t *testing.T) {
+	lowerTurnEvents(t, 7)
 	mon, logs := newTestModel(t)
 	mal := logs.Malicious
 	const sessions = 4
@@ -247,7 +257,7 @@ func TestServeDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 8} {
-		s := newTestServer(t, Config{Parallel: workers, TurnEvents: 7})
+		s := newTestServer(t, Config{Parallel: workers})
 		ts := httptest.NewServer(s.Handler())
 		got := make([][]Verdict, sessions)
 		var wg sync.WaitGroup

@@ -111,35 +111,14 @@ func (r *refSolver) selectWorkingSet() (i, j int, ok bool) {
 			gmin, j = yg, t
 		}
 	}
-	if i < 0 || j < 0 || gmax-gmin < r.params.Tol {
+	if i < 0 || j < 0 || gmax-gmin < smoTol {
 		return -1, -1, false
-	}
-	if r.params.SecondOrderWSS {
-		qi := r.q[i]
-		kii := r.y[i] * r.y[i] * qi[i]
-		best := math.Inf(1)
-		for t := range r.alpha {
-			if !r.inLow(t) {
-				continue
-			}
-			b := gmax - -r.y[t]*r.grad[t]
-			if b <= 0 {
-				continue
-			}
-			a := kii + r.q[t][t] - 2*(r.y[i]*r.y[t]*qi[t])
-			if a <= 0 {
-				a = 1e-12
-			}
-			if gain := -(b * b) / a; gain < best {
-				best, j = gain, t
-			}
-		}
 	}
 	return i, j, true
 }
 
 func (r *refSolver) solve() {
-	for r.iters = 0; r.iters < r.params.MaxIter; r.iters++ {
+	for r.iters = 0; r.iters < maxIter(len(r.alpha)); r.iters++ {
 		i, j, ok := r.selectWorkingSet()
 		if !ok {
 			break
@@ -245,63 +224,60 @@ func (r *refSolver) computeBias() float64 {
 // through a sample-index list, a label-signed gradient, membership
 // offsets and the fused gradient-and-selection pass — to the reference
 // solver bit for bit: α, gradient, iterations and bias, over
-// weighted problems with zero weights, both working-set rules, the
-// one-class initial state and 2 to 200 samples.
+// weighted problems with zero weights, the one-class initial state and
+// 2 to 200 samples.
 func TestSolverMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	kernels := []Kernel{RBFKernel{Sigma2: 0.5}, RBFKernel{Sigma2: 4}, LinearKernel{}, PolyKernel{Degree: 2, Gamma: 1, Coef0: 1}}
 	for trial, n := range []int{2, 3, 5, 9, 17, 40, 73, 120, 200} {
 		for _, k := range kernels {
-			for _, wss2 := range []bool{false, true} {
-				for _, oneClass := range []bool{false, true} {
-					// The solver reads a random subset of a larger sample
-					// set, in random order, as a cross-validation fold does.
-					all := randomProblem(rng, n+rng.Intn(n+1), 4, trial%2 == 0)
-					idx := rng.Perm(len(all.X))[:n]
-					x := make([][]float64, n)
-					y := make([]float64, n)
-					c := make([]float64, n)
-					lambda := []float64{0.5, 2, 8}[rng.Intn(3)]
-					for l, p := range idx {
-						x[l], y[l], c[l] = all.X[p], all.Y[p], lambda
-						if all.Weight != nil {
-							c[l] = lambda * all.Weight[p]
-						}
-						if oneClass {
-							y[l], c[l] = 1, 1/(0.3*float64(n))
-						}
+			for _, oneClass := range []bool{false, true} {
+				// The solver reads a random subset of a larger sample
+				// set, in random order, as a cross-validation fold does.
+				all := randomProblem(rng, n+rng.Intn(n+1), 4, trial%2 == 0)
+				idx := rng.Perm(len(all.X))[:n]
+				x := make([][]float64, n)
+				y := make([]float64, n)
+				c := make([]float64, n)
+				lambda := []float64{0.5, 2, 8}[rng.Intn(3)]
+				for l, p := range idx {
+					x[l], y[l], c[l] = all.X[p], all.Y[p], lambda
+					if all.Weight != nil {
+						c[l] = lambda * all.Weight[p]
 					}
-					params := Params{Lambda: lambda, Kernel: k, SecondOrderWSS: wss2}.withDefaults(n)
-					ref := newRefSolver(x, y, c, params)
-					got := newSolver(newGram(all.X, k), idx, y, c, params)
 					if oneClass {
-						budget := 1.0
-						for i := 0; i < n && budget > 0; i++ {
-							ref.alpha[i] = math.Min(c[i], budget)
-							budget -= ref.alpha[i]
-						}
-						for t := range ref.grad {
-							ref.grad[t] = 0
-							for i, a := range ref.alpha {
-								ref.grad[t] += ref.q[i][t] * a
-							}
-						}
-						copy(got.alpha, ref.alpha)
-						for t, g := range ref.grad {
-							got.yg[t] = -y[t] * g
+						y[l], c[l] = 1, 1/(0.3*float64(n))
+					}
+				}
+				ref := newRefSolver(x, y, c, Params{Lambda: lambda, Kernel: k})
+				got := newSolver(newGram(all.X, k), idx, y, c)
+				if oneClass {
+					budget := 1.0
+					for i := 0; i < n && budget > 0; i++ {
+						ref.alpha[i] = math.Min(c[i], budget)
+						budget -= ref.alpha[i]
+					}
+					for t := range ref.grad {
+						ref.grad[t] = 0
+						for i, a := range ref.alpha {
+							ref.grad[t] += ref.q[i][t] * a
 						}
 					}
-					ref.solve()
-					got.solve()
-					grad := make([]float64, n)
-					for t, v := range got.yg {
-						grad[t] = -y[t] * v
+					copy(got.alpha, ref.alpha)
+					for t, g := range ref.grad {
+						got.yg[t] = -y[t] * g
 					}
-					if got.iters != ref.iters || !sameBits(got.alpha, ref.alpha) || !sameBits(grad, ref.grad) ||
-						math.Float64bits(got.rho) != math.Float64bits(ref.rho) {
-						t.Fatalf("n=%d %v wss2=%v one-class=%v: solver (iters %d, bias %v) differs from the reference (iters %d, bias %v)",
-							n, k, wss2, oneClass, got.iters, got.rho, ref.iters, ref.rho)
-					}
+				}
+				ref.solve()
+				got.solve()
+				grad := make([]float64, n)
+				for t, v := range got.yg {
+					grad[t] = -y[t] * v
+				}
+				if got.iters != ref.iters || !sameBits(got.alpha, ref.alpha) || !sameBits(grad, ref.grad) ||
+					math.Float64bits(got.rho) != math.Float64bits(ref.rho) {
+					t.Fatalf("n=%d %v one-class=%v: solver (iters %d, bias %v) differs from the reference (iters %d, bias %v)",
+						n, k, oneClass, got.iters, got.rho, ref.iters, ref.rho)
 				}
 			}
 		}

@@ -23,9 +23,6 @@ type OneClassParams struct {
 	Nu float64
 	// Kernel defaults to RBFKernel{Sigma2: 1}.
 	Kernel Kernel
-	// Tol is the KKT tolerance (default 1e-3); MaxIter bounds iterations.
-	Tol     float64
-	MaxIter int
 }
 
 // OneClassModel is a trained one-class SVM.
@@ -50,7 +47,7 @@ func TrainOneClass(x [][]float64, params OneClassParams) (*OneClassModel, error)
 	if params.Nu <= 0 || params.Nu > 1 {
 		return nil, fmt.Errorf("svm: Nu %v out of (0,1]", params.Nu)
 	}
-	p := Params{Kernel: params.Kernel, Tol: params.Tol, MaxIter: params.MaxIter}.withDefaults(n)
+	p := Params{Kernel: params.Kernel}.withDefaults()
 	if err := checkKernel(p.Kernel); err != nil {
 		return nil, err
 	}
@@ -69,7 +66,7 @@ func TrainOneClass(x [][]float64, params OneClassParams) (*OneClassModel, error)
 		idx[i] = i
 	}
 	k := newGram(x, p.Kernel)
-	s := newSolver(k, idx, y, c, p)
+	s := newSolver(k, idx, y, c)
 	budget := 1.0
 	for i := 0; i < n && budget > 0; i++ {
 		a := math.Min(upper, budget)

@@ -55,15 +55,19 @@ func TestOneClassSeparatesCluster(t *testing.T) {
 }
 
 // TestOneClassNuControlsOutlierFraction checks the ν-property: roughly a
-// ν fraction of training points fall outside the learned region.
+// ν fraction of training points fall outside the learned region. It holds
+// at a KKT tolerance of 1e-4; at the solver's 1e-3, ν = 0.05 rejects 23 %
+// of the points.
 func TestOneClassNuControlsOutlierFraction(t *testing.T) {
+	defer func(tol float64) { smoTol = tol }(smoTol)
+	smoTol = 1e-4
 	rng := rand.New(rand.NewSource(16))
 	var x [][]float64
 	for i := 0; i < 200; i++ {
 		x = append(x, []float64{rng.NormFloat64(), rng.NormFloat64()})
 	}
 	for _, nu := range []float64{0.05, 0.2, 0.5} {
-		m, err := TrainOneClass(x, OneClassParams{Nu: nu, Kernel: RBFKernel{Sigma2: 2}, Tol: 1e-4})
+		m, err := TrainOneClass(x, OneClassParams{Nu: nu, Kernel: RBFKernel{Sigma2: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}

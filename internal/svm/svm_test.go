@@ -276,14 +276,7 @@ func TestKKTConditions(t *testing.T) {
 			p.Weight = append(p.Weight, rng.Float64())
 		}
 		lambda := 1 + rng.Float64()*10
-		params := Params{
-			Lambda: lambda,
-			Kernel: RBFKernel{Sigma2: 1},
-			Tol:    1e-4,
-			// Exercise both working-set selection strategies.
-			SecondOrderWSS: seed%2 == 0,
-		}
-		m, err := Train(p, params)
+		m, err := Train(p, Params{Lambda: lambda, Kernel: RBFKernel{Sigma2: 1}})
 		if err != nil {
 			return false
 		}
@@ -482,43 +475,6 @@ func TestRBFKernelValues(t *testing.T) {
 	// ‖(0)-(2)‖² = 4 → exp(-1)
 	if got := k.Compute([]float64{0}, []float64{2}); math.Abs(got-math.Exp(-1)) > 1e-12 {
 		t.Errorf("k = %v, want exp(-1)", got)
-	}
-}
-
-func TestSecondOrderWSSAgreesAndConvergesFaster(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	// An overlapping, weighted problem where selection strategy matters.
-	var p Problem
-	for i := 0; i < 80; i++ {
-		p.X = append(p.X, []float64{rng.NormFloat64(), rng.NormFloat64()})
-		p.Y = append(p.Y, 1)
-		p.Weight = append(p.Weight, 0.3+0.7*rng.Float64())
-		p.X = append(p.X, []float64{0.8 + rng.NormFloat64(), 0.8 + rng.NormFloat64()})
-		p.Y = append(p.Y, -1)
-		p.Weight = append(p.Weight, 0.3+0.7*rng.Float64())
-	}
-	base := Params{Lambda: 10, Kernel: RBFKernel{Sigma2: 1}, Tol: 1e-4}
-	first, err := Train(p, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second := base
-	second.SecondOrderWSS = true
-	m2, err := Train(p, second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both reach the same optimum: decisions agree on probes.
-	for trial := 0; trial < 50; trial++ {
-		x := []float64{rng.NormFloat64() * 2, rng.NormFloat64() * 2}
-		d1, d2 := first.Decision(x), m2.Decision(x)
-		if math.Abs(d1-d2) > 0.05 {
-			t.Fatalf("WSS1/WSS2 decisions diverge at %v: %v vs %v", x, d1, d2)
-		}
-	}
-	// WSS2 should not need more iterations (usually far fewer).
-	if m2.Iters > first.Iters {
-		t.Errorf("WSS2 took %d iterations, WSS1 %d", m2.Iters, first.Iters)
 	}
 }
 

@@ -18,7 +18,7 @@ var (
 	mLastIters   = telemetry.NewGauge("svm_last_iterations", "SMO iterations of the most recent training run")
 	mLastObj     = telemetry.NewGauge("svm_last_objective", "final dual objective of the most recent training run")
 	mLastSVs     = telemetry.NewGauge("svm_last_support_vectors", "support vectors in the most recent model")
-	mCappedRuns  = telemetry.NewCounter("svm_iteration_capped_runs_total", "training runs that hit MaxIter before converging")
+	mCappedRuns  = telemetry.NewCounter("svm_iteration_capped_runs_total", "training runs that hit the iteration cap before converging")
 )
 
 // Problem is a binary classification training set.
@@ -76,33 +76,21 @@ type Params struct {
 	Lambda float64
 	// Kernel defaults to RBFKernel{Sigma2: 1}.
 	Kernel Kernel
-	// Tol is the KKT violation tolerance terminating SMO (default 1e-3).
-	Tol float64
-	// MaxIter bounds SMO iterations (default 100·n, at least 10000).
-	MaxIter int
-	// SecondOrderWSS enables LIBSVM's second-order working-set selection
-	// (WSS2): the first index maximises the KKT violation, the second
-	// minimises the quadratic gain estimate. Converges in fewer
-	// iterations on ill-conditioned problems; the default (false) is the
-	// classic maximal-violating-pair rule.
-	SecondOrderWSS bool
 }
 
-func (p Params) withDefaults(n int) Params {
+func (p Params) withDefaults() Params {
 	if p.Kernel == nil {
 		p.Kernel = RBFKernel{Sigma2: 1}
 	}
-	if p.Tol <= 0 {
-		p.Tol = 1e-3
-	}
-	if p.MaxIter <= 0 {
-		p.MaxIter = 100 * n
-		if p.MaxIter < 10000 {
-			p.MaxIter = 10000
-		}
-	}
 	return p
 }
+
+// smoTol is the KKT violation tolerance terminating SMO, LIBSVM's
+// default ε. A test may lower it; nothing else sets it.
+var smoTol = 1e-3
+
+// maxIter bounds SMO iterations over n samples: 100·n, at least 10,000.
+func maxIter(n int) int { return max(100*n, 10000) }
 
 // Model is a trained classifier: the support vectors and their dual
 // coefficients.
@@ -289,7 +277,7 @@ func solveAll(prob Problem, params Params, k *gram) (*solver, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}
-	params = params.withDefaults(len(prob.X))
+	params = params.withDefaults()
 	if err := params.Check(); err != nil {
 		return nil, err
 	}
@@ -312,7 +300,7 @@ func solve(prob Problem, params Params, k *gram, idx []int) *solver {
 			c[i] = params.Lambda * prob.Weight[i]
 		}
 	}
-	s := newSolver(k, idx, prob.Y, c, params.withDefaults(len(idx)))
+	s := newSolver(k, idx, prob.Y, c)
 	s.solve()
 	return s
 }
@@ -360,14 +348,13 @@ func (s *solver) decisions(ps []int, dst []float64) {
 // signed value is an exact sign flip of Q's; only the sign of an exactly
 // zero gradient entry may differ, which no comparison or output sees.
 type solver struct {
-	k      *gram
-	idx    []int // local sample → gram index
-	y, c   []float64
-	params Params
-	alpha  []float64
-	yg     []float64 // −yₜ·∇ₜ for the dual gradient ∇ = Qα − 1
-	iters  int
-	rho    float64 // the decision bias found at convergence
+	k     *gram
+	idx   []int // local sample → gram index
+	y, c  []float64
+	alpha []float64
+	yg    []float64 // −yₜ·∇ₜ for the dual gradient ∇ = Qα − 1
+	iters int
+	rho   float64 // the decision bias found at convergence
 	// upOff and lowOff are 0 for a member of I_up (I_low) and −Inf (+Inf)
 	// otherwise: added to ygₜ they keep non-members out of the maximum
 	// (minimum) without a branch on membership.
@@ -376,10 +363,10 @@ type solver struct {
 
 // newSolver prepares SMO at α = 0 (∇ = −1) over the samples idx of k,
 // with labels y and box bounds c.
-func newSolver(k *gram, idx []int, y, c []float64, params Params) *solver {
+func newSolver(k *gram, idx []int, y, c []float64) *solver {
 	n := len(idx)
 	s := &solver{
-		k: k, idx: idx, y: y, c: c, params: params,
+		k: k, idx: idx, y: y, c: c,
 		alpha:  make([]float64, n),
 		yg:     make([]float64, n),
 		upOff:  make([]float64, n),
@@ -423,50 +410,19 @@ func (s *solver) selectWorkingSet() (i, j int, ok bool) {
 }
 
 // pick finishes a selection from the maximal violating pair (i, j):
-// ok=false when the violation is within tolerance; with WSS2 the second
-// index becomes the second-order gain minimiser.
+// ok=false when the violation is within tolerance.
 func (s *solver) pick(i, j int, gmax, gmin float64) (int, int, bool) {
-	if i < 0 || j < 0 || gmax-gmin < s.params.Tol {
+	if i < 0 || j < 0 || gmax-gmin < smoTol {
 		return -1, -1, false
 	}
-	if s.params.SecondOrderWSS {
-		if j2 := s.selectSecondOrder(i, gmax); j2 >= 0 {
-			j = j2
-		}
-	}
 	return i, j, true
-}
-
-// selectSecondOrder picks the second working index by maximising the
-// estimated objective decrease -b²/a against the fixed first index
-// (LIBSVM's WSS2).
-func (s *solver) selectSecondOrder(i int, gmax float64) int {
-	ki := s.k.row(s.idx[i])
-	kii := ki[s.idx[i]]
-	best, bestJ := math.Inf(1), -1
-	for t, g := range s.idx {
-		if s.lowOff[t] != 0 {
-			continue
-		}
-		b := gmax - s.yg[t]
-		if b <= 0 {
-			continue
-		}
-		a := kii + s.k.row(g)[g] - 2*ki[g]
-		if a <= 0 {
-			a = 1e-12
-		}
-		if gain := -(b * b) / a; gain < best {
-			best, bestJ = gain, t
-		}
-	}
-	return bestJ
 }
 
 // solve runs SMO to convergence or iteration cap and records telemetry.
 func (s *solver) solve() {
 	i, j, ok := s.selectWorkingSet()
-	for s.iters = 0; ok && s.iters < s.params.MaxIter; s.iters++ {
+	limit := maxIter(len(s.idx))
+	for s.iters = 0; ok && s.iters < limit; s.iters++ {
 		i, j, ok = s.update(i, j)
 	}
 	s.rho = s.computeBias()
@@ -482,7 +438,7 @@ func (s *solver) solve() {
 	mLastIters.Set(float64(s.iters))
 	mLastObj.Set(s.objective())
 	mLastSVs.Set(float64(svs))
-	if s.iters >= s.params.MaxIter {
+	if s.iters >= limit {
 		mCappedRuns.Inc()
 	}
 }

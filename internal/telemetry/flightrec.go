@@ -67,12 +67,8 @@ var flight FlightRecorder
 func Flight() *FlightRecorder { return &flight }
 
 // Record appends one entry to the ring, stamping Time if unset. It is
-// safe from any goroutine and disabled (one atomic load) when telemetry
-// is off.
+// safe from any goroutine.
 func (f *FlightRecorder) Record(e FlightEntry) {
-	if disabled.Load() {
-		return
-	}
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}

@@ -5,12 +5,10 @@
 // expvar, pprof) the CLIs expose behind -debug-addr.
 //
 // Metrics are registered once (typically in a package-level var block)
-// and updated lock-free on hot paths. A process-wide kill switch —
-// SetEnabled(false) — turns every update into a single atomic load and
-// branch, so instrumented code costs near nothing when measurement is
-// off. Snapshots (Capture) serialise the whole registry plus the span
-// table for the JSON telemetry reports leaps-train and leaps-detect
-// write next to their outputs.
+// and updated lock-free on hot paths; they are always on. Snapshots
+// (Capture) serialise the whole registry plus the span table for the
+// JSON telemetry reports leaps-train and leaps-detect write next to
+// their outputs.
 package telemetry
 
 import (
@@ -21,18 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// disabled is the process-wide kill switch. The zero value means enabled,
-// so instrumented packages measure by default and callers opt out.
-var disabled atomic.Bool
-
-// SetEnabled turns the whole telemetry layer on or off. When off, every
-// counter increment, gauge store, histogram observation and span degrades
-// to one atomic load and a branch.
-func SetEnabled(on bool) { disabled.Store(!on) }
-
-// Enabled reports whether telemetry updates are being recorded.
-func Enabled() bool { return !disabled.Load() }
 
 // metric is the common behaviour of every registered instrument.
 type metric interface {
@@ -219,9 +205,6 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n.
 func (c *Counter) Add(n uint64) {
-	if disabled.Load() {
-		return
-	}
 	c.v.Add(n)
 }
 
@@ -244,17 +227,11 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) {
-	if disabled.Load() {
-		return
-	}
 	g.bits.Store(math.Float64bits(v))
 }
 
 // Add adds d to the gauge.
 func (g *Gauge) Add(d float64) {
-	if disabled.Load() {
-		return
-	}
 	for {
 		old := g.bits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + d)
@@ -324,9 +301,6 @@ func (h *Histogram) bucketIndex(v float64) int {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if disabled.Load() {
-		return
-	}
 	h.counts[h.bucketIndex(v)].Add(1)
 	h.count.Add(1)
 	for {
@@ -341,9 +315,6 @@ func (h *Histogram) Observe(v float64) {
 // ObserveTraced records one value and, when traceID is non-empty,
 // replaces the landing bucket's exemplar with this observation.
 func (h *Histogram) ObserveTraced(v float64, traceID string) {
-	if disabled.Load() {
-		return
-	}
 	h.Observe(v)
 	if traceID == "" {
 		return

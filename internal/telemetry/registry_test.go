@@ -85,21 +85,6 @@ func TestCounterVec(t *testing.T) {
 	}
 }
 
-func TestDisabledStateRecordsNothing(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("off_total", "")
-	g := r.Gauge("off_gauge", "")
-	h := r.Histogram("off_hist", "", []float64{1})
-	SetEnabled(false)
-	defer SetEnabled(true)
-	c.Inc()
-	g.Set(7)
-	h.Observe(3)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Error("disabled telemetry still recorded values")
-	}
-}
-
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("conc_total", "")

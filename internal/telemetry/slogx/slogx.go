@@ -68,28 +68,24 @@ func (h flightHandler) Enabled(ctx context.Context, level slog.Level) bool {
 	return h.next.Enabled(ctx, level)
 }
 
-// Handle records the entry in the flight recorder, then delegates. The
-// recorder map is only built when telemetry is on — the tee must cost
-// nothing beyond the wrapped handler when the ring is disabled.
+// Handle records the entry in the flight recorder, then delegates.
 func (h flightHandler) Handle(ctx context.Context, r slog.Record) error {
-	if telemetry.Enabled() {
-		attrs := make(map[string]string, len(h.bound)+r.NumAttrs()+1)
-		for k, v := range h.bound {
-			attrs[k] = v
-		}
-		attrs["level"] = r.Level.String()
-		r.Attrs(func(a slog.Attr) bool {
-			flattenAttr(attrs, h.prefix, a)
-			return true
-		})
-		telemetry.RecordFlight(telemetry.FlightEntry{
-			Time:  r.Time,
-			Kind:  "log",
-			Name:  r.Message,
-			Trace: telemetry.TraceIDFrom(ctx),
-			Attrs: attrs,
-		})
+	attrs := make(map[string]string, len(h.bound)+r.NumAttrs()+1)
+	for k, v := range h.bound {
+		attrs[k] = v
 	}
+	attrs["level"] = r.Level.String()
+	r.Attrs(func(a slog.Attr) bool {
+		flattenAttr(attrs, h.prefix, a)
+		return true
+	})
+	telemetry.RecordFlight(telemetry.FlightEntry{
+		Time:  r.Time,
+		Kind:  "log",
+		Name:  r.Message,
+		Trace: telemetry.TraceIDFrom(ctx),
+		Attrs: attrs,
+	})
 	return h.next.Handle(ctx, r)
 }
 

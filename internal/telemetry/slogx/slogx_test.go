@@ -54,24 +54,6 @@ func TestFlightTeeCarriesBoundAttrsAndGroups(t *testing.T) {
 	}
 }
 
-// TestFlightTeeDisabled checks the tee records nothing (and the log
-// line still flows) when telemetry is off.
-func TestFlightTeeDisabled(t *testing.T) {
-	telemetry.Flight().Reset()
-	defer telemetry.Flight().Reset()
-	telemetry.SetEnabled(false)
-	defer telemetry.SetEnabled(true)
-	var buf bytes.Buffer
-	Configure(Options{Writer: &buf})
-	Info("quiet tee")
-	if !strings.Contains(buf.String(), "quiet tee") {
-		t.Error("log line lost while telemetry disabled")
-	}
-	if n := len(telemetry.Flight().Snapshot()); n != 0 {
-		t.Errorf("disabled telemetry still recorded %d flight entries", n)
-	}
-}
-
 func TestConfigureTextAndLevels(t *testing.T) {
 	var buf bytes.Buffer
 	Configure(Options{Writer: &buf, Level: slog.LevelInfo})

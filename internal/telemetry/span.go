@@ -26,12 +26,9 @@ type spanCtxKey struct{}
 // StartSpan opens a span named name. If the context already carries a
 // span, the new span nests under it (path "parent/name"); the returned
 // context carries the new span for further nesting. End records the
-// duration. A nil *Span (telemetry disabled) is safe to End.
+// duration.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	if disabled.Load() {
-		return ctx, nil
-	}
-	if parent, ok := ctx.Value(spanCtxKey{}).(*Span); ok && parent != nil {
+	if parent, ok := ctx.Value(spanCtxKey{}).(*Span); ok {
 		name = parent.path + "/" + name
 	}
 	s := &Span{path: name, trace: TraceIDFrom(ctx), start: time.Now()}
@@ -41,9 +38,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 // End records the span's duration into the global span table and, for
 // traced spans, into the flight recorder.
 func (s *Span) End() {
-	if s == nil {
-		return
-	}
 	d := time.Since(s.start)
 	globalSpans.record(s.path, d)
 	if s.trace != "" {
