@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt-check vet test race fuzz-smoke bench determinism verify verify-telemetry serve-smoke registry-smoke autopilot-smoke obs-smoke sim-smoke fleet-smoke doc-lint
+.PHONY: build fmt-check vet test race fuzz-smoke bench determinism verify verify-telemetry registry-smoke autopilot-smoke obs-smoke sim-smoke fleet-smoke doc-lint
 
 build:
 	$(GO) build ./...
@@ -33,10 +33,12 @@ race:
 # session, of the stack-walk table and the split on it, held to a split
 # of every event on its own, of the two JSONL replays, the autopilot
 # journal and the registry history, held to the whole records before the
-# first torn line and a faithful re-encode, and of the RBF scoring
-# branch over the flat support-vector matrix, held bit for bit to the
-# Kernel.Compute loop on models drawn from the input — the CI smoke
-# budget, not a deep campaign. Bundle, checkpoint, envelope, journal and
+# first torn line and a faithful re-encode, of the RBF scoring branch
+# over the flat support-vector matrix, held bit for bit to the
+# Kernel.Compute loop on models drawn from the input, and of the
+# load-simulator scenario decoder, held to no panic and a marshal and
+# re-parse of every accepted scenario that is a fixed point — the CI
+# smoke budget, not a deep campaign. Bundle, checkpoint, envelope, journal and
 # history inputs are large or JSON the mutator keeps growing, so those
 # targets minimize each new input for at most 100 runs: the default
 # 60 s minimization would spend the whole budget on the first one.
@@ -54,6 +56,7 @@ fuzz-smoke:
 	$(GO) test ./internal/autopilot -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=10s -fuzzminimizetime=100x
 	$(GO) test ./internal/registry -run='^$$' -fuzz=FuzzRegistryHistory -fuzztime=10s -fuzzminimizetime=100x
 	$(GO) test ./internal/svm -run='^$$' -fuzz=FuzzDecision -fuzztime=10s
+	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzParseScenario -fuzztime=10s
 
 # Runs the canonical leaps-sim scenarios and writes their deterministic
 # throughput/latency/checksum rows to BENCH_sim.json, which sim-smoke
@@ -115,13 +118,6 @@ determinism:
 verify-telemetry:
 	./scripts/verify-telemetry.sh
 
-# End-to-end smoke test of leaps-serve: boots the server against a
-# generated dataset, drives one session over HTTP with curl, and asserts
-# verdicts, SIGTERM checkpointing, restore-identical scoring and 429
-# backpressure.
-serve-smoke:
-	./scripts/serve-smoke.sh
-
 # End-to-end smoke test of the model registry lifecycle: publishes two
 # trained seeds, shadow-evaluates the challenger against live traffic,
 # and walks gated/forced promotion and rollback over /v1/models,
@@ -168,5 +164,5 @@ doc-lint:
 
 # The CI recipe. The benchmark is its own module, so the root's build,
 # vet and test never compile it; the last step vets and tests it there.
-verify: build fmt-check vet test race determinism fuzz-smoke doc-lint verify-telemetry serve-smoke registry-smoke autopilot-smoke obs-smoke sim-smoke fleet-smoke
+verify: build fmt-check vet test race determinism fuzz-smoke doc-lint verify-telemetry registry-smoke autopilot-smoke obs-smoke sim-smoke fleet-smoke
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...

@@ -475,8 +475,8 @@ func BenchmarkSMOWorkingSetSelection(b *testing.B) {
 const serveIngestBatchEvents = 200
 
 // BenchmarkServeIngest measures end-to-end serving throughput: events
-// POSTed to a live leaps-serve HTTP API through ingestion, scheduling,
-// scoring and verdict serialisation. Reports events and verdicts per op.
+// POSTed to a live leaps-serve HTTP API through ingestion, the session's
+// turn, scoring and verdict serialisation. Reports events and verdicts per op.
 func BenchmarkServeIngest(b *testing.B) {
 	b.ReportAllocs()
 	benchmarkServeIngest(b)
@@ -501,7 +501,7 @@ func TestServeIngestAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement under -short")
 	}
-	// 1.865 allocs per event measured (373 per batch), 1.945 under -race.
+	// 1.825 allocs per event measured (365 per batch), 1.90 under -race.
 	const serveIngestAllocBudget = 2.3
 	r := testing.Benchmark(benchmarkServeIngest)
 	perEvent := float64(r.AllocsPerOp()) / serveIngestBatchEvents

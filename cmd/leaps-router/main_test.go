@@ -52,11 +52,9 @@ func trainMonitor(t *testing.T) (*core.Monitor, *dataset.Logs) {
 func startReplica(t *testing.T, mon *core.Monitor, id string) string {
 	t.Helper()
 	srv, err := serve.NewServer(serve.Config{
-		Preloaded:      map[string]*core.Monitor{"default": mon},
-		Parallel:       1,
-		ReplicaID:      id,
-		RequestTimeout: 30 * time.Second,
-		Logger:         slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Preloaded: map[string]*core.Monitor{"default": mon},
+		ReplicaID: id,
+		Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@
 //	    [-registry dir] [-registry-model default] [-shadow-queue 256] \
 //	    [-gate-min-events 1000] [-gate-min-tpr 0.95] [-gate-max-fpr 0.05] \
 //	    [-addr 127.0.0.1:8341] [-spool ./spool] [-queue-depth 8192] \
-//	    [-max-sessions 1024] [-max-body 8388608] [-request-timeout 30s] \
+//	    [-max-sessions 1024] [-max-body 8388608] \
 //	    [-idle-timeout 15m] [-evict-interval 1m] [-parallel N] \
 //	    [-autopilot -autopilot-benign b.letl -autopilot-mixed m.letl \
 //	     -autopilot-app vim.exe -autopilot-lambda 8 -autopilot-sigma2 2 \
@@ -127,7 +127,7 @@ func (m modelFlags) Set(v string) error {
 
 // run starts the server and blocks until a termination signal. When
 // ready is non-nil, the bound address is sent on it once the listener is
-// up (the smoke test and main_test hook).
+// up and signals are caught (main_test's hook).
 func run(args []string, ready chan<- string) error {
 	fs := flag.NewFlagSet("leaps-serve", flag.ContinueOnError)
 	models := modelFlags{}
@@ -144,10 +144,9 @@ func run(args []string, ready chan<- string) error {
 		queueDepth = fs.Int("queue-depth", 8192, "max queued events per session before 429")
 		maxSess    = fs.Int("max-sessions", 1024, "max resident sessions")
 		maxBody    = fs.Int64("max-body", 8<<20, "max request body bytes")
-		reqTimeout = fs.Duration("request-timeout", 30*time.Second, "max wait for a batch to be scored")
 		idle       = fs.Duration("idle-timeout", 15*time.Minute, "evict sessions untouched this long (needs -spool)")
 		evictEvery = fs.Duration("evict-interval", time.Minute, "idle-session scan period")
-		parallel   = fs.Int("parallel", 0, "scoring worker count (0 = GOMAXPROCS)")
+		parallel   = fs.Int("parallel", 0, "autopilot retraining worker count (0 = GOMAXPROCS)")
 		syncFrom   = fs.String("sync-from", "", "primary registry directory to replicate -registry from (background pull loop; promotions on the primary hot-reload this replica)")
 		syncEvery  = fs.Duration("sync-interval", 2*time.Second, "replication poll period (with -sync-from)")
 		replicaID  = fs.String("replica-id", "", "fleet replica name, reported in session info and verdict flight entries")
@@ -283,21 +282,19 @@ func run(args []string, ready chan<- string) error {
 	}
 
 	cfg := serve.Config{
-		Models:         models,
-		Registry:       store,
-		RegistryModel:  *regModel,
-		ShadowQueue:    *shadowQ,
-		Gate:           gate,
-		SpoolDir:       *spool,
-		MaxSessions:    *maxSess,
-		QueueDepth:     *queueDepth,
-		MaxBodyBytes:   *maxBody,
-		RequestTimeout: *reqTimeout,
-		IdleTimeout:    *idle,
-		EvictInterval:  *evictEvery,
-		Parallel:       *parallel,
-		ReplicaID:      *replicaID,
-		Logger:         slogx.L(),
+		Models:        models,
+		Registry:      store,
+		RegistryModel: *regModel,
+		ShadowQueue:   *shadowQ,
+		Gate:          gate,
+		SpoolDir:      *spool,
+		MaxSessions:   *maxSess,
+		QueueDepth:    *queueDepth,
+		MaxBodyBytes:  *maxBody,
+		IdleTimeout:   *idle,
+		EvictInterval: *evictEvery,
+		ReplicaID:     *replicaID,
+		Logger:        slogx.L(),
 	}
 	if ctl != nil {
 		cfg.Autopilot = ctl
@@ -323,6 +320,9 @@ func run(args []string, ready chan<- string) error {
 		slogx.Info("autopilot started", "trigger", *apTrigger, "interval", apInterval.String())
 	}
 
+	sigs := make(chan os.Signal, 2)
+	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT, syscall.SIGHUP, syscall.SIGQUIT)
+	defer signal.Stop(sigs)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -335,9 +335,6 @@ func run(args []string, ready chan<- string) error {
 		ready <- ln.Addr().String()
 	}
 
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT, syscall.SIGHUP, syscall.SIGQUIT)
-	defer signal.Stop(sigs)
 	for {
 		select {
 		case err := <-serveErr:

@@ -2,11 +2,16 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -56,8 +61,9 @@ func buildModel(t *testing.T, dir string) (string, *dataset.Logs) {
 	return path, logs
 }
 
-// postJSON marshals body and POSTs it, decoding the response into out.
-func postJSON(t *testing.T, url string, body, out any) int {
+// post marshals body, POSTs it and returns the response's status,
+// headers and body.
+func post(t *testing.T, url string, body any) (int, http.Header, []byte) {
 	t.Helper()
 	blob, err := json.Marshal(body)
 	if err != nil {
@@ -68,49 +74,46 @@ func postJSON(t *testing.T, url string, body, out any) int {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("POST %s: %v", url, err)
-		}
+	reply, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
 	}
-	return resp.StatusCode
+	return resp.StatusCode, resp.Header, reply
 }
 
-func TestRunServesScoresAndCheckpoints(t *testing.T) {
-	dir := t.TempDir()
-	model, logs := buildModel(t, dir)
-	spool := filepath.Join(dir, "spool")
-	mal := logs.Malicious
+// postJSON POSTs body and decodes the response into out.
+func postJSON(t *testing.T, url string, body, out any) int {
+	t.Helper()
+	code, _, reply := post(t, url, body)
+	if err := json.Unmarshal(reply, out); err != nil {
+		t.Fatalf("POST %s: decoding %q: %v", url, reply, err)
+	}
+	return code
+}
 
+// startRun boots run with args on a free port and returns its base URL
+// and the channel run's result arrives on.
+func startRun(t *testing.T, args ...string) (string, <-chan error) {
+	t.Helper()
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-model", model, "-addr", "127.0.0.1:0", "-spool", spool, "-quiet"}, ready)
+		done <- run(append(args, "-addr", "127.0.0.1:0", "-quiet"), ready)
 	}()
-	var base string
 	select {
 	case addr := <-ready:
-		base = "http://" + addr
+		return "http://" + addr, done
 	case err := <-done:
 		t.Fatalf("server exited before ready: %v", err)
+		return "", nil
 	}
+}
 
-	var info serve.SessionInfo
-	if code := postJSON(t, base+"/v1/sessions", serve.SessionSpecOf(mal, ""), &info); code != http.StatusCreated {
-		t.Fatalf("create session: status %d", code)
-	}
-	n := 3 * info.Window
-	var res serve.IngestResult
-	url := fmt.Sprintf("%s/v1/sessions/%s/events", base, info.ID)
-	batch := serve.EventBatch{Events: serve.EventSpecsOf(mal.Events[:n])}
-	if code := postJSON(t, url, batch, &res); code != http.StatusOK {
-		t.Fatalf("ingest: status %d", code)
-	}
-	if res.Consumed != n || len(res.Verdicts) == 0 {
-		t.Fatalf("ingest result %+v, want %d consumed with verdicts", res, n)
-	}
-
-	// SIGTERM checkpoints the session and exits cleanly.
+// stopRun sends the process SIGTERM and requires run to shut down
+// cleanly. Every run in the process catches the signal, so a test keeps
+// at most one running.
+func stopRun(t *testing.T, done <-chan error) {
+	t.Helper()
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +125,79 @@ func TestRunServesScoresAndCheckpoints(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("server did not shut down on SIGTERM")
 	}
+}
+
+// TestRunServesScoresAndCheckpoints drives leaps-serve end to end: the
+// health probes answer, a malicious batch raises a malicious verdict,
+// SIGTERM spools the session, a restarted server restores it and answers
+// its next batch byte for byte as a never-interrupted server does, and a
+// session queue smaller than a batch answers 429 with Retry-After.
+func TestRunServesScoresAndCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	model, logs := buildModel(t, dir)
+	spool := filepath.Join(dir, "spool")
+	mal := logs.Malicious
+	spec := serve.SessionSpecOf(mal, "")
+
+	// The uninterrupted reference serves the same bundle in process: a
+	// second run would catch the SIGTERMs too.
+	ref, err := serve.NewServer(serve.Config{
+		Models: map[string]string{"default": model},
+		Logger: slog.New(slog.DiscardHandler),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refTS := httptest.NewServer(ref.Handler())
+	defer refTS.Close()
+	var refInfo serve.SessionInfo
+	if code := postJSON(t, refTS.URL+"/v1/sessions", spec, &refInfo); code != http.StatusCreated {
+		t.Fatalf("reference create session: status %d", code)
+	}
+	refURL := fmt.Sprintf("%s/v1/sessions/%s/events", refTS.URL, refInfo.ID)
+
+	base, done := startRun(t, "-model", model, "-spool", spool)
+	for _, probe := range []string{"/healthz", "/readyz"} {
+		resp, err := http.Get(base + probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d (err %v)", probe, resp.StatusCode, err)
+		}
+		var ready struct {
+			Ready bool `json:"ready"`
+		}
+		if probe == "/readyz" && (json.Unmarshal(body, &ready) != nil || !ready.Ready) {
+			t.Fatalf("/readyz answered %q, want ready", body)
+		}
+	}
+
+	var info serve.SessionInfo
+	if code := postJSON(t, base+"/v1/sessions", spec, &info); code != http.StatusCreated {
+		t.Fatalf("create session: status %d", code)
+	}
+	n := 3 * info.Window
+	var res serve.IngestResult
+	url := fmt.Sprintf("%s/v1/sessions/%s/events", base, info.ID)
+	batchA := serve.EventBatch{Events: serve.EventSpecsOf(mal.Events[:n])}
+	if code := postJSON(t, url, batchA, &res); code != http.StatusOK {
+		t.Fatalf("ingest: status %d", code)
+	}
+	if res.Consumed != n || len(res.Verdicts) == 0 {
+		t.Fatalf("ingest result %+v, want %d consumed with verdicts", res, n)
+	}
+	if !slices.ContainsFunc(res.Verdicts, func(v serve.Verdict) bool { return v.Malicious }) {
+		t.Fatalf("malicious log raised no malicious verdict: %+v", res.Verdicts)
+	}
+	if code, _, _ := post(t, refURL, batchA); code != http.StatusOK {
+		t.Fatalf("reference ingest: status %d", code)
+	}
+
+	// SIGTERM checkpoints the session and exits cleanly.
+	stopRun(t, done)
 	spooled, err := filepath.Glob(filepath.Join(spool, "*.ckpt"))
 	if err != nil || len(spooled) != 1 || filepath.Base(spooled[0]) != info.ID+".ckpt" {
 		t.Fatalf("spool after SIGTERM: %v (err %v), want one %s.ckpt envelope", spooled, err, info.ID)
@@ -131,18 +207,9 @@ func TestRunServesScoresAndCheckpoints(t *testing.T) {
 		t.Fatalf("spooled envelope for %s unreadable or names %q (err %v)", info.ID, ex.ID, err)
 	}
 
-	// A restarted server restores the session and keeps scoring it.
-	ready2 := make(chan string, 1)
-	done2 := make(chan error, 1)
-	go func() {
-		done2 <- run([]string{"-model", model, "-addr", "127.0.0.1:0", "-spool", spool, "-quiet"}, ready2)
-	}()
-	select {
-	case addr := <-ready2:
-		base = "http://" + addr
-	case err := <-done2:
-		t.Fatalf("restarted server exited before ready: %v", err)
-	}
+	// A restarted server restores the session and scores its next batch
+	// exactly as the uninterrupted reference does.
+	base, done = startRun(t, "-model", model, "-spool", spool)
 	resp, err := http.Get(base + "/v1/sessions/" + info.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -152,24 +219,39 @@ func TestRunServesScoresAndCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || state.Consumed != n {
-		t.Fatalf("restored session: status %d state %+v, want consumed=%d", resp.StatusCode, state, n)
+	if resp.StatusCode != http.StatusOK || state.ID != info.ID || state.Consumed != n {
+		t.Fatalf("restored session: status %d state %+v, want %s with consumed=%d", resp.StatusCode, state, info.ID, n)
 	}
 	url = fmt.Sprintf("%s/v1/sessions/%s/events", base, info.ID)
-	batch = serve.EventBatch{Events: serve.EventSpecsOf(mal.Events[n : n+info.Window])}
-	if code := postJSON(t, url, batch, &res); code != http.StatusOK {
+	batchB := serve.EventBatch{Events: serve.EventSpecsOf(mal.Events[n : n+2*info.Window])}
+	code, _, got := post(t, url, batchB)
+	if code != http.StatusOK {
 		t.Fatalf("post-restore ingest: status %d", code)
 	}
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
+	if code, _, want := post(t, refURL, batchB); code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("restored session answered\n%s\nthe uninterrupted reference (status %d)\n%s", got, code, want)
 	}
-	select {
-	case err := <-done2:
-		if err != nil {
-			t.Fatalf("second run: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("restarted server did not shut down on SIGTERM")
+	if err := json.Unmarshal(got, &res); err != nil || len(res.Verdicts) != 2 {
+		t.Fatalf("post-restore reply %q, want 2 verdicts (err %v)", got, err)
+	}
+	stopRun(t, done)
+
+	// A session queue of 64 events refuses a batch one event larger.
+	base, done = startRun(t, "-model", model, "-queue-depth", "64")
+	if code := postJSON(t, base+"/v1/sessions", spec, &info); code != http.StatusCreated {
+		t.Fatalf("create session: status %d", code)
+	}
+	url = fmt.Sprintf("%s/v1/sessions/%s/events", base, info.ID)
+	code, header, _ := post(t, url, serve.EventBatch{Events: serve.EventSpecsOf(mal.Events[:65])})
+	if code != http.StatusTooManyRequests || header.Get("Retry-After") == "" {
+		t.Fatalf("batch past -queue-depth: status %d, Retry-After %q; want 429 with a hint", code, header.Get("Retry-After"))
+	}
+	stopRun(t, done)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := ref.Shutdown(ctx); err != nil {
+		t.Fatal(err)
 	}
 }
 

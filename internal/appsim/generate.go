@@ -53,6 +53,31 @@ func (p *Process) GenerateLog(cfg GenConfig) (*trace.Log, error) {
 	if cfg.Events <= 0 {
 		return nil, errors.New("appsim: GenConfig.Events must be positive")
 	}
+	gen, err := p.newGenerator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	g := gen.g
+	for g.log.Len() < cfg.Events {
+		fromPayload := p.payload != nil && g.rng.Float64() < gen.fraction
+		burst := 1 + g.rng.Intn(gen.maxBurst)
+		for b := 0; b < burst && g.log.Len() < cfg.Events; b++ {
+			if fromPayload {
+				g.emitOp(pickOp(g.rng, p.payload.ops, p.payload.totalW), payloadTID)
+			} else {
+				g.emitOp(pickOp(g.rng, gen.appOps, gen.appW), benignTID)
+			}
+		}
+	}
+	return g.log, nil
+}
+
+// newGenerator validates cfg, Events aside, and sets up one generation
+// run: the application operations left after ExcludeOps, a logGen seeded
+// from cfg.Seed with the log header and start time, the attack preamble
+// for an infected process, and the burst bound. GenerateLog and Generator
+// both start here and differ only in how they consume the run.
+func (p *Process) newGenerator(cfg GenConfig) (*Generator, error) {
 	if cfg.PayloadFraction < 0 || cfg.PayloadFraction > 1 {
 		return nil, fmt.Errorf("appsim: PayloadFraction %v out of [0,1]", cfg.PayloadFraction)
 	}
@@ -63,24 +88,6 @@ func (p *Process) GenerateLog(cfg GenConfig) (*trace.Log, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	g := &logGen{
-		proc: p,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		log: &trace.Log{
-			App:     p.modules.AppName(),
-			PID:     cfg.PID,
-			Modules: p.modules,
-		},
-		now: cfg.Start,
-	}
-	if g.now.IsZero() {
-		g.now = genEpoch
-	}
-
-	if p.payload != nil {
-		g.emitPreamble()
-	}
 	maxBurst := cfg.MaxBurst
 	if maxBurst == 0 {
 		maxBurst = 4
@@ -88,18 +95,30 @@ func (p *Process) GenerateLog(cfg GenConfig) (*trace.Log, error) {
 	if maxBurst < 1 {
 		return nil, fmt.Errorf("appsim: MaxBurst %d must be positive", cfg.MaxBurst)
 	}
-	for g.log.Len() < cfg.Events {
-		fromPayload := p.payload != nil && g.rng.Float64() < cfg.PayloadFraction
-		burst := 1 + g.rng.Intn(maxBurst)
-		for b := 0; b < burst && g.log.Len() < cfg.Events; b++ {
-			if fromPayload {
-				g.emitOp(pickOp(g.rng, p.payload.ops, p.payload.totalW), payloadTID)
-			} else {
-				g.emitOp(pickOp(g.rng, appOps, appW), benignTID)
-			}
-		}
+	gen := &Generator{
+		proc: p,
+		g: &logGen{
+			proc: p,
+			rng:  rand.New(rand.NewSource(cfg.Seed)),
+			log: &trace.Log{
+				App:     p.modules.AppName(),
+				PID:     cfg.PID,
+				Modules: p.modules,
+			},
+			now: cfg.Start,
+		},
+		appOps:   appOps,
+		appW:     appW,
+		fraction: cfg.PayloadFraction,
+		maxBurst: maxBurst,
 	}
-	return g.log, nil
+	if gen.g.now.IsZero() {
+		gen.g.now = genEpoch
+	}
+	if p.payload != nil {
+		gen.g.emitPreamble()
+	}
+	return gen, nil
 }
 
 // appOpsFor resolves the application operation set a generation run

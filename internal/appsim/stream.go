@@ -2,8 +2,6 @@ package appsim
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
 
 	"repro/internal/trace"
 )
@@ -42,47 +40,7 @@ func (p *Process) Generator(cfg GenConfig) (*Generator, error) {
 	if cfg.Events != 0 {
 		return nil, errors.New("appsim: Generator ignores GenConfig.Events; set the lifetime at the caller")
 	}
-	if cfg.PayloadFraction < 0 || cfg.PayloadFraction > 1 {
-		return nil, fmt.Errorf("appsim: PayloadFraction %v out of [0,1]", cfg.PayloadFraction)
-	}
-	if p.payload == nil && cfg.PayloadFraction > 0 {
-		return nil, errors.New("appsim: PayloadFraction set on a process without a payload")
-	}
-	appOps, appW, err := p.appOpsFor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	maxBurst := cfg.MaxBurst
-	if maxBurst == 0 {
-		maxBurst = 4
-	}
-	if maxBurst < 1 {
-		return nil, fmt.Errorf("appsim: MaxBurst %d must be positive", cfg.MaxBurst)
-	}
-	gen := &Generator{
-		proc: p,
-		g: &logGen{
-			proc: p,
-			rng:  rand.New(rand.NewSource(cfg.Seed)),
-			log: &trace.Log{
-				App:     p.modules.AppName(),
-				PID:     cfg.PID,
-				Modules: p.modules,
-			},
-			now: cfg.Start,
-		},
-		appOps:   appOps,
-		appW:     appW,
-		fraction: cfg.PayloadFraction,
-		maxBurst: maxBurst,
-	}
-	if gen.g.now.IsZero() {
-		gen.g.now = genEpoch
-	}
-	if p.payload != nil {
-		gen.g.emitPreamble()
-	}
-	return gen, nil
+	return p.newGenerator(cfg)
 }
 
 // Next returns the next n events of the stream. The returned slice is

@@ -117,11 +117,9 @@ func newServeReplica(t *testing.T, id string) *serve.Server {
 	t.Helper()
 	mon, _ := fixtures(t)
 	srv, err := serve.NewServer(serve.Config{
-		Preloaded:      map[string]*core.Monitor{"default": mon},
-		Parallel:       1,
-		ReplicaID:      id,
-		RequestTimeout: 30 * time.Second,
-		Logger:         slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Preloaded: map[string]*core.Monitor{"default": mon},
+		ReplicaID: id,
+		Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)

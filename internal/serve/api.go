@@ -339,6 +339,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		created:  now,
 		lastUsed: now,
 	}
+	sess.turn.L = &sess.mu
 	if sess.id == "" {
 		sess.id = newSessionID()
 	}
@@ -451,14 +452,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		events: events,
 		enq:    time.Now(),
 		trace:  telemetry.TraceIDFrom(r.Context()),
-		done:   make(chan ingestReply, 1),
 	}
-	schedule, err := sess.enqueue(b, s.cfg.QueueDepth)
+	ticket, err := sess.takeTicket(len(events), s.cfg.QueueDepth)
 	if errors.Is(err, ErrSessionClosed) {
-		// The session was evicted between lookup and enqueue; restore it
-		// and retry once.
+		// The session was evicted between lookup and admission; restore
+		// it and retry once.
 		if sess, err = s.getSession(id); err == nil {
-			schedule, err = sess.enqueue(b, s.cfg.QueueDepth)
+			ticket, err = sess.takeTicket(len(events), s.cfg.QueueDepth)
 		}
 	}
 	switch {
@@ -475,27 +475,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		refuse(w, err)
 		return
 	}
-	if schedule {
-		s.workCh <- sess
+	// An admitted batch scores even if its client has gone away, so the
+	// session's stream has no gaps.
+	rep := s.scoreTurn(sess, ticket, b)
+	if rep.err != nil {
+		writeError(w, http.StatusInternalServerError, "scoring batch: %v", rep.err)
+		return
 	}
-
-	timeout := time.NewTimer(s.cfg.RequestTimeout)
-	defer timeout.Stop()
-	select {
-	case rep := <-b.done:
-		if rep.err != nil {
-			writeError(w, http.StatusInternalServerError, "scoring batch: %v", rep.err)
-			return
-		}
-		writeIngest(w, &IngestResult{Consumed: rep.consumed, Skipped: rep.skipped, Verdicts: rep.verdicts})
-	case <-timeout.C:
-		mRejected.With("timeout").Inc()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable,
-			"batch not scored within %s; it remains queued", s.cfg.RequestTimeout)
-	case <-r.Context().Done():
-		// Client went away; the batch still scores in order.
-	}
+	writeIngest(w, &IngestResult{Consumed: rep.consumed, Skipped: rep.skipped, Verdicts: rep.verdicts})
 }
 
 // retryAfterHint scales a 429's Retry-After with how backed up the
@@ -528,7 +515,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	s.sessMu.Unlock()
 	if resident {
-		sess.close()
+		sess.quiesce()
 		mSessionsActive.Add(-1)
 	}
 	if err != nil && !errors.Is(err, errNoSession) {

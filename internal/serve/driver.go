@@ -12,7 +12,7 @@ import (
 // Driver exercises a Server's HTTP API in-process, without sockets. Each
 // call synthesises a real *http.Request, routes it through Handler() —
 // the same tracing middleware, mux patterns, handler code, session
-// queue and scoring worker pool a network client exercises — and decodes
+// turns and scoring a network client exercises — and decodes
 // the recorded response. The load simulator (internal/sim) drives its
 // replicas through a Driver so a simulated fleet measures the true
 // serving path while the event schedule stays free of socket

@@ -408,7 +408,7 @@ func TestStackCacheBound(t *testing.T) {
 func TestIngestConcurrentBatchesOneSession(t *testing.T) {
 	_, logs := newTestModel(t)
 	mal := logs.Malicious
-	s := newTestServer(t, Config{Parallel: 2})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	info := createSession(t, ts, mal)

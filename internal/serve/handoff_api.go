@@ -62,7 +62,7 @@ func ringGenFrom(r *http.Request) int64 {
 
 // handleExport detaches a session and returns its envelope; after a
 // successful export the session no longer exists on this replica. A
-// resident session is quiesced first, so every queued batch scores
+// resident session is quiesced first, so every admitted batch scores
 // before the envelope is cut, and a checkpoint failure reinstates it
 // unharmed. An evicted session hands over its spooled envelope as is,
 // consumed without becoming resident, so the session cap never refuses a

@@ -14,7 +14,7 @@ import (
 // before it exists.
 func TestSessionSpecClientID(t *testing.T) {
 	_, logs := newTestModel(t)
-	s := newTestServer(t, Config{Parallel: 1})
+	s := newTestServer(t, Config{})
 	drv := NewDriver(s)
 
 	spec := SessionSpecOf(logs.Malicious, "")
@@ -45,8 +45,8 @@ func TestSessionSpecClientID(t *testing.T) {
 // a session that never moved.
 func TestExportImportContinuity(t *testing.T) {
 	mon, logs := newTestModel(t)
-	loser := newTestServer(t, Config{Parallel: 1, ReplicaID: "r0"})
-	gainer := newTestServer(t, Config{Parallel: 1, ReplicaID: "r1"})
+	loser := newTestServer(t, Config{ReplicaID: "r0"})
+	gainer := newTestServer(t, Config{ReplicaID: "r1"})
 	ldrv, gdrv := NewDriver(loser), NewDriver(gainer)
 
 	mal := logs.Malicious
@@ -117,7 +117,7 @@ func TestExportImportContinuity(t *testing.T) {
 // restores service.
 func TestDrainLifecycle(t *testing.T) {
 	mon, logs := newTestModel(t)
-	s := newTestServer(t, Config{Parallel: 1, ReplicaID: "r0"})
+	s := newTestServer(t, Config{ReplicaID: "r0"})
 	drv := NewDriver(s)
 
 	spec := SessionSpecOf(logs.Malicious, "")
@@ -167,10 +167,10 @@ func TestImportPinsEntryAcrossPromotion(t *testing.T) {
 	mon, logs := newTestModel(t)
 	st, manA, manB := registryFixture(t)
 	loser := newTestServer(t, Config{
-		Registry: st, Preloaded: map[string]*core.Monitor{}, Parallel: 1, ReplicaID: "r0",
+		Registry: st, Preloaded: map[string]*core.Monitor{}, ReplicaID: "r0",
 	})
 	gainer := newTestServer(t, Config{
-		Registry: st, Preloaded: map[string]*core.Monitor{}, Parallel: 1, ReplicaID: "r1",
+		Registry: st, Preloaded: map[string]*core.Monitor{}, ReplicaID: "r1",
 	})
 	ldrv, gdrv := NewDriver(loser), NewDriver(gainer)
 
@@ -250,7 +250,7 @@ func TestImportUnknownEntryConflicts(t *testing.T) {
 	_, logs := newTestModel(t)
 	st, _, _ := registryFixture(t)
 	s := newTestServer(t, Config{
-		Registry: st, Preloaded: map[string]*core.Monitor{}, Parallel: 1,
+		Registry: st, Preloaded: map[string]*core.Monitor{},
 	})
 	drv := NewDriver(s)
 

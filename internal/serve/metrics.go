@@ -29,7 +29,7 @@ var (
 	mHTTPSeconds = telemetry.NewHistogramVec("serve_http_seconds",
 		"HTTP request latency by route", "route", telemetry.DurationBuckets())
 	mQueueWaitSeconds = telemetry.NewHistogram("serve_queue_wait_seconds",
-		"latency from batch acceptance to worker pickup", telemetry.DurationBuckets())
+		"latency from batch admission to its turn", telemetry.DurationBuckets())
 	mScoreSeconds = telemetry.NewHistogram("serve_score_seconds",
 		"detector scoring time per batch", telemetry.DurationBuckets())
 	mSessionsExported = telemetry.NewCounter("serve_sessions_exported_total",

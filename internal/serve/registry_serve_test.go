@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/registry"
@@ -244,9 +243,14 @@ func TestServeModelsLifecycleAPI(t *testing.T) {
 	res := ingest(t, ts, sess.ID, EventSpecsOf(mal.Events[:cut]))
 	got := append([]Verdict{}, res.Verdicts...)
 
-	if c := s.canary.Load(); c == nil {
+	c := s.canary.Load()
+	if c == nil {
 		t.Fatal("no canary active after shadow start")
-	} else if st := shadowReplayed(c, cut); st.Events != cut {
+	}
+	// A reply means its shadow offer is made, so Sync settles the
+	// comparison.
+	c.Sync()
+	if st := c.Status(); st.Events != cut {
 		t.Errorf("shadow replayed %d events, want %d", st.Events, cut)
 	}
 	info = ModelsInfo{} // Unmarshal keeps stale fields the response omits
@@ -322,7 +326,6 @@ func TestServeModelsLifecycleAPI(t *testing.T) {
 // evaluation never perturbs the serving path: the champion's verdict
 // stream is byte-identical with a challenger attached and without one.
 func TestServeShadowDeterminism(t *testing.T) {
-	lowerTurnEvents(t, 9)
 	mon, logs := newTestModel(t)
 	mal := logs.Malicious
 	n := 4 * mon.Window()
@@ -333,7 +336,6 @@ func TestServeShadowDeterminism(t *testing.T) {
 		s := newTestServer(t, Config{
 			Registry:  st,
 			Preloaded: map[string]*core.Monitor{},
-			Parallel:  4,
 		})
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
@@ -360,8 +362,8 @@ func TestServeShadowDeterminism(t *testing.T) {
 			if c == nil {
 				t.Fatal("canary vanished mid-run")
 			}
-			cmp := shadowReplayed(c, n)
-			if cmp.Events != n || cmp.Diverged != 0 {
+			c.Sync()
+			if cmp := c.Status(); cmp.Events != n || cmp.Diverged != 0 {
 				t.Fatalf("shadow comparison %+v, want %d events and no divergence", cmp, n)
 			}
 		}
@@ -380,18 +382,5 @@ func TestServeShadowDeterminism(t *testing.T) {
 	without := run(false)
 	if !bytes.Equal(with, without) {
 		t.Fatal("champion verdict stream differs with a shadow challenger attached")
-	}
-}
-
-// shadowReplayed returns the canary's comparison once it has replayed at
-// least events events, or when the deadline passes. The worker offers a
-// batch to the shadow only after it replies, so a client can hold its
-// verdicts before the offer reaches Sync.
-func shadowReplayed(c *registry.Canary, events int) registry.Comparison {
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		c.Sync()
-		if st := c.Status(); st.Events >= events || time.Now().After(deadline) {
-			return st
-		}
 	}
 }

@@ -3,14 +3,15 @@
 // trained model bundles and scores many concurrent event streams over an
 // HTTP/JSON API.
 //
-// Each stream is a session — a core.StreamDetector pinned to one model —
-// with a bounded, event-counted ingest queue. Batches POSTed to a
-// session are scored strictly in arrival order by at most one worker
-// turn at a time, so the verdict stream is deterministic for any
-// worker-pool size (the same contract the batch pipeline honours for
-// Config.Parallel). Backpressure is explicit: when a batch would
-// overflow the queue the request is rejected with 429 and a Retry-After
-// hint rather than buffered without bound.
+// Each stream is a session — a core.StreamDetector pinned to one model.
+// A batch POSTed to a session takes the session's next ticket and scores
+// on its own request goroutine once the session's turn reaches that
+// ticket, so a session's batches score one at a time in admission order
+// and its verdict stream is a pure function of its event stream, however
+// many sessions run concurrently. Backpressure is explicit: when the
+// events admitted and not yet at their turn would exceed the queue
+// depth, the request is rejected with 429 and a Retry-After hint rather
+// than buffered without bound.
 //
 // Sessions survive restarts through the checkpoint spool: graceful
 // shutdown writes every live session's envelope to the spool directory,
@@ -28,7 +29,6 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -74,22 +74,16 @@ type Config struct {
 	SpoolDir string
 	// MaxSessions caps resident sessions (default 1024).
 	MaxSessions int
-	// QueueDepth caps the queued events per session (default 8192).
+	// QueueDepth caps the events per session admitted and not yet at
+	// their turn (default 8192).
 	QueueDepth int
 	// MaxBodyBytes caps request bodies (default 8 MiB).
 	MaxBodyBytes int64
-	// RequestTimeout bounds how long an ingest request waits for its
-	// batch to be scored before giving up with 503 (default 30s). The
-	// batch is still scored; only the waiting stops.
-	RequestTimeout time.Duration
 	// IdleTimeout is how long a session may go untouched before the
 	// janitor evicts it to the spool (default 15m; requires SpoolDir).
 	IdleTimeout time.Duration
 	// EvictInterval is the janitor's scan period (default 1m).
 	EvictInterval time.Duration
-	// Parallel sizes the scoring worker pool (default GOMAXPROCS).
-	// Verdicts are identical for any value; only throughput changes.
-	Parallel int
 	// ReplicaID names this server within a fleet. When set it is
 	// reported as the owning replica in session info and stamped on
 	// verdict flight-recorder entries, so handoff races are attributable
@@ -110,17 +104,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
 	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 30 * time.Second
-	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 15 * time.Minute
 	}
 	if c.EvictInterval <= 0 {
 		c.EvictInterval = time.Minute
-	}
-	if c.Parallel <= 0 {
-		c.Parallel = runtime.GOMAXPROCS(0)
 	}
 	if c.RegistryModel == "" {
 		c.RegistryModel = "default"
@@ -160,9 +148,9 @@ func (m *model) snapshot() (path, entry string, mon *core.Monitor) {
 	return m.path, m.entry, m.mon
 }
 
-// Server is the serving subsystem: models, sessions, the scoring worker
-// pool and the HTTP API. Create with NewServer, expose Handler on a
-// listener, and call Shutdown to checkpoint and stop.
+// Server is the serving subsystem: models, sessions and the HTTP API.
+// Create with NewServer, expose Handler on a listener, and call Shutdown
+// to checkpoint and stop.
 type Server struct {
 	cfg    Config
 	mux    *http.ServeMux
@@ -171,8 +159,6 @@ type Server struct {
 	sessMu   sync.RWMutex
 	sessions map[string]*session
 
-	workCh      chan *session
-	workers     sync.WaitGroup
 	janitorStop chan struct{}
 	janitorDone chan struct{}
 	closing     atomic.Bool
@@ -194,14 +180,13 @@ type Server struct {
 }
 
 // NewServer loads the configured models, restores any spooled sessions,
-// and starts the scoring workers and eviction janitor.
+// and starts the eviction janitor.
 func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:         cfg,
 		models:      make(map[string]*model),
 		sessions:    make(map[string]*session),
-		workCh:      make(chan *session, cfg.MaxSessions),
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
 	}
@@ -248,10 +233,6 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.buildMux()
-	for i := 0; i < cfg.Parallel; i++ {
-		s.workers.Add(1)
-		go s.worker()
-	}
 	go s.janitor()
 	return s, nil
 }
@@ -338,10 +319,12 @@ func (s *Server) Reload() error {
 	return nil
 }
 
-// Shutdown drains every session queue (or discards it once ctx expires),
-// stops the workers, and checkpoints all sessions to the spool. The
-// HTTP listener must already be closed or draining — Shutdown makes the
-// API refuse new work but cannot stop the listener itself.
+// Shutdown makes the API refuse new work, lets every admitted batch
+// finish scoring, and checkpoints all sessions to the spool. It does not
+// consult ctx: a session's admitted work is bounded by QueueDepth, and an
+// admitted batch always scores so that no stream has a gap. The HTTP
+// listener must already be closed or draining — Shutdown cannot stop the
+// listener itself.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.closing.Swap(true) {
 		return nil
@@ -356,15 +339,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.sessMu.RUnlock()
 	for _, sess := range live {
-		select {
-		case <-ctx.Done():
-			sess.close() // deadline passed: fail queued batches instead
-		default:
-			sess.quiesce()
-		}
+		sess.quiesce()
 	}
-	close(s.workCh)
-	s.workers.Wait()
 	if c := s.canary.Swap(nil); c != nil {
 		c.Stop()
 	}
@@ -387,70 +363,51 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return firstErr
 }
 
-// worker pulls scheduled sessions and runs scoring turns.
-func (s *Server) worker() {
-	defer s.workers.Done()
-	for sess := range s.workCh {
-		s.runTurn(sess)
+// scoreTurn waits for ticket t's turn on sess, scores b, and records
+// what a scored batch feeds: the scoring metrics, the traffic counters
+// behind the autopilot trigger, the verdict flight entry and the shadow
+// offer. The turn ends even if scoring panics, so a failed batch cannot
+// wedge its session.
+func (s *Server) scoreTurn(sess *session, t uint64, b *ingestBatch) ingestReply {
+	sess.awaitTurn(t, len(b.events))
+	defer sess.endTurn()
+	mQueueWaitSeconds.ObserveTraced(time.Since(b.enq).Seconds(), b.trace)
+	scoreStart := time.Now()
+	rep := sess.score(b)
+	mScoreSeconds.ObserveTraced(time.Since(scoreStart).Seconds(), b.trace)
+	if rep.err == nil && len(rep.verdicts) > 0 {
+		var mal uint64
+		for _, v := range rep.verdicts {
+			if v.Malicious {
+				mal++
+			}
+		}
+		s.trafficVerdicts.Add(uint64(len(rep.verdicts)))
+		s.trafficMalicious.Add(mal)
+		attrs := map[string]string{
+			"model":     sess.model,
+			"verdicts":  strconv.Itoa(len(rep.verdicts)),
+			"malicious": strconv.FormatUint(mal, 10),
+		}
+		if s.cfg.ReplicaID != "" {
+			attrs["replica"] = s.cfg.ReplicaID
+			attrs["ring_gen"] = strconv.FormatInt(sess.ringGen, 10)
+		}
+		telemetry.RecordFlight(telemetry.FlightEntry{
+			Kind:  "verdict",
+			Name:  sess.id,
+			Trace: b.trace,
+			Attrs: attrs,
+		})
 	}
-}
-
-// turnEvents caps the events one worker turn scores before the session
-// yields its worker for fairness. A test may lower it; nothing else sets
-// it.
-var turnEvents = 1024
-
-// runTurn drains one session's queue in order, yielding the worker after
-// turnEvents events so a firehose session cannot starve the rest.
-func (s *Server) runTurn(sess *session) {
-	budget := turnEvents
-	for {
-		b, ok := sess.pop()
-		if !ok {
-			return
-		}
-		mQueueWaitSeconds.ObserveTraced(time.Since(b.enq).Seconds(), b.trace)
-		scoreStart := time.Now()
-		rep := sess.score(b)
-		mScoreSeconds.ObserveTraced(time.Since(scoreStart).Seconds(), b.trace)
-		b.done <- rep
-		if rep.err == nil && len(rep.verdicts) > 0 {
-			var mal uint64
-			for _, v := range rep.verdicts {
-				if v.Malicious {
-					mal++
-				}
-			}
-			s.trafficVerdicts.Add(uint64(len(rep.verdicts)))
-			s.trafficMalicious.Add(mal)
-			attrs := map[string]string{
-				"model":     sess.model,
-				"verdicts":  strconv.Itoa(len(rep.verdicts)),
-				"malicious": strconv.FormatUint(mal, 10),
-			}
-			if s.cfg.ReplicaID != "" {
-				attrs["replica"] = s.cfg.ReplicaID
-				attrs["ring_gen"] = strconv.FormatInt(sess.ringGen, 10)
-			}
-			telemetry.RecordFlight(telemetry.FlightEntry{
-				Kind:  "verdict",
-				Name:  sess.id,
-				Trace: b.trace,
-				Attrs: attrs,
-			})
-		}
-		s.shadowOffer(sess, b, rep)
-		if budget -= len(b.events); budget <= 0 {
-			s.workCh <- sess // scheduled stays set; next worker continues
-			return
-		}
-	}
+	s.shadowOffer(sess, b, rep)
+	return rep
 }
 
 // shadowOffer mirrors one scored batch to the active canary when the
 // session rides the registry-backed model. The champion's verdicts are
-// already final and delivered by the time it runs, and the offer itself
-// is a non-blocking try-send, so shadow evaluation can never perturb the
+// already final by the time it runs, and the offer itself is a
+// non-blocking try-send, so shadow evaluation can never perturb the
 // serving path's verdict stream.
 func (s *Server) shadowOffer(sess *session, b *ingestBatch, rep ingestReply) {
 	c := s.canary.Load()
@@ -506,9 +463,8 @@ func (s *Server) evictIdle(cutoff time.Time) {
 			s.sessMu.Unlock()
 			continue
 		}
-		sess.mu.Lock()
-		sess.closed = true
-		sess.mu.Unlock()
+		// A batch admitted since the check scores before the cut.
+		sess.quiesce()
 		if err := s.spoolSession(sess); err != nil {
 			// Keep the session live rather than lose its state.
 			sess.mu.Lock()

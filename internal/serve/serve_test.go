@@ -77,9 +77,6 @@ func newTestServer(t testing.TB, cfg Config) *Server {
 	if cfg.Preloaded == nil {
 		cfg.Preloaded = map[string]*core.Monitor{"default": mon}
 	}
-	if cfg.RequestTimeout == 0 {
-		cfg.RequestTimeout = 30 * time.Second
-	}
 	s, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +169,7 @@ func ingest(t *testing.T, ts *httptest.Server, id string, events []EventSpec) In
 
 func TestServeSessionLifecycle(t *testing.T) {
 	mon, logs := newTestModel(t)
-	s := newTestServer(t, Config{Parallel: 2})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -235,17 +232,7 @@ func TestServeSessionLifecycle(t *testing.T) {
 	}
 }
 
-// lowerTurnEvents sets the per-turn event budget to n until the test's
-// servers have shut down: the restore is registered before them, so it
-// runs after their cleanups.
-func lowerTurnEvents(t *testing.T, n int) {
-	old := turnEvents
-	turnEvents = n
-	t.Cleanup(func() { turnEvents = old })
-}
-
-func TestServeDeterministicAcrossWorkerCounts(t *testing.T) {
-	lowerTurnEvents(t, 7)
+func TestServeDeterministicAcrossConcurrentSessions(t *testing.T) {
 	mon, logs := newTestModel(t)
 	mal := logs.Malicious
 	const sessions = 4
@@ -256,36 +243,33 @@ func TestServeDeterministicAcrossWorkerCounts(t *testing.T) {
 		want[i] = referenceVerdicts(t, mon, mal, mal.Events[i:i+n])
 	}
 
-	for _, workers := range []int{1, 8} {
-		s := newTestServer(t, Config{Parallel: workers})
-		ts := httptest.NewServer(s.Handler())
-		got := make([][]Verdict, sessions)
-		var wg sync.WaitGroup
-		for i := 0; i < sessions; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				info := createSession(t, ts, mal)
-				wire := EventSpecsOf(mal.Events[i : i+n])
-				verdicts := []Verdict{}
-				for j := 0; j < len(wire); j += 5 {
-					end := j + 5
-					if end > len(wire) {
-						end = len(wire)
-					}
-					res := ingest(t, ts, info.ID, wire[j:end])
-					verdicts = append(verdicts, res.Verdicts...)
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	got := make([][]Verdict, sessions)
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			info := createSession(t, ts, mal)
+			wire := EventSpecsOf(mal.Events[i : i+n])
+			verdicts := []Verdict{}
+			for j := 0; j < len(wire); j += 5 {
+				end := j + 5
+				if end > len(wire) {
+					end = len(wire)
 				}
-				got[i] = verdicts
-			}(i)
-		}
-		wg.Wait()
-		ts.Close()
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("workers=%d session %d: verdicts differ from reference (%d vs %d)",
-					workers, i, len(got[i]), len(want[i]))
+				res := ingest(t, ts, info.ID, wire[j:end])
+				verdicts = append(verdicts, res.Verdicts...)
 			}
+			got[i] = verdicts
+		}(i)
+	}
+	wg.Wait()
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("session %d: verdicts differ from reference (%d vs %d)", i, len(got[i]), len(want[i]))
 		}
 	}
 }
@@ -380,8 +364,6 @@ func TestServeEvictionAndLazyRestore(t *testing.T) {
 	res := ingest(t, ts, info.ID, EventSpecsOf(mal.Events[:cut]))
 	got := append([]Verdict{}, res.Verdicts...)
 
-	// Eviction rightly skips a session with a turn in flight, so evictNow
-	// waits for the turn to end before forcing the janitor's decision.
 	evictNow(t, s)
 	if ids := spooledEnvelopes(t, spool); len(ids) != 1 || ids[0] != info.ID {
 		t.Fatalf("spool after eviction: %v, want [%s]", ids, info.ID)

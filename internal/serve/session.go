@@ -9,19 +9,18 @@ import (
 	"repro/internal/trace"
 )
 
-// Errors surfaced by the session queue; the API layer maps them onto
+// Errors surfaced by session admission; the API layer maps them onto
 // HTTP statuses (429 for a full queue, 409 for a closed session).
 var (
-	// ErrQueueFull reports that accepting a batch would push the
+	// ErrQueueFull reports that admitting a batch would push the
 	// session's queued-event count past the configured depth.
 	ErrQueueFull = errors.New("serve: session queue full")
 	// ErrSessionClosed reports an ingest against a session that has been
-	// deleted or is shutting down.
+	// deleted, exported, evicted or is shutting down.
 	ErrSessionClosed = errors.New("serve: session closed")
 )
 
-// ingestReply is the scored outcome of one batch, delivered on the
-// batch's done channel.
+// ingestReply is the scored outcome of one batch.
 type ingestReply struct {
 	consumed int
 	skipped  int
@@ -29,23 +28,20 @@ type ingestReply struct {
 	err      error
 }
 
-// ingestBatch is one client POST travelling through a session queue.
+// ingestBatch is one client POST: its decoded events, when it was
+// admitted, and the originating request's trace ID, which joins the
+// batch's observations and flight entries up with the HTTP request.
 type ingestBatch struct {
 	events []trace.Event
 	enq    time.Time
-	// trace is the originating request's trace ID; it follows the batch
-	// across the queue hand-off so worker-side observations and flight
-	// entries join up with the HTTP request that carried the events.
-	trace string
-	// done is buffered so the scoring worker never blocks on a waiter
-	// that timed out and walked away.
-	done chan ingestReply
+	trace  string
 }
 
-// session is one live detection stream: a pinned detector plus a bounded
-// queue of batches awaiting scoring. Batches are scored strictly in
-// arrival order by a single scheduling turn at a time, so verdicts are
-// deterministic regardless of the worker-pool size.
+// session is one live detection stream: a pinned detector plus the
+// tickets that order its batches. Each admitted batch takes the next
+// ticket and scores on its own request goroutine once the session's turn
+// reaches that ticket, so batches score one at a time, in admission
+// order, and verdicts are a pure function of the session's event stream.
 type session struct {
 	id       string
 	model    string
@@ -68,61 +64,63 @@ type session struct {
 	// decoding: derived state, never checkpointed, spooled or handed off.
 	stacks stackCache
 
-	mu        sync.Mutex
-	queue     []*ingestBatch
-	queued    int // events across queue, bounded by Config.QueueDepth
-	scheduled bool
-	closed    bool
-	created   time.Time
-	lastUsed  time.Time
-	verdicts  int
-	malicious int
+	mu sync.Mutex
+	// turn is signalled on mu whenever a turn ends; its L must be &mu.
+	turn sync.Cond
+	// next is the ticket the next admitted batch takes and serving the
+	// ticket whose turn it is; they are equal when no batch is admitted.
+	next, serving uint64
+	queued        int // events admitted and not yet at their turn, bounded by Config.QueueDepth
+	closed        bool
+	created       time.Time
+	lastUsed      time.Time
+	verdicts      int
+	malicious     int
 }
 
-// enqueue appends a batch, enforcing the event-counted bound. On success
-// it reports whether the caller must schedule the session on the work
-// channel (the session was idle).
-func (s *session) enqueue(b *ingestBatch, depth int) (schedule bool, err error) {
+// takeTicket admits a batch of n events, enforcing the event-counted
+// bound, and returns the ticket its turn will carry.
+func (s *session) takeTicket(n, depth int) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return false, ErrSessionClosed
+		return 0, ErrSessionClosed
 	}
-	if s.queued+len(b.events) > depth {
-		return false, ErrQueueFull
+	if s.queued+n > depth {
+		return 0, ErrQueueFull
 	}
-	s.queue = append(s.queue, b)
-	s.queued += len(b.events)
+	t := s.next
+	s.next++
+	s.queued += n
 	s.lastUsed = time.Now()
-	mQueueDepth.Add(float64(len(b.events)))
-	mEventsIngested.Add(uint64(len(b.events)))
-	if !s.scheduled {
-		s.scheduled = true
-		return true, nil
-	}
-	return false, nil
+	mQueueDepth.Add(float64(n))
+	mEventsIngested.Add(uint64(n))
+	return t, nil
 }
 
-// pop removes the head batch, or reports the queue empty and clears the
-// scheduled flag so the next enqueue reschedules the session.
-func (s *session) pop() (*ingestBatch, bool) {
+// awaitTurn blocks until the session's turn reaches ticket t, whose batch
+// holds n events. The caller owns the session until it calls endTurn.
+func (s *session) awaitTurn(t uint64, n int) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.queue) == 0 {
-		s.scheduled = false
-		return nil, false
+	for s.serving != t {
+		s.turn.Wait()
 	}
-	b := s.queue[0]
-	s.queue[0] = nil
-	s.queue = s.queue[1:]
-	s.queued -= len(b.events)
-	mQueueDepth.Add(-float64(len(b.events)))
-	return b, true
+	s.queued -= n
+	s.mu.Unlock()
+	mQueueDepth.Add(-float64(n))
+}
+
+// endTurn passes the session to the next ticket.
+func (s *session) endTurn() {
+	s.mu.Lock()
+	s.serving++
+	s.mu.Unlock()
+	s.turn.Broadcast()
 }
 
 // score feeds one batch through the detector and accounts the verdicts.
-// Only the scheduling turn that owns the session calls it, so detector
-// access is serial and batch order is preserved.
+// Only the batch whose turn it is calls it, so detector access is serial
+// and batch order is preserved.
 func (s *session) score(b *ingestBatch) ingestReply {
 	var rep ingestReply
 	// Size the verdict slice once from the window arithmetic instead of
@@ -163,7 +161,7 @@ func (s *session) score(b *ingestBatch) ingestReply {
 	return rep
 }
 
-// Queued returns the events accepted but not yet scored.
+// Queued returns the events admitted but not yet at their turn.
 func (s *session) Queued() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -171,51 +169,21 @@ func (s *session) Queued() int {
 }
 
 // idleSince reports whether the session has been untouched since the
-// cutoff and holds no queued or in-flight work, making it evictable.
+// cutoff and holds no admitted batch, making it evictable.
 func (s *session) idleSince(cutoff time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return !s.scheduled && len(s.queue) == 0 && !s.closed && s.lastUsed.Before(cutoff)
+	return s.serving == s.next && !s.closed && s.lastUsed.Before(cutoff)
 }
 
-// close marks the session closed and fails every queued batch with
-// ErrSessionClosed, returning once no scheduling turn is in flight.
-func (s *session) close() {
-	for {
-		s.mu.Lock()
-		if s.scheduled {
-			// A worker owns the session; let its turn finish draining.
-			s.mu.Unlock()
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		s.closed = true
-		pending := s.queue
-		s.queue = nil
-		if s.queued > 0 {
-			mQueueDepth.Add(-float64(s.queued))
-			s.queued = 0
-		}
-		s.mu.Unlock()
-		for _, b := range pending {
-			b.done <- ingestReply{err: ErrSessionClosed}
-		}
-		return
-	}
-}
-
-// quiesce blocks until the session's queue is drained and no scheduling
-// turn is running, then marks it closed. Unlike close it lets queued
-// batches score first — the graceful-shutdown path.
+// quiesce closes the session to new batches and blocks until every
+// admitted batch has scored, so its detector is still and its envelope
+// can be cut. DELETE, export, eviction and shutdown all go through it.
 func (s *session) quiesce() {
-	for {
-		s.mu.Lock()
-		if !s.scheduled && len(s.queue) == 0 {
-			s.closed = true
-			s.mu.Unlock()
-			return
-		}
-		s.mu.Unlock()
-		time.Sleep(time.Millisecond)
+	s.mu.Lock()
+	s.closed = true
+	for s.serving != s.next {
+		s.turn.Wait()
 	}
+	s.mu.Unlock()
 }

@@ -66,8 +66,8 @@ func validSessionID(id string) error {
 	return nil
 }
 
-// envelope cuts the envelope of a quiesced session (no queued work, no
-// turn in flight).
+// envelope cuts the envelope of a quiesced session (no admitted batch
+// left to score).
 func (s *Server) envelope(sess *session) (SessionExport, error) {
 	var buf bytes.Buffer
 	if err := sess.det.Checkpoint(&buf); err != nil {
@@ -132,7 +132,7 @@ func (s *Server) revive(ex SessionExport) (*session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: restoring checkpoint: %v", errBadEnvelope, err)
 	}
-	return &session{
+	sess := &session{
 		id:        ex.ID,
 		model:     m.name,
 		spec:      ex.Spec,
@@ -145,7 +145,9 @@ func (s *Server) revive(ex SessionExport) (*session, error) {
 		lastUsed:  time.Now(),
 		verdicts:  ex.Verdicts,
 		malicious: ex.Malicious,
-	}, nil
+	}
+	sess.turn.L = &sess.mu
+	return sess, nil
 }
 
 // admit makes sess resident: the one check of the session cap and id

@@ -45,37 +45,12 @@ func spooledEnvelopes(t *testing.T, dir string) []string {
 	return ids
 }
 
-// waitIdle waits for a session's scoring turn to end. The worker replies
-// before its next pop clears scheduled, so a session can still be
-// mid-turn when its ingest returns.
-func waitIdle(t *testing.T, sess *session) {
-	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		sess.mu.Lock()
-		idle := !sess.scheduled && len(sess.queue) == 0
-		sess.mu.Unlock()
-		if idle {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("session turn still running 10s after its ingest returned")
-		}
-	}
-}
-
 // evictNow forces the janitor's decision once, everything being idle
-// from one hour in the future, and requires every session to leave.
+// from one hour in the future, and requires every session to leave. A
+// batch's turn ends before its reply is written, so every session whose
+// ingests have returned is evictable.
 func evictNow(t *testing.T, s *Server) {
 	t.Helper()
-	s.sessMu.RLock()
-	live := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		live = append(live, sess)
-	}
-	s.sessMu.RUnlock()
-	for _, sess := range live {
-		waitIdle(t, sess)
-	}
 	s.evictIdle(time.Now().Add(time.Hour))
 	s.sessMu.RLock()
 	resident := len(s.sessions)
@@ -88,7 +63,7 @@ func evictNow(t *testing.T, s *Server) {
 func TestSpoolCheckpointRoundTrip(t *testing.T) {
 	mon, logs := newTestModel(t)
 	spool := t.TempDir()
-	s := newTestServer(t, Config{SpoolDir: spool, Parallel: 1})
+	s := newTestServer(t, Config{SpoolDir: spool})
 	drv := NewDriver(s)
 
 	spec := SessionSpecOf(logs.Malicious, "")
@@ -133,7 +108,7 @@ func TestSpoolCheckpointRoundTrip(t *testing.T) {
 func TestSpoolOverwriteReplacesCheckpoint(t *testing.T) {
 	mon, logs := newTestModel(t)
 	spool := t.TempDir()
-	s := newTestServer(t, Config{SpoolDir: spool, Parallel: 1})
+	s := newTestServer(t, Config{SpoolDir: spool})
 	drv := NewDriver(s)
 
 	spec := SessionSpecOf(logs.Malicious, "")
@@ -151,7 +126,6 @@ func TestSpoolOverwriteReplacesCheckpoint(t *testing.T) {
 	if _, err := drv.Ingest("s", EventBatch{Events: EventSpecsOf(logs.Malicious.Events[:n])}); err != nil {
 		t.Fatal(err)
 	}
-	waitIdle(t, sess)
 	if err := s.spoolSession(sess); err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +279,7 @@ func TestSpoolRestorePinsEntryAcrossPromotion(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			st, manA, manB := registryFixture(t)
-			cfg := Config{Registry: st, Preloaded: map[string]*core.Monitor{}, SpoolDir: t.TempDir(), Parallel: 1}
+			cfg := Config{Registry: st, Preloaded: map[string]*core.Monitor{}, SpoolDir: t.TempDir()}
 			s := newTestServer(t, cfg)
 			drv := NewDriver(s)
 			spec := SessionSpecOf(mal, "")
@@ -397,7 +371,7 @@ func TestLazyRestoreRespectsSessionCap(t *testing.T) {
 	mon, logs := newTestModel(t)
 	mal := logs.Malicious
 	spool := t.TempDir()
-	s := newTestServer(t, Config{SpoolDir: spool, MaxSessions: 1, Parallel: 1})
+	s := newTestServer(t, Config{SpoolDir: spool, MaxSessions: 1})
 	drv := NewDriver(s)
 	create := func(id string) {
 		t.Helper()
@@ -487,7 +461,6 @@ func FuzzReviveSession(f *testing.F) {
 		s := newTestServer(f, Config{
 			Preloaded: map[string]*core.Monitor{"default": mon},
 			SpoolDir:  f.TempDir(),
-			Parallel:  1,
 			Logger:    apQuietLogger(),
 		})
 		servers = append(servers, s)

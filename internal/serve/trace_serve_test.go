@@ -18,7 +18,7 @@ import (
 // the verdict summary.
 func TestTraceParentPropagation(t *testing.T) {
 	mon, logs := newTestModel(t)
-	s := newTestServer(t, Config{Parallel: 2})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -75,10 +75,11 @@ func TestTraceParentPropagation(t *testing.T) {
 		t.Fatalf("no serve_http_seconds{route=%q} exemplar carries trace %s", route, traceHex)
 	}
 
-	// The flight recorder links the HTTP hop, the queue hand-off and the
-	// verdict summary under the same trace. The worker replies before it
-	// records the verdict entry, so the ring is read until both kinds
-	// are there or the deadline passes.
+	// The flight recorder links the HTTP hop and the verdict summary
+	// under the same trace. The verdict entry is recorded before the
+	// reply, but the middleware records the HTTP hop only once the
+	// handler returns, so the ring is read until both kinds are there or
+	// the deadline passes.
 	kinds := map[string]bool{}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		for _, e := range telemetry.Flight().Snapshot() {
@@ -101,7 +102,7 @@ func TestTraceParentPropagation(t *testing.T) {
 // get a valid trace minted and echoed back.
 func TestTracedMintsWhenHeaderAbsent(t *testing.T) {
 	_, logs := newTestModel(t)
-	s := newTestServer(t, Config{Parallel: 1})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -34,8 +34,8 @@ type heldBatch struct {
 
 // replica is one simulated serve instance: a real serve.Server driven
 // in-process through its HTTP handler, wrapped in a virtual-time service
-// model. Scoring is real — every batch runs the actual handler, queue
-// and worker path and produces real verdicts — but the time it takes
+// model. Scoring is real — every batch runs the actual handler and
+// session turn and produces real verdicts — but the time it takes
 // exists only in the model (busyUntil plus the scenario's service
 // costs), so the schedule never observes the wall clock.
 type replica struct {
@@ -113,7 +113,6 @@ func (r *replica) boot() error {
 	srv, err := serve.NewServer(serve.Config{
 		Registry:  store,
 		SpoolDir:  r.spoolDir,
-		Parallel:  2,
 		ReplicaID: r.id,
 		Logger:    r.sim.logger,
 	})

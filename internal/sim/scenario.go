@@ -69,8 +69,8 @@ type FaultSpec struct {
 	AtSec float64 `json:"at_sec"`
 	// DownSec is how long the replica stays down before restoring.
 	DownSec float64 `json:"down_sec"`
-	// Kind is the crash flavour: "sigterm" (graceful — queued batches
-	// drain, sessions checkpoint to the spool and restore intact) or
+	// Kind is the crash flavour: "sigterm" (graceful — admitted batches
+	// score, sessions checkpoint to the spool and restore intact) or
 	// "kill" (hard — in-flight batches drop, the checkpoint spool fails
 	// via the serve/spool/checkpoint fault-injection point, sessions
 	// restart from scratch).

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -44,6 +45,42 @@ func TestParseScenarioRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseScenario([]byte(blob)); err == nil {
 		t.Fatal("typo'd field was accepted silently")
 	}
+}
+
+// FuzzParseScenario: ParseScenario never panics, and a scenario it
+// accepts is a fixed point of marshal and re-parse, so defaults applied
+// once stay applied and validation accepts what it let through.
+func FuzzParseScenario(f *testing.F) {
+	f.Add([]byte(validScenarioJSON))
+	f.Add([]byte(strings.Replace(validScenarioJSON, `"seed": 1,`, `"seed": 1, "sede": 2,`, 1)))
+	for _, sc := range Canonical() {
+		blob, err := json.Marshal(sc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		sc, err := ParseScenario(blob)
+		if err != nil {
+			return
+		}
+		first, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatalf("marshalling an accepted scenario: %v", err)
+		}
+		sc2, err := ParseScenario(first)
+		if err != nil {
+			t.Fatalf("re-parsing %s: %v", first, err)
+		}
+		second, err := json.Marshal(sc2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("marshal and re-parse is not a fixed point:\n%s\n%s", first, second)
+		}
+	})
 }
 
 func TestParseScenarioDefaults(t *testing.T) {

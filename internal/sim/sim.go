@@ -9,7 +9,7 @@
 // time from a deterministic service model, so a scenario plus its seed
 // fully determines the run: same inputs, byte-identical report and event
 // log, on any machine, under -race, at any -test.count. Scoring is still
-// real — each batch traverses the actual serve handler/queue/worker path
+// real — each batch traverses the actual serve handler and session turn
 // and the verdict stream comes from a really-trained model — which is
 // what makes the simulator useful for exercising crash/restore and
 // promotion behaviour, not just queueing arithmetic.

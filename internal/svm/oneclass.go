@@ -12,6 +12,10 @@ import (
 //	min_α  ½ ΣᵢΣⱼ αᵢαⱼk(xᵢ,xⱼ)
 //	s.t.   0 ≤ αᵢ ≤ 1/(ν·n),   Σᵢ αᵢ = 1
 //
+// The solver works at LIBSVM's scale, 0 ≤ αᵢ ≤ 1 and Σᵢ αᵢ = ν·n, where
+// the shared stopping tolerance means what it means for LIBSVM; the model
+// divides α and ρ by ν·n, so decision values are on the scale above.
+//
 // The paper's related work (Heller et al.) uses this model for anomalous
 // registry access; it is the natural "no mixed log available" baseline
 // against which LEAPS's noise-pruned two-class training is motivated.
@@ -54,22 +58,22 @@ func TrainOneClass(x [][]float64, params OneClassParams) (*OneClassModel, error)
 
 	// Reuse the two-class solver machinery with all labels +1: the pair
 	// update then preserves Σα. The initial point must be feasible
-	// (Σα = 1): LIBSVM's initialisation fills the first ⌊νn⌋ entries at
-	// the bound 1/(νn) and the remainder fractionally.
+	// (Σα = νn): LIBSVM's initialisation fills the first ⌊νn⌋ entries at
+	// the bound 1 and the remainder fractionally.
 	y := make([]float64, n)
 	c := make([]float64, n)
 	idx := make([]int, n)
-	upper := 1 / (params.Nu * float64(n))
 	for i := range y {
 		y[i] = 1
-		c[i] = upper
+		c[i] = 1
 		idx[i] = i
 	}
 	k := newGram(x, p.Kernel)
 	s := newSolver(k, idx, y, c)
-	budget := 1.0
+	scale := params.Nu * float64(n)
+	budget := scale
 	for i := 0; i < n && budget > 0; i++ {
-		a := math.Min(upper, budget)
+		a := math.Min(1, budget)
 		s.alpha[i] = a
 		budget -= a
 	}
@@ -94,12 +98,12 @@ func TrainOneClass(x [][]float64, params OneClassParams) (*OneClassModel, error)
 
 	var sv, coef []float64
 	for i := 0; i < n; i++ {
-		if s.alpha[i] > 1e-12 {
+		if a := s.alpha[i] / scale; a > 1e-12 {
 			sv = append(sv, x[i]...)
-			coef = append(coef, s.alpha[i])
+			coef = append(coef, a)
 		}
 	}
-	return &OneClassModel{m: *NewModel(p.Kernel, sv, len(x[0]), coef, s.rho), Iters: s.iters}, nil
+	return &OneClassModel{m: *NewModel(p.Kernel, sv, len(x[0]), coef, s.rho/scale), Iters: s.iters}, nil
 }
 
 // NumSVs returns the support-vector count.

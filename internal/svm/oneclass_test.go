@@ -55,12 +55,8 @@ func TestOneClassSeparatesCluster(t *testing.T) {
 }
 
 // TestOneClassNuControlsOutlierFraction checks the ν-property: roughly a
-// ν fraction of training points fall outside the learned region. It holds
-// at a KKT tolerance of 1e-4; at the solver's 1e-3, ν = 0.05 rejects 23 %
-// of the points.
+// ν fraction of training points fall outside the learned region.
 func TestOneClassNuControlsOutlierFraction(t *testing.T) {
-	defer func(tol float64) { smoTol = tol }(smoTol)
-	smoTol = 1e-4
 	rng := rand.New(rand.NewSource(16))
 	var x [][]float64
 	for i := 0; i < 200; i++ {

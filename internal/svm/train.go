@@ -86,8 +86,8 @@ func (p Params) withDefaults() Params {
 }
 
 // smoTol is the KKT violation tolerance terminating SMO, LIBSVM's
-// default ε. A test may lower it; nothing else sets it.
-var smoTol = 1e-3
+// default ε.
+const smoTol = 1e-3
 
 // maxIter bounds SMO iterations over n samples: 100·n, at least 10,000.
 func maxIter(n int) int { return max(100*n, 10000) }

@@ -10,7 +10,7 @@ import (
 // Request-scoped tracing: 128-bit trace IDs and 64-bit span IDs carried
 // through context.Context and propagated over HTTP in a W3C
 // traceparent-style header. One trace ID follows an event batch from the
-// serve API through the worker pool, the streaming detector and the
+// serve API through its session's turn, the streaming detector and the
 // shadow canary, and a retraining cycle through its journal transitions,
 // registry publish, gate decision and promotion. The IDs link three
 // sinks: span completions and verdict summaries in the flight recorder,
