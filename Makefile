@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt-check vet test race fuzz-smoke bench determinism verify verify-telemetry registry-smoke autopilot-smoke obs-smoke sim-smoke fleet-smoke doc-lint
+.PHONY: build fmt-check vet test race fuzz-smoke determinism verify fleet-smoke doc-lint
 
 build:
 	$(GO) build ./...
@@ -32,8 +32,9 @@ race:
 # restore and handoff import, held to a faithful re-cut of the revived
 # session, of the stack-walk table and the split on it, held to a split
 # of every event on its own, of the two JSONL replays, the autopilot
-# journal and the registry history, held to the whole records before the
-# first torn line and a faithful re-encode, of the RBF scoring branch
+# journal and the registry history, held to every line that decodes, a
+# faithful re-encode and a record appended after any input reading back
+# last, of the RBF scoring branch
 # over the flat support-vector matrix, held bit for bit to the
 # Kernel.Compute loop on models drawn from the input, and of the
 # load-simulator scenario decoder, held to no panic and a marshal and
@@ -57,20 +58,6 @@ fuzz-smoke:
 	$(GO) test ./internal/registry -run='^$$' -fuzz=FuzzRegistryHistory -fuzztime=10s -fuzzminimizetime=100x
 	$(GO) test ./internal/svm -run='^$$' -fuzz=FuzzDecision -fuzztime=10s
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzParseScenario -fuzztime=10s
-
-# Runs the canonical leaps-sim scenarios and writes their deterministic
-# throughput/latency/checksum rows to BENCH_sim.json, which sim-smoke
-# gates exactly. Regenerating it resets that gate, so it must be an
-# explicit decision: the target refuses to run unless BENCH_REBASELINE=1
-# is set. Hot-path allocations are bounded by the Test*Allocs Go tests,
-# and timings by scripts/ab.sh's paired runs of the benchmark.
-bench:
-	@if [ "$(BENCH_REBASELINE)" != "1" ]; then \
-		echo "bench: refusing to overwrite the committed BENCH_sim.json;"; \
-		echo "bench: rerun as 'make bench BENCH_REBASELINE=1' to rebaseline."; \
-		exit 1; \
-	fi
-	$(GO) run ./cmd/leaps-bench -sim-baseline BENCH_sim.json
 
 # Proves parallelism-invariance: EvaluateRuns and GridSearch produce
 # identical results for any worker count, under the race detector —
@@ -112,42 +99,6 @@ determinism:
 	echo "$(GO) test -race -run '$$tests' $$pkgs"; \
 	$(GO) test -race -run "$$tests" $$pkgs
 
-# End-to-end smoke test of the -debug-addr introspection endpoints:
-# generates data, trains, then scrapes /metrics, /spans and pprof from a
-# live leaps-detect run.
-verify-telemetry:
-	./scripts/verify-telemetry.sh
-
-# End-to-end smoke test of the model registry lifecycle: publishes two
-# trained seeds, shadow-evaluates the challenger against live traffic,
-# and walks gated/forced promotion and rollback over /v1/models,
-# asserting shadow non-perturbation and pinned-session continuity.
-registry-smoke:
-	./scripts/registry-smoke.sh
-
-# End-to-end smoke test of the retraining autopilot: drives traffic past
-# the retrain trigger, force-crashes the server mid-cycle with
-# LEAPS_CRASHPOINT (asserting the faultinject exit code), and requires
-# the restarted server to resume from the journal and converge on a
-# gated promotion with reference-identical verdicts.
-autopilot-smoke:
-	./scripts/autopilot-smoke.sh
-
-# End-to-end smoke test of the observability layer: injects a W3C
-# traceparent over HTTP and asserts the same trace ID in the response
-# header, a /metrics exemplar (lint-clean per scripts/metricslint) and
-# the flight-recorder dumps produced by a forced circuit-breaker trip,
-# SIGQUIT and GET /debug/flightrecorder.
-obs-smoke:
-	./scripts/obs-smoke.sh
-
-# End-to-end smoke test of the deterministic cluster load simulator:
-# same seed twice must be byte-identical (report and event log), a
-# different seed must diverge, and the committed BENCH_sim.json must
-# match exactly on counts and verdict checksums.
-sim-smoke:
-	./scripts/sim-smoke.sh
-
 # End-to-end smoke test of the fleet layer: three registry-replicated
 # leaps-serve replicas behind leaps-router over real sockets, asserting
 # ring placement, byte-identical forwarded verdicts, checkpoint handoff
@@ -162,7 +113,11 @@ fleet-smoke:
 doc-lint:
 	./scripts/doc-lint.sh
 
-# The CI recipe. The benchmark is its own module, so the root's build,
-# vet and test never compile it; the last step vets and tests it there.
-verify: build fmt-check vet test race determinism fuzz-smoke doc-lint verify-telemetry registry-smoke autopilot-smoke obs-smoke sim-smoke fleet-smoke
+# The CI recipe. The end-to-end checks of telemetry, the registry, the
+# autopilot, observability and the simulator are Go tests next to the
+# code they drive (cmd/leaps-*, internal/serve, internal/sim), so test
+# and race run them; fleet-smoke is the one real-socket drill. The
+# benchmark is its own module, so the root's build, vet and test never
+# compile it; the last step vets and tests it there.
+verify: build fmt-check vet test race determinism fuzz-smoke doc-lint fleet-smoke
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...

@@ -1,7 +1,7 @@
 // Command leaps-bench regenerates the paper's evaluation artifacts: Table
 // I, Figures 2, 4, 5, 6 and 7, the three case studies, and the ablation
-// studies described in DESIGN.md. It also runs the canonical leaps-sim
-// scenarios against BENCH_sim.json.
+// studies described in DESIGN.md. The canonical leaps-sim scenarios are
+// pinned by internal/sim's TestCanonicalGolden, not by this command.
 //
 // Usage:
 //
@@ -13,8 +13,6 @@
 //	leaps-bench -extensions             # §VI future-work extensions
 //	leaps-bench -all -runs 10           # everything at paper fidelity
 //	leaps-bench -table1 -csv            # machine-readable output
-//	leaps-bench -sim-baseline BENCH_sim.json         # canonical sim scenarios
-//	leaps-bench -sim-compare BENCH_sim.json          # fail on any sim drift
 //	leaps-bench -all -runs 10 -parallel 0            # paper fidelity, parallel pipeline
 package main
 
@@ -56,8 +54,6 @@ func run(args []string) error {
 		csv        = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		quiet      = fs.Bool("q", false, "suppress per-dataset progress")
 		parallel   = fs.Int("parallel", 0, "per-dataset pipeline worker bound (0 = serial inside datasets; datasets already run concurrently)")
-		simOut     = fs.String("sim-baseline", "", "run the canonical leaps-sim scenarios and write per-scenario throughput/latency/checksums to this file")
-		simCmp     = fs.String("sim-compare", "", "run the canonical leaps-sim scenarios and diff against this committed baseline (counts and checksums gate exactly)")
 		debugAddr  = fs.String("debug-addr", "", "serve /metrics, /spans and pprof on this address while running")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -87,19 +83,6 @@ func run(args []string) error {
 	}
 	any := false
 	start := time.Now()
-
-	if *simOut != "" {
-		any = true
-		if err := runSimBaseline(*simOut); err != nil {
-			return err
-		}
-	}
-	if *simCmp != "" {
-		any = true
-		if err := runSimCompare(*simCmp); err != nil {
-			return err
-		}
-	}
 
 	if *fig2 || *all {
 		any = true
@@ -211,7 +194,7 @@ func run(args []string) error {
 	}
 	if !any {
 		fs.Usage()
-		return fmt.Errorf("nothing to do: pass -table1, -auc, -fig2..-fig7, -cases, -ablations, -extensions, -sim-baseline, -sim-compare or -all")
+		return fmt.Errorf("nothing to do: pass -table1, -auc, -fig2..-fig7, -cases, -ablations, -extensions or -all")
 	}
 	fmt.Fprintf(os.Stderr, "total: %.1fs\n", time.Since(start).Seconds())
 	return nil

@@ -5,8 +5,7 @@
 //
 //	leaps-detect -model leaps.model -log suspect.letl [-app vim.exe] \
 //	    [-v] [-expect benign|malicious] [-lenient] [-quiet] [-verbose] \
-//	    [-log-json] [-debug-addr 127.0.0.1:6060] [-debug-wait 30s] \
-//	    [-telemetry-out report.json]
+//	    [-log-json] [-debug-addr 127.0.0.1:6060] [-telemetry-out report.json]
 //
 // With -expect, the log is treated as ground truth of one class and the
 // hit rate is reported (how Table I's TPR/TNR columns are produced).
@@ -17,16 +16,16 @@
 //
 // A telemetry report (pipeline metrics plus stage timings) is written
 // next to the log as <log>.telemetry.json; -telemetry-out overrides the
-// path and -telemetry-out none disables it. -debug-addr serves live
-// /metrics, /spans, expvar and pprof endpoints; -debug-wait keeps them up
-// for the given duration after detection finishes so they can be scraped.
+// path and -telemetry-out none disables it; cmd/leaps-detect's
+// TestRunWritesTelemetryReport reads it. -debug-addr serves live
+// /metrics, /spans, expvar and pprof endpoints while the run lasts
+// (internal/telemetry's TestDebugServerEndpoints checks each one).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/etl"
@@ -55,7 +54,6 @@ func run(args []string) error {
 		verboseLog   = fs.Bool("verbose", false, "debug-level logging")
 		logJSON      = fs.Bool("log-json", false, "emit JSON log records instead of key=value text")
 		debugAddr    = fs.String("debug-addr", "", "serve /metrics, /spans and pprof on this address while running")
-		debugWait    = fs.Duration("debug-wait", 0, "keep the debug server up this long after detection finishes")
 		telemetryOut = fs.String("telemetry-out", "", "telemetry report path (default <log>.telemetry.json, \"none\" disables)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -142,10 +140,6 @@ func run(args []string) error {
 			return fmt.Errorf("writing telemetry report: %w", err)
 		}
 		slogx.Info("wrote telemetry report", "path", path)
-	}
-	if *debugWait > 0 && *debugAddr != "" {
-		slogx.Info("holding debug server open", "wait", debugWait.String())
-		time.Sleep(*debugWait)
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/etl"
 	"repro/internal/faultinject"
 	"repro/internal/svm"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -77,6 +80,34 @@ func TestRunDetects(t *testing.T) {
 	// Verbose path.
 	if err := run([]string{"-model", model, "-log", mal, "-v"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunWritesTelemetryReport reads the -telemetry-out report of a
+// detection run: it counts parsed bytes and detection windows, and
+// times the detect span.
+func TestRunWritesTelemetryReport(t *testing.T) {
+	dir := t.TempDir()
+	model, mal := buildFixtures(t, dir)
+	report := filepath.Join(dir, "detect.telemetry.json")
+	if err := run([]string{"-model", model, "-log", mal, "-quiet", "-telemetry-out", report}); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap telemetry.Snapshot
+	if err := json.Unmarshal(blob, &snap); err != nil {
+		t.Fatalf("telemetry report %s: %v", report, err)
+	}
+	for _, name := range []string{"etl_parsed_bytes_total", "core_detect_windows_total"} {
+		if !slices.ContainsFunc(snap.Metrics, func(m telemetry.MetricSnapshot) bool { return m.Name == name && m.Value > 0 }) {
+			t.Errorf("telemetry report lacks a nonzero %s", name)
+		}
+	}
+	if !slices.ContainsFunc(snap.Spans, func(s telemetry.SpanSnapshot) bool { return s.Path == "detect" && s.Count > 0 }) {
+		t.Errorf("telemetry report lacks the detect span: %+v", snap.Spans)
 	}
 }
 

@@ -1,30 +1,8 @@
-// Command metricslint validates Prometheus text exposition read from
-// stdin (or a file argument) the way promtool's check would, scoped to
-// the conventions this repository's /metrics endpoint promises:
-//
-//   - every sample is preceded by a # TYPE line for its family, and
-//     # HELP (when present) comes before # TYPE;
-//   - metric and label names match the Prometheus naming charset;
-//   - counter families end in _total;
-//   - histogram families expose _bucket series with le labels that are
-//     ascending, cumulative, and end in an +Inf bucket whose count
-//     equals the family's _count series, plus _sum and _count;
-//   - no series (name plus label set) appears twice;
-//   - OpenMetrics exemplars only follow _bucket samples and parse as
-//     `# {label="value",...} value [timestamp]`;
-//   - an OpenMetrics `# EOF` terminator, when present, is the last
-//     line (the classic text format omits it).
-//
-// It exits non-zero listing every violation. obs-smoke.sh pipes the
-// live /metrics output through it, so a malformed exposition fails
-// `make verify` even though the repository ships no Prometheus server.
 package main
 
 import (
-	"bufio"
 	"fmt"
 	"math"
-	"os"
 	"regexp"
 	"sort"
 	"strconv"
@@ -55,21 +33,26 @@ type family struct {
 	samples  []sample
 }
 
-func main() {
-	in := os.Stdin
-	if len(os.Args) == 2 {
-		f, err := os.Open(os.Args[1])
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "metricslint:", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		in = f
-	} else if len(os.Args) > 2 {
-		fmt.Fprintln(os.Stderr, "usage: metricslint [metrics.txt] (default stdin)")
-		os.Exit(2)
-	}
-
+// lintMetrics checks a /metrics exposition, classic text or
+// OpenMetrics, the way promtool's check would, scoped to the
+// conventions the endpoint promises:
+//
+//   - every sample is preceded by a # TYPE line for its family, and
+//     # HELP (when present) comes before # TYPE;
+//   - metric and label names match the Prometheus naming charset;
+//   - counter families end in _total;
+//   - histogram families expose _bucket series with le labels that are
+//     ascending, cumulative, and end in an +Inf bucket whose count
+//     equals the family's _count series, plus _sum and _count;
+//   - no series (name plus label set) appears twice;
+//   - OpenMetrics exemplars only follow _bucket samples and parse as
+//     `# {label="value",...} value [timestamp]`;
+//   - an OpenMetrics `# EOF` terminator, when present, is the last
+//     line (the classic text format omits it).
+//
+// It returns every violation, one per entry; a clean exposition
+// returns none.
+func lintMetrics(exposition []byte) []string {
 	var problems []string
 	fail := func(line int, format string, args ...any) {
 		problems = append(problems, fmt.Sprintf("line %d: %s", line, fmt.Sprintf(format, args...)))
@@ -88,13 +71,10 @@ func main() {
 	}
 	seen := map[string]int{} // series signature -> first line
 
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	lineNo := 0
 	eofSeen := 0
-	for sc.Scan() {
+	for _, line := range strings.Split(string(exposition), "\n") {
 		lineNo++
-		line := sc.Text()
 		if strings.TrimSpace(line) == "" {
 			continue
 		}
@@ -190,11 +170,6 @@ func main() {
 		}
 		f.samples = append(f.samples, s)
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "metricslint:", err)
-		os.Exit(2)
-	}
-
 	for _, name := range order {
 		f := families[name]
 		switch f.kind {
@@ -207,14 +182,7 @@ func main() {
 		}
 	}
 
-	if len(problems) > 0 {
-		for _, p := range problems {
-			fmt.Fprintln(os.Stderr, "metricslint:", p)
-		}
-		fmt.Fprintf(os.Stderr, "metricslint: %d problem(s)\n", len(problems))
-		os.Exit(1)
-	}
-	fmt.Printf("metricslint: %d families, %d series ok\n", len(families), len(seen))
+	return problems
 }
 
 // parseSample splits one sample line into series, optional exemplar

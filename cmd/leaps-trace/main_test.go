@@ -99,8 +99,18 @@ func TestRunSystemWide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(raw.PIDs()); got != 3 {
-		t.Fatalf("system file holds %d processes, want 3", got)
+	// The application and the two background processes hold every
+	// event of the file.
+	total := 0
+	for _, app := range []string{"vim.exe", "svchost.exe", "explorer.exe"} {
+		l, err := raw.SliceApp(app)
+		if err != nil {
+			t.Fatalf("process %s missing from the system file: %v", app, err)
+		}
+		total += l.Len()
+	}
+	if total != raw.TotalEvents() {
+		t.Fatalf("the three processes hold %d of the file's %d events", total, raw.TotalEvents())
 	}
 	vim, err := raw.SliceApp("vim.exe")
 	if err != nil {
@@ -112,8 +122,5 @@ func TestRunSystemWide(t *testing.T) {
 				t.Fatal("application slice contains background frames")
 			}
 		}
-	}
-	if _, err := raw.SliceApp("svchost.exe"); err != nil {
-		t.Errorf("background process missing from system file: %v", err)
 	}
 }

@@ -1,16 +1,19 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/etl"
 	"repro/internal/registry"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -62,6 +65,34 @@ func TestRunTrainsAndSavesModel(t *testing.T) {
 	}
 	if info.Size() == 0 {
 		t.Error("model file is empty")
+	}
+}
+
+// TestRunWritesTelemetryReport reads the -telemetry-out report of a
+// training run: it counts SVM training runs and weighted CFG paths.
+func TestRunWritesTelemetryReport(t *testing.T) {
+	dir := t.TempDir()
+	benign, mixed, _ := writeDataset(t, dir)
+	report := filepath.Join(dir, "train.telemetry.json")
+	err := run([]string{
+		"-benign", benign, "-mixed", mixed, "-model", filepath.Join(dir, "out.model"),
+		"-lambda", "8", "-sigma2", "2", "-seed", "1", "-quiet", "-telemetry-out", report,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap telemetry.Snapshot
+	if err := json.Unmarshal(blob, &snap); err != nil {
+		t.Fatalf("telemetry report %s: %v", report, err)
+	}
+	for _, name := range []string{"svm_train_runs_total", "weight_paths_total"} {
+		if !slices.ContainsFunc(snap.Metrics, func(m telemetry.MetricSnapshot) bool { return m.Name == name && m.Value > 0 }) {
+			t.Errorf("telemetry report lacks a nonzero %s", name)
+		}
 	}
 }
 

@@ -140,8 +140,8 @@ func TestBuildProgramLayout(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildProgram: %v", err)
 	}
-	if prog.Name() != "vim.exe" {
-		t.Errorf("Name() = %q", prog.Name())
+	if prog.profile.Name != "vim.exe" {
+		t.Errorf("program image = %q", prog.profile.Name)
 	}
 	syms := prog.Symbols()
 	if len(syms) < 10 {

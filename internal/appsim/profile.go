@@ -183,9 +183,6 @@ func BuildProgram(p Profile, base uint64, templates map[string]*SysTemplate) (*P
 	return prog, nil
 }
 
-// Name returns the program's image name.
-func (prog *Program) Name() string { return prog.profile.Name }
-
 // Base returns the address of the start of the program's layout region.
 func (prog *Program) Base() uint64 { return prog.base }
 

@@ -520,8 +520,3 @@ func (c *Controller) Snapshot() Status {
 // Status returns the status as an opaque value — the shape the serve
 // package's Autopilot interface wants without importing this package.
 func (c *Controller) Status() any { return c.Snapshot() }
-
-// Journal returns the committed transition history, oldest first.
-// Tests and the status API's verbose mode read it; the controller
-// itself only appends.
-func (c *Controller) Journal() []Record { return c.jrn.records() }

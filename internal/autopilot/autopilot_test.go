@@ -225,7 +225,7 @@ func (fx *fixture) controller(t *testing.T) *Controller {
 // journalStates lists the journaled state names in order.
 func journalStates(ctl *Controller) []string {
 	var out []string
-	for _, rec := range ctl.Journal() {
+	for _, rec := range ctl.jrn.records() {
 		out = append(out, rec.State)
 	}
 	return out

@@ -1,15 +1,14 @@
 package autopilot
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/registry"
 )
 
 // journalFile is the append-only transition log under Config.StateDir.
@@ -76,9 +75,10 @@ type Record struct {
 	Baseline uint64 `json:"baseline,omitempty"`
 }
 
-// journal is the append-only transition log. Appends are synced before
-// they are acknowledged; reads tolerate a torn final line (the crash the
-// sync discipline still permits) by ending the history there.
+// journal is the append-only transition log, read and written through
+// registry.ReadJSONL and AppendJSONL. Appends are synced before they
+// are acknowledged; a final line a crash cut short is skipped on replay,
+// and the next append starts past it.
 type journal struct {
 	path string
 
@@ -96,23 +96,13 @@ func openJournal(dir string) (*journal, error) {
 		return nil, fmt.Errorf("autopilot: creating state dir: %w", err)
 	}
 	j := &journal{path: filepath.Join(dir, journalFile)}
-	blob, err := os.ReadFile(j.path)
-	if os.IsNotExist(err) {
-		return j, nil
-	}
+	recs, err := registry.ReadJSONL[Record](j.path)
 	if err != nil {
 		return nil, fmt.Errorf("autopilot: reading journal: %w", err)
 	}
-	for _, line := range strings.Split(string(blob), "\n") {
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			break // torn tail: the journal ends at the last whole record
-		}
-		j.recs = append(j.recs, rec)
-		j.seq = rec.Seq
+	j.recs = recs
+	if len(recs) > 0 {
+		j.seq = recs[len(recs)-1].Seq
 	}
 	return j, nil
 }
@@ -129,23 +119,8 @@ func (j *journal) append(rec Record) error {
 	if err := faultinject.Step("autopilot/journal/" + rec.State); err != nil {
 		return fmt.Errorf("autopilot: journaling %s: %w", rec.State, err)
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("autopilot: encoding %s record: %w", rec.State, err)
-	}
-	f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("autopilot: opening journal: %w", err)
-	}
-	_, werr := f.Write(append(line, '\n'))
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("autopilot: appending %s record: %w", rec.State, werr)
+	if err := registry.AppendJSONL(j.path, rec); err != nil {
+		return fmt.Errorf("autopilot: appending %s record: %w", rec.State, err)
 	}
 	j.seq = rec.Seq
 	j.recs = append(j.recs, rec)

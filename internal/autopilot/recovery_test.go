@@ -93,7 +93,7 @@ func TestCrashMatrixConvergesToSamePromotion(t *testing.T) {
 				t.Errorf("history has %d transitions to %s, want exactly 1", promotions, res.Entry)
 			}
 			// The journal closes with a promoted cycle-done for cycle 1.
-			recs := ctl2.Journal()
+			recs := ctl2.jrn.records()
 			if len(recs) == 0 {
 				t.Fatal("empty journal after resumed cycle")
 			}

@@ -26,14 +26,6 @@ type Alignment struct {
 	Pivots int
 }
 
-// MatchedFraction reports the share of B's nodes that were aligned.
-func (al *Alignment) MatchedFraction(b *Graph) float64 {
-	if b.NumNodes() == 0 {
-		return 0
-	}
-	return float64(len(al.BToA)) / float64(b.NumNodes())
-}
-
 // Translate maps a B address to A coordinates; unmatched addresses return
 // themselves with ok=false.
 func (al *Alignment) Translate(addr uint64) (uint64, bool) {

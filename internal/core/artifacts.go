@@ -247,12 +247,6 @@ func partitionLogs(ctx context.Context, par int, names []string, logs ...*trace.
 	return parts, nil
 }
 
-// Seed returns the data-selection seed this tier was derived from.
-func (s *Selection) Seed() int64 { return s.seed }
-
-// Artifacts returns the shared seed-independent tier.
-func (s *Selection) Artifacts() *Artifacts { return s.art }
-
 // resolveParallel maps the Config.Parallel knob to a worker count:
 // non-positive means "use every processor".
 func resolveParallel(n int) int {

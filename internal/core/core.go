@@ -283,10 +283,6 @@ func (c *Classifier) Params() svm.Params { return c.params }
 // Model exposes the underlying SVM model (e.g. for support-vector counts).
 func (c *Classifier) Model() *svm.Model { return c.model }
 
-// CallGraph exposes the bundled call-graph baseline (nil for a universal
-// classifier before it is saved and loaded).
-func (c *Classifier) CallGraph() *callgraph.Model { return c.cg }
-
 // TrainSizes reports the actual sampled training-set sizes (benign and
 // mixed windows); both zero for classifiers loaded from disk.
 func (c *Classifier) TrainSizes() (benign, mixed int) {
@@ -296,11 +292,6 @@ func (c *Classifier) TrainSizes() (benign, mixed int) {
 // Train fits the CFG-guided weighted SVM classifier on the training data.
 func (td *TrainingData) Train() (*Classifier, error) {
 	return td.sel.train(context.Background(), true)
-}
-
-// TrainUnweighted fits the plain-SVM comparison model (all weights 1).
-func (td *TrainingData) TrainUnweighted() (*Classifier, error) {
-	return td.sel.train(context.Background(), false)
 }
 
 // Train fits the CFG-guided weighted SVM classifier on this selection.

@@ -465,7 +465,7 @@ func TestFeaturizeConcurrent(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := clfA.RestoreStream(malA.Modules, &buf); err != nil {
+			if _, err := NewMonitor(clfA).RestoreStream(malA.Modules, &buf); err != nil {
 				t.Errorf("mid-feed checkpoint not restorable: %v", err)
 				return
 			}

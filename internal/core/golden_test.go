@@ -75,11 +75,7 @@ func trainGolden(t *testing.T, parallel int) trainedGolden {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fit := td.Train
-		if unweighted {
-			fit = td.TrainUnweighted
-		}
-		clf, err := fit()
+		clf, err := td.sel.train(context.Background(), !unweighted)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,10 +86,6 @@ func (m *Monitor) DegradedCause() error { return m.cause }
 // Window returns the event-coalescing width the monitor classifies with.
 func (m *Monitor) Window() int { return m.window }
 
-// Classifier returns the underlying statistical classifier, nil when
-// degraded.
-func (m *Monitor) Classifier() *Classifier { return m.clf }
-
 // DetectLog classifies a full log, batch-style. In degraded mode each
 // window is scored by the call-graph vote margin (see degradedDetection).
 func (m *Monitor) DetectLog(log *trace.Log) ([]Detection, error) {

@@ -58,8 +58,8 @@ func TestLoadMonitorHealthyFile(t *testing.T) {
 	if mon.Degraded() {
 		t.Fatalf("healthy file loaded degraded: %v", mon.DegradedCause())
 	}
-	if mon.Classifier() == nil || mon.Window() != clf.window {
-		t.Fatalf("monitor state: clf=%v window=%d", mon.Classifier() != nil, mon.Window())
+	if mon.clf == nil || mon.Window() != clf.window {
+		t.Fatalf("monitor state: clf=%v window=%d", mon.clf != nil, mon.Window())
 	}
 	want, err := clf.DetectLog(mal)
 	if err != nil {
@@ -83,7 +83,7 @@ func TestLoadMonitorDegradesToCallGraph(t *testing.T) {
 	if !mon.Degraded() || mon.DegradedCause() == nil {
 		t.Fatal("corrupt statistical section did not degrade the monitor")
 	}
-	if mon.Classifier() != nil {
+	if mon.clf != nil {
 		t.Fatal("degraded monitor still exposes a classifier")
 	}
 

@@ -124,7 +124,7 @@ func TestSelectIsolation(t *testing.T) {
 			t.Fatalf("benignTrain[%d] differs across repeated Select(1)", i)
 		}
 	}
-	if s2.Seed() != 2 || s1a.Artifacts() != art {
+	if s2.seed != 2 || s1a.art != art {
 		t.Error("Selection accessors broken")
 	}
 }

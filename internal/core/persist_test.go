@@ -258,7 +258,7 @@ func FuzzLoadMonitor(f *testing.F) {
 		if mon.Degraded() {
 			return
 		}
-		once := saveBundle(t, mon.Classifier())
+		once := saveBundle(t, mon.clf)
 		again, err := LoadClassifier(bytes.NewReader(once))
 		if err != nil {
 			t.Fatalf("re-encoded bundle does not load: %v", err)

@@ -105,12 +105,6 @@ func (c *Classifier) Stream(modules *trace.ModuleMap) (*StreamDetector, error) {
 	return NewMonitor(c).Stream(modules)
 }
 
-// RestoreStream starts a streaming session and resumes it from a
-// checkpoint written by StreamDetector.Checkpoint.
-func (c *Classifier) RestoreStream(modules *trace.ModuleMap, r io.Reader) (*StreamDetector, error) {
-	return NewMonitor(c).RestoreStream(modules, r)
-}
-
 // Feed consumes one event. It returns a non-nil Detection when the event
 // completed a window. A returned *EventError means this event was skipped
 // (counted, excluded from windows) and the detector remains usable.

@@ -91,7 +91,7 @@ func TestConcurrentSessionsCheckpointRestore(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			s2, err := clf.RestoreStream(mal.Modules, &ckpt)
+			s2, err := NewMonitor(clf).RestoreStream(mal.Modules, &ckpt)
 			if err != nil {
 				errs[i] = err
 				return

@@ -195,7 +195,7 @@ func TestStreamCheckpointRestoreMatchesUninterrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := clf.RestoreStream(mal.Modules, &ckpt)
+	s2, err := NewMonitor(clf).RestoreStream(mal.Modules, &ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,18 +225,18 @@ func TestStreamCheckpointRestoreMatchesUninterrupted(t *testing.T) {
 
 func TestStreamRestoreRejectsBadCheckpoints(t *testing.T) {
 	clf, mal := trainStream(t, 26)
-	if _, err := clf.RestoreStream(mal.Modules, bytes.NewReader([]byte("junk"))); err == nil {
+	if _, err := NewMonitor(clf).RestoreStream(mal.Modules, bytes.NewReader([]byte("junk"))); err == nil {
 		t.Error("garbage checkpoint accepted")
 	}
 
 	// A checkpoint from a degraded detector must not restore into a
 	// statistical one.
-	deg := &StreamDetector{cg: clf.CallGraph(), window: clf.window}
+	deg := &StreamDetector{cg: clf.cg, window: clf.window}
 	var ckpt bytes.Buffer
 	if err := deg.Checkpoint(&ckpt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clf.RestoreStream(mal.Modules, &ckpt); err == nil {
+	if _, err := NewMonitor(clf).RestoreStream(mal.Modules, &ckpt); err == nil {
 		t.Error("degraded checkpoint restored into statistical detector")
 	}
 
@@ -246,7 +246,7 @@ func TestStreamRestoreRejectsBadCheckpoints(t *testing.T) {
 	if err := other.Checkpoint(&ckpt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clf.RestoreStream(mal.Modules, &ckpt); err == nil {
+	if _, err := NewMonitor(clf).RestoreStream(mal.Modules, &ckpt); err == nil {
 		t.Error("window-mismatched checkpoint accepted")
 	}
 }

@@ -3,7 +3,9 @@ package etl
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -41,9 +43,9 @@ func TestRoundTripSingleProcess(t *testing.T) {
 	if f.Dropped != 0 {
 		t.Errorf("Dropped = %d, want 0", f.Dropped)
 	}
-	got, err := f.Slice(42)
+	got, err := processLog(f, 42)
 	if err != nil {
-		t.Fatalf("Slice: %v", err)
+		t.Fatalf("process 42: %v", err)
 	}
 	assertLogsEqual(t, orig, got)
 	if _, err := f.SliceApp("vim.exe"); err != nil {
@@ -55,8 +57,8 @@ func TestRoundTripSingleProcess(t *testing.T) {
 	if _, err := f.SliceApp("chrome.exe"); err == nil {
 		t.Error("SliceApp(chrome.exe) found a log in a vim-only file")
 	}
-	if _, err := f.Slice(99); err == nil {
-		t.Error("Slice(99) found a log for an untraced pid")
+	if pids := tracedPIDs(f); len(pids) != 1 || pids[0] != 42 {
+		t.Errorf("traced pids = %v, want only 42", pids)
 	}
 }
 
@@ -71,17 +73,36 @@ func TestRoundTripMultiProcessInterleaved(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	pids := f.PIDs()
+	pids := tracedPIDs(f)
 	if len(pids) != 2 || pids[0] != 10 || pids[1] != 11 {
-		t.Fatalf("PIDs() = %v, want [10 11]", pids)
+		t.Fatalf("traced pids = %v, want [10 11]", pids)
 	}
-	gotA, _ := f.Slice(10)
-	gotB, _ := f.Slice(11)
+	gotA, _ := processLog(f, 10)
+	gotB, _ := processLog(f, 11)
 	assertLogsEqual(t, a, gotA)
 	assertLogsEqual(t, b, gotB)
 	if _, err := f.SliceApp(""); err == nil || !strings.Contains(err.Error(), "2 processes") {
 		t.Errorf("SliceApp(\"\") on a two-process file: err %v, want one naming the process count", err)
 	}
+}
+
+// tracedPIDs returns the file's traced process ids in ascending order.
+func tracedPIDs(f *RawFile) []int {
+	out := make([]int, 0, len(f.byPID))
+	for pid := range f.byPID {
+		out = append(out, pid)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// processLog returns the log of one traced process.
+func processLog(f *RawFile, pid int) (*trace.Log, error) {
+	l, ok := f.byPID[pid]
+	if !ok {
+		return nil, fmt.Errorf("no process %d in file", pid)
+	}
+	return l, nil
 }
 
 func assertLogsEqual(t *testing.T, want, got *trace.Log) {
@@ -245,7 +266,7 @@ func TestParseResolvesFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := f.Slice(12)
+	got, _ := processLog(f, 12)
 	// Benign frames must re-resolve to module/function names.
 	var sawResolved bool
 	for _, e := range got.Events {
@@ -313,8 +334,8 @@ func TestParseBitflipRobustness(t *testing.T) {
 			if err != nil {
 				return
 			}
-			for _, pid := range f.PIDs() {
-				log, err := f.Slice(pid)
+			for _, pid := range tracedPIDs(f) {
+				log, err := processLog(f, pid)
 				if err != nil || log == nil {
 					t.Fatalf("inconsistent parse on trial %d", trial)
 				}

@@ -81,13 +81,13 @@ func sameRawFile(t *testing.T, want, got *etl.RawFile) {
 // (compared frame by frame, so an empty walk equals a missing one).
 func sameProcesses(t *testing.T, want, got *etl.RawFile) {
 	t.Helper()
-	wPIDs, gPIDs := want.PIDs(), got.PIDs()
+	wPIDs, gPIDs := etl.TracedPIDs(want), etl.TracedPIDs(got)
 	if !reflect.DeepEqual(wPIDs, gPIDs) {
 		t.Fatalf("pids: want %v, got %v", wPIDs, gPIDs)
 	}
 	for _, pid := range wPIDs {
-		wl, _ := want.Slice(pid)
-		gl, _ := got.Slice(pid)
+		wl, _ := etl.ProcessLog(want, pid)
+		gl, _ := etl.ProcessLog(got, pid)
 		if wl.App != gl.App || wl.PID != gl.PID || len(wl.Events) != len(gl.Events) {
 			t.Fatalf("pid %d: want (%q, %d events), got (%q, %d events)",
 				pid, wl.App, len(wl.Events), gl.App, len(gl.Events))
@@ -130,12 +130,12 @@ func FuzzParseRoundTrip(f *testing.F) {
 			}
 		}
 		strict, err := etl.ParseBytes(in, etl.ParseOpts{})
-		if err != nil || len(strict.PIDs()) == 0 {
+		if err != nil || len(etl.TracedPIDs(strict)) == 0 {
 			return
 		}
 		var logs []*trace.Log
-		for _, pid := range strict.PIDs() {
-			l, _ := strict.Slice(pid)
+		for _, pid := range etl.TracedPIDs(strict) {
+			l, _ := etl.ProcessLog(strict, pid)
 			logs = append(logs, l)
 		}
 		var buf bytes.Buffer

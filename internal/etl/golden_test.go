@@ -74,8 +74,8 @@ func summarize(in []byte, opts etl.ParseOpts, f *etl.RawFile, err error) parseSu
 	for _, e := range f.ErrorLog {
 		s.Errors = append(s.Errors, errorEntry{Offset: e.Offset, Tag: e.Tag, Resync: e.ResyncBytes, Cause: e.Cause.Error()})
 	}
-	for _, pid := range f.PIDs() {
-		l, _ := f.Slice(pid)
+	for _, pid := range etl.TracedPIDs(f) {
+		l, _ := etl.ProcessLog(f, pid)
 		h := sha256.New()
 		for _, e := range l.Events {
 			fmt.Fprintf(h, "%d %d %d %d %d %d\n", e.Seq, e.Type, e.Time.UnixNano(), e.PID, e.TID, len(e.Stack))

@@ -79,7 +79,7 @@ func TestLenientParseRecoversAroundGarbage(t *testing.T) {
 	if len(f.ErrorLog) == 0 {
 		t.Fatal("garbage not reported in ErrorLog")
 	}
-	got, err := f.Slice(6)
+	got, err := processLog(f, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestLenientParseToleratesTruncation(t *testing.T) {
 	if len(f.ErrorLog) == 0 {
 		t.Fatal("truncation not reported in ErrorLog")
 	}
-	got, err := f.Slice(7)
+	got, err := processLog(f, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestLenientParseSkipsUndeclaredPIDEvent(t *testing.T) {
 	if f.ErrorLog[0].Tag != recEvent {
 		t.Errorf("ErrorLog tag = 0x%02x, want event", f.ErrorLog[0].Tag)
 	}
-	got, err := f.Slice(8)
+	got, err := processLog(f, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,11 +149,11 @@ func TestParseSizesEventSlices(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(f.PIDs()) < 2 {
-			t.Fatalf("stream holds %d processes, want several", len(f.PIDs()))
+		if len(etl.TracedPIDs(f)) < 2 {
+			t.Fatalf("stream holds %d processes, want several", len(etl.TracedPIDs(f)))
 		}
-		for _, pid := range f.PIDs() {
-			l, _ := f.Slice(pid)
+		for _, pid := range etl.TracedPIDs(f) {
+			l, _ := etl.ProcessLog(f, pid)
 			if l.Len() == 0 || cap(l.Events) != l.Len() {
 				t.Errorf("lenient=%v pid %d: %d events in a slice of capacity %d", opts.Lenient, pid, l.Len(), cap(l.Events))
 			}

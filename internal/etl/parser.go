@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -83,16 +82,6 @@ type RawFile struct {
 	ErrorLog []ParseError
 }
 
-// PIDs returns the traced process ids in ascending order.
-func (f *RawFile) PIDs() []int {
-	out := make([]int, 0, len(f.byPID))
-	for pid := range f.byPID {
-		out = append(out, pid)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // TotalEvents returns the number of events recovered across all
 // processes.
 func (f *RawFile) TotalEvents() int {
@@ -103,17 +92,9 @@ func (f *RawFile) TotalEvents() int {
 	return n
 }
 
-// Slice returns the stack-event correlated log of one process — the
-// paper's per-application slicing step.
-func (f *RawFile) Slice(pid int) (*trace.Log, error) {
-	l, ok := f.byPID[pid]
-	if !ok {
-		return nil, fmt.Errorf("etl: no process %d in file", pid)
-	}
-	return l, nil
-}
-
-// SliceApp returns the log of the process running the named application.
+// SliceApp returns the stack-event correlated log of the process
+// running the named application — the paper's per-application slicing
+// step.
 // An empty name selects the file's only process; it is an error when the
 // file holds any other number of processes.
 func (f *RawFile) SliceApp(app string) (*trace.Log, error) {

@@ -18,7 +18,8 @@ import (
 //
 //   - a crash: Step panics with *CrashPanic (in-process tests recover it
 //     to simulate a kill) or calls os.Exit(CrashExitCode) when armed
-//     from the environment (smoke tests kill the real process);
+//     from the environment (a test re-runs its binary as a server that
+//     really dies);
 //   - an error: Step returns the armed error for its next N firings,
 //     modelling transient I/O failures (disk full, EIO) without
 //     corrupting any real file.
@@ -108,7 +109,7 @@ func ArmCrash(point string) {
 
 // ArmExit arms point to terminate the process with CrashExitCode the
 // next time execution steps on it (one-shot) — the cross-process variant
-// of ArmCrash for smoke tests that kill a real binary.
+// of ArmCrash, for tests that kill a real process.
 func ArmExit(point string) {
 	arm(point, &armed{kind: armExit, times: 1})
 }

@@ -143,20 +143,6 @@ func (r *Ring) Owner(key string) (string, bool) {
 	return r.points[i].member, true
 }
 
-// Members returns the current membership, sorted.
-func (r *Ring) Members() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, p := range r.points {
-		if !seen[p.member] {
-			seen[p.member] = true
-			out = append(out, p.member)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Generation counts membership changes monotonically; sessions are
 // stamped with the generation that placed them.
 func (r *Ring) Generation() int64 { return r.gen }

@@ -116,7 +116,7 @@ func TestRingEdges(t *testing.T) {
 	if g := r.Generation(); g != 1 {
 		t.Errorf("generation %d after one add, want 1 (failed ops must not bump)", g)
 	}
-	if got := r.Members(); len(got) != 1 || got[0] != "r0" {
-		t.Errorf("members %v, want [r0]", got)
+	if got, ok := r.Owner("any-session"); !ok || got != "r0" {
+		t.Errorf("owner %q (ok %v), want the only member r0", got, ok)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"sync"
 	"time"
 
 	"repro/internal/faultinject"
@@ -24,24 +23,6 @@ type SyncSource interface {
 	List() ([]registry.Manifest, error)
 	// OpenBundle opens one committed entry's bundle bytes.
 	OpenBundle(id string) (io.ReadCloser, error)
-}
-
-// SyncStatus is a snapshot of a Syncer's progress for metrics and the
-// fleet status endpoint.
-type SyncStatus struct {
-	// Synced reports whether the last sync round succeeded.
-	Synced bool `json:"synced"`
-	// Generation is the last pointer generation mirrored locally.
-	Generation int64 `json:"generation"`
-	// Entries counts entries imported over the syncer's lifetime.
-	Entries int `json:"entries"`
-	// Rounds and Failures count sync attempts and failed attempts.
-	Rounds   int `json:"rounds"`
-	Failures int `json:"failures"`
-	// LastError is the most recent failure ("" after a clean round).
-	LastError string `json:"last_error,omitempty"`
-	// LastSync is when the last successful round finished.
-	LastSync time.Time `json:"last_sync"`
 }
 
 // Syncer replicates a primary registry into a local replica store:
@@ -67,16 +48,6 @@ type Syncer struct {
 	OnAdvance func(registry.Pointer) error
 	// Logger receives sync logs (default slog.Default()).
 	Logger *slog.Logger
-
-	mu     sync.Mutex
-	status SyncStatus
-}
-
-// Status returns a snapshot of the syncer's progress.
-func (y *Syncer) Status() SyncStatus {
-	y.mu.Lock()
-	defer y.mu.Unlock()
-	return y.status
 }
 
 func (y *Syncer) logger() *slog.Logger {
@@ -91,20 +62,6 @@ func (y *Syncer) logger() *slog.Logger {
 // and changes nothing else on failure — fail-static.
 func (y *Syncer) SyncOnce() error {
 	imported, ptr, advanced, err := y.round()
-	y.mu.Lock()
-	y.status.Rounds++
-	y.status.Entries += imported
-	if err != nil {
-		y.status.Failures++
-		y.status.Synced = false
-		y.status.LastError = err.Error()
-	} else {
-		y.status.Synced = true
-		y.status.LastError = ""
-		y.status.Generation = ptr.Generation
-		y.status.LastSync = time.Now().UTC()
-	}
-	y.mu.Unlock()
 	mSyncRounds.Inc()
 	if err != nil {
 		mSyncFailures.Inc()

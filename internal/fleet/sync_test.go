@@ -81,10 +81,6 @@ func TestSyncOnceMirrorsPrimary(t *testing.T) {
 	if advances != 1 {
 		t.Errorf("OnAdvance fired on a generation-matched no-op round")
 	}
-	st := y.Status()
-	if !st.Synced || st.Rounds != 2 || st.Failures != 0 || st.Entries != 2 || st.Generation != pptr.Generation {
-		t.Errorf("status %+v, want synced 2 rounds 0 failures 2 entries gen %d", st, pptr.Generation)
-	}
 }
 
 // flakySource fails OpenBundle until repaired — a primary whose entry
@@ -123,10 +119,6 @@ func TestSyncFailStatic(t *testing.T) {
 	if advances != 0 {
 		t.Error("failed round fired OnAdvance")
 	}
-	st := y.Status()
-	if st.Synced || st.Failures != 1 || st.LastError == "" {
-		t.Errorf("status after failure %+v, want unsynced with recorded error", st)
-	}
 
 	src.broken = false
 	if err := y.SyncOnce(); err != nil {
@@ -134,9 +126,6 @@ func TestSyncFailStatic(t *testing.T) {
 	}
 	if ptr, ok, _ := replica.Current(); !ok || ptr.ID != champ.ID {
 		t.Fatalf("replica pointer %+v ok=%v, want champion %s", ptr, ok, champ.ID)
-	}
-	if st := y.Status(); !st.Synced || st.LastError != "" {
-		t.Errorf("status after recovery %+v, want synced with cleared error", st)
 	}
 }
 

@@ -82,13 +82,6 @@ type Dendrogram struct {
 	merges []Merge
 }
 
-// Merges returns a copy of the merge steps in order.
-func (d *Dendrogram) Merges() []Merge {
-	out := make([]Merge, len(d.merges))
-	copy(out, d.merges)
-	return out
-}
-
 // Cluster performs UPGMA agglomerative clustering of the observations
 // described by the distance matrix.
 func Cluster(dm *DistMatrix) (*Dendrogram, error) {

@@ -79,8 +79,8 @@ func TestClusterSingleObservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Merges()) != 0 {
-		t.Errorf("merges = %d, want 0", len(d.Merges()))
+	if len(d.merges) != 0 {
+		t.Errorf("merges = %d, want 0", len(d.merges))
 	}
 	labels := d.CutDistance(1)
 	if !reflect.DeepEqual(labels, []int{0}) {
@@ -97,11 +97,11 @@ func TestClusterTwoGroups(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := len(dend.Merges()); got != len(pts)-1 {
+		if got := len(dend.merges); got != len(pts)-1 {
 			t.Fatalf("merges = %d, want %d", got, len(pts)-1)
 		}
 		// Cut below the last merge: two clusters.
-		ms := dend.Merges()
+		ms := dend.merges
 		labels := dend.CutDistance(ms[len(ms)-2].Distance)
 		if labels[0] != labels[1] || labels[1] != labels[2] {
 			t.Errorf("group one split: %v", labels)
@@ -163,7 +163,7 @@ func TestAverageLinkageHandWorked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := dend.Merges()
+	m := dend.merges
 	if m[0].A != 0 || m[0].B != 1 || m[0].Distance != 1 || m[0].Size != 2 {
 		t.Errorf("merge 0 = %+v, want {0 1 1 2}", m[0])
 	}
@@ -187,7 +187,7 @@ func TestMergeDistancesSortedAndMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := dend.Merges()
+	raw := dend.merges
 	for i := 1; i < len(raw); i++ {
 		if raw[i].Distance < raw[i-1].Distance-1e-9 {
 			t.Fatalf("merge %d at %v after %v (inversion)", i, raw[i].Distance, raw[i-1].Distance)
@@ -224,7 +224,7 @@ func TestClusterPropertyQuick(t *testing.T) {
 		if !allEqual(all) {
 			return false
 		}
-		for _, m := range dend.Merges() {
+		for _, m := range dend.merges {
 			// Labels number the clusters 0..k-1 in order of each
 			// cluster's first observation.
 			next := 0

@@ -44,12 +44,14 @@ type Comparison struct {
 func (c Comparison) Summary() metrics.Summary { return c.Confusion.Summary() }
 
 // shadowBatch is one unit of shadow work: a scored batch's events plus
-// the champion's verdicts for the windows that batch completed.
+// the champion's verdicts for the windows that batch completed, or,
+// with forget set, the release of a session's challenger detector.
 type shadowBatch struct {
 	session   string
 	modules   *trace.ModuleMap
 	events    []trace.Event
 	malicious []bool // champion verdicts, in window order
+	forget    bool
 }
 
 // Canary shadow-evaluates one challenger model against live champion
@@ -125,6 +127,19 @@ func (c *Canary) Offer(session string, modules *trace.ModuleMap, events []trace.
 	}
 }
 
+// Forget releases session's challenger detector once every batch the
+// session offered so far has replayed: a session that leaves the server
+// (deleted, exported or evicted) holds no detector, and a later session
+// reusing its ID starts a fresh challenger stream. Forget waits for
+// room on the shadow queue, since a dropped release would leak; a
+// stopped canary has nothing to release.
+func (c *Canary) Forget(session string) {
+	select {
+	case c.queue <- shadowBatch{session: session, forget: true}:
+	case <-c.stop:
+	}
+}
+
 // dropOffer accounts one rejected offer — a full queue or a stopped
 // canary — in the comparison and the telemetry counters.
 func (c *Canary) dropOffer(events int) {
@@ -137,8 +152,9 @@ func (c *Canary) dropOffer(events int) {
 }
 
 // run is the single shadow worker: it replays queued batches in arrival
-// order against per-session challenger detectors and folds the verdict
-// pairs into the comparison.
+// order against per-session challenger detectors, folds the verdict
+// pairs into the comparison and releases the detectors of sessions that
+// left.
 func (c *Canary) run() {
 	defer close(c.done)
 	for {
@@ -146,6 +162,12 @@ func (c *Canary) run() {
 		case <-c.stop:
 			return
 		case b := <-c.queue:
+			if b.forget {
+				c.mu.Lock()
+				delete(c.dets, b.session)
+				c.mu.Unlock()
+				continue
+			}
 			c.replay(b)
 		}
 	}

@@ -10,20 +10,15 @@ import (
 	"time"
 )
 
-// wholeTransitions decodes the history lines of data up to the first
-// line that does not decode, skipping blank lines: the transitions
-// History must recover.
+// wholeTransitions decodes every history line of data that decodes:
+// the transitions History must recover.
 func wholeTransitions(data []byte) []Transition {
 	var out []Transition
 	for _, line := range bytes.Split(data, []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
 		var tr Transition
-		if json.Unmarshal(line, &tr) != nil {
-			break
+		if len(bytes.TrimSpace(line)) > 0 && json.Unmarshal(line, &tr) == nil {
+			out = append(out, tr)
 		}
-		out = append(out, tr)
 	}
 	return out
 }
@@ -53,9 +48,11 @@ func rollbackTarget(t *testing.T, s *Store) string {
 
 // FuzzRegistryHistory reads arbitrary bytes as history.jsonl through
 // History and RollbackTarget. Neither may panic, History must recover
-// exactly the whole decodable transitions before the first torn line,
-// and the transitions, re-encoded one per line and read again, must
-// give the same transitions and the same rollback target.
+// exactly the lines that decode as transitions, the transitions,
+// re-encoded one per line and read again, must give the same
+// transitions and the same rollback target, and a transition appended
+// after the input must read back as the last one, naming the rollback
+// target.
 func FuzzRegistryHistory(f *testing.F) {
 	at := time.Date(2026, 10, 17, 12, 0, 0, 0, time.UTC)
 	var hist bytes.Buffer
@@ -85,7 +82,7 @@ func FuzzRegistryHistory(f *testing.F) {
 			t.Fatal(err)
 		}
 		if want := wholeTransitions(data); len(hist) != len(want) || len(want) > 0 && !reflect.DeepEqual(hist, want) {
-			t.Fatalf("History recovered %d transitions, want the %d whole transitions before the first torn line", len(hist), len(want))
+			t.Fatalf("History recovered %d transitions, want the %d lines that decode", len(hist), len(want))
 		}
 		target := rollbackTarget(t, s)
 
@@ -115,6 +112,22 @@ func FuzzRegistryHistory(f *testing.F) {
 		}
 		if target2 := rollbackTarget(t, s2); target2 != target {
 			t.Fatalf("re-encoded history rolls back to %q, want %q", target2, target)
+		}
+
+		tr := Transition{At: time.Date(2026, 10, 20, 12, 0, 0, 0, time.UTC), From: "dddd4444", To: "eeee5555", Reason: "fuzz"}
+		if err := AppendJSONL(filepath.Join(s.Root(), historyFile), tr); err != nil {
+			t.Fatal(err)
+		}
+		hist3, err := s.History()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hist3) != len(hist)+1 || !reflect.DeepEqual(hist3[len(hist3)-1], tr) {
+			t.Fatalf("history after an append reads %d transitions ending in %+v, want %d ending in %+v",
+				len(hist3), hist3[len(hist3)-1], len(hist)+1, tr)
+		}
+		if target3 := rollbackTarget(t, s); target3 != tr.From {
+			t.Fatalf("history after an append rolls back to %q, want %q", target3, tr.From)
 		}
 	})
 }

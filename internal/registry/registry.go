@@ -194,6 +194,69 @@ func WriteFileAtomic(path string, blob []byte) (err error) {
 	return os.Rename(tmp.Name(), path)
 }
 
+// AppendJSONL appends v's JSON encoding to the log at path as one line,
+// creating the log if needed, and syncs it before returning. A crash
+// can leave a final line cut short; the next append starts on a fresh
+// line, so the fragment never swallows a later record. It is the one
+// writer of the repository's append-only logs: the registry history and
+// the autopilot journal.
+func AppendJSONL(path string, v any) (err error) {
+	line, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	if n := fi.Size(); n > 0 {
+		var last [1]byte
+		if _, err := f.ReadAt(last[:], n-1); err != nil {
+			return err
+		}
+		if last[0] != '\n' {
+			line = append([]byte{'\n'}, line...)
+		}
+	}
+	if _, err := f.Write(append(line, '\n')); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
+// ReadJSONL decodes the log AppendJSONL writes, one record per line,
+// oldest first. A line that does not decode, the fragment a crash
+// leaves, is skipped, and so are blank lines; a missing log is empty.
+func ReadJSONL[T any](path string) ([]T, error) {
+	blob, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var out []T
+	for _, line := range bytes.Split(blob, []byte{'\n'}) {
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		var rec T
+		if json.Unmarshal(line, &rec) == nil {
+			out = append(out, rec)
+		}
+	}
+	return out, nil
+}
+
 // Publish stores the bundle read from r as a new immutable entry and
 // returns its manifest. The entry id is content-addressed, so publishing
 // identical bytes twice is idempotent and returns the existing entry.
@@ -495,53 +558,26 @@ func (s *Store) repoint(fault string, ptr Pointer, tr Transition) error {
 	if err != nil {
 		return fmt.Errorf("registry: encoding current pointer: %w", err)
 	}
-	line, err := json.Marshal(tr)
-	if err != nil {
-		return fmt.Errorf("registry: encoding transition: %w", err)
-	}
 	if err := faultinject.Step(fault); err != nil {
 		return fmt.Errorf("registry: repointing current: %w", err)
 	}
 	if err := WriteFileAtomic(filepath.Join(s.root, currentFile), blob); err != nil {
 		return fmt.Errorf("registry: repointing current: %w", err)
 	}
-	f, err := os.OpenFile(filepath.Join(s.root, historyFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("registry: opening history: %w", err)
-	}
-	_, werr := f.Write(append(line, '\n'))
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("registry: appending history: %w", werr)
+	if err := AppendJSONL(filepath.Join(s.root, historyFile), tr); err != nil {
+		return fmt.Errorf("registry: appending history: %w", err)
 	}
 	return nil
 }
 
-// History returns every recorded transition, oldest first. A line the
-// decoder cannot parse (torn tail after a crash) ends the history early
-// rather than failing it.
+// History returns every recorded transition, oldest first. A line cut
+// short by a crash is skipped (ReadJSONL), not fatal.
 func (s *Store) History() ([]Transition, error) {
-	blob, err := os.ReadFile(filepath.Join(s.root, historyFile))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
+	hist, err := ReadJSONL[Transition](filepath.Join(s.root, historyFile))
 	if err != nil {
 		return nil, fmt.Errorf("registry: reading history: %w", err)
 	}
-	var out []Transition
-	for _, line := range strings.Split(string(blob), "\n") {
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		var tr Transition
-		if err := json.Unmarshal([]byte(line), &tr); err != nil {
-			break
-		}
-		out = append(out, tr)
-	}
-	return out, nil
+	return hist, nil
 }
 
 // RollbackTarget returns the entry that was current before the latest

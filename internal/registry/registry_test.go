@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -198,6 +199,49 @@ func TestStorePublishLifecycle(t *testing.T) {
 	}
 	if hist[2].From != man2.ID || hist[2].To != man.ID {
 		t.Errorf("rollback transition = %+v, want %s -> %s", hist[2], man2.ID, man.ID)
+	}
+}
+
+// TestHistoryKeepsTransitionsAfterTornTail tears the history's final
+// line, as a crash mid-append does, and repoints: the rollback's
+// transition must read back after the fragment, and the next rollback
+// must target the entry it left.
+func TestHistoryKeepsTransitionsAfterTornTail(t *testing.T) {
+	raw, _ := testBundle(t)
+	st := openStore(t)
+	a, err := st.Publish(bytes.NewReader(raw), TrainInfo{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := st.Publish(bytes.NewReader(otherBundle(t)), TrainInfo{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Promote(b.ID, "promoted"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(st.Root(), historyFile), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"at":"2026-10-20T12:00:00Z","from":"` + b.ID + `","to":`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Rollback(a.ID, "rollback"); err != nil {
+		t.Fatal(err)
+	}
+	hist, err := st.History()
+	if err != nil || len(hist) != 3 {
+		t.Fatalf("History = %+v (err %v), want the 3 whole transitions", hist, err)
+	}
+	if last := hist[2]; last.From != b.ID || last.To != a.ID {
+		t.Errorf("last transition %+v, want the rollback %s -> %s", last, b.ID, a.ID)
+	}
+	if target, err := st.RollbackTarget(); err != nil || target != b.ID {
+		t.Errorf("RollbackTarget = %q (err %v), want %s, the entry the rollback left", target, err, b.ID)
 	}
 }
 
@@ -486,6 +530,61 @@ func TestCanaryIdenticalChallengerAgreesPerfectly(t *testing.T) {
 	if !math.IsNaN(s.ACC) && s.ACC != 1 {
 		t.Errorf("identical challenger ACC = %v, want 1", s.ACC)
 	}
+}
+
+// TestCanaryForgetReleasesDetectors churns sessions through a canary,
+// each on its own goroutine: a session offers batches and is
+// forgotten, and once the queue drains no challenger detector is held.
+// The batches queued before a release still replay, and forgetting on a
+// stopped canary returns at once.
+func TestCanaryForgetReleasesDetectors(t *testing.T) {
+	raw, logs := testBundle(t)
+	mon, err := core.LoadMonitor(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := championBatches(t, mon, logs.Malicious, 64)[:4]
+	const sessions = 8
+	can, err := NewCanary("abcdefabcdef", mon, 2*sessions*len(batches))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer can.Stop()
+	total := 0
+	for _, b := range batches {
+		total += sessions * len(b.events)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			for _, b := range batches {
+				if !can.Offer(id, logs.Malicious.Modules, b.events, b.malicious) {
+					t.Error("Offer rejected a batch with capacity for every batch")
+				}
+			}
+			can.Forget(id)
+		}(fmt.Sprintf("sess-%d", i))
+	}
+	wg.Wait()
+	can.Sync()
+	for end := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		can.mu.Lock()
+		held := len(can.dets)
+		can.mu.Unlock()
+		if held == 0 {
+			break
+		}
+		if time.Now().After(end) {
+			t.Fatalf("%d challenger detectors held after every session was forgotten", held)
+		}
+	}
+	if cmp := can.Status(); cmp.Events != total || cmp.Diverged != 0 {
+		t.Errorf("comparison %+v, want all %d events replayed without divergence", cmp, total)
+	}
+	can.Stop()
+	can.Forget("sess-0")
 }
 
 func TestCanaryStopIsIdempotentAndRejectsOffers(t *testing.T) {

@@ -121,11 +121,3 @@ func Pct(v float64) string {
 	}
 	return fmt.Sprintf("%.3f", v)
 }
-
-// Pct1 formats a ratio as a percentage with one decimal ("93.2%").
-func Pct1(v float64) string {
-	if math.IsNaN(v) {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.1f%%", 100*v)
-}

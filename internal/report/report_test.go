@@ -64,10 +64,4 @@ func TestPct(t *testing.T) {
 	if got := Pct(math.NaN()); got != "n/a" {
 		t.Errorf("Pct(NaN) = %q", got)
 	}
-	if got := Pct1(0.9321); got != "93.2%" {
-		t.Errorf("Pct1 = %q", got)
-	}
-	if got := Pct1(math.NaN()); got != "n/a" {
-		t.Errorf("Pct1(NaN) = %q", got)
-	}
 }

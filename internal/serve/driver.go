@@ -122,40 +122,9 @@ func (d *Driver) DeleteSession(id string) error {
 	return d.do(http.MethodDelete, "/v1/sessions/"+id, nil, nil)
 }
 
-// Export detaches a session and returns its checkpoint-handoff envelope
-// (POST /v1/sessions/{id}/export).
-func (d *Driver) Export(id string) (SessionExport, error) {
-	var ex SessionExport
-	err := d.do(http.MethodPost, "/v1/sessions/"+id+"/export", nil, &ex)
-	return ex, err
-}
-
-// Import restores a session from a checkpoint-handoff envelope
-// (POST /v1/sessions/import).
-func (d *Driver) Import(ex SessionExport) (SessionInfo, error) {
-	var info SessionInfo
-	err := d.do(http.MethodPost, "/v1/sessions/import", ex, &info)
-	return info, err
-}
-
-// Drain marks the replica draining (POST /v1/drain), returning the
-// sessions awaiting export.
-func (d *Driver) Drain() (DrainStatus, error) {
-	var st DrainStatus
-	err := d.do(http.MethodPost, "/v1/drain", nil, &st)
-	return st, err
-}
-
 // Ready probes readiness (GET /readyz): nil when the target would pass
 // a load-balancer health check, a *DriverError with status 503 when it
 // is draining or otherwise not ready.
 func (d *Driver) Ready() error {
 	return d.do(http.MethodGet, "/readyz", nil, nil)
-}
-
-// Undrain clears the draining flag (DELETE /v1/drain).
-func (d *Driver) Undrain() (DrainStatus, error) {
-	var st DrainStatus
-	err := d.do(http.MethodDelete, "/v1/drain", nil, &st)
-	return st, err
 }

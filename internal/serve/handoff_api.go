@@ -101,6 +101,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, "checkpointing session: %v", err)
 			return
 		}
+		s.forgetShadow(id)
 	} else if err != nil {
 		refuse(w, s.missing(id, err))
 		return

@@ -12,6 +12,36 @@ import (
 // TestSessionSpecClientID covers client-requested session identifiers:
 // placement-by-ID is what lets a fleet router consistent-hash a session
 // before it exists.
+// driverExport detaches a session and returns its handoff envelope
+// (POST /v1/sessions/{id}/export).
+func driverExport(d *Driver, id string) (SessionExport, error) {
+	var ex SessionExport
+	err := d.do(http.MethodPost, "/v1/sessions/"+id+"/export", nil, &ex)
+	return ex, err
+}
+
+// driverImport restores a session from a handoff envelope
+// (POST /v1/sessions/import).
+func driverImport(d *Driver, ex SessionExport) (SessionInfo, error) {
+	var info SessionInfo
+	err := d.do(http.MethodPost, "/v1/sessions/import", ex, &info)
+	return info, err
+}
+
+// driverDrain marks the replica draining (POST /v1/drain).
+func driverDrain(d *Driver) (DrainStatus, error) {
+	var st DrainStatus
+	err := d.do(http.MethodPost, "/v1/drain", nil, &st)
+	return st, err
+}
+
+// driverUndrain clears the draining flag (DELETE /v1/drain).
+func driverUndrain(d *Driver) (DrainStatus, error) {
+	var st DrainStatus
+	err := d.do(http.MethodDelete, "/v1/drain", nil, &st)
+	return st, err
+}
+
 func TestSessionSpecClientID(t *testing.T) {
 	_, logs := newTestModel(t)
 	s := newTestServer(t, Config{})
@@ -66,7 +96,7 @@ func TestExportImportContinuity(t *testing.T) {
 	}
 	got = append(got, res.Verdicts...)
 
-	ex, err := ldrv.Export(spec.ID)
+	ex, err := driverExport(ldrv, spec.ID)
 	if err != nil {
 		t.Fatalf("export: %v", err)
 	}
@@ -77,7 +107,7 @@ func TestExportImportContinuity(t *testing.T) {
 	if _, err := ldrv.Session(spec.ID); !IsStatus(err, http.StatusNotFound) {
 		t.Errorf("session still on loser after export: err %v, want 404", err)
 	}
-	if _, err := ldrv.Export(spec.ID); !IsStatus(err, http.StatusNotFound) {
+	if _, err := driverExport(ldrv, spec.ID); !IsStatus(err, http.StatusNotFound) {
 		t.Errorf("double export: err %v, want 404", err)
 	}
 
@@ -85,11 +115,11 @@ func TestExportImportContinuity(t *testing.T) {
 	// base64 string; the format break refuses such an envelope.
 	old := ex
 	old.Checkpoint = json.RawMessage(`"P/+BAwEBDmNoZWNrcG9pbnRGaWxl"`)
-	if _, err := gdrv.Import(old); !IsStatus(err, http.StatusBadRequest) {
+	if _, err := driverImport(gdrv, old); !IsStatus(err, http.StatusBadRequest) {
 		t.Errorf("import of an envelope with a base64 checkpoint: err %v, want 400", err)
 	}
 
-	info, err := gdrv.Import(ex)
+	info, err := driverImport(gdrv, ex)
 	if err != nil {
 		t.Fatalf("import: %v", err)
 	}
@@ -97,7 +127,7 @@ func TestExportImportContinuity(t *testing.T) {
 		t.Fatalf("imported info %+v, want id %s on r1 with %d verdicts", info, spec.ID, len(got))
 	}
 	// Importing the same envelope twice conflicts.
-	if _, err := gdrv.Import(ex); !IsStatus(err, http.StatusConflict) {
+	if _, err := driverImport(gdrv, ex); !IsStatus(err, http.StatusConflict) {
 		t.Errorf("duplicate import: err %v, want 409", err)
 	}
 
@@ -126,7 +156,7 @@ func TestDrainLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := drv.Drain()
+	st, err := driverDrain(drv)
 	if err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -141,7 +171,7 @@ func TestDrainLifecycle(t *testing.T) {
 	if _, err := drv.CreateSession(spec2); !IsStatus(err, http.StatusServiceUnavailable) {
 		t.Errorf("create while draining: err %v, want 503", err)
 	}
-	if _, err := drv.Import(SessionExport{ID: "x1", Spec: spec2}); !IsStatus(err, http.StatusConflict) {
+	if _, err := driverImport(drv, SessionExport{ID: "x1", Spec: spec2}); !IsStatus(err, http.StatusConflict) {
 		t.Errorf("import while draining: err %v, want 409", err)
 	}
 	// Resident sessions keep scoring.
@@ -151,7 +181,7 @@ func TestDrainLifecycle(t *testing.T) {
 		t.Errorf("ingest while draining: %v", err)
 	}
 
-	if st, err = drv.Undrain(); err != nil || st.Draining {
+	if st, err = driverUndrain(drv); err != nil || st.Draining {
 		t.Fatalf("undrain: status %+v err %v", st, err)
 	}
 	if err := drv.do(http.MethodGet, "/readyz", nil, nil); err != nil {
@@ -206,14 +236,14 @@ func TestImportPinsEntryAcrossPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ex, err := ldrv.Export(spec.ID)
+	ex, err := driverExport(ldrv, spec.ID)
 	if err != nil {
 		t.Fatalf("export: %v", err)
 	}
 	if ex.Entry != manA.ID {
 		t.Fatalf("export pins entry %q, want the session's champion %s", ex.Entry, manA.ID)
 	}
-	ginfo, err := gdrv.Import(ex)
+	ginfo, err := driverImport(gdrv, ex)
 	if err != nil {
 		t.Fatalf("import after promotion: %v", err)
 	}
@@ -256,7 +286,7 @@ func TestImportUnknownEntryConflicts(t *testing.T) {
 
 	spec := SessionSpecOf(logs.Malicious, "")
 	ex := SessionExport{ID: "lagged-1", Model: "default", Spec: spec, Entry: "ffffffffffff"}
-	if _, err := drv.Import(ex); !IsStatus(err, http.StatusConflict) {
+	if _, err := driverImport(drv, ex); !IsStatus(err, http.StatusConflict) {
 		t.Errorf("import with unknown pinned entry: err %v, want 409", err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/registry"
@@ -221,6 +222,18 @@ func TestServeModelsLifecycleAPI(t *testing.T) {
 		t.Errorf("shadowing an absent entry: status %d, want 404", resp.StatusCode)
 	}
 
+	// Without shadow evidence, an unforced promotion is refused and the
+	// refusal says why.
+	var refusal struct {
+		Error string `json:"error"`
+	}
+	resp = httpJSON(t, ts.Client(), "POST", ts.URL+"/v1/models/promote",
+		map[string]any{"id": manB.ID}, &refusal)
+	if resp.StatusCode != http.StatusConflict || !strings.Contains(refusal.Error, "no shadow evidence") {
+		t.Fatalf("evidence-free promote: status %d error %q, want 409 naming no shadow evidence",
+			resp.StatusCode, refusal.Error)
+	}
+
 	var shadow ShadowStatus
 	resp = httpJSON(t, ts.Client(), "POST", ts.URL+"/v1/models/shadow",
 		map[string]string{"id": manB.ID}, &shadow)
@@ -320,6 +333,13 @@ func TestServeModelsLifecycleAPI(t *testing.T) {
 	if len(info.History) == 0 {
 		t.Error("rollback left no history record")
 	}
+
+	// New sessions score with the champion again.
+	sessA := createSession(t, ts, mal)
+	if resA := ingest(t, ts, sessA.ID, EventSpecsOf(mal.Events[:n])); !reflect.DeepEqual(resA.Verdicts, want) {
+		t.Fatalf("post-rollback session does not score as the champion (%d vs %d verdicts)",
+			len(resA.Verdicts), len(want))
+	}
 }
 
 // TestServeShadowDeterminism is the acceptance check that shadow
@@ -382,5 +402,80 @@ func TestServeShadowDeterminism(t *testing.T) {
 	without := run(false)
 	if !bytes.Equal(with, without) {
 		t.Fatal("champion verdict stream differs with a shadow challenger attached")
+	}
+}
+
+// TestServeShadowForgetsLeavingSessions makes a session leave the
+// server by DELETE, export or eviction while a shadow runs, then opens
+// a new session under the same ID. The leaver's challenger must be
+// released, so the newcomer's shadow verdicts come from a fresh
+// challenger stream: the comparison equals the one where the newcomer
+// has an ID of its own, with no window divergence.
+func TestServeShadowForgetsLeavingSessions(t *testing.T) {
+	mon, logs := newTestModel(t)
+	mal := logs.Malicious
+	w := mon.Window()
+	// The leaver stops mid-window, so a challenger that carried its
+	// buffered half window into the newcomer would close one window more
+	// than the champion does.
+	leaver, newcomer := EventSpecsOf(mal.Events[:w+w/2]), EventSpecsOf(mal.Events[:2*w+w/2])
+
+	shadowRun := func(leave string, reuse bool) registry.Comparison {
+		st, _, manB := registryFixture(t)
+		s := newTestServer(t, Config{
+			Registry:    st,
+			Preloaded:   map[string]*core.Monitor{},
+			SpoolDir:    t.TempDir(),
+			IdleTimeout: time.Hour,
+		})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		if resp := httpJSON(t, ts.Client(), "POST", ts.URL+"/v1/models/shadow",
+			map[string]string{"id": manB.ID}, nil); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("starting shadow: status %d", resp.StatusCode)
+		}
+		open := func(id string) {
+			spec := SessionSpecOf(mal, "")
+			spec.ID = id
+			if resp := httpJSON(t, ts.Client(), "POST", ts.URL+"/v1/sessions", spec, nil); resp.StatusCode != http.StatusCreated {
+				t.Fatalf("%s: create session %s: status %d", leave, id, resp.StatusCode)
+			}
+		}
+		open("reused")
+		ingest(t, ts, "reused", leaver)
+		switch leave {
+		case "delete":
+			if resp := httpJSON(t, ts.Client(), "DELETE", ts.URL+"/v1/sessions/reused", nil, nil); resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("delete: status %d", resp.StatusCode)
+			}
+		case "export":
+			if resp := httpJSON(t, ts.Client(), "POST", ts.URL+"/v1/sessions/reused/export", nil, nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("export: status %d", resp.StatusCode)
+			}
+		case "evict":
+			s.evictIdle(time.Now().Add(time.Hour))
+			// The spooled envelope holds the ID until it is deleted.
+			if resp := httpJSON(t, ts.Client(), "DELETE", ts.URL+"/v1/sessions/reused", nil, nil); resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("delete after eviction: status %d", resp.StatusCode)
+			}
+		}
+		id := "newcomer"
+		if reuse {
+			id = "reused"
+		}
+		open(id)
+		ingest(t, ts, id, newcomer)
+		c := s.canary.Load()
+		c.Sync()
+		cmp := c.Status()
+		cmp.StartedAt = time.Time{}
+		return cmp
+	}
+
+	for _, leave := range []string{"delete", "export", "evict"} {
+		got, want := shadowRun(leave, true), shadowRun(leave, false)
+		if got.Diverged != 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: reused ID's shadow comparison %+v, want a fresh challenger stream's %+v", leave, got, want)
+		}
 	}
 }

@@ -427,6 +427,15 @@ func (s *Server) shadowOffer(sess *session, b *ingestBatch, rep ingestReply) {
 	})
 }
 
+// forgetShadow tells the active canary, if any, that a session left
+// this server, so its challenger detector is released. Without a
+// shadow it costs one atomic load.
+func (s *Server) forgetShadow(id string) {
+	if c := s.canary.Load(); c != nil {
+		c.Forget(id)
+	}
+}
+
 // janitor periodically checkpoints idle sessions to the spool and evicts
 // them from memory.
 func (s *Server) janitor() {
@@ -477,6 +486,7 @@ func (s *Server) evictIdle(cutoff time.Time) {
 		}
 		delete(s.sessions, sess.id)
 		s.sessMu.Unlock()
+		s.forgetShadow(sess.id)
 		mSessionsEvicted.Inc()
 		mSessionsActive.Add(-1)
 		s.cfg.Logger.Info("idle session evicted to spool", "session", sess.id)

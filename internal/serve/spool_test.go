@@ -422,7 +422,7 @@ func TestLazyRestoreRespectsSessionCap(t *testing.T) {
 
 	evictNow(t, s)
 	create("c")
-	ex, err := drv.Export("a")
+	ex, err := driverExport(drv, "a")
 	if err != nil {
 		t.Fatalf("export of an evicted session at the cap: %v", err)
 	}
@@ -481,7 +481,7 @@ func FuzzReviveSession(f *testing.F) {
 					f.Fatal(err)
 				}
 			}
-			ex, err := drv.Export("fz")
+			ex, err := driverExport(drv, "fz")
 			if err != nil {
 				f.Fatal(err)
 			}

@@ -61,9 +61,9 @@ func (h *eventHeap) Pop() any {
 // advances on this one clock — the shared-clock design from the
 // ClusterSimulator pattern — so the global event order is total and
 // reproducible, and wall-clock time never appears anywhere in the
-// schedule. The three step primitives (HasPendingEvents,
-// PeekNextEventTime, ProcessNextEvent) decompose the run loop so a
-// harness can observe or bound the simulation between single events.
+// schedule. The two step primitives (HasPendingEvents,
+// ProcessNextEvent) decompose the run loop so a harness can observe or
+// bound the simulation between single events.
 type Clock struct {
 	now  int64
 	seq  uint64
@@ -89,15 +89,6 @@ func (c *Clock) Schedule(at int64, prio int, run func()) {
 
 // HasPendingEvents reports whether any event remains to process.
 func (c *Clock) HasPendingEvents() bool { return len(c.heap) > 0 }
-
-// PeekNextEventTime returns the virtual time of the next event without
-// processing it. It panics when no events are pending.
-func (c *Clock) PeekNextEventTime() int64 {
-	if len(c.heap) == 0 {
-		panic("sim: PeekNextEventTime on an empty clock")
-	}
-	return c.heap[0].at
-}
 
 // ProcessNextEvent advances the clock to the next event's time and runs
 // it. It panics when no events are pending.

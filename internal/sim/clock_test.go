@@ -64,14 +64,16 @@ func TestClockRejectsPast(t *testing.T) {
 	c.Schedule(5, prioArrival, func() {})
 }
 
-// TestClockPeek proves PeekNextEventTime observes without advancing.
+// TestClockPeek proves that observing pending events does not advance
+// the clock; processing the event does, to its time.
 func TestClockPeek(t *testing.T) {
 	c := NewClock()
 	c.Schedule(42, prioArrival, func() {})
-	if at := c.PeekNextEventTime(); at != 42 {
-		t.Fatalf("peek %d, want 42", at)
+	if !c.HasPendingEvents() || c.Now() != 0 {
+		t.Fatalf("pending %v at %d, want the event pending at 0", c.HasPendingEvents(), c.Now())
 	}
-	if c.Now() != 0 {
-		t.Fatalf("peek advanced the clock to %d", c.Now())
+	c.ProcessNextEvent()
+	if c.HasPendingEvents() || c.Now() != 42 {
+		t.Fatalf("pending %v at %d after processing, want none at 42", c.HasPendingEvents(), c.Now())
 	}
 }

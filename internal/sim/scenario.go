@@ -146,7 +146,7 @@ type ModelConfig struct {
 // workload, faults and service model. A scenario plus its seed fully
 // determines the run — same scenario, same seed, byte-identical report.
 type Scenario struct {
-	// Name labels the scenario in reports and BENCH_sim.json rows.
+	// Name labels the scenario in reports and in the canonical golden.
 	Name string `json:"name"`
 	// Seed is the master seed every random stream partitions from.
 	Seed int64 `json:"seed"`
@@ -374,10 +374,11 @@ func LoadScenario(path string) (Scenario, error) {
 }
 
 // Canonical returns the pinned scenario catalog from EXPERIMENTS.md: the
-// named workloads (and their seeds) every BENCH_sim.json row is
-// keyed by, so simulator numbers stay comparable across PRs. Mutating a
-// canonical scenario's shape or seed invalidates the committed baseline
-// and requires a BENCH_REBASELINE=1 rebaseline.
+// named workloads (and their seeds) whose full reports
+// TestCanonicalGolden holds byte for byte to testdata/canonical.golden.json,
+// so simulator numbers stay comparable across changes. Mutating a
+// canonical scenario's shape or seed fails that test, whose output is
+// the golden to commit once the change is deliberate.
 func Canonical() []Scenario {
 	mix := []MixEntry{
 		{App: "vim", Weight: 3},
@@ -447,14 +448,4 @@ func CanonicalByName(name string) (Scenario, error) {
 		}
 	}
 	return Scenario{}, fmt.Errorf("sim: unknown canonical scenario %q", name)
-}
-
-// CanonicalNames lists the canonical scenario names in catalog order.
-func CanonicalNames() []string {
-	scs := Canonical()
-	out := make([]string, len(scs))
-	for i, sc := range scs {
-		out[i] = sc.Name
-	}
-	return out
 }

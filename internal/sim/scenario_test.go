@@ -192,7 +192,4 @@ func TestCanonicalCatalog(t *testing.T) {
 	if _, err := CanonicalByName("no-such"); err == nil {
 		t.Fatal("unknown canonical name accepted")
 	}
-	if names := CanonicalNames(); len(names) != len(scs) || names[0] != scs[0].Name {
-		t.Fatalf("CanonicalNames mismatch: %v", names)
-	}
 }

@@ -106,12 +106,6 @@ func TrainOneClass(x [][]float64, params OneClassParams) (*OneClassModel, error)
 	return &OneClassModel{m: *NewModel(p.Kernel, sv, len(x[0]), coef, s.rho/scale), Iters: s.iters}, nil
 }
 
-// NumSVs returns the support-vector count.
-func (m *OneClassModel) NumSVs() int { return m.m.NumSVs() }
-
-// Rho returns the decision offset.
-func (m *OneClassModel) Rho() float64 { return -m.m.bias }
-
 // Decision returns Σᵢ αᵢk(xᵢ,x) − ρ; negative means anomalous.
 func (m *OneClassModel) Decision(x []float64) float64 { return m.m.Decision(x) }
 

@@ -32,8 +32,8 @@ func TestOneClassSeparatesCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumSVs() == 0 || m.NumSVs() == len(x) {
-		t.Errorf("NumSVs = %d of %d, want a sparse subset", m.NumSVs(), len(x))
+	if n := m.m.NumSVs(); n == 0 || n == len(x) {
+		t.Errorf("NumSVs = %d of %d, want a sparse subset", n, len(x))
 	}
 	// Most training-like points are inliers; far points are outliers.
 	inliers, outliers := 0, 0
@@ -94,7 +94,7 @@ func TestOneClassDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Rho() != b.Rho() || a.NumSVs() != b.NumSVs() {
+	if a.m.bias != b.m.bias || a.m.NumSVs() != b.m.NumSVs() {
 		t.Error("one-class training not deterministic")
 	}
 }

@@ -63,9 +63,6 @@ func (s *Scaler) ApplyInto(dst, v []float64) []float64 {
 	return dst
 }
 
-// Dim returns the dimensionality the scaler was fitted on.
-func (s *Scaler) Dim() int { return len(s.min) }
-
 // Check validates a decoded scaler for dim-dimensional inputs: dim
 // columns, every bound finite.
 func (s *Scaler) Check(dim int) error {

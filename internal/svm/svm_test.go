@@ -367,8 +367,8 @@ func TestScaler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Dim() != 3 {
-		t.Errorf("Dim() = %d", s.Dim())
+	if len(s.min) != 3 {
+		t.Errorf("scaler fitted on %d columns, want 3", len(s.min))
 	}
 	got := s.ApplyInto(nil, []float64{5, 15, 5})
 	want := []float64{0.5, 0.5, 0} // constant column maps to 0

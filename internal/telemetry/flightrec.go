@@ -93,10 +93,6 @@ func (f *FlightRecorder) Snapshot() []FlightEntry {
 	return out
 }
 
-// Len returns how many entries have ever been recorded (not how many
-// the ring still holds).
-func (f *FlightRecorder) Len() uint64 { return f.next.Load() }
-
 // Reset empties the ring. Meant for tests and run separation; unlike
 // Record/Snapshot it assumes no concurrent writers.
 func (f *FlightRecorder) Reset() {

@@ -18,8 +18,8 @@ func TestFlightRecorderKeepsNewestEntries(t *testing.T) {
 	for i := 0; i < total; i++ {
 		f.Record(FlightEntry{Kind: "test", Name: strconv.Itoa(i)})
 	}
-	if f.Len() != total {
-		t.Fatalf("Len = %d, want %d", f.Len(), total)
+	if f.next.Load() != total {
+		t.Fatalf("Len = %d, want %d", f.next.Load(), total)
 	}
 	got := f.Snapshot()
 	if len(got) != flightSlots {
@@ -69,8 +69,8 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	close(stop)
-	if f.Len() != writers*perWriter {
-		t.Fatalf("Len = %d, want %d", f.Len(), writers*perWriter)
+	if f.next.Load() != writers*perWriter {
+		t.Fatalf("Len = %d, want %d", f.next.Load(), writers*perWriter)
 	}
 	if got := len(f.Snapshot()); got != flightSlots {
 		t.Fatalf("snapshot holds %d entries, want full ring %d", got, flightSlots)
@@ -81,7 +81,7 @@ func TestFlightRecorderReset(t *testing.T) {
 	var f FlightRecorder
 	f.Record(FlightEntry{Kind: "test", Name: "a"})
 	f.Reset()
-	if f.Len() != 0 || len(f.Snapshot()) != 0 {
+	if f.next.Load() != 0 || len(f.Snapshot()) != 0 {
 		t.Fatal("Reset left entries behind")
 	}
 }

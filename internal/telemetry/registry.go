@@ -332,9 +332,6 @@ func (h *Histogram) reset() {
 	h.count.Store(0)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
@@ -408,17 +405,6 @@ func (v *CounterVec) With(value string) *Counter {
 	c = &Counter{name: v.name, help: v.help, labelKey: v.label, labelVal: value}
 	v.children[value] = c
 	return c
-}
-
-// Overflowed returns how many updates were folded into the overflow
-// child (0 when the cardinality cap was never reached).
-func (v *CounterVec) Overflowed() uint64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	if c, ok := v.children[OverflowLabel]; ok {
-		return c.Value()
-	}
-	return 0
 }
 
 func (v *CounterVec) metricName() string { return v.name }

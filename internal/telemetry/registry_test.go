@@ -46,8 +46,8 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []float64{0.5, 1, 5, 50, 500} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
+	if h.count.Load() != 5 {
+		t.Fatalf("count = %d, want 5", h.count.Load())
 	}
 	if h.Sum() != 556.5 {
 		t.Errorf("sum = %v, want 556.5", h.Sum())
@@ -112,8 +112,8 @@ func TestConcurrentUpdates(t *testing.T) {
 	if g.Value() != workers*per {
 		t.Errorf("gauge = %v, want %d", g.Value(), workers*per)
 	}
-	if h.Count() != workers*per {
-		t.Errorf("histogram count = %d, want %d", h.Count(), workers*per)
+	if h.count.Load() != workers*per {
+		t.Errorf("histogram count = %d, want %d", h.count.Load(), workers*per)
 	}
 	if v.With("a").Value()+v.With("b").Value() != workers*per {
 		t.Error("vec children lost increments")
@@ -129,7 +129,7 @@ func TestResetZeroes(t *testing.T) {
 	h.Observe(0.5)
 	v.With("x").Inc()
 	r.Reset()
-	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || h.count.Load() != 0 || h.Sum() != 0 {
 		t.Error("reset left counter/histogram state")
 	}
 	if len(v.snapshot()) != 0 {

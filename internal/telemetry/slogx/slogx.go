@@ -146,12 +146,6 @@ func Info(msg string, args ...any) { L().Info(msg, args...) }
 // Warn logs at warn level on the process logger.
 func Warn(msg string, args ...any) { L().Warn(msg, args...) }
 
-// Error logs at error level on the process logger.
-func Error(msg string, args ...any) { L().Error(msg, args...) }
-
-// Debug logs at debug level on the process logger.
-func Debug(msg string, args ...any) { L().Debug(msg, args...) }
-
 // CLILevel maps the shared -quiet/-verbose CLI flags to a level: quiet
 // wins and raises the floor to Warn, verbose lowers it to Debug.
 func CLILevel(quiet, verbose bool) slog.Level {

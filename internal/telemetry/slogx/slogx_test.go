@@ -57,7 +57,7 @@ func TestFlightTeeCarriesBoundAttrsAndGroups(t *testing.T) {
 func TestConfigureTextAndLevels(t *testing.T) {
 	var buf bytes.Buffer
 	Configure(Options{Writer: &buf, Level: slog.LevelInfo})
-	Debug("hidden")
+	L().Debug("hidden")
 	Info("parsed log", "events", 42, "skipped", 3)
 	Warn("degraded")
 	out := buf.String()
@@ -89,7 +89,7 @@ func TestQuietSuppressesInfo(t *testing.T) {
 	var buf bytes.Buffer
 	Configure(Options{Writer: &buf, Level: CLILevel(true, false)})
 	Info("progress")
-	Error("boom", "cause", "x")
+	L().Error("boom", "cause", "x")
 	if strings.Contains(buf.String(), "progress") {
 		t.Error("quiet level still emitted info")
 	}

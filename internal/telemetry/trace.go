@@ -146,18 +146,6 @@ func TraceContextFrom(ctx context.Context) (TraceContext, bool) {
 	return tc, ok && tc.Valid()
 }
 
-// EnsureTraceContext returns ctx carrying a valid trace context,
-// minting a fresh trace when none is present. The carried context is
-// returned alongside for callers that propagate it outward (headers,
-// exemplars, flight-recorder entries).
-func EnsureTraceContext(ctx context.Context) (context.Context, TraceContext) {
-	if tc, ok := TraceContextFrom(ctx); ok {
-		return ctx, tc
-	}
-	tc := TraceContext{Trace: NewTraceID(), Span: NewSpanID()}
-	return WithTraceContext(ctx, tc), tc
-}
-
 // TraceIDFrom returns the hex trace ID carried by ctx, or "" when the
 // context carries none — the form metric exemplars and flight-recorder
 // entries want.

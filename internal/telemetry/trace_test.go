@@ -112,17 +112,13 @@ func TestTraceContextPlumbing(t *testing.T) {
 		t.Fatalf("TraceIDFrom(empty) = %q, want \"\"", got)
 	}
 
-	ctx2, minted := EnsureTraceContext(ctx)
+	minted := TraceContext{Trace: NewTraceID(), Span: NewSpanID()}
 	if !minted.Valid() {
-		t.Fatal("EnsureTraceContext minted an invalid context")
+		t.Fatal("minted an invalid context")
 	}
+	ctx2 := WithTraceContext(ctx, minted)
 	if got, ok := TraceContextFrom(ctx2); !ok || got != minted {
 		t.Fatal("minted context not carried")
-	}
-	// Ensure on an already-traced context is a no-op.
-	ctx3, again := EnsureTraceContext(ctx2)
-	if again != minted || ctx3 != ctx2 {
-		t.Fatal("EnsureTraceContext re-minted over an existing trace")
 	}
 	if got := TraceIDFrom(ctx2); got != minted.Trace.String() {
 		t.Fatalf("TraceIDFrom = %q, want %q", got, minted.Trace.String())

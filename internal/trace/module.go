@@ -144,9 +144,6 @@ func (mm *ModuleMap) AppName() string { return mm.appName }
 // AppModule returns the application's main image module.
 func (mm *ModuleMap) AppModule() *Module { return mm.byName[mm.appName] }
 
-// Module returns the named module, or nil when absent.
-func (mm *ModuleMap) Module(name string) *Module { return mm.byName[name] }
-
 // Modules returns the modules in base-address order. The returned slice is
 // a copy; the modules themselves are shared and must not be mutated.
 func (mm *ModuleMap) Modules() []*Module {
@@ -189,13 +186,6 @@ func (mm *ModuleMap) ResolveStack(s StackWalk) StackWalk {
 		s[i] = mm.Resolve(s[i])
 	}
 	return s
-}
-
-// IsAppFrame reports whether the frame address lies in the application's
-// own image.
-func (mm *ModuleMap) IsAppFrame(addr uint64) bool {
-	m := mm.Locate(addr)
-	return m != nil && m.Kind == ModuleApp
 }
 
 // String summarises the map for diagnostics.

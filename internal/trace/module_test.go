@@ -169,14 +169,14 @@ func TestModuleMapResolveStack(t *testing.T) {
 
 func TestModuleMapIsAppFrame(t *testing.T) {
 	mm := testModuleMap(t)
-	if !mm.IsAppFrame(0x400100) {
-		t.Error("IsAppFrame(app addr) = false")
+	if m := mm.Locate(0x400100); m == nil || m.Kind != ModuleApp {
+		t.Errorf("app address located in %v, want the application image", m)
 	}
-	if mm.IsAppFrame(0x7ff00400) {
-		t.Error("IsAppFrame(lib addr) = true")
+	if m := mm.Locate(0x7ff00400); m == nil || m.Kind == ModuleApp {
+		t.Errorf("library address located in %v, want a library", m)
 	}
-	if mm.IsAppFrame(0xdeadbeef) {
-		t.Error("IsAppFrame(unmapped addr) = true")
+	if m := mm.Locate(0xdeadbeef); m != nil {
+		t.Errorf("unmapped address located in %v", m)
 	}
 }
 
@@ -188,11 +188,11 @@ func TestModuleMapAccessors(t *testing.T) {
 	if mm.AppModule() == nil || mm.AppModule().Name != "vim.exe" {
 		t.Error("AppModule() did not return the app image")
 	}
-	if mm.Module("kernel32.dll") == nil {
-		t.Error("Module(kernel32.dll) = nil")
+	if mm.byName["kernel32.dll"] == nil {
+		t.Error("kernel32.dll not indexed by name")
 	}
-	if mm.Module("nope.dll") != nil {
-		t.Error("Module(nope.dll) != nil")
+	if mm.byName["nope.dll"] != nil {
+		t.Error("nope.dll indexed by name")
 	}
 	if got := len(mm.Modules()); got != 3 {
 		t.Errorf("len(Modules()) = %d, want 3", got)
