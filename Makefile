@@ -38,7 +38,9 @@ race:
 # over the flat support-vector matrix, held bit for bit to the
 # Kernel.Compute loop on models drawn from the input, and of the
 # load-simulator scenario decoder, held to no panic and a marshal and
-# re-parse of every accepted scenario that is a fixed point — the CI
+# re-parse of every accepted scenario that is a fixed point, and of CFG
+# inference and weight assessment on logs and benign graphs drawn from
+# the input, held bit for bit to the event-by-event reference — the CI
 # smoke budget, not a deep campaign. Bundle, checkpoint, envelope, journal and
 # history inputs are large or JSON the mutator keeps growing, so those
 # targets minimize each new input for at most 100 runs: the default
@@ -58,6 +60,7 @@ fuzz-smoke:
 	$(GO) test ./internal/registry -run='^$$' -fuzz=FuzzRegistryHistory -fuzztime=10s -fuzzminimizetime=100x
 	$(GO) test ./internal/svm -run='^$$' -fuzz=FuzzDecision -fuzztime=10s
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzParseScenario -fuzztime=10s
+	$(GO) test ./internal/weight -run='^$$' -fuzz=FuzzInferAssess -fuzztime=10s
 
 # Proves parallelism-invariance: EvaluateRuns and GridSearch produce
 # identical results for any worker count, under the race detector —
@@ -76,20 +79,23 @@ fuzz-smoke:
 # detection through it in both scoring modes (consecutive pooled
 # DetectLog calls across module maps and classifiers, Feed, and
 # concurrent DetectLog calls beside Feed racing Checkpoint on one
-# detector) must equal the per-event reference; and BuildArtifacts,
+# detector) must equal the per-event reference; BuildArtifacts,
 # which splits both training logs concurrently, with the fit over
 # distinct walks and the artifacts built on them, must equal the
-# per-event path, at Parallel 1 and at every processor. It also holds
-# every trainer's saved model, batch detection and the evaluation
-# summaries to the committed golden of an earlier commit, at Parallel 1
-# and at every processor; and a saved model's bytes, and so its registry
-# entry ID, to one hash whatever its process did before the save.
+# per-event path, at Parallel 1 and at every processor; and CFG
+# inference and weight assessment, once per distinct walk pair, edge and
+# edge set, must equal the event-by-event reference bit for bit on every
+# Table I dataset. It also holds every trainer's saved model, batch
+# detection and the evaluation summaries to the committed golden of an
+# earlier commit, at Parallel 1 and at every processor; and a saved
+# model's bytes, and so its registry entry ID, to one hash whatever its
+# process did before the save.
 # A -run pattern silently runs fewer tests when a listed one is renamed
 # or deleted, so the recipe first lists the packages' tests and fails,
 # naming it, on any name that matches none.
 determinism:
-	@tests='TestEvaluateRunsParallelDeterminism|TestEvaluateRunsBuildsArtifactsOnce|TestGridSearchParallel|TestSharedCrossValidateMatchesUncached|TestGridSearchMatchesUncachedSweep|TestSolverMatchesReference|TestGramMatchesCompute|TestGramConcurrent|TestLazyGramMatchesEager|TestFitDecisionsMatchDecision|TestDecisionMatchesKernel|TestFeaturizeConcurrent|TestDetectLogMatchesReference|TestFeedMatchesReference|TestTrainedModelsGolden|TestArtifactsMatchPerEventReference|TestSplitMatchesPerEventReference|TestFitOverWalksMatchesPerEvent|TestBundleBytesIndependentOfProcessHistory'; \
-	pkgs='./internal/core ./internal/svm ./internal/partition ./internal/preprocess ./internal/registry'; \
+	@tests='TestEvaluateRunsParallelDeterminism|TestEvaluateRunsBuildsArtifactsOnce|TestGridSearchParallel|TestSharedCrossValidateMatchesUncached|TestGridSearchMatchesUncachedSweep|TestSolverMatchesReference|TestGramMatchesCompute|TestGramConcurrent|TestLazyGramMatchesEager|TestFitDecisionsMatchDecision|TestDecisionMatchesKernel|TestFeaturizeConcurrent|TestDetectLogMatchesReference|TestFeedMatchesReference|TestTrainedModelsGolden|TestArtifactsMatchPerEventReference|TestSplitMatchesPerEventReference|TestFitOverWalksMatchesPerEvent|TestBundleBytesIndependentOfProcessHistory|TestInferAssessMatchesReference'; \
+	pkgs='./internal/core ./internal/svm ./internal/partition ./internal/preprocess ./internal/registry ./internal/weight'; \
 	listed=$$($(GO) test -race -list . $$pkgs | grep '^Test') || exit 1; \
 	missing=; \
 	for name in $$(echo "$$tests" | tr '|' ' '); do \

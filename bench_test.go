@@ -33,6 +33,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/svm"
 	"repro/internal/trace"
+	"repro/internal/weight"
 )
 
 // benchConfig is the fast evaluation configuration shared by the
@@ -285,9 +286,59 @@ func BenchmarkCFGInference(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cfg.Infer(part); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWeightAssess measures Algorithm 2 on the same log, against
+// the CFG of its dataset's benign log.
+func BenchmarkWeightAssess(b *testing.B) {
+	logs := logsFor(b, "vim_reverse_tcp")
+	infer := func(log *trace.Log) *cfg.Inference {
+		part, err := partition.Split(log)
+		if err != nil {
+			b.Fatal(err)
+		}
+		inf, err := cfg.Infer(part)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return inf
+	}
+	benign, mixed := infer(logs.Benign), infer(logs.Mixed)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := weight.Assess(benign.Graph, mixed, weight.Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildArtifacts measures the seed-independent training tier,
+// serially, on the 21 Table I datasets at 3,000 benign and 3,000 mixed
+// events (seed 1), one dataset per operation in Table I order.
+func BenchmarkBuildArtifacts(b *testing.B) {
+	var pairs [][2]*trace.Log
+	for _, spec := range dataset.Table1Specs() {
+		spec.BenignEvents, spec.MixedEvents, spec.MaliciousEvents = 3000, 3000, 100
+		logs, err := spec.Generate(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pairs = append(pairs, [2]*trace.Log{logs.Benign, logs.Mixed})
+	}
+	config := core.Config{Seed: 1, Parallel: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		if _, err := core.BuildArtifacts(context.Background(), p[0], p[1], config); err != nil {
 			b.Fatal(err)
 		}
 	}

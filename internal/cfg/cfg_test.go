@@ -3,6 +3,7 @@ package cfg
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -65,8 +66,9 @@ func TestReachable(t *testing.T) {
 		{99, 1, false},
 		{1, 99, false},
 	}
+	r := g.Reachability()
 	for _, tt := range tests {
-		if got := g.Reachable(tt.from, tt.to); got != tt.want {
+		if got := r.Reachable(tt.from, tt.to); got != tt.want {
 			t.Errorf("Reachable(%d,%d) = %v, want %v", tt.from, tt.to, got, tt.want)
 		}
 	}
@@ -77,18 +79,35 @@ func TestReachableCycleSafe(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 1) // cycle
 	g.AddEdge(2, 3)
-	if !g.Reachable(1, 1) {
+	r := g.Reachability()
+	if !r.Reachable(1, 1) {
 		t.Error("Reachable(1,1) via cycle = false")
 	}
-	if !g.Reachable(1, 3) {
+	if !r.Reachable(1, 3) {
 		t.Error("Reachable(1,3) = false")
 	}
-	if g.Reachable(3, 1) {
+	if r.Reachable(3, 1) {
 		t.Error("Reachable(3,1) = true")
 	}
 }
 
-// Property: Reachable agrees with a reference BFS on random graphs.
+// TestReachabilityIsASnapshot requires the index to answer for the graph
+// it was built from.
+func TestReachabilityIsASnapshot(t *testing.T) {
+	g := NewGraph()
+	g.AddEdge(1, 2)
+	r := g.Reachability()
+	g.AddEdge(2, 3)
+	if r.Reachable(1, 3) {
+		t.Error("Reachable(1,3) sees an edge added after the index was built")
+	}
+	if !g.Reachability().Reachable(1, 3) {
+		t.Error("a fresh index misses Reachable(1,3)")
+	}
+}
+
+// Property: Reachable agrees with a reference BFS on random graphs, for
+// queries grouped by start and for starts that change on every query.
 func TestReachablePropertyQuick(t *testing.T) {
 	ref := func(g *Graph, start, end uint64) bool {
 		seen := map[uint64]bool{}
@@ -114,10 +133,14 @@ func TestReachablePropertyQuick(t *testing.T) {
 		for e := 0; e < rng.Intn(30); e++ {
 			g.AddEdge(uint64(rng.Intn(n)), uint64(rng.Intn(n)))
 		}
+		r := g.Reachability()
 		for trial := 0; trial < 20; trial++ {
-			a, b := uint64(rng.Intn(n)), uint64(rng.Intn(n))
-			if g.Reachable(a, b) != ref(g, a, b) {
-				return false
+			a := uint64(rng.Intn(n + 1)) // n is never a node
+			for range 1 + rng.Intn(3) {
+				b := uint64(rng.Intn(n + 1))
+				if r.Reachable(a, b) != ref(g, a, b) {
+					return false
+				}
 			}
 		}
 		return true
@@ -232,6 +255,11 @@ func TestInferPaperFigure3(t *testing.T) {
 	}
 }
 
+// events returns the ordinals of the events that contributed e.
+func events(inf *Inference, e Edge) []int {
+	return inf.Events(slices.Index(inf.Edges, e))
+}
+
 func TestInferEventsByEdge(t *testing.T) {
 	log := &partition.Log{Events: []partition.Event{
 		partEvent(0, 1, 2),
@@ -242,17 +270,76 @@ func TestInferEventsByEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want := []Edge{{1, 2}, {1, 3}, {2, 3}, {3, 2}}; !reflect.DeepEqual(inf.Edges, want) {
+		t.Errorf("Edges = %v, want %v", inf.Edges, want)
+	}
+	if want := []bool{true, true, false, false}; !reflect.DeepEqual(inf.Explicit, want) {
+		t.Errorf("Explicit = %v, want %v", inf.Explicit, want)
+	}
 	// Edge (1,2) contributed by events 0 and 2.
-	if got := inf.EventsByEdge[Edge{1, 2}]; !reflect.DeepEqual(got, []int{0, 2}) {
-		t.Errorf("EventsByEdge[1->2] = %v, want [0 2]", got)
+	if got := events(inf, Edge{1, 2}); !reflect.DeepEqual(got, []int{0, 2}) {
+		t.Errorf("events of 1->2 = %v, want [0 2]", got)
 	}
 	// Implicit edge (2,3) attributed to event 1.
-	if got := inf.EventsByEdge[Edge{2, 3}]; !reflect.DeepEqual(got, []int{1}) {
-		t.Errorf("EventsByEdge[2->3] = %v, want [1]", got)
+	if got := events(inf, Edge{2, 3}); !reflect.DeepEqual(got, []int{1}) {
+		t.Errorf("events of 2->3 = %v, want [1]", got)
 	}
 	// Implicit edge (3,2) attributed to event 2.
-	if got := inf.EventsByEdge[Edge{3, 2}]; !reflect.DeepEqual(got, []int{2}) {
-		t.Errorf("EventsByEdge[3->2] = %v, want [2]", got)
+	if got := events(inf, Edge{3, 2}); !reflect.DeepEqual(got, []int{2}) {
+		t.Errorf("events of 3->2 = %v, want [2]", got)
+	}
+}
+
+// TestInferSharesEdgeSets requires events with the same walk after the
+// same walk to share one edge set, each set to list its distinct edges
+// ascending, and an event without an edge to carry none.
+func TestInferSharesEdgeSets(t *testing.T) {
+	// Walk [5 7] recurses into [7 5 7]; its implicit edge from [5 7] is
+	// (5,7), one of its own explicit edges.
+	log := &partition.Log{Events: []partition.Event{
+		partEvent(0, 9),
+		partEvent(1, 5, 7),
+		partEvent(2, 7, 5, 7),
+		partEvent(3, 5, 7),
+		partEvent(4, 7, 5, 7),
+		partEvent(5),
+		partEvent(6, 7, 5, 7),
+	}}
+	log.Walk, log.First = []int32{0, 1, 2, 1, 2, 3, 2}, []int32{0, 1, 2, 5}
+	inf, err := Infer(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Edge{{5, 7}, {7, 5}, {9, 5}}; !reflect.DeepEqual(inf.Edges, want) {
+		t.Fatalf("Edges = %v, want %v", inf.Edges, want)
+	}
+	if want := []int32{-1, 0, 1, 2, 1, -1, 3}; !reflect.DeepEqual(inf.EventSet, want) {
+		t.Errorf("EventSet = %v, want %v", inf.EventSet, want)
+	}
+	for s, want := range [][]int32{{0, 2}, {0, 1}, {0, 1}, {0, 1}} {
+		if got := inf.SetEdges(s); !slices.Equal(got, want) {
+			t.Errorf("SetEdges(%d) = %v, want %v", s, got, want)
+		}
+	}
+	if inf.NumSets() != 4 || inf.ExplicitEdges != 2 || inf.ImplicitEdges != 1 || inf.SkippedEvents != 1 {
+		t.Errorf("sets %d, explicit %d, implicit %d, skipped %d; want 4, 2, 1, 1",
+			inf.NumSets(), inf.ExplicitEdges, inf.ImplicitEdges, inf.SkippedEvents)
+	}
+}
+
+// TestInferRefusesMisnumberedEvents requires Infer to refuse a log whose
+// Seq disagrees with an event's position, naming the first such event:
+// weights are read back by position.
+func TestInferRefusesMisnumberedEvents(t *testing.T) {
+	log := &partition.Log{Events: []partition.Event{
+		partEvent(0, 1, 2),
+		partEvent(1, 1, 3),
+		partEvent(5, 1, 2),
+		partEvent(2, 1, 3),
+	}}
+	_, err := Infer(log)
+	if err == nil || !strings.Contains(err.Error(), "event 2 has Seq 5") {
+		t.Errorf("Infer of a log numbered 0 1 5 2: %v, want an error naming event 2", err)
 	}
 }
 
@@ -383,5 +470,48 @@ func TestInferSeparatesPayloadComponent(t *testing.T) {
 	d := DiffGraphs(benign.Graph, mixed.Graph)
 	if len(d.Common) == 0 {
 		t.Error("no common edges between benign and mixed CFGs")
+	}
+}
+
+// repeatLog returns log's events repeated k times, numbered by position.
+func repeatLog(t testing.TB, log *trace.Log, k int) *partition.Log {
+	t.Helper()
+	rep := &trace.Log{App: log.App, PID: log.PID, Modules: log.Modules}
+	for range k {
+		for _, e := range log.Events {
+			e.Seq = rep.Len()
+			rep.Events = append(rep.Events, e)
+		}
+	}
+	part, err := partition.Split(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return part
+}
+
+// TestInferAllocs requires Infer to allocate per distinct walk, walk pair
+// and edge, not per event: a log that repeats the same walks allocates
+// as often at 8× its length as at 1×. The log holds its events twice, so
+// the pair that joins one copy to the next is in it at 1× as well.
+func TestInferAllocs(t *testing.T) {
+	proc, err := appsim.NewProcess(appsim.VimProfile(), nil, appsim.MethodNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := proc.GenerateLog(appsim.GenConfig{Seed: 1, Events: 1500, PID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(part *partition.Log) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Infer(part); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	once, eight := allocs(repeatLog(t, log, 2)), allocs(repeatLog(t, log, 16))
+	if once != eight {
+		t.Errorf("Infer allocated %.0f times on a 3,000-event log and %.0f times on the same walks 8× over", once, eight)
 	}
 }

@@ -34,14 +34,11 @@ func EntryPoints(benign *Graph, mixed *Inference) []EntryPoint {
 		return len(density) >= 2 && addr >= density[0] && addr <= density[len(density)-1]
 	}
 	var out []EntryPoint
-	for e := range mixed.Explicit {
-		if !benign.HasNode(e.From) || benign.HasNode(e.To) || inSpan(e.To) {
+	for id, e := range mixed.Edges {
+		if !mixed.Explicit[id] || !benign.HasNode(e.From) || benign.HasNode(e.To) || inSpan(e.To) {
 			continue
 		}
-		evs := mixed.EventsByEdge[e]
-		cp := make([]int, len(evs))
-		copy(cp, evs)
-		out = append(out, EntryPoint{Edge: e, Events: cp})
+		out = append(out, EntryPoint{Edge: e, Events: mixed.Events(id)})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		fi, fj := firstEvent(out[i]), firstEvent(out[j])

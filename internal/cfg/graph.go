@@ -4,10 +4,17 @@
 // system event log — Algorithm 1 of the paper — plus the graph operations
 // the weight-assessment stage needs (reachability, density arrays) and
 // tooling for comparison and DOT export (Figure 4).
+//
+// Inference works on dense ids: it numbers the distinct edges in (From,
+// To) order, takes each stack walk's explicit edges once through the
+// partitioned log's walk index and each implicit edge once per pair of
+// adjacent walks, and records per event only the id of the edge set it
+// contributed. Weight assessment scores each edge and each set once.
 package cfg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -105,36 +112,81 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// Reachable reports whether end can be reached from start along one or
-// more edges (the paper's CHECK_CFG: start == end requires a cycle). It is
-// cycle-safe, unlike the paper's pseudo-code.
-func (g *Graph) Reachable(start, end uint64) bool {
-	firsts, ok := g.succ[start]
-	if !ok {
-		return false
-	}
-	visited := make(map[uint64]struct{}, len(g.succ))
-	stack := make([]uint64, 0, len(firsts))
-	for a := range firsts {
-		stack = append(stack, a)
-	}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if cur == end {
-			return true
+// Reachability answers the paper's CHECK_CFG over one graph: whether
+// one address reaches another along one or more edges. It numbers the
+// graph's nodes once and traverses from a start once for every query
+// about it, so queries grouped by start cost one traversal per distinct
+// start, and traversals allocate nothing. It holds a copy of the graph's
+// structure, so later changes to the graph do not show in it.
+type Reachability struct {
+	nodes []uint64 // ascending; a node's id is its index
+	off   []int32  // node i's successors are succ[off[i]:off[i+1]]
+	succ  []int32
+	// reached marks the nodes reachable from start, valid once walked.
+	reached []bool
+	start   uint64
+	walked  bool
+	stack   []int32
+}
+
+// Reachability returns the graph's reachability index.
+func (g *Graph) Reachability() *Reachability {
+	r := &Reachability{nodes: g.Nodes(), succ: make([]int32, 0, g.numEdges)}
+	r.off = make([]int32, len(r.nodes)+1)
+	for i, a := range r.nodes {
+		for b := range g.succ[a] {
+			r.succ = append(r.succ, int32(r.id(b)))
 		}
-		if _, seen := visited[cur]; seen {
+		r.off[i+1] = int32(len(r.succ))
+	}
+	r.reached = make([]bool, len(r.nodes))
+	// A walk pushes the start's successors, then each node's at most
+	// once: never more than twice the edges.
+	r.stack = make([]int32, 0, 2*len(r.succ))
+	return r
+}
+
+// id returns addr's node id, or -1 when addr is not a node.
+func (r *Reachability) id(addr uint64) int {
+	if i, ok := slices.BinarySearch(r.nodes, addr); ok {
+		return i
+	}
+	return -1
+}
+
+// Reachable reports whether end can be reached from start along one or
+// more edges (start == end requires a cycle). It is cycle-safe, unlike
+// the paper's pseudo-code.
+func (r *Reachability) Reachable(start, end uint64) bool {
+	if !r.walked || start != r.start {
+		r.walk(start)
+	}
+	i := r.id(end)
+	return i >= 0 && r.reached[i]
+}
+
+// walk marks the nodes reachable from start.
+func (r *Reachability) walk(start uint64) {
+	clear(r.reached)
+	r.start, r.walked = start, true
+	s := r.id(start)
+	if s < 0 {
+		return
+	}
+	r.stack = append(r.stack[:0], r.succ[r.off[s]:r.off[s+1]]...)
+	for len(r.stack) > 0 {
+		cur := r.stack[len(r.stack)-1]
+		r.stack = r.stack[:len(r.stack)-1]
+		if r.reached[cur] {
 			continue
 		}
-		visited[cur] = struct{}{}
-		for next := range g.succ[cur] {
-			if _, seen := visited[next]; !seen {
-				stack = append(stack, next)
+		r.reached[cur] = true
+		for _, next := range r.succ[r.off[cur]:r.off[cur+1]] {
+			if !r.reached[next] {
+				r.stack = append(r.stack, next)
 			}
 		}
 	}
-	return false
 }
 
 // DensityArray returns the sorted distinct addresses of all graph nodes —

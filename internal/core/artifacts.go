@@ -164,7 +164,9 @@ func (a *Artifacts) finish(ctx context.Context) error {
 	a.benignWins = benignWins
 	a.mixed = mixedWins
 	// Mixed windows with CFG-derived weights: the WSVM cost cᵢ is the
-	// confidence that the negative label is correct, 1 − benignity.
+	// confidence that the negative label is correct, 1 − benignity. A
+	// window's start is an event position, which cfg.Infer has checked
+	// is also the Seq its weights are kept under.
 	a.mixedWeight = make([]float64, len(mixedWins))
 	for i, w := range mixedWins {
 		benignity := a.Weights.MeanBenignity(w.start, w.start+config.Window, unscoredBenignity)

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/partition"
 	"repro/internal/svm"
 )
 
@@ -76,7 +78,7 @@ func TestBuildTrainingDataArtifacts(t *testing.T) {
 	if td.MixedCFG.Graph.NumNodes() <= td.BenignCFG.Graph.NumNodes() {
 		t.Error("mixed CFG not larger than benign CFG despite payload code")
 	}
-	if len(td.Weights.EventBenignity) == 0 {
+	if !slices.ContainsFunc(td.MixedPart.Events, func(e partition.Event) bool { return td.Weights.Benignity(e.Seq, -1) >= 0 }) {
 		t.Fatal("no event weights assessed")
 	}
 	// Split sizes: roughly 50/50 of benign windows.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -273,12 +274,20 @@ var featurizeCounters = []string{
 	"preprocess_encoded_events_total",
 }
 
-// counterDelta runs fn and returns how far it moved each named counter.
+// counterDelta runs fn and returns how far it moved each named counter;
+// a name of the form family{label="value"} names one counter of a
+// labelled family.
 func counterDelta(names []string, fn func()) []uint64 {
 	read := func() []uint64 {
 		out := make([]uint64, len(names))
 		for i, name := range names {
-			out[i] = telemetry.Default().Counter(name, "").Value()
+			family, label, ok := strings.Cut(strings.TrimSuffix(name, "}"), "{")
+			if !ok {
+				out[i] = telemetry.Default().Counter(name, "").Value()
+				continue
+			}
+			key, value, _ := strings.Cut(label, "=")
+			out[i] = telemetry.Default().CounterVec(family, "", key).With(strings.Trim(value, `"`)).Value()
 		}
 		return out
 	}

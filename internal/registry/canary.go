@@ -104,7 +104,9 @@ func (c *Canary) ID() string { return c.id }
 
 // Offer enqueues one scored batch for shadow replay: the events the
 // champion scored and the champion's malicious flag per completed
-// window. It never blocks — a full queue drops the batch and reports
+// window. session keys the challenger stream the batch continues; a
+// caller whose session IDs can be reused keys each session instance
+// apart. It never blocks — a full queue drops the batch and reports
 // false. The caller must not mutate events after offering.
 func (c *Canary) Offer(session string, modules *trace.ModuleMap, events []trace.Event, malicious []bool) bool {
 	b := shadowBatch{session: session, modules: modules, events: events, malicious: malicious}
@@ -127,12 +129,11 @@ func (c *Canary) Offer(session string, modules *trace.ModuleMap, events []trace.
 	}
 }
 
-// Forget releases session's challenger detector once every batch the
-// session offered so far has replayed: a session that leaves the server
-// (deleted, exported or evicted) holds no detector, and a later session
-// reusing its ID starts a fresh challenger stream. Forget waits for
-// room on the shadow queue, since a dropped release would leak; a
-// stopped canary has nothing to release.
+// Forget releases the challenger detector keyed session once every
+// batch offered under that key so far has replayed: a session that
+// leaves the server (deleted, exported or evicted) holds no detector.
+// Forget waits for room on the shadow queue, since a dropped release
+// would leak; a stopped canary has nothing to release.
 func (c *Canary) Forget(session string) {
 	select {
 	case c.queue <- shadowBatch{session: session, forget: true}:

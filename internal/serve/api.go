@@ -516,7 +516,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	s.sessMu.Unlock()
 	if resident {
 		sess.quiesce()
-		s.forgetShadow(id)
+		s.forgetShadow(sess)
 		mSessionsActive.Add(-1)
 	}
 	if err != nil && !errors.Is(err, errNoSession) {

@@ -101,7 +101,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, "checkpointing session: %v", err)
 			return
 		}
-		s.forgetShadow(id)
+		s.forgetShadow(sess)
 	} else if err != nil {
 		refuse(w, s.missing(id, err))
 		return

@@ -410,7 +410,10 @@ func TestServeShadowDeterminism(t *testing.T) {
 // a new session under the same ID. The leaver's challenger must be
 // released, so the newcomer's shadow verdicts come from a fresh
 // challenger stream: the comparison equals the one where the newcomer
-// has an ID of its own, with no window divergence.
+// has an ID of its own, with no window divergence. A DELETE or export
+// lets the ID go before the release, so the newcomer also arrives in
+// that gap, through leaveHook, and offers its batches first: keyed by
+// session instance, they still start a fresh stream.
 func TestServeShadowForgetsLeavingSessions(t *testing.T) {
 	mon, logs := newTestModel(t)
 	mal := logs.Malicious
@@ -420,7 +423,17 @@ func TestServeShadowForgetsLeavingSessions(t *testing.T) {
 	// than the champion does.
 	leaver, newcomer := EventSpecsOf(mal.Events[:w+w/2]), EventSpecsOf(mal.Events[:2*w+w/2])
 
-	shadowRun := func(leave string, reuse bool) registry.Comparison {
+	shadowRun := func(leave string, reuse, early bool) registry.Comparison {
+		// Server goroutines read leaveHook, so it is set before the
+		// server starts them and restored after they are gone.
+		reached, resume := make(chan struct{}), make(chan struct{})
+		if early {
+			leaveHook = func(string) {
+				close(reached)
+				<-resume
+			}
+			defer func() { leaveHook = func(string) {} }()
+		}
 		st, _, manB := registryFixture(t)
 		s := newTestServer(t, Config{
 			Registry:    st,
@@ -441,16 +454,61 @@ func TestServeShadowForgetsLeavingSessions(t *testing.T) {
 				t.Fatalf("%s: create session %s: status %d", leave, id, resp.StatusCode)
 			}
 		}
+		id := "newcomer"
+		if reuse {
+			id = "reused"
+		}
+		arrive := func() {
+			open(id)
+			ingest(t, ts, id, newcomer)
+		}
 		open("reused")
 		ingest(t, ts, "reused", leaver)
 		switch leave {
-		case "delete":
-			if resp := httpJSON(t, ts.Client(), "DELETE", ts.URL+"/v1/sessions/reused", nil, nil); resp.StatusCode != http.StatusNoContent {
-				t.Fatalf("delete: status %d", resp.StatusCode)
+		case "delete", "export":
+			method, path, want := "DELETE", "/v1/sessions/reused", http.StatusNoContent
+			if leave == "export" {
+				method, path, want = "POST", "/v1/sessions/reused/export", http.StatusOK
 			}
-		case "export":
-			if resp := httpJSON(t, ts.Client(), "POST", ts.URL+"/v1/sessions/reused/export", nil, nil); resp.StatusCode != http.StatusOK {
-				t.Fatalf("export: status %d", resp.StatusCode)
+			if !early {
+				if resp := httpJSON(t, ts.Client(), method, ts.URL+path, nil, nil); resp.StatusCode != want {
+					t.Fatalf("%s: status %d", leave, resp.StatusCode)
+				}
+				break
+			}
+			status := make(chan int, 1)
+			go func() {
+				req, err := http.NewRequest(method, ts.URL+path, nil)
+				if err != nil {
+					status <- 0
+					return
+				}
+				resp, err := ts.Client().Do(req)
+				if err != nil {
+					status <- 0
+					return
+				}
+				resp.Body.Close()
+				status <- resp.StatusCode
+			}()
+			// A failing arrival must not leave the handler parked in
+			// the hook, or closing the server would wait on it forever.
+			released := false
+			defer func() {
+				if !released {
+					close(resume)
+				}
+			}()
+			select {
+			case <-reached:
+			case got := <-status:
+				t.Fatalf("%s: status %d before the session's release", leave, got)
+			}
+			arrive()
+			close(resume)
+			released = true
+			if got := <-status; got != want {
+				t.Fatalf("%s: status %d", leave, got)
 			}
 		case "evict":
 			s.evictIdle(time.Now().Add(time.Hour))
@@ -459,12 +517,9 @@ func TestServeShadowForgetsLeavingSessions(t *testing.T) {
 				t.Fatalf("delete after eviction: status %d", resp.StatusCode)
 			}
 		}
-		id := "newcomer"
-		if reuse {
-			id = "reused"
+		if !early {
+			arrive()
 		}
-		open(id)
-		ingest(t, ts, id, newcomer)
 		c := s.canary.Load()
 		c.Sync()
 		cmp := c.Status()
@@ -473,9 +528,15 @@ func TestServeShadowForgetsLeavingSessions(t *testing.T) {
 	}
 
 	for _, leave := range []string{"delete", "export", "evict"} {
-		got, want := shadowRun(leave, true), shadowRun(leave, false)
-		if got.Diverged != 0 || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: reused ID's shadow comparison %+v, want a fresh challenger stream's %+v", leave, got, want)
+		want := shadowRun(leave, false, false)
+		for _, early := range []bool{false, true} {
+			if early && leave == "evict" {
+				continue // the spooled envelope holds the ID past the release
+			}
+			if got := shadowRun(leave, true, early); got.Diverged != 0 || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s (arriving before the release: %v): reused ID's shadow comparison %+v, want a fresh challenger stream's %+v",
+					leave, early, got, want)
+			}
 		}
 	}
 }

@@ -158,6 +158,9 @@ type Server struct {
 
 	sessMu   sync.RWMutex
 	sessions map[string]*session
+	// admitted counts the sessions admitted so far, under sessMu: the
+	// serial in each session's shadow key.
+	admitted uint64
 
 	janitorStop chan struct{}
 	janitorDone chan struct{}
@@ -418,7 +421,7 @@ func (s *Server) shadowOffer(sess *session, b *ingestBatch, rep ingestReply) {
 	for i, v := range rep.verdicts {
 		flags[i] = v.Malicious
 	}
-	c.Offer(sess.id, sess.mm, b.events, flags)
+	c.Offer(sess.shadow, sess.mm, b.events, flags)
 	telemetry.RecordFlight(telemetry.FlightEntry{
 		Kind:  "shadow",
 		Name:  sess.id,
@@ -429,12 +432,20 @@ func (s *Server) shadowOffer(sess *session, b *ingestBatch, rep ingestReply) {
 
 // forgetShadow tells the active canary, if any, that a session left
 // this server, so its challenger detector is released. Without a
-// shadow it costs one atomic load.
-func (s *Server) forgetShadow(id string) {
+// shadow it costs one atomic load. The canary knows the session by its
+// shadow key, so a session admitted under the same ID before the
+// release offers to a fresh challenger stream of its own.
+func (s *Server) forgetShadow(sess *session) {
+	leaveHook(sess.id)
 	if c := s.canary.Load(); c != nil {
-		c.Forget(id)
+		c.Forget(sess.shadow)
 	}
 }
+
+// leaveHook is the test seam between a session's leaving the session map
+// and the release of its challenger detector: a test re-creates the
+// session's ID there.
+var leaveHook = func(id string) {}
 
 // janitor periodically checkpoints idle sessions to the spool and evicts
 // them from memory.
@@ -486,7 +497,7 @@ func (s *Server) evictIdle(cutoff time.Time) {
 		}
 		delete(s.sessions, sess.id)
 		s.sessMu.Unlock()
-		s.forgetShadow(sess.id)
+		s.forgetShadow(sess)
 		mSessionsEvicted.Inc()
 		mSessionsActive.Add(-1)
 		s.cfg.Logger.Info("idle session evicted to spool", "session", sess.id)

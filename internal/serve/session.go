@@ -43,7 +43,12 @@ type ingestBatch struct {
 // reaches that ticket, so batches score one at a time, in admission
 // order, and verdicts are a pure function of the session's event stream.
 type session struct {
-	id       string
+	id string
+	// shadow keys this session's challenger stream on a canary: its id
+	// plus the serial of its admission, so a session that reuses the id
+	// after this one left never continues this one's stream, whether it
+	// offers before or after this one's release. Set by admit.
+	shadow   string
 	model    string
 	spec     SessionSpec // retained for the session envelope
 	det      *core.StreamDetector

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -151,7 +152,8 @@ func (s *Server) revive(ex SessionExport) (*session, error) {
 }
 
 // admit makes sess resident: the one check of the session cap and id
-// uniqueness that create, import and both restores share. An id is
+// uniqueness that create, import and both restores share. It gives the
+// session its shadow key. An id is
 // taken while it is resident or spooled, except that a restore consumes
 // its own envelope: the cap is checked first, so a refused restore keeps
 // its envelope, and the envelope is removed before the session becomes
@@ -176,6 +178,8 @@ func (s *Server) admit(sess *session, restore bool) error {
 			return fmt.Errorf("%w: %q is spooled", errSessionExists, sess.id)
 		}
 	}
+	s.admitted++
+	sess.shadow = sess.id + "#" + strconv.FormatUint(s.admitted, 10)
 	s.sessions[sess.id] = sess
 	mSessionsActive.Add(1)
 	return nil

@@ -300,12 +300,19 @@ func (h *Histogram) bucketIndex(v float64) int {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	h.counts[h.bucketIndex(v)].Add(1)
-	h.count.Add(1)
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of one value, adding v·n to the sum.
+func (h *Histogram) ObserveN(v float64, n uint64) {
+	if n == 0 {
+		return
+	}
+	h.counts[h.bucketIndex(v)].Add(n)
+	h.count.Add(n)
+	add := v * float64(n)
 	for {
 		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
+		next := math.Float64bits(math.Float64frombits(old) + add)
 		if h.sumBits.CompareAndSwap(old, next) {
 			return
 		}

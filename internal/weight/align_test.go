@@ -122,7 +122,7 @@ func TestAssessAlignedRecoversSourceTrojan(t *testing.T) {
 func TestAssessAlignedValidation(t *testing.T) {
 	g := cfg.NewGraph()
 	g.AddEdge(1, 2)
-	inf := &cfg.Inference{Graph: g, EventsByEdge: map[cfg.Edge][]int{}}
+	inf := &cfg.Inference{Graph: g}
 	if _, err := AssessAligned(g, inf, nil, Config{}); err == nil {
 		t.Error("nil alignment accepted")
 	}

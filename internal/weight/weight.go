@@ -9,8 +9,13 @@
 // functionality that the incomplete benign CFG never observed; and 0 when
 // the path lies outside the benign address range altogether, the signature
 // of payload code in an appended section or a remote allocation. Path
-// scores are averaged onto the events that produced the paths through the
-// inference's edge→event reverse map (the paper's memap).
+// scores are averaged onto the events that produced the paths (the
+// paper's memap, kept by the inference as one edge set per event).
+//
+// Assessment works once per distinct edge and once per distinct edge
+// set: the benign CFG is traversed once per distinct path source, and an
+// event's benignity is its edge set's mean, computed once per set with
+// the scores summed in ascending edge order.
 //
 // Note on orientation: the paper's Algorithm 2 computes "the degree of
 // benignity" (1 = on the benign CFG). Its Weighted SVM needs per-sample
@@ -49,12 +54,13 @@ type Config struct {
 
 // Result is the output of weight assessment.
 type Result struct {
-	// EventBenignity maps each mixed-log event ordinal (Seq) that
-	// contributed at least one CFG path to its benignity in [0, 1], the
-	// average of its paths' scores.
-	EventBenignity map[int]float64
-	// PathWeight records the score of every mixed-CFG edge.
-	PathWeight map[cfg.Edge]float64
+	// PathWeight[id] is the score of the mixed CFG's edge id, its
+	// Inference.Edges[id].
+	PathWeight []float64
+	// eventSet aliases the mixed inference's EventSet, and setBenignity[s]
+	// is the benignity of edge set s: the mean of its edges' scores.
+	eventSet     []int32
+	setBenignity []float64
 	// ConnectedPaths, EstimatedPaths and OutsidePaths count edges scored
 	// by benign-CFG reachability, density interpolation and out-of-range
 	// zeroing respectively.
@@ -81,6 +87,10 @@ func AssessAligned(benign *cfg.Graph, mixed *cfg.Inference, al *cfg.Alignment, c
 	return assess(benign, mixed, al, cfgOpts)
 }
 
+// assess scores each distinct edge once, traversing the benign CFG once
+// per distinct source (the edges come sorted by source), and each edge
+// set once: an event's benignity is its set's mean, its edges' scores
+// summed in ascending edge order.
 func assess(benign *cfg.Graph, mixed *cfg.Inference, al *cfg.Alignment, cfgOpts Config) (*Result, error) {
 	if benign == nil {
 		return nil, errors.New("weight: nil benign CFG")
@@ -89,15 +99,13 @@ func assess(benign *cfg.Graph, mixed *cfg.Inference, al *cfg.Alignment, cfgOpts 
 		return nil, errors.New("weight: nil mixed inference")
 	}
 	density := benign.DensityArray()
+	reach := benign.Reachability()
 	res := &Result{
-		EventBenignity: make(map[int]float64),
-		PathWeight:     make(map[cfg.Edge]float64, mixed.Graph.NumEdges()),
+		PathWeight:   make([]float64, len(mixed.Edges)),
+		eventSet:     mixed.EventSet,
+		setBenignity: make([]float64, mixed.NumSets()),
 	}
-	// Running means per event.
-	sums := make(map[int]float64)
-	counts := make(map[int]int)
-
-	for _, e := range mixed.Graph.Edges() {
+	for id, e := range mixed.Edges {
 		from, to := e.From, e.To
 		if al != nil {
 			from, _ = al.Translate(from)
@@ -105,7 +113,7 @@ func assess(benign *cfg.Graph, mixed *cfg.Inference, al *cfg.Alignment, cfgOpts 
 		}
 		var w float64
 		switch {
-		case benign.Reachable(from, to):
+		case reach.Reachable(from, to):
 			w = 1
 			res.ConnectedPaths++
 		case !cfgOpts.DisableDensityEstimate && withinRange(from, to, density):
@@ -115,16 +123,22 @@ func assess(benign *cfg.Graph, mixed *cfg.Inference, al *cfg.Alignment, cfgOpts 
 			w = 0
 			res.OutsidePaths++
 		}
-		res.PathWeight[e] = w
-		for _, seq := range mixed.EventsByEdge[e] {
-			sums[seq] += w
-			counts[seq]++
+		res.PathWeight[id] = w
+	}
+	events := make([]uint64, len(res.setBenignity))
+	for _, s := range res.eventSet {
+		if s >= 0 {
+			events[s]++
 		}
 	}
-	for seq, s := range sums {
-		b := s / float64(counts[seq])
-		res.EventBenignity[seq] = b
-		mBenignity.Observe(b)
+	for s := range res.setBenignity {
+		edges := mixed.SetEdges(s)
+		var sum float64
+		for _, id := range edges {
+			sum += res.PathWeight[id]
+		}
+		res.setBenignity[s] = sum / float64(len(edges))
+		mBenignity.ObserveN(res.setBenignity[s], events[s])
 	}
 	mPathsConnected.Add(uint64(res.ConnectedPaths))
 	mPathsEstimated.Add(uint64(res.EstimatedPaths))
@@ -176,8 +190,10 @@ func estimate(addr uint64, density []uint64) float64 {
 // Benignity returns the event's benignity, defaulting to the given value
 // for events that contributed no CFG path (e.g. stackless events).
 func (r *Result) Benignity(seq int, def float64) float64 {
-	if w, ok := r.EventBenignity[seq]; ok {
-		return w
+	if seq >= 0 && seq < len(r.eventSet) {
+		if s := r.eventSet[seq]; s >= 0 {
+			return r.setBenignity[s]
+		}
 	}
 	return def
 }

@@ -2,6 +2,7 @@ package weight
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/appsim"
@@ -26,6 +27,15 @@ func buildInference(t *testing.T, stacks [][]uint64) *cfg.Inference {
 		t.Fatal(err)
 	}
 	return inf
+}
+
+// pathWeight returns the score res gave the mixed CFG's edge e, NaN when
+// the CFG lacks it.
+func pathWeight(res *Result, mixed *cfg.Inference, e cfg.Edge) float64 {
+	if id := slices.Index(mixed.Edges, e); id >= 0 {
+		return res.PathWeight[id]
+	}
+	return math.NaN()
 }
 
 func TestAssessValidation(t *testing.T) {
@@ -67,8 +77,8 @@ func TestAssessTransitivelyConnectedScoresOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PathWeight[cfg.Edge{From: 100, To: 300}] != 1 {
-		t.Errorf("transitive path weight = %v, want 1", res.PathWeight[cfg.Edge{From: 100, To: 300}])
+	if w := pathWeight(res, mixed, cfg.Edge{From: 100, To: 300}); w != 1 {
+		t.Errorf("transitive path weight = %v, want 1", w)
 	}
 }
 
@@ -109,7 +119,7 @@ func TestAssessDensityEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := res.PathWeight[cfg.Edge{From: tt.start, To: 180}]
+		got := pathWeight(res, mixed, cfg.Edge{From: tt.start, To: 180})
 		if math.Abs(got-tt.want) > 1e-12 {
 			t.Errorf("estimate(start=%d) = %v, want %v", tt.start, got, tt.want)
 		}
@@ -124,7 +134,7 @@ func TestAssessDensityEstimateDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := res.PathWeight[cfg.Edge{From: 150, To: 180}]; w != 0 {
+	if w := pathWeight(res, mixed, cfg.Edge{From: 150, To: 180}); w != 0 {
 		t.Errorf("weight with estimate disabled = %v, want 0", w)
 	}
 	if res.EstimatedPaths != 0 || res.OutsidePaths != 1 {
@@ -142,7 +152,7 @@ func TestAssessRangeRequiresBothEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := res.PathWeight[cfg.Edge{From: 150, To: 9000}]; w != 0 {
+	if w := pathWeight(res, mixed, cfg.Edge{From: 150, To: 9000}); w != 0 {
 		t.Errorf("out-of-range end scored %v, want 0", w)
 	}
 }
@@ -152,11 +162,7 @@ func TestAssessEventAveraging(t *testing.T) {
 	// its benignity is the average, 0.5.
 	benign := cfg.NewGraph()
 	benign.AddEdge(100, 200)
-	mixed := &cfg.Inference{Graph: cfg.NewGraph(), EventsByEdge: map[cfg.Edge][]int{}}
-	mixed.Graph.AddEdge(100, 200)
-	mixed.Graph.AddEdge(5000, 6000)
-	mixed.EventsByEdge[cfg.Edge{From: 100, To: 200}] = []int{0}
-	mixed.EventsByEdge[cfg.Edge{From: 5000, To: 6000}] = []int{0}
+	mixed := buildInference(t, [][]uint64{{100, 200, 6000}})
 	res, err := Assess(benign, mixed, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -167,17 +173,35 @@ func TestAssessEventAveraging(t *testing.T) {
 }
 
 func TestBenignityDefault(t *testing.T) {
-	r := &Result{EventBenignity: map[int]float64{3: 0.7}}
-	if got := r.Benignity(3, 0.5); got != 0.7 {
-		t.Errorf("Benignity(3) = %v", got)
+	// Event 0 is stackless and event 1 has a lone frame with no event
+	// before it: neither contributes a path. Event 1's trace is a prefix
+	// of event 2's, so event 2 contributes only its explicit path.
+	benign := cfg.NewGraph()
+	benign.AddEdge(100, 200)
+	mixed := buildInference(t, [][]uint64{{}, {100}, {100, 200}})
+	res, err := Assess(benign, mixed, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := r.Benignity(4, 0.5); got != 0.5 {
-		t.Errorf("Benignity(4) = %v, want default", got)
+	for seq, want := range []float64{0.5, 0.5, 1, 0.5} {
+		if got := res.Benignity(seq, 0.5); got != want {
+			t.Errorf("Benignity(%d) = %v, want %v", seq, got, want)
+		}
+	}
+	if got := res.Benignity(-1, 0.5); got != 0.5 {
+		t.Errorf("Benignity(-1) = %v, want default", got)
 	}
 }
 
 func TestMeanBenignity(t *testing.T) {
-	r := &Result{EventBenignity: map[int]float64{0: 1, 1: 0}}
+	// Events 0 and 1 score 1 and 0; events 2 and 3 are stackless.
+	benign := cfg.NewGraph()
+	benign.AddEdge(100, 200)
+	mixed := buildInference(t, [][]uint64{{100, 200}, {5000, 6000}, {}, {}})
+	r, err := Assess(benign, mixed, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := r.MeanBenignity(0, 2, 0.5); got != 0.5 {
 		t.Errorf("MeanBenignity(0,2) = %v, want 0.5", got)
 	}
@@ -255,5 +279,52 @@ func TestAssessSeparatesPayloadFromBenign(t *testing.T) {
 				t.Errorf("separation = %.3f, want >= 0.5", benignMean-payloadMean)
 			}
 		})
+	}
+}
+
+// TestAssessAllocs requires Assess to allocate per distinct edge and
+// edge set, not per event: a mixed log that repeats the same walks
+// allocates as often at 8× its length as at 1×. The log holds its events
+// twice, so the pair of walks that joins one copy to the next is in it
+// at 1× as well.
+func TestAssessAllocs(t *testing.T) {
+	payload := appsim.ReverseTCPProfile()
+	proc, err := appsim.NewProcess(appsim.WinSCPProfile(), &payload, appsim.MethodOnlineInjection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleanLog, err := proc.GenerateLog(appsim.GenConfig{Seed: 10, Events: 1500, PID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixedLog, err := proc.GenerateLog(appsim.GenConfig{Seed: 11, Events: 1500, PayloadFraction: 0.4, PID: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	infer := func(log *trace.Log, k int) *cfg.Inference {
+		rep := &trace.Log{App: log.App, PID: log.PID, Modules: log.Modules}
+		for range k {
+			for _, e := range log.Events {
+				e.Seq = rep.Len()
+				rep.Events = append(rep.Events, e)
+			}
+		}
+		inf, err := cfg.Infer(split(t, rep))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inf
+	}
+	benign := infer(cleanLog, 1).Graph
+	allocs := func(mixed *cfg.Inference) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Assess(benign, mixed, Config{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	once, eight := allocs(infer(mixedLog, 2)), allocs(infer(mixedLog, 16))
+	if once != eight {
+		t.Errorf("Assess allocated %.0f times on a 3,000-event log and %.0f times on the same walks 8× over", once, eight)
 	}
 }
